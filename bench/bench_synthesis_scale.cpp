@@ -9,9 +9,6 @@
 //     every thread count, verified here on every run);
 //   - SynthesisParams::trial_cache -- candidates untouched by the committed
 //     merger reuse their dE/dH across iterations;
-//   - SynthesisParams::incremental -- committed-state analyses are patched
-//     in place (etpn::apply_merge_patch + TestabilityAnalysis::update over
-//     the dirty cone) instead of rebuilt from scratch;
 //   - fault-simulation packet width (HLTS_SIMD_WIDTH / FaultSimulator's
 //     simd_width): gate evaluation over 64 / 256 / 512 lanes, reported as
 //     Mgate-lane-evals/s per width with the detected fault set checked for
@@ -27,9 +24,8 @@
 //                         [--compare committed.json]
 //
 //   --quick          one rep per configuration (CI smoke)
-//   --verify-serial  extend the bit-identity matrix: fault-sim width x
-//                    thread combinations and synthesis threads x
-//                    incremental combinations
+//   --verify-serial  extend the fault-sim bit-identity check to 4 threads
+//                    at every packet width
 //   --compare FILE   warn (non-gating, exit 0) when a benchmark's serial
 //                    per-trial time regressed >20% vs the committed JSON
 #include <algorithm>
@@ -87,20 +83,17 @@ double best_of(int reps, const hlts::dfg::Dfg& g, const SynthesisParams& p,
   return best;
 }
 
-/// One run of a mode (incremental on/off) with a trace installed: best
-/// wall-clock over `reps` plus the deterministic analysis-work counters of
-/// a single run.
-struct ModeSample {
+/// One configuration's best wall-clock over `reps`, plus the trial count
+/// of a single traced run.
+struct ConfigSample {
   double ms = 0;
   std::string sig;
-  std::int64_t node_visits = 0;       ///< testability.node_visits
-  std::int64_t incremental_updates = 0;
-  std::int64_t trials = 0;            ///< synth.trials_evaluated
+  std::int64_t trials = 0;  ///< synth.trials_evaluated
 };
 
-ModeSample sample_mode(int reps, const hlts::dfg::Dfg& g,
-                       const SynthesisParams& p) {
-  ModeSample s;
+ConfigSample sample_config(int reps, const hlts::dfg::Dfg& g,
+                           const SynthesisParams& p) {
+  ConfigSample s;
   s.ms = best_of(reps, g, p, &s.sig);
   hlts::util::Trace trace;
   {
@@ -108,11 +101,6 @@ ModeSample sample_mode(int reps, const hlts::dfg::Dfg& g,
     (void)hlts::core::integrated_synthesis(g, p);
   }
   const auto counters = trace.snapshot().counters;
-  if (auto it = counters.find("testability.node_visits"); it != counters.end())
-    s.node_visits = it->second;
-  if (auto it = counters.find("testability.incremental_updates");
-      it != counters.end())
-    s.incremental_updates = it->second;
   if (auto it = counters.find("synth.trials_evaluated"); it != counters.end())
     s.trials = it->second;
   return s;
@@ -327,13 +315,13 @@ int main(int argc, char** argv) {
     SynthesisParams baseline = common;
     baseline.num_threads = 1;
     baseline.trial_cache = false;
-    const ModeSample baseline_s = sample_mode(reps, g, baseline);
+    const ConfigSample baseline_s = sample_config(reps, g, baseline);
 
     // Serial reference for the bit-identity check of the sweep configs.
     SynthesisParams serial = common;
     serial.num_threads = 1;
     serial.trial_cache = true;
-    const ModeSample serial_s = sample_mode(reps, g, serial);
+    const ConfigSample serial_s = sample_config(reps, g, serial);
 
     const double baseline_per_trial_us =
         baseline_s.trials > 0 ? baseline_s.ms * 1e3 / baseline_s.trials : 0;
@@ -382,58 +370,6 @@ int main(int argc, char** argv) {
            << "}" << (ci + 1 < thread_configs.size() ? "," : "") << "\n";
     }
     json << "      ],\n";
-
-    // Incremental analysis layer vs full recompute, serial so the counter
-    // ratio is exactly the dirty-cone saving per committed merger.
-    SynthesisParams full_mode = common;
-    full_mode.num_threads = 1;
-    full_mode.trial_cache = true;
-    full_mode.incremental = false;
-    SynthesisParams inc_mode = full_mode;
-    inc_mode.incremental = true;
-    const ModeSample full_s = sample_mode(reps, g, full_mode);
-    const ModeSample inc_s = sample_mode(reps, g, inc_mode);
-    bool inc_identical = inc_s.sig == full_s.sig;
-    if (verify_serial) {
-      // Full matrix: threads {1,4} x incremental {on,off} all agree.
-      for (const int threads : {1, 4}) {
-        for (const bool incremental : {false, true}) {
-          SynthesisParams p = full_mode;
-          p.num_threads = threads;
-          p.incremental = incremental;
-          std::string sig;
-          (void)best_of(1, g, p, &sig);
-          if (sig != full_s.sig) inc_identical = false;
-        }
-      }
-    }
-    if (!inc_identical) ++not_identical;
-    const double inc_speedup = inc_s.ms > 0 ? full_s.ms / inc_s.ms : 0;
-    const double visit_ratio =
-        inc_s.node_visits > 0
-            ? static_cast<double>(full_s.node_visits) / inc_s.node_visits
-            : 0;
-    std::printf(
-        "%-7s incremental: %8.1f ms vs full %8.1f ms (%.2fx); node visits "
-        "%lld vs %lld (%.2fx fewer, %lld updates)  identical=%s\n",
-        name, inc_s.ms, full_s.ms, inc_speedup,
-        static_cast<long long>(inc_s.node_visits),
-        static_cast<long long>(full_s.node_visits), visit_ratio,
-        static_cast<long long>(inc_s.incremental_updates),
-        inc_identical ? "yes" : "NO");
-    json << "      \"incremental\": {\n"
-         << "        \"full_ms\": " << full_s.ms << ",\n"
-         << "        \"incremental_ms\": " << inc_s.ms << ",\n"
-         << "        \"speedup_vs_full\": " << inc_speedup << ",\n"
-         << "        \"node_visits_full\": " << full_s.node_visits << ",\n"
-         << "        \"node_visits_incremental\": " << inc_s.node_visits
-         << ",\n"
-         << "        \"node_visit_reduction\": " << visit_ratio << ",\n"
-         << "        \"incremental_updates\": " << inc_s.incremental_updates
-         << ",\n"
-         << "        \"identical_to_full\": "
-         << (inc_identical ? "true" : "false") << "\n"
-         << "      },\n";
 
     // Fault-sim throughput per packet width over the synthesized design.
     std::size_t num_faults = 0;

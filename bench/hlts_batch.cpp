@@ -369,29 +369,13 @@ int main(int argc, char** argv) {
           job->state() == engine::JobState::Succeeded &&
           res.completeness ==
               core::completeness_name(core::Completeness::Full)) {
-        const core::FlowParams params = bench::paper_params(bits);
-        core::FlowResult serial =
-            core::run_flow(meta[i].kind, meta[i].dfg, params);
-        // Cross-check the incremental analysis layer against its
-        // from-scratch reference: the same serial flow with the opposite
-        // `incremental` setting must produce the same bits (the
-        // HLTS_INCREMENTAL contract).
-        core::FlowParams flipped = params;
-        flipped.incremental = !params.incremental;
-        core::FlowResult other =
-            core::run_flow(meta[i].kind, meta[i].dfg, flipped);
-        const bool same_serial = identical(serial, res);
-        const bool same_flipped = identical(other, res);
-        w.key("verify").value(same_serial && same_flipped ? "identical"
-                                                          : "mismatch");
-        if (!same_serial) {
+        const core::FlowResult serial = core::run_flow(
+            meta[i].kind, meta[i].dfg, bench::paper_params(bits));
+        const bool same = identical(serial, res);
+        w.key("verify").value(same ? "identical" : "mismatch");
+        if (!same) {
           ++mismatches;
           std::cerr << "MISMATCH vs serial run_flow: " << res.name << "\n";
-        }
-        if (!same_flipped) {
-          ++mismatches;
-          std::cerr << "MISMATCH incremental vs full recompute: " << res.name
-                    << "\n";
         }
       }
     }

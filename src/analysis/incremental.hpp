@@ -16,8 +16,9 @@
 // Bit-identity contract: every number this layer produces (trial costs,
 // schedules, testability measures, balance indices, critical paths) is
 // bit-identical to the from-scratch pipeline it replaces, for every
-// benchmark, thread count and flow configuration.  The from-scratch path
-// stays compiled and selectable (HLTS_INCREMENTAL=0) as the reference.
+// benchmark, thread count and flow configuration.  That pipeline is kept
+// only as a test oracle (tests/support/reference_synthesis.hpp), which
+// `ctest -L incremental` replays every Algorithm-1 iteration against.
 #pragma once
 
 #include <cstdint>

@@ -175,7 +175,6 @@ util::JsonValue params_to_json(const AlgorithmOptions& p) {
       {"memory_budget_bytes",
        JsonValue::make_int(static_cast<std::int64_t>(p.memory_budget_bytes))},
       {"audit", JsonValue::make_bool(p.audit)},
-      {"incremental", JsonValue::make_bool(p.incremental)},
       {"atpg_backend", JsonValue::make_string(p.atpg_backend)},
       {"sat_frames", JsonValue::make_int(p.sat_frames)},
       {"sat_conflict_budget", JsonValue::make_int(p.sat_conflict_budget)},
@@ -207,7 +206,8 @@ AlgorithmOptions params_from_json(const util::JsonValue& v) {
   p.max_iterations = static_cast<int>(max_iter);
   p.memory_budget_bytes = static_cast<std::size_t>(mem);
   p.audit = member_bool(v, "audit");
-  p.incremental = member_bool(v, "incremental");
+  // Members this reader does not know are ignored, so documents from older
+  // builds -- e.g. ones carrying the retired "incremental" flag -- parse.
   // ATPG backend knobs postdate the journal format; absent members keep
   // their defaults so pre-existing journals stay readable.
   if (const JsonValue* m = v.find("atpg_backend")) {

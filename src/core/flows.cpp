@@ -8,7 +8,6 @@
 #include "sched/fds.hpp"
 #include "sched/mobility_path.hpp"
 #include "util/error.hpp"
-#include "util/knobs.hpp"
 #include "util/trace.hpp"
 
 namespace hlts::core {
@@ -31,8 +30,26 @@ const char* completeness_name(Completeness c) {
   return "?";
 }
 
-bool incremental_default() {
-  return util::knobs::read_flag("HLTS_INCREMENTAL").value_or(true);
+SynthesisParams synthesis_params(FlowKind kind, const FlowParams& params) {
+  SynthesisParams p;
+  static_cast<AlgorithmOptions&>(p) = params;
+  switch (kind) {
+    case FlowKind::Camad:
+      p.policy = SelectionPolicy::Connectivity;
+      p.order = OrderStrategy::Plain;
+      p.compat = etpn::ModuleCompat::AluClass;  // CAMAD's combined (+-) ALUs
+      p.require_improvement = true;  // conventional cost-driven termination
+      return p;
+    case FlowKind::Ours:
+      p.policy = SelectionPolicy::BalanceTestability;
+      p.order = OrderStrategy::Testability;
+      return p;
+    case FlowKind::Approach1:
+    case FlowKind::Approach2:
+      break;
+  }
+  throw Error(std::string(flow_name(kind)) + " does not run Algorithm 1",
+              ErrorKind::Input);
 }
 
 namespace {
@@ -82,18 +99,6 @@ FlowResult finalize(FlowKind kind, const dfg::Dfg& g, sched::Schedule schedule,
 FlowResult run_flow(FlowKind kind, const dfg::Dfg& g, const FlowParams& params) {
   util::ScopedSpan flow_span(flow_name(kind));
   switch (kind) {
-    case FlowKind::Camad: {
-      SynthesisParams p;
-      static_cast<AlgorithmOptions&>(p) = params;
-      p.policy = SelectionPolicy::Connectivity;
-      p.order = OrderStrategy::Plain;
-      p.compat = etpn::ModuleCompat::AluClass;  // CAMAD's combined (+-) ALUs
-      p.require_improvement = true;  // conventional cost-driven termination
-      SynthesisResult s = integrated_synthesis(g, p);
-      return finalize(kind, g, std::move(s.schedule), std::move(s.binding),
-                      params, s.completeness, s.iterations,
-                      std::move(s.stop_reason));
-    }
     case FlowKind::Approach1: {
       const int latency = params.max_latency > 0 ? params.max_latency
                                                  : g.critical_path_ops() + 1;
@@ -116,12 +121,10 @@ FlowResult run_flow(FlowKind kind, const dfg::Dfg& g, const FlowParams& params) 
       etpn::Binding b = alloc::allocate(g, s, {.lee_rules = true});
       return finalize(kind, g, std::move(s), std::move(b), params);
     }
+    case FlowKind::Camad:
     case FlowKind::Ours: {
-      SynthesisParams p;
-      static_cast<AlgorithmOptions&>(p) = params;
-      p.policy = SelectionPolicy::BalanceTestability;
-      p.order = OrderStrategy::Testability;
-      SynthesisResult s = integrated_synthesis(g, p);
+      SynthesisResult s =
+          integrated_synthesis(g, synthesis_params(kind, params));
       return finalize(kind, g, std::move(s.schedule), std::move(s.binding),
                       params, s.completeness, s.iterations,
                       std::move(s.stop_reason));

@@ -57,6 +57,13 @@ struct FlowResult {
   std::string stop_reason = "complete";
 };
 
+/// The Algorithm-1 parameters a Camad or Ours run uses: the shared knob set
+/// plus the flow's selection policy, rescheduling order, module
+/// compatibility and termination rule.  Throws Error(Input) for Approach
+/// 1/2, which do not run Algorithm 1.
+[[nodiscard]] SynthesisParams synthesis_params(FlowKind kind,
+                                               const FlowParams& params);
+
 /// Runs one flow end to end on a DFG.
 [[nodiscard]] FlowResult run_flow(FlowKind kind, const dfg::Dfg& g,
                                   const FlowParams& params = {});

@@ -55,10 +55,6 @@ enum class Completeness {
 /// binding); options only ever point at one.
 struct Checkpoint;
 
-/// Default of AlgorithmOptions::incremental: the HLTS_INCREMENTAL
-/// environment variable ("0"/"false"/"off" disable), else on.
-[[nodiscard]] bool incremental_default();
-
 /// Knobs shared by all synthesis entry points (the Algorithm-1 parameters
 /// apply to the Camad/Ours flows; bits/max_latency/library to all four).
 struct AlgorithmOptions {
@@ -70,8 +66,8 @@ struct AlgorithmOptions {
   /// infeasible.  0 means "critical path + 1" (one control step of slack
   /// for sharing, which is what the paper's schedules in Figs. 2-3 use).
   int max_latency = 0;
-  /// Concurrency of the per-iteration trial evaluation (binding copy ->
-  /// reschedule -> ETPN rebuild -> cost estimate): 0 means
+  /// Concurrency of the per-iteration trial evaluation (merge patch ->
+  /// reschedule -> cost estimate): 0 means
   /// util::ThreadPool::default_threads() (the HLTS_THREADS environment
   /// variable, else std::thread::hardware_concurrency()); 1 forces the
   /// serial path.  The result is bit-identical for every value -- trials
@@ -93,8 +89,8 @@ struct AlgorithmOptions {
   /// iteration count is bit-identical to.
   int max_iterations = 10000;
   /// Approximate working-set budget in bytes for one iteration's trial
-  /// evaluations (the dominant allocation: up to one binding + schedule
-  /// copy per ranked candidate).  When the estimate for the coming
+  /// evaluations (the dominant allocation: up to one merge patch +
+  /// schedule per ranked candidate).  When the estimate for the coming
   /// iteration exceeds the budget, the loop stops gracefully with a
   /// Partial result instead of risking an OOM kill.  0 = unlimited.
   std::size_t memory_budget_bytes = 0;
@@ -103,14 +99,6 @@ struct AlgorithmOptions {
   /// merger; a violation throws hlts::Error(ErrorKind::Internal).  Off by
   /// default: auditing is for tests, fault-injection soaks, and debugging.
   bool audit = false;
-  /// Incremental analysis layer (src/analysis): trials run as merge
-  /// patches over per-worker workspaces instead of full binding copies +
-  /// ETPN rebuilds, and the committed design's testability / critical-path
-  /// / cost state is updated over the merger's dirty cone at each commit.
-  /// Bit-identical to the from-scratch pipeline for every design, flow and
-  /// thread count; the escape hatch HLTS_INCREMENTAL=0 (the default of
-  /// this knob) keeps the old path selectable as the reference.
-  bool incremental = incremental_default();
   /// Deterministic-ATPG orchestration mode for the flow's testability
   /// evaluation: "timeframe", "sat" or "hybrid" (atpg/atpg.hpp documents
   /// the escalation order).  Empty resolves the HLTS_ATPG_BACKEND

@@ -126,49 +126,26 @@ struct CachedTrial {
 
 using TrialCache = std::unordered_map<TrialKey, CachedTrial, TrialKeyHash>;
 
-/// One fully evaluated trial: merged binding -> reschedule -> hardware cost
-/// of the merged data path.  The from-scratch path copies the binding and
-/// rebuilds the ETPN per trial; the incremental path leaves `binding` empty
-/// (the winner's merge is re-applied at commit time).
+/// One evaluated trial: merged design -> reschedule -> hardware cost of the
+/// merged data path.  The winner's merger is re-applied at commit time.
 struct TrialEval {
   bool feasible = false;
-  etpn::Binding binding;
   sched::Schedule schedule;
   int exec_time = 0;
   double hw_cost = 0;
 };
 
-/// The from-scratch trial (the HLTS_INCREMENTAL=0 reference): binding copy
-/// -> reschedule -> full ETPN rebuild -> floorplan cost estimate.
-TrialEval evaluate_trial_full(const dfg::Dfg& g, const SynthesisParams& p,
-                              const etpn::Binding& base,
-                              const sched::Schedule& hint,
-                              const testability::MergeCandidate& cand,
-                              int max_latency) {
-  TrialEval t;
-  t.binding = base;
-  cand.apply(g, t.binding);
-  ReschedOutcome r = reschedule(g, t.binding, hint, p.order);
-  if (!r.feasible || r.schedule.length() > max_latency) return t;
-  t.feasible = true;
-  t.schedule = std::move(r.schedule);
-  t.exec_time = t.schedule.length();
-  etpn::Etpn trial_etpn = etpn::build_etpn(g, t.schedule, t.binding);
-  t.hw_cost =
-      cost::estimate_cost(trial_etpn.data_path, p.library, p.bits).total();
-  return t;
-}
-
-/// The incremental trial: a DesignDelta patches a checked-out workspace in
-/// place (merge patch, no rebuild), the rescheduler reuses the patched
-/// graph for its register distances, and the cost estimate runs over the
-/// tombstoned data path -- bit-identical numbers to evaluate_trial_full.
-TrialEval evaluate_trial_incremental(const dfg::Dfg& g,
-                                     const SynthesisParams& p,
-                                     analysis::IncrementalContext& ctx,
-                                     const sched::Schedule& hint,
-                                     const testability::MergeCandidate& cand,
-                                     int max_latency) {
+/// One trial: a DesignDelta patches a checked-out workspace in place (merge
+/// patch, no rebuild), the rescheduler reuses the patched graph for its
+/// register distances, and the cost estimate runs over the tombstoned data
+/// path.  The numbers are bit-identical to a binding copy -> reschedule ->
+/// build_etpn -> estimate_cost pipeline, which the tests keep as the
+/// reference (tests/support/reference_synthesis.hpp).
+TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
+                         analysis::IncrementalContext& ctx,
+                         const sched::Schedule& hint,
+                         const testability::MergeCandidate& cand,
+                         int max_latency) {
   TrialEval t;
   std::unique_ptr<analysis::TrialWorkspace> ws = ctx.checkout();
   {
@@ -200,25 +177,18 @@ struct Outcome {
 /// allocator.  Deliberately generous (vector headers included) so the
 /// budget errs on stopping early rather than OOMing.
 ///
-/// From-scratch trials hold a binding copy plus a schedule, but their peak
-/// also includes the transient ETPN rebuild (nodes, adjacency lists, arc
-/// step sets, the control net) that lives while the cost estimate runs --
-/// roughly 192 bytes per op/var on top of the 48 the retained state costs.
-/// Incremental trials patch a shared workspace in place: the per-trial
-/// footprint is one merge patch over the two merged nodes' neighbourhoods
-/// (bounded by the average node degree) plus the schedule.
-std::size_t approx_trial_bytes(const dfg::Dfg& g, bool incremental) {
+/// Trials patch a shared workspace in place: the per-trial footprint is one
+/// merge patch over the two merged nodes' neighbourhoods (bounded by the
+/// average node degree) plus the schedule.
+std::size_t approx_trial_bytes(const dfg::Dfg& g) {
   const std::size_t schedule_bytes = g.num_ops() * sizeof(int) + 64;
-  if (incremental) {
-    // ~3 arcs per op (two operand fetches + result store) spread over
-    // ~(ops + vars) nodes; a patch snapshots both endpoints' incident arcs
-    // and adjacency lists at ~96 bytes per saved arc.
-    const std::size_t arcs = 3 * g.num_ops() + g.num_vars();
-    const std::size_t degree =
-        arcs / std::max<std::size_t>(1, g.num_ops() + g.num_vars()) + 2;
-    return schedule_bytes + 2 * degree * 96 + 256;
-  }
-  return (g.num_ops() + g.num_vars()) * (48 + 192) + schedule_bytes + 1024;
+  // ~3 arcs per op (two operand fetches + result store) spread over
+  // ~(ops + vars) nodes; a patch snapshots both endpoints' incident arcs
+  // and adjacency lists at ~96 bytes per saved arc.
+  const std::size_t arcs = 3 * g.num_ops() + g.num_vars();
+  const std::size_t degree =
+      arcs / std::max<std::size_t>(1, g.num_ops() + g.num_vars()) + 2;
+  return schedule_bytes + 2 * degree * 96 + 256;
 }
 
 }  // namespace
@@ -316,26 +286,13 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
   const int max_latency =
       p.max_latency > 0 ? p.max_latency : g.critical_path_ops() + 1;
 
-  // The committed design's analysis state.  Incremental mode keeps it in
-  // an analysis::IncrementalContext (persistent tombstoned ETPN, cone-
-  // updated testability fixpoint, cached critical path, workspace pool);
-  // the from-scratch reference path (HLTS_INCREMENTAL=0) rebuilds `e` and
-  // a fresh TestabilityAnalysis every iteration, exactly as before.
-  const bool incremental = p.incremental;
-  std::optional<analysis::IncrementalContext> ctx;
-  etpn::Etpn e;
-  if (incremental) {
-    ctx.emplace(g, p.library, p.bits);
-    ctx->attach(result.schedule, result.binding);
-  } else {
-    e = etpn::build_etpn(g, result.schedule, result.binding);
-  }
-  const auto current_etpn = [&]() -> const etpn::Etpn& {
-    return incremental ? ctx->etpn() : e;
-  };
+  // The committed design's analysis state: persistent tombstoned ETPN,
+  // cone-updated testability fixpoint, cached critical path and the trial
+  // workspace pool, all patched at each commit instead of rebuilt.
+  analysis::IncrementalContext ctx(g, p.library, p.bits);
+  ctx.attach(result.schedule, result.binding);
   result.exec_time = result.schedule.length();
-  result.cost =
-      cost::estimate_cost(current_etpn().data_path, p.library, p.bits);
+  result.cost = cost::estimate_cost(ctx.etpn().data_path, p.library, p.bits);
 
   // One pool for the whole run, reused across iterations.  Everything that
   // follows is bit-identical for any thread count: trials are evaluated
@@ -357,8 +314,7 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
   if (p.audit) {
     enforce_audit(audit_design(g, result.schedule, result.binding),
                   "initial schedule/allocation");
-    enforce_audit(audit_etpn(g, current_etpn(), result.binding),
-                  "initial ETPN");
+    enforce_audit(audit_etpn(g, ctx.etpn(), result.binding), "initial ETPN");
   }
 
   // Anytime bookkeeping.  `result` only ever holds a fully committed,
@@ -390,43 +346,31 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     std::vector<testability::MergeCandidate> ranking;
     {
       HLTS_SPAN("synth.candidates");
-      const etpn::Etpn& ce = current_etpn();
-      if (incremental) {
-        // The context's fixpoint was cone-updated at the last commit and
-        // equals a from-scratch analysis; the candidate cap counts alive
-        // nodes only (tombstones stay in the id space).  Both caps exceed
-        // the pair count, so the ranking is unaffected either way.
-        const int all = static_cast<int>(ce.data_path.num_alive_nodes() *
-                                         ce.data_path.num_alive_nodes());
-        ranking = p.policy == SelectionPolicy::BalanceTestability
-                      ? testability::select_balance_candidates(
-                            g, result.binding, ce, ctx->analysis(), all,
-                            p.balance)
-                      : select_connectivity_candidates(g, result.binding, ce,
-                                                       all);
-      } else {
-        testability::TestabilityAnalysis analysis(ce.data_path);
-        const int all = static_cast<int>(ce.data_path.num_nodes() *
-                                         ce.data_path.num_nodes());
-        ranking = p.policy == SelectionPolicy::BalanceTestability
-                      ? testability::select_balance_candidates(
-                            g, result.binding, ce, analysis, all, p.balance)
-                      : select_connectivity_candidates(g, result.binding, ce,
-                                                       all);
-      }
+      // The context's fixpoint was cone-updated at the last commit and
+      // equals a from-scratch analysis.  The candidate cap counts alive
+      // nodes only (tombstones stay in the id space); it exceeds the pair
+      // count, so it never truncates the ranking.
+      const etpn::Etpn& ce = ctx.etpn();
+      const int all = static_cast<int>(ce.data_path.num_alive_nodes() *
+                                       ce.data_path.num_alive_nodes());
+      ranking = p.policy == SelectionPolicy::BalanceTestability
+                    ? testability::select_balance_candidates(
+                          g, result.binding, ce, ctx.analysis(), all,
+                          p.balance)
+                    : select_connectivity_candidates(g, result.binding, ce,
+                                                     all);
     }
     if (ranking.empty()) {
       converged = true;
       break;
     }
 
-    // Memory budget: the coming wave may hold one evaluated trial (binding
-    // copy + schedule) per ranked candidate.  Stopping here -- before
+    // Memory budget: the coming wave may hold one evaluated trial (merge
+    // patch + schedule) per ranked candidate.  Stopping here -- before
     // anything is allocated or mutated -- keeps the current checkpoint
     // exact, so the degraded run equals a run capped at this iteration.
     if (p.memory_budget_bytes != 0 &&
-        ranking.size() * approx_trial_bytes(g, incremental) >
-            p.memory_budget_bytes) {
+        ranking.size() * approx_trial_bytes(g) > p.memory_budget_bytes) {
       util::count("synth.memory_budget_stops");
       memory_stop = true;
       break;
@@ -454,11 +398,8 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     auto evaluate_at = [&](std::size_t i) {
       if (trace) trace->add_counter("synth.trials_evaluated");
       Outcome& o = outcomes[i];
-      o.eval = incremental
-                   ? evaluate_trial_incremental(g, p, *ctx, result.schedule,
-                                                ranking[i], max_latency)
-                   : evaluate_trial_full(g, p, result.binding, result.schedule,
-                                         ranking[i], max_latency);
+      o.eval = evaluate_trial(g, p, ctx, result.schedule, ranking[i],
+                              max_latency);
       o.state = Outcome::State::Fresh;
       o.feasible = o.eval.feasible;
       if (o.feasible) {
@@ -544,11 +485,14 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
       break;
     }
 
-    // Steps 12-14: commit the merger.  Everything that can fail (ETPN
-    // rebuild, cost estimate, testability analysis) is computed into locals
-    // *before* the first mutation of `result`, and the mutations themselves
-    // are moves: the commit is exception-atomic, which is what makes the
-    // catch below safe to resume from.
+    // Steps 12-14: commit the merger.  The winner's trial ran on a throwaway
+    // workspace; re-apply its merger onto a copy of the committed binding,
+    // patch the context's persistent state (ETPN, critical path,
+    // testability cone, cost), and only then move the staged state into
+    // `result`.  The commit is exception-atomic with respect to `result`,
+    // which is what makes the catch below safe to resume from; a throw in
+    // ctx.commit poisons the context, which the catch turns into a
+    // degraded (previous-checkpoint) return.
     HLTS_SPAN("synth.commit");
     const testability::MergeCandidate& cand = ranking[*winner];
     IterationRecord rec;
@@ -558,64 +502,30 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     rec.delta_c = win.delta_c;
     rec.exec_time = win.eval.exec_time;
 
-    if (incremental) {
-      // The winner's trial ran on a throwaway workspace; re-apply its
-      // merger onto a copy of the committed binding, patch the context's
-      // persistent state (ETPN, critical path, testability cone, cost),
-      // and only then move the staged state into `result` -- the commit
-      // stays exception-atomic with respect to `result`, and a throw in
-      // ctx->commit poisons the context, which the catch below turns into
-      // a degraded (previous-checkpoint) return.
-      etpn::Binding next_b = result.binding;
-      cand.apply(g, next_b);
-      const analysis::IncrementalContext::CommitResult cres =
-          ctx->commit(cand, next_b, win.eval.schedule);
-      rec.hw_cost = cres.cost.total();
-      rec.registers = next_b.num_alive_regs();
-      rec.modules = next_b.num_alive_modules();
-      rec.balance_index = ctx->analysis().balance_index();
-      if (p.trial_cache) {
-        const TrialKey committed = make_key(cand);
-        std::erase_if(cache, [&](const auto& kv) {
-          const TrialKey& k = kv.first;
-          return k.kind == committed.kind &&
-                 (k.a == committed.a || k.a == committed.b ||
-                  k.b == committed.a || k.b == committed.b);
-        });
-      }
-      result.binding = std::move(next_b);
-      result.schedule = std::move(win.eval.schedule);
-      result.exec_time = rec.exec_time;
-      result.cost = cres.cost;
-    } else {
-      etpn::Etpn next_e =
-          etpn::build_etpn(g, win.eval.schedule, win.eval.binding);
-      const cost::HardwareCost next_cost =
-          cost::estimate_cost(next_e.data_path, p.library, p.bits);
-      testability::TestabilityAnalysis post(next_e.data_path);
-      rec.hw_cost = next_cost.total();
-      rec.registers = win.eval.binding.num_alive_regs();
-      rec.modules = win.eval.binding.num_alive_modules();
-      rec.balance_index = post.balance_index();
-
-      if (p.trial_cache) {
-        // Drop every cached trial that touches one of the committed pair's
-        // binding groups: the surviving group changed content and the other
-        // became a tombstone.  Disjoint pairs keep their dE/dH.
-        const TrialKey committed = make_key(cand);
-        std::erase_if(cache, [&](const auto& kv) {
-          const TrialKey& k = kv.first;
-          return k.kind == committed.kind &&
-                 (k.a == committed.a || k.a == committed.b ||
-                  k.b == committed.a || k.b == committed.b);
-        });
-      }
-      result.binding = std::move(win.eval.binding);
-      result.schedule = std::move(win.eval.schedule);
-      result.exec_time = rec.exec_time;
-      result.cost = next_cost;
-      e = std::move(next_e);
+    etpn::Binding next_b = result.binding;
+    cand.apply(g, next_b);
+    const analysis::IncrementalContext::CommitResult cres =
+        ctx.commit(cand, next_b, win.eval.schedule);
+    rec.hw_cost = cres.cost.total();
+    rec.registers = next_b.num_alive_regs();
+    rec.modules = next_b.num_alive_modules();
+    rec.balance_index = ctx.analysis().balance_index();
+    if (p.trial_cache) {
+      // Drop every cached trial that touches one of the committed pair's
+      // binding groups: the surviving group changed content and the other
+      // became a tombstone.  Disjoint pairs keep their dE/dH.
+      const TrialKey committed = make_key(cand);
+      std::erase_if(cache, [&](const auto& kv) {
+        const TrialKey& k = kv.first;
+        return k.kind == committed.kind &&
+               (k.a == committed.a || k.a == committed.b ||
+                k.b == committed.a || k.b == committed.b);
+      });
     }
+    result.binding = std::move(next_b);
+    result.schedule = std::move(win.eval.schedule);
+    result.exec_time = rec.exec_time;
+    result.cost = cres.cost;
     HLTS_DEBUG("iter " << iter << ": " << rec.description << " dC=" << rec.delta_c
                        << " E=" << rec.exec_time << " H=" << rec.hw_cost);
     result.trajectory.push_back(std::move(rec));
@@ -624,7 +534,7 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     if (p.audit) {
       enforce_audit(audit_design(g, result.schedule, result.binding),
                     "iteration commit");
-      enforce_audit(audit_etpn(g, current_etpn(), result.binding),
+      enforce_audit(audit_etpn(g, ctx.etpn(), result.binding),
                     "iteration commit");
     }
     if (p.on_iteration) p.on_iteration(result.trajectory.back());

@@ -14,10 +14,6 @@ const Knob kRegistry[] = {
     {"HLTS_THREADS", Kind::Int, OnMalformed::Ignore, "hardware concurrency",
      "util::ThreadPool::default_threads",
      "trial-evaluation worker count; values < 1 fall back to the default"},
-    {"HLTS_INCREMENTAL", Kind::Flag, OnMalformed::Ignore, "1",
-     "core::incremental_default",
-     "0/false/off disables the incremental analysis layer (bit-identical "
-     "either way)"},
     {"HLTS_SIMD_WIDTH", Kind::Int, OnMalformed::Ignore, "256",
      "atpg::resolve_simd_width",
      "fault-simulation packet width in lanes (64, 256 or 512); other values "

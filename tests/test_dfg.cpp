@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "benchmarks/benchmarks.hpp"
 #include "dfg/dfg.hpp"
@@ -107,6 +108,12 @@ struct BenchSpec {
   std::size_t ops;
   std::map<OpKind, int> mix;
 };
+
+// Print a spec by its benchmark name.  gtest otherwise dumps the raw bytes
+// of the struct, which hold heap addresses, into the listed test names.
+void PrintTo(const BenchSpec& spec, std::ostream* os) {
+  *os << '"' << spec.name << '"';
+}
 
 class BenchmarkShape : public ::testing::TestWithParam<BenchSpec> {};
 

@@ -9,12 +9,13 @@
 //    of the patched graph bit-for-bit;
 //  - analysis::DesignDelta leaves a workspace untouched after destruction;
 //  - an incremental trial produces bit-identical numbers to the
-//    from-scratch trial pipeline;
-//  - full flows with AlgorithmOptions::incremental on and off are
-//    bit-identical on every benchmark, every flow, and random designs.
+//    from-scratch reference trial;
+//  - every Algorithm-1 iteration of every flow, on every benchmark and on
+//    random designs, is bit-identical to the from-scratch reference step
+//    replayed from the previous checkpoint
+//    (tests/support/reference_synthesis.hpp).
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -30,44 +31,17 @@
 #include "etpn/patch.hpp"
 #include "petri/petri.hpp"
 #include "sched/schedule.hpp"
+#include "support/dfg_fixtures.hpp"
+#include "support/reference_synthesis.hpp"
 #include "testability/balance.hpp"
-#include "util/rng.hpp"
 
 namespace hlts {
 namespace {
 
-/// Random DAG generator (same shape as the test_random_designs fuzzer).
-dfg::Dfg random_dfg(std::uint64_t seed, int num_inputs, int num_ops) {
-  Rng rng(seed);
-  dfg::Dfg g("rand" + std::to_string(seed));
-  std::vector<dfg::VarId> pool;
-  for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(g.add_input("i" + std::to_string(i)));
-  }
-  const dfg::OpKind kinds[] = {
-      dfg::OpKind::Add, dfg::OpKind::Add, dfg::OpKind::Sub, dfg::OpKind::Sub,
-      dfg::OpKind::Mul, dfg::OpKind::And, dfg::OpKind::Or,  dfg::OpKind::Xor,
-      dfg::OpKind::Less};
-  std::vector<dfg::VarId> produced;
-  for (int i = 0; i < num_ops; ++i) {
-    const dfg::OpKind kind = kinds[rng.next_below(std::size(kinds))];
-    std::vector<dfg::VarId> ins;
-    for (int j = 0; j < dfg::op_arity(kind); ++j) {
-      ins.push_back(pool[rng.next_below(pool.size())]);
-    }
-    dfg::OpId op = g.add_op_new_var("N" + std::to_string(i), kind, ins,
-                                    "v" + std::to_string(i));
-    pool.push_back(g.op(op).output);
-    produced.push_back(g.op(op).output);
-  }
-  for (dfg::VarId v : produced) {
-    if (g.var(v).uses.empty()) {
-      g.mark_output(v, rng.next_bool(0.5));
-    }
-  }
-  g.validate();
-  return g;
-}
+using test_support::random_dfg;
+using test_support::reference_trial;
+using test_support::replay_against_reference;
+using test_support::replay_flow_against_reference;
 
 /// Complete observable state of a data path, for exact round-trip checks.
 struct DpSnapshot {
@@ -333,19 +307,8 @@ TEST_P(OnBenchmark, IncrementalTrialMatchesFullTrial) {
   ASSERT_FALSE(cands.empty());
   for (std::size_t i = 0; i < cands.size() && i < 10; ++i) {
     const testability::MergeCandidate& cand = cands[i];
-    // Full pipeline: binding copy -> reschedule -> fresh ETPN -> cost.
-    etpn::Binding full_b = d.b;
-    cand.apply(g, full_b);
-    core::ReschedOutcome full_r =
-        core::reschedule(g, full_b, d.s, core::OrderStrategy::Testability);
-    double full_cost = 0;
-    const bool full_feasible =
-        full_r.feasible && full_r.schedule.length() <= max_latency;
-    if (full_feasible) {
-      etpn::Etpn full_e = etpn::build_etpn(g, full_r.schedule, full_b);
-      full_cost =
-          cost::estimate_cost(full_e.data_path, p.library, p.bits).total();
-    }
+    const test_support::ReferenceTrial full =
+        reference_trial(g, p, d.b, d.s, cand, max_latency);
 
     // Incremental pipeline: workspace patch -> premerged reschedule ->
     // tombstone-aware cost.
@@ -363,15 +326,15 @@ TEST_P(OnBenchmark, IncrementalTrialMatchesFullTrial) {
         inc_cost = cost::estimate_cost(ws->etpn.data_path, p.library, p.bits,
                                        ws->cost)
                        .total();
-        EXPECT_EQ(inc_r.schedule, full_r.schedule);
+        EXPECT_EQ(inc_r.schedule, full.schedule);
       }
     }
     ctx.checkin(std::move(ws));
 
-    EXPECT_EQ(inc_feasible, full_feasible) << cand.description(g, d.b);
-    if (full_feasible && inc_feasible) {
-      EXPECT_EQ(inc_len, full_r.schedule.length());
-      EXPECT_EQ(inc_cost, full_cost) << cand.description(g, d.b);
+    EXPECT_EQ(inc_feasible, full.feasible) << cand.description(g, d.b);
+    if (full.feasible && inc_feasible) {
+      EXPECT_EQ(inc_len, full.exec_time);
+      EXPECT_EQ(inc_cost, full.hw_cost) << cand.description(g, d.b);
     }
   }
 }
@@ -379,25 +342,8 @@ TEST_P(OnBenchmark, IncrementalTrialMatchesFullTrial) {
 TEST_P(OnBenchmark, CommittedStatePassesAuditAndMatchesScratch) {
   dfg::Dfg g = benchmarks::make_benchmark(GetParam());
   core::SynthesisParams p;
-  p.incremental = true;
   p.audit = true;  // tombstone-aware audit runs after every commit
-  core::SynthesisResult inc = core::integrated_synthesis(g, p);
-  p.incremental = false;
-  core::SynthesisResult full = core::integrated_synthesis(g, p);
-  EXPECT_EQ(inc.schedule, full.schedule);
-  EXPECT_EQ(inc.exec_time, full.exec_time);
-  EXPECT_EQ(inc.cost.total(), full.cost.total());
-  EXPECT_EQ(inc.iterations, full.iterations);
-  EXPECT_EQ(inc.stop_reason, full.stop_reason);
-  ASSERT_EQ(inc.trajectory.size(), full.trajectory.size());
-  for (std::size_t i = 0; i < inc.trajectory.size(); ++i) {
-    EXPECT_EQ(inc.trajectory[i].description, full.trajectory[i].description);
-    EXPECT_EQ(inc.trajectory[i].delta_e, full.trajectory[i].delta_e);
-    EXPECT_EQ(inc.trajectory[i].delta_h, full.trajectory[i].delta_h);
-    EXPECT_EQ(inc.trajectory[i].hw_cost, full.trajectory[i].hw_cost);
-    EXPECT_EQ(inc.trajectory[i].balance_index,
-              full.trajectory[i].balance_index);
-  }
+  replay_against_reference(g, p);
 }
 
 class FlowGrid
@@ -418,43 +364,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(FlowGrid, IncrementalFlowBitIdenticalToFullRecompute) {
   const auto& [bench, kind] = GetParam();
-  dfg::Dfg g = benchmarks::make_benchmark(bench);
-  core::FlowParams on;
-  on.incremental = true;
-  core::FlowParams off;
-  off.incremental = false;
-  core::FlowResult a = core::run_flow(kind, g, on);
-  core::FlowResult b = core::run_flow(kind, g, off);
-  EXPECT_EQ(a.schedule, b.schedule);
-  EXPECT_EQ(a.exec_time, b.exec_time);
-  EXPECT_EQ(a.registers, b.registers);
-  EXPECT_EQ(a.modules, b.modules);
-  EXPECT_EQ(a.muxes, b.muxes);
-  EXPECT_EQ(a.self_loops, b.self_loops);
-  EXPECT_EQ(a.cost.total(), b.cost.total());
-  EXPECT_EQ(a.balance_index, b.balance_index);
-  EXPECT_EQ(a.module_allocation, b.module_allocation);
-  EXPECT_EQ(a.register_allocation, b.register_allocation);
-  EXPECT_EQ(a.iterations, b.iterations);
+  replay_flow_against_reference(kind, benchmarks::make_benchmark(bench), {});
 }
 
+// The two modes: the incremental production step and the from-scratch
+// reference step it is replayed against.
 TEST(IncrementalRandomDesigns, FlowsBitIdenticalAcrossModes) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     dfg::Dfg g = random_dfg(4200 + seed, 4 + static_cast<int>(seed % 4),
                             8 + static_cast<int>(seed) * 2);
     for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
-      core::FlowParams on;
-      on.incremental = true;
-      core::FlowParams off;
-      off.incremental = false;
-      core::FlowResult a = core::run_flow(kind, g, on);
-      core::FlowResult b = core::run_flow(kind, g, off);
-      EXPECT_EQ(a.schedule, b.schedule) << "seed " << seed;
-      EXPECT_EQ(a.cost.total(), b.cost.total()) << "seed " << seed;
-      EXPECT_EQ(a.balance_index, b.balance_index) << "seed " << seed;
-      EXPECT_EQ(a.module_allocation, b.module_allocation) << "seed " << seed;
-      EXPECT_EQ(a.register_allocation, b.register_allocation)
-          << "seed " << seed;
+      replay_flow_against_reference(kind, g, {});
     }
   }
 }

@@ -5,8 +5,9 @@
 //     and of the wide simulation packets;
 //   - bit-identity matrix: fault-sim detection over packet width
 //     {64, 256, 512} x threads {1, 4} on every benchmark, and the
-//     synthesis trajectory over the same widths x threads {1, 4} x
-//     incremental {on, off};
+//     synthesis trajectory over the same widths x threads {1, 4}, whose
+//     serial reference run is replayed against the from-scratch
+//     Algorithm-1 reference step;
 //   - arena reuse across trials: the workspace arena's footprint plateaus
 //     after the first merge-patch apply/revert cycle;
 //   - checkpoint/resume under the SoA data path: a resumed run is
@@ -32,6 +33,7 @@
 #include "rtl/elaborate.hpp"
 #include "rtl/rtl.hpp"
 #include "sched/schedule.hpp"
+#include "support/reference_synthesis.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 
@@ -223,6 +225,8 @@ std::string signature(const core::SynthesisResult& r) {
   return os.str();
 }
 
+// The trajectory of the incremental Algorithm-1 step is the same for every
+// width x threads cell; the serial run is replayed against the reference.
 TEST(SynthesisLayout, TrajectoryBitIdenticalAcrossWidthThreadsIncremental) {
   EnvGuard guard("HLTS_SIMD_WIDTH");
   for (const std::string& name : kBenchmarks) {
@@ -230,22 +234,19 @@ TEST(SynthesisLayout, TrajectoryBitIdenticalAcrossWidthThreadsIncremental) {
     core::SynthesisParams reference_params;
     reference_params.bits = 8;
     reference_params.num_threads = 1;
-    reference_params.incremental = false;
     ::unsetenv("HLTS_SIMD_WIDTH");
-    const std::string expected =
-        signature(core::integrated_synthesis(g, reference_params));
+    // The serial default run is the matrix's reference, itself checked
+    // iteration by iteration against the from-scratch reference step.
+    const std::string expected = signature(
+        test_support::replay_against_reference(g, reference_params));
 
     for (const int width : {64, 256, 512}) {
       ::setenv("HLTS_SIMD_WIDTH", std::to_string(width).c_str(), 1);
       for (const int threads : {1, 4}) {
-        for (const bool incremental : {false, true}) {
-          core::SynthesisParams p = reference_params;
-          p.num_threads = threads;
-          p.incremental = incremental;
-          EXPECT_EQ(signature(core::integrated_synthesis(g, p)), expected)
-              << name << " width=" << width << " threads=" << threads
-              << " incremental=" << incremental;
-        }
+        core::SynthesisParams p = reference_params;
+        p.num_threads = threads;
+        EXPECT_EQ(signature(core::integrated_synthesis(g, p)), expected)
+            << name << " width=" << width << " threads=" << threads;
       }
     }
   }

@@ -14,6 +14,7 @@
 #include "core/flows.hpp"
 #include "sched/fds.hpp"
 #include "sched/lifetime.hpp"
+#include "support/reference_synthesis.hpp"
 #include "util/rng.hpp"
 
 namespace hlts {
@@ -187,24 +188,15 @@ TEST(Determinism, FlowsAreBitStableAcrossRuns) {
   }
 }
 
-// The HLTS_INCREMENTAL contract: the incremental analysis layer and the
-// from-scratch pipeline are interchangeable bit-for-bit (deeper coverage in
-// test_incremental.cpp; this keeps the property visible in the main suite).
+// The incremental analysis layer and the from-scratch reference step are
+// interchangeable bit-for-bit at every Algorithm-1 iteration (deeper
+// coverage in test_incremental.cpp; this keeps the property visible in the
+// main suite).
 TEST(Determinism, IncrementalAnalysisIsBitIdenticalToFullRecompute) {
   for (const std::string& name : {std::string("ex"), std::string("ewf")}) {
     dfg::Dfg g = benchmarks::make_benchmark(name);
     for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
-      core::FlowParams on{.bits = 8};
-      on.incremental = true;
-      core::FlowParams off{.bits = 8};
-      off.incremental = false;
-      core::FlowResult a = core::run_flow(kind, g, on);
-      core::FlowResult b = core::run_flow(kind, g, off);
-      EXPECT_EQ(a.schedule, b.schedule);
-      EXPECT_EQ(a.module_allocation, b.module_allocation);
-      EXPECT_EQ(a.register_allocation, b.register_allocation);
-      EXPECT_EQ(a.cost.total(), b.cost.total());
-      EXPECT_EQ(a.balance_index, b.balance_index);
+      test_support::replay_flow_against_reference(kind, g, {.bits = 8});
     }
   }
 }

@@ -11,74 +11,15 @@
 #include "core/flows.hpp"
 #include "core/resched.hpp"
 #include "rtl/elaborate.hpp"
+#include "support/dfg_fixtures.hpp"
+#include "support/reference_synthesis.hpp"
 #include "util/rng.hpp"
 
 namespace hlts {
 namespace {
 
-/// Random DAG generator: `num_ops` operations over `num_inputs` primary
-/// inputs, arithmetic-biased kind mix, random registered/port-direct
-/// outputs.
-dfg::Dfg random_dfg(std::uint64_t seed, int num_inputs, int num_ops) {
-  Rng rng(seed);
-  dfg::Dfg g("rand" + std::to_string(seed));
-  std::vector<dfg::VarId> pool;
-  for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(g.add_input("i" + std::to_string(i)));
-  }
-  const dfg::OpKind kinds[] = {
-      dfg::OpKind::Add, dfg::OpKind::Add, dfg::OpKind::Sub, dfg::OpKind::Sub,
-      dfg::OpKind::Mul, dfg::OpKind::And, dfg::OpKind::Or,  dfg::OpKind::Xor,
-      dfg::OpKind::Less};
-  std::vector<dfg::VarId> produced;
-  for (int i = 0; i < num_ops; ++i) {
-    const dfg::OpKind kind = kinds[rng.next_below(std::size(kinds))];
-    std::vector<dfg::VarId> ins;
-    for (int j = 0; j < dfg::op_arity(kind); ++j) {
-      ins.push_back(pool[rng.next_below(pool.size())]);
-    }
-    dfg::OpId op = g.add_op_new_var("N" + std::to_string(i), kind, ins,
-                                    "v" + std::to_string(i));
-    pool.push_back(g.op(op).output);
-    produced.push_back(g.op(op).output);
-  }
-  // Every dead-end value becomes an output (avoids dead code); a random
-  // subset is registered.
-  for (dfg::VarId v : produced) {
-    if (g.var(v).uses.empty()) {
-      g.mark_output(v, rng.next_bool(0.5));
-    }
-  }
-  g.validate();
-  return g;
-}
-
-std::map<std::string, std::uint64_t> interpret(
-    const dfg::Dfg& g, const std::map<std::string, std::uint64_t>& inputs,
-    int bits) {
-  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-  std::map<std::string, std::uint64_t> env;
-  for (const auto& [k, v] : inputs) env[k] = v & mask;
-  for (dfg::OpId op : g.topo_order()) {
-    const dfg::Operation& o = g.op(op);
-    auto val = [&](dfg::VarId v) { return env.at(g.var(v).name); };
-    std::uint64_t a = val(o.inputs[0]);
-    std::uint64_t b = o.inputs.size() > 1 ? val(o.inputs[1]) : 0;
-    std::uint64_t r = 0;
-    switch (o.kind) {
-      case dfg::OpKind::Add: r = a + b; break;
-      case dfg::OpKind::Sub: r = a - b; break;
-      case dfg::OpKind::Mul: r = a * b; break;
-      case dfg::OpKind::And: r = a & b; break;
-      case dfg::OpKind::Or: r = a | b; break;
-      case dfg::OpKind::Xor: r = a ^ b; break;
-      case dfg::OpKind::Less: r = a < b ? 1 : 0; break;
-      default: r = 0; break;
-    }
-    env[g.var(o.output).name] = r & mask;
-  }
-  return env;
-}
+using test_support::interpret;
+using test_support::random_dfg;
 
 class RandomDesigns : public ::testing::TestWithParam<int> {};
 
@@ -148,23 +89,13 @@ TEST_P(RandomDesigns, ElaboratedMachineMatchesSpec) {
 }
 
 // The incremental analysis layer must be invisible in the results: every
-// flow on every random design yields the same bits whether trials run as
-// merge patches (incremental=true) or full rebuilds (incremental=false).
+// Algorithm-1 iteration on every random design is bit-identical to the
+// from-scratch reference step (tests/support/reference_synthesis.hpp).
 TEST_P(RandomDesigns, IncrementalFlowMatchesFullRecompute) {
   dfg::Dfg g = random_dfg(3000 + GetParam(), 4 + GetParam() % 3,
                           7 + (GetParam() * 5) % 12);
   for (core::FlowKind kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
-    core::FlowParams on{.bits = 4};
-    on.incremental = true;
-    core::FlowParams off{.bits = 4};
-    off.incremental = false;
-    core::FlowResult a = core::run_flow(kind, g, on);
-    core::FlowResult b = core::run_flow(kind, g, off);
-    EXPECT_EQ(a.schedule, b.schedule) << g.name();
-    EXPECT_EQ(a.module_allocation, b.module_allocation) << g.name();
-    EXPECT_EQ(a.register_allocation, b.register_allocation) << g.name();
-    EXPECT_EQ(a.cost.total(), b.cost.total()) << g.name();
-    EXPECT_EQ(a.balance_index, b.balance_index) << g.name();
+    test_support::replay_flow_against_reference(kind, g, {.bits = 4});
   }
 }
 

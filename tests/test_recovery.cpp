@@ -31,12 +31,14 @@
 #include <thread>
 #include <vector>
 
+#include "api/api.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/checkpoint.hpp"
 #include "core/flows.hpp"
 #include "core/synthesis.hpp"
 #include "engine/engine.hpp"
 #include "engine/journal.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
@@ -133,6 +135,31 @@ util::JsonValue reparse(const util::JsonValue& v) {
   return doc ? *doc : util::JsonValue();
 }
 
+/// `params` in the form older builds wrote: with the retired "incremental"
+/// flag right after "audit".
+util::JsonValue with_incremental_flag(const util::JsonValue& params,
+                                      bool flag) {
+  util::JsonValue::Object out;
+  for (const auto& [key, value] : params.as_object()) {
+    out.emplace_back(key, value);
+    if (key == "audit") {
+      out.emplace_back("incremental", util::JsonValue::make_bool(flag));
+    }
+  }
+  return util::JsonValue::make_object(std::move(out));
+}
+
+/// A FlowRequestV1 document whose params carry the retired flag.
+util::JsonValue request_with_incremental_flag(const util::JsonValue& request,
+                                              bool flag) {
+  util::JsonValue::Object out;
+  for (const auto& [key, value] : request.as_object()) {
+    out.emplace_back(key, key == "params" ? with_incremental_flag(value, flag)
+                                          : value);
+  }
+  return util::JsonValue::make_object(std::move(out));
+}
+
 /// One-shot latch for holding a job's first committed iteration open, so a
 /// single-worker engine keeps its pending queue saturated deterministically.
 struct Gate {
@@ -191,7 +218,6 @@ TEST(CheckpointJson, ParamsRoundTrip) {
   p.max_iterations = 42;
   p.memory_budget_bytes = 1 << 20;
   p.audit = true;
-  p.incremental = !p.incremental;
   p.atpg_backend = "hybrid";
   p.sat_frames = 6;
   p.sat_conflict_budget = 1234;
@@ -206,7 +232,6 @@ TEST(CheckpointJson, ParamsRoundTrip) {
   EXPECT_EQ(q.max_iterations, p.max_iterations);
   EXPECT_EQ(q.memory_budget_bytes, p.memory_budget_bytes);
   EXPECT_EQ(q.audit, p.audit);
-  EXPECT_EQ(q.incremental, p.incremental);
   EXPECT_EQ(q.atpg_backend, p.atpg_backend);
   EXPECT_EQ(q.sat_frames, p.sat_frames);
   EXPECT_EQ(q.sat_conflict_budget, p.sat_conflict_budget);
@@ -226,6 +251,34 @@ TEST(CheckpointJson, ParamsRoundTrip) {
   EXPECT_EQ(old.atpg_backend, "");
   EXPECT_EQ(old.sat_frames, 0);
   EXPECT_EQ(old.sat_conflict_budget, 0);
+}
+
+// Builds that still had a from-scratch synthesis mode wrote an
+// "incremental" member into every params document, on the wire and in
+// journals; both settings must still parse, to the same knob set.
+TEST(CheckpointJson, ParamsWithRetiredIncrementalFlagStillParse) {
+  core::FlowParams p;
+  p.bits = 16;
+  p.k = 7;
+  p.num_threads = 2;
+  const std::string expected = util::json_dump(core::params_to_json(p));
+  api::FlowRequestV1 req;
+  req.name = "ex/ours";
+  req.kind = core::FlowKind::Ours;
+  req.dfg = benchmarks::make_benchmark("ex");
+  req.params = p;
+  for (const bool flag : {true, false}) {
+    const core::FlowParams q = core::params_from_json(
+        reparse(with_incremental_flag(core::params_to_json(p), flag)));
+    EXPECT_EQ(util::json_dump(core::params_to_json(q)), expected) << flag;
+
+    const api::FlowRequestV1 back = api::FlowRequestV1::from_json(
+        reparse(request_with_incremental_flag(req.to_json(), flag)));
+    EXPECT_EQ(back.name, req.name);
+    EXPECT_EQ(back.kind, req.kind);
+    EXPECT_EQ(util::json_dump(core::params_to_json(back.params)), expected)
+        << flag;
+  }
 }
 
 TEST(CheckpointJson, CheckpointRoundTripsAndRejectsCorruption) {
@@ -547,6 +600,51 @@ TEST(EngineJournal, RecoverIntoForeignDirLeavesRecordsInPlace) {
   eng.wait_all();
   EXPECT_EQ(report.jobs[0]->state(), engine::JobState::Succeeded);
   EXPECT_TRUE(util::fs::file_exists(dir.path + "/job-1.json"));
+}
+
+// A version-3 record written by a build that journaled the retired
+// "incremental" flag (here: set to false, the from-scratch mode) replays to
+// the same design as a fresh default run.
+TEST(EngineJournal, RecoversV3RecordWithRetiredIncrementalFlag) {
+  const TempDir dir;
+  {
+    const engine::Journal j(dir.path);
+    j.write_job(make_record(4, "dct"));
+  }
+  const std::string path = dir.path + "/job-4.json";
+  const std::optional<std::string> text = util::fs::read_file(path);
+  ASSERT_TRUE(text.has_value());
+  const std::optional<util::JsonValue> doc = util::json_parse(*text);
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_EQ(doc->get_int("version", -1), 3);
+  // Re-seal exactly as the journal does: crc32c over the canonical dump of
+  // every other member.
+  util::JsonValue::Object members;
+  for (const auto& [key, value] : doc->as_object()) {
+    if (key == "crc32c") continue;
+    members.emplace_back(key, key == "request"
+                                  ? request_with_incremental_flag(value, false)
+                                  : value);
+  }
+  const std::string body =
+      util::json_dump(util::JsonValue::make_object(members));
+  members.emplace_back("crc32c", util::JsonValue::make_string(util::crc32c_hex(
+                                     util::crc32c(body))));
+  util::fs::write_file_atomic(
+      path, util::json_dump(util::JsonValue::make_object(std::move(members))) +
+                "\n");
+
+  engine::Engine eng({.max_concurrent_jobs = 1});
+  const engine::Engine::RecoveryReport report = eng.recover(dir.path);
+  EXPECT_TRUE(report.errors.empty());
+  ASSERT_EQ(report.jobs.size(), 1u);
+  eng.wait_all();
+  ASSERT_EQ(report.jobs[0]->state(), engine::JobState::Succeeded);
+  const core::FlowResult fresh =
+      core::run_flow(core::FlowKind::Ours, benchmarks::make_benchmark("dct"));
+  EXPECT_TRUE(api::FlowResultV1::from_result("dct/ours", fresh)
+                  .design_identical(api::FlowResultV1::from_result(
+                      "dct/ours", *report.jobs[0]->result())));
 }
 
 TEST(EngineJournal, MissingDirectoryIsAnEmptyReplay) {

@@ -10,45 +10,13 @@
 #include "core/flows.hpp"
 #include "rtl/elaborate.hpp"
 #include "rtl/rtl.hpp"
+#include "support/dfg_fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace hlts {
 namespace {
 
-/// Reference interpreter for a DFG on uint64 masked to `bits`.
-std::map<std::string, std::uint64_t> interpret(
-    const dfg::Dfg& g, const std::map<std::string, std::uint64_t>& inputs,
-    int bits) {
-  const std::uint64_t mask = bits >= 64 ? ~std::uint64_t{0}
-                                        : (std::uint64_t{1} << bits) - 1;
-  std::map<std::string, std::uint64_t> env;
-  for (const auto& [k, v] : inputs) env[k] = v & mask;
-  for (dfg::OpId op : g.topo_order()) {
-    const dfg::Operation& o = g.op(op);
-    auto val = [&](dfg::VarId v) { return env.at(g.var(v).name); };
-    std::uint64_t a = val(o.inputs[0]);
-    std::uint64_t b = o.inputs.size() > 1 ? val(o.inputs[1]) : 0;
-    std::uint64_t r = 0;
-    switch (o.kind) {
-      case dfg::OpKind::Add: r = a + b; break;
-      case dfg::OpKind::Sub: r = a - b; break;
-      case dfg::OpKind::Mul: r = a * b; break;
-      case dfg::OpKind::Div: r = b == 0 ? mask : a / b; break;
-      case dfg::OpKind::Less: r = a < b ? 1 : 0; break;
-      case dfg::OpKind::Greater: r = a > b ? 1 : 0; break;
-      case dfg::OpKind::Equal: r = a == b ? 1 : 0; break;
-      case dfg::OpKind::And: r = a & b; break;
-      case dfg::OpKind::Or: r = a | b; break;
-      case dfg::OpKind::Xor: r = a ^ b; break;
-      case dfg::OpKind::Not: r = ~a; break;
-      case dfg::OpKind::ShiftLeft: r = a << 1; break;
-      case dfg::OpKind::ShiftRight: r = a >> 1; break;
-      case dfg::OpKind::Move: r = a; break;
-    }
-    env[g.var(o.output).name] = r & mask;
-  }
-  return env;
-}
+using test_support::interpret;
 
 /// Drives the elaborated machine through reset + one full schedule pass
 /// with the given input values and returns the observed output-port words
