@@ -9,10 +9,9 @@
 //     every thread count, verified here on every run);
 //   - SynthesisParams::trial_cache -- candidates untouched by the committed
 //     merger reuse their dE/dH across iterations;
-//   - fault-simulation packet width (HLTS_SIMD_WIDTH / FaultSimulator's
-//     simd_width): gate evaluation over 64 / 256 / 512 lanes, reported as
-//     Mgate-lane-evals/s per width with the detected fault set checked for
-//     bit-identity across widths (and thread counts with --verify-serial).
+//   - fault simulation of the synthesized design's full collapsed fault
+//     universe (FaultSimulator's 256-lane packets), reported as one
+//     Mgate-lane-evals/s figure per benchmark.
 //
 // The sweep configs run with the cache on (that is the production-scale
 // configuration); the baseline row is the seed-equivalent exact path
@@ -24,8 +23,8 @@
 //                         [--compare committed.json]
 //
 //   --quick          one rep per configuration (CI smoke)
-//   --verify-serial  extend the fault-sim bit-identity check to 4 threads
-//                    at every packet width
+//   --verify-serial  also check the 4-thread fault-sim detected set is
+//                    bit-identical to the serial one
 //   --compare FILE   warn (non-gating, exit 0) when a benchmark's serial
 //                    per-trial time regressed >20% vs the committed JSON
 #include <algorithm>
@@ -107,22 +106,19 @@ ConfigSample sample_config(int reps, const hlts::dfg::Dfg& g,
 }
 
 // ---------------------------------------------------------------------------
-// Fault-simulation throughput: detected_by over the synthesized design's
-// netlist at every packet width, measured as Mgate-lane-evals/s.
+// Fault-simulation throughput: a serial detected_by pass over the
+// synthesized design's netlist, measured as Mgate-lane-evals/s.
 // ---------------------------------------------------------------------------
 struct FaultSimSample {
-  int width = 0;
+  std::size_t gates = 0;
+  std::size_t faults = 0;
   double ms = 0;  ///< best wall-clock of one detected_by pass
   double mgle_per_s = 0;
-  bool identical = true;           ///< detected set == width-64 serial set
   bool threads4_identical = true;  ///< --verify-serial: 4-thread run matches
 };
 
-std::vector<FaultSimSample> fault_sim_sweep(const hlts::dfg::Dfg& g, int reps,
-                                            bool verify_serial,
-                                            std::size_t* num_faults,
-                                            std::size_t* num_gates,
-                                            int* bad_configs) {
+FaultSimSample fault_sim_sample(const hlts::dfg::Dfg& g, int reps,
+                                bool verify_serial) {
   namespace atpg = hlts::atpg;
   hlts::core::FlowResult r =
       hlts::core::run_flow(hlts::core::FlowKind::Ours, g, {.bits = 8});
@@ -133,8 +129,6 @@ std::vector<FaultSimSample> fault_sim_sweep(const hlts::dfg::Dfg& g, int reps,
 
   atpg::FaultUniverse universe = atpg::FaultUniverse::collapsed(nl);
   const std::vector<atpg::Fault> faults = universe.faults();
-  *num_faults = faults.size();
-  *num_gates = nl.num_gates();
 
   // A fixed pseudo-random sequence, long enough that most batches run all
   // cycles (early exit only fires once every lane of a batch is detected).
@@ -148,36 +142,28 @@ std::vector<FaultSimSample> fault_sim_sweep(const hlts::dfg::Dfg& g, int reps,
     seq.push_back(v);
   }
 
-  std::vector<FaultSimSample> samples;
-  std::vector<std::size_t> reference;  // width-64 serial detected set
-  for (const int width : {64, 256, 512}) {
-    atpg::FaultSimulator fsim(nl, /*num_threads=*/1, width);
-    FaultSimSample s;
-    s.width = width;
-    std::vector<std::size_t> detected;
-    std::uint64_t lane_evals = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-      const std::uint64_t evals_before = fsim.gate_lane_evals();
-      const auto t0 = std::chrono::steady_clock::now();
-      detected = fsim.detected_by(seq, faults);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      lane_evals = fsim.gate_lane_evals() - evals_before;
-      if (rep == 0 || ms < s.ms) s.ms = ms;
-    }
-    s.mgle_per_s =
-        s.ms > 0 ? static_cast<double>(lane_evals) / (s.ms * 1e3) : 0;
-    if (width == 64) reference = detected;
-    s.identical = detected == reference;
-    if (verify_serial) {
-      atpg::FaultSimulator threaded(nl, /*num_threads=*/4, width);
-      s.threads4_identical = threaded.detected_by(seq, faults) == reference;
-    }
-    if (!s.identical || !s.threads4_identical) ++*bad_configs;
-    samples.push_back(s);
+  FaultSimSample s;
+  s.gates = nl.num_gates();
+  s.faults = faults.size();
+  atpg::FaultSimulator fsim(nl, /*num_threads=*/1);
+  std::vector<std::size_t> detected;
+  std::uint64_t lane_evals = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const std::uint64_t evals_before = fsim.gate_lane_evals();
+    const auto t0 = std::chrono::steady_clock::now();
+    detected = fsim.detected_by(seq, faults);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
+    lane_evals = fsim.gate_lane_evals() - evals_before;
+    if (rep == 0 || ms < s.ms) s.ms = ms;
   }
-  return samples;
+  s.mgle_per_s = s.ms > 0 ? static_cast<double>(lane_evals) / (s.ms * 1e3) : 0;
+  if (verify_serial) {
+    atpg::FaultSimulator threaded(nl, /*num_threads=*/4);
+    s.threads4_identical = threaded.detected_by(seq, faults) == detected;
+  }
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -371,32 +357,20 @@ int main(int argc, char** argv) {
     }
     json << "      ],\n";
 
-    // Fault-sim throughput per packet width over the synthesized design.
-    std::size_t num_faults = 0;
-    std::size_t num_gates = 0;
-    const std::vector<FaultSimSample> fsim_samples = fault_sim_sweep(
-        g, reps, verify_serial, &num_faults, &num_gates, &not_identical);
-    json << "      \"fault_sim\": {\n"
-         << "        \"gates\": " << num_gates << ",\n"
-         << "        \"faults\": " << num_faults << ",\n"
-         << "        \"widths\": [\n";
-    for (std::size_t wi = 0; wi < fsim_samples.size(); ++wi) {
-      const FaultSimSample& s = fsim_samples[wi];
-      std::printf(
-          "%-7s fault-sim width=%-3d: %8.2f ms   %8.1f Mgate-lane-evals/s"
-          "   identical=%s%s\n",
-          name, s.width, s.ms, s.mgle_per_s, s.identical ? "yes" : "NO",
-          verify_serial ? (s.threads4_identical ? " threads4=yes"
-                                                : " threads4=NO")
-                        : "");
-      json << "          {\"width\": " << s.width << ", \"ms\": " << s.ms
-           << ", \"mgate_lane_evals_per_s\": " << s.mgle_per_s
-           << ", \"identical\": " << (s.identical ? "true" : "false")
-           << ", \"threads4_identical\": "
-           << (s.threads4_identical ? "true" : "false") << "}"
-           << (wi + 1 < fsim_samples.size() ? "," : "") << "\n";
-    }
-    json << "        ]\n      },\n";
+    // Fault-sim throughput over the synthesized design.
+    const FaultSimSample fs = fault_sim_sample(g, reps, verify_serial);
+    if (!fs.threads4_identical) ++not_identical;
+    std::printf("%-7s fault-sim: %8.2f ms   %8.1f Mgate-lane-evals/s%s\n",
+                name, fs.ms, fs.mgle_per_s,
+                verify_serial
+                    ? (fs.threads4_identical ? "   threads4=yes"
+                                             : "   threads4=NO")
+                    : "");
+    json << "      \"fault_sim\": {\"gates\": " << fs.gates
+         << ", \"faults\": " << fs.faults << ", \"ms\": " << fs.ms
+         << ", \"mgate_lane_evals_per_s\": " << fs.mgle_per_s
+         << ", \"threads4_identical\": "
+         << (fs.threads4_identical ? "true" : "false") << "},\n";
 
     // Deterministic-ATPG backend comparison on the same design: the hybrid
     // (random + SAT) mode must cover at least what the timeframe (random +

@@ -18,7 +18,9 @@
 // under the named deterministic backend (atpg/atpg.hpp documents the
 // modes); per-job coverage/efficiency/TG-time land in the report's "atpg"
 // block.  --dump-cnf DIR makes the SAT backend write each target's CNF as
-// DIMACS (with a comment-line variable map) into DIR.
+// DIMACS (with a comment-line variable map) into DIR.  Both are read from
+// this invocation's command line, also under --recover: the journal
+// carries synthesis parameters only.
 //
 // --inject SPEC is the fault-injection soak: SPEC is the HLTS_FAILPOINTS
 // grammar (site:mode:probability:seed[:param], comma-separated; see
@@ -230,9 +232,6 @@ int main(int argc, char** argv) {
         r.kind = kind;
         r.dfg = g;
         r.params = bench::paper_params(bits);
-        // Journaled with the request, so a --recover replay re-evaluates
-        // testability under the same backend.
-        r.params.atpg_backend = atpg_backend;
         requests.push_back(std::move(r));
         meta.push_back({bench, kind, g, true});
       }
@@ -381,11 +380,9 @@ int main(int argc, char** argv) {
     }
     // Post-synthesis testability evaluation under the selected backend.
     // Full results only: a Partial checkpoint's coverage would not be
-    // comparable across runs.  The backend comes from the job's own
-    // (journaled) parameters, so a --recover replay re-evaluates under
-    // whatever backend the interrupted run selected.
-    const std::string& job_backend = job->params().atpg_backend;
-    if (!job_backend.empty() && meta[i].known &&
+    // comparable across runs.  The settings come from this invocation's
+    // command line, --recover included (like --bits).
+    if (!atpg_backend.empty() && meta[i].known &&
         job->state() == engine::JobState::Succeeded && res.has_design &&
         res.completeness ==
             core::completeness_name(core::Completeness::Full) &&
@@ -395,9 +392,7 @@ int main(int argc, char** argv) {
           meta[i].dfg, fr.schedule, fr.binding, bits);
       rtl::Elaboration elab = rtl::elaborate(design);
       atpg::AtpgOptions ao;
-      ao.backend = job_backend;
-      ao.sat_frames = job->params().sat_frames;
-      ao.sat_conflict_budget = job->params().sat_conflict_budget;
+      ao.backend = atpg_backend;
       ao.dump_cnf_dir = dump_cnf;
       const atpg::AtpgResult ar =
           atpg::run_atpg(elab.netlist, design.steps() + 1, ao);

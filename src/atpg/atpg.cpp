@@ -101,7 +101,7 @@ AtpgResult run_atpg(const gates::Netlist& nl, int period,
   const int seq_cycles =
       options.sequence_cycles > 0 ? options.sequence_cycles : 2 * period;
   Rng rng(options.seed);
-  FaultSimulator fsim(nl, /*num_threads=*/0, options.simd_width);
+  FaultSimulator fsim(nl);
 
   util::count("atpg.faults_total",
               static_cast<std::int64_t>(result.total_faults));
@@ -246,8 +246,8 @@ AtpgResult run_atpg(const gates::Netlist& nl, int period,
   }
   if (options.compact && !result.test_set.empty()) {
     HLTS_SPAN("atpg.compaction");
-    CompactionResult c = compact_test_set(nl, result.test_set,
-                                          universe.faults(), options.simd_width);
+    CompactionResult c =
+        compact_test_set(nl, result.test_set, universe.faults());
     std::vector<TestSequence> kept;
     for (std::size_t i : c.kept) kept.push_back(std::move(result.test_set[i]));
     result.test_set = std::move(kept);

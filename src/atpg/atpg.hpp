@@ -34,11 +34,15 @@
 // Every deterministic candidate sequence -- from either backend -- is
 // validated by the sequential fault simulator before it counts: a fault is
 // only ever classified "detected" off the simulator's detected-set, which
-// keeps coverage accounting bit-identical across backends, packet widths
-// and thread counts.  Untestable means proved untestable *within the frame
+// keeps coverage accounting bit-identical across backends and thread
+// counts.  Untestable means proved untestable *within the frame
 // bound* (no test of <= frames cycles from the X power-up state); the
 // frame bound is the same for both backends, so the classifications are
 // comparable fault by fault.
+//
+// AtpgOptions is the only place ATPG settings live: the synthesis options
+// (core::AlgorithmOptions) carry none, so callers such as hlts_batch build
+// one from their own inputs.
 #pragma once
 
 #include <cstdint>
@@ -78,10 +82,6 @@ struct AtpgOptions {
   int podem_max_targets = 600;
   /// Apply reverse-order static compaction to the generated test set.
   bool compact = true;
-  /// Fault-simulation packet width in lanes (64, 256 or 512); 0 resolves
-  /// the HLTS_SIMD_WIDTH environment variable.  The detected fault sets --
-  /// and hence every ATPG result -- are bit-identical at every width.
-  int simd_width = 0;
 
   /// Orchestration mode: "timeframe", "sat" or "hybrid" (see the header
   /// comment for the escalation order).  Empty resolves the

@@ -1,21 +1,10 @@
 #include "atpg/backend.hpp"
 
-#include <algorithm>
-#include <map>
-
 #include "atpg/podem.hpp"
 #include "atpg/sat_backend.hpp"
 #include "util/error.hpp"
 
 namespace hlts::atpg {
-
-const char* backend_kind_name(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::TimeFrame: return "timeframe";
-    case BackendKind::Sat: return "sat";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -61,47 +50,14 @@ class TimeFrameBackend final : public DeterministicBackend {
   BackendStats stats_;
 };
 
-using Registry = std::map<std::string, BackendFactory>;
-
-Registry& registry() {
-  static Registry r = [] {
-    Registry init;
-    init["timeframe"] = [](const gates::Netlist& nl,
-                           const BackendConfig& config) {
-      return std::unique_ptr<DeterministicBackend>(
-          new TimeFrameBackend(nl, config));
-    };
-    init["sat"] = [](const gates::Netlist& nl, const BackendConfig& config) {
-      return std::unique_ptr<DeterministicBackend>(
-          new SatBackend(nl, config));
-    };
-    return init;
-  }();
-  return r;
-}
-
 }  // namespace
 
-void register_backend(const std::string& name, BackendFactory factory) {
-  HLTS_REQUIRE_INPUT(!name.empty(), "backend name must be non-empty");
-  registry()[name] = std::move(factory);
-}
-
-std::vector<std::string> backend_names() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, factory] : registry()) names.push_back(name);
-  return names;  // std::map iteration is already sorted
-}
-
-std::unique_ptr<DeterministicBackend> make_backend(const std::string& name,
+std::unique_ptr<DeterministicBackend> make_backend(BackendKind kind,
                                                    const gates::Netlist& nl,
                                                    const BackendConfig& config) {
-  const auto it = registry().find(name);
-  HLTS_REQUIRE_INPUT(it != registry().end(),
-                     "unknown ATPG backend '" + name + "'");
   HLTS_REQUIRE_INPUT(config.frames >= 1, "backend needs >= 1 time frames");
-  return it->second(nl, config);
+  if (kind == BackendKind::Sat) return std::make_unique<SatBackend>(nl, config);
+  return std::make_unique<TimeFrameBackend>(nl, config);
 }
 
 }  // namespace hlts::atpg

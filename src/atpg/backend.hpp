@@ -28,16 +28,14 @@
 // orchestrator enforces this; the SAT encoding makes it hold by
 // construction).
 //
-// Backends register by name in a process-wide registry (make_backend /
-// backend_names); run_atpg resolves its mode string through it, so an
-// out-of-tree engine can be added without touching the orchestrator.
+// The backend set is closed: make_backend switches over BackendKind.
+// run_atpg resolves its mode string to one or two kinds and drives them
+// through DeterministicBackend (hybrid mode runs both).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "atpg/faults.hpp"
 #include "atpg/wide_sim.hpp"
@@ -48,8 +46,6 @@ enum class BackendKind {
   TimeFrame,  ///< PODEM over the time-frame expansion (the classic path)
   Sat,        ///< CNF unrolling decided by the in-repo CDCL solver
 };
-
-[[nodiscard]] const char* backend_kind_name(BackendKind kind);
 
 enum class BackendStatus {
   Detected,    ///< a candidate test sequence was generated
@@ -111,25 +107,9 @@ class DeterministicBackend {
   [[nodiscard]] virtual const BackendStats& stats() const = 0;
 };
 
-using BackendFactory = std::function<std::unique_ptr<DeterministicBackend>(
-    const gates::Netlist&, const BackendConfig&)>;
-
-/// Registers `factory` under `name`, replacing any previous registration.
-/// "timeframe" and "sat" are pre-registered.
-void register_backend(const std::string& name, BackendFactory factory);
-
-/// Registered backend names, sorted.
-[[nodiscard]] std::vector<std::string> backend_names();
-
-/// Instantiates a registered backend; throws hlts::Error(Input) for an
-/// unknown name.
+/// Instantiates the backend of `kind`; throws hlts::Error(Input) when
+/// `config.frames` < 1.
 [[nodiscard]] std::unique_ptr<DeterministicBackend> make_backend(
-    const std::string& name, const gates::Netlist& nl,
-    const BackendConfig& config);
-
-[[nodiscard]] inline std::unique_ptr<DeterministicBackend> make_backend(
-    BackendKind kind, const gates::Netlist& nl, const BackendConfig& config) {
-  return make_backend(backend_kind_name(kind), nl, config);
-}
+    BackendKind kind, const gates::Netlist& nl, const BackendConfig& config);
 
 }  // namespace hlts::atpg

@@ -4,7 +4,7 @@
 
 namespace hlts::atpg {
 
-BistResult run_bist(const gates::Netlist& nl, int cycles, int simd_width) {
+BistResult run_bist(const gates::Netlist& nl, int cycles) {
   HLTS_REQUIRE(cycles >= 1, "BIST session needs at least one cycle");
   int reset_index = -1;
   int bist_index = -1;
@@ -26,7 +26,7 @@ BistResult run_bist(const gates::Netlist& nl, int cycles, int simd_width) {
 
   FaultUniverse universe = FaultUniverse::collapsed(nl);
   std::vector<Fault> remaining = universe.faults();
-  FaultSimulator fsim(nl, /*num_threads=*/0, simd_width);
+  FaultSimulator fsim(nl);
   fsim.drop_detected(session, remaining);
 
   BistResult result;

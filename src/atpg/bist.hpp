@@ -21,9 +21,6 @@ struct BistResult {
 
 /// Runs a BIST session of the given length against the collapsed fault
 /// universe.  The netlist must have `reset` and `bist_mode` inputs.
-/// `simd_width` selects the fault-simulation packet width (see
-/// atpg::resolve_simd_width); the result is width-independent.
-[[nodiscard]] BistResult run_bist(const gates::Netlist& nl, int cycles,
-                                  int simd_width = 0);
+[[nodiscard]] BistResult run_bist(const gates::Netlist& nl, int cycles);
 
 }  // namespace hlts::atpg

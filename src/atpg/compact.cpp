@@ -6,10 +6,9 @@ namespace hlts::atpg {
 
 CompactionResult compact_test_set(const gates::Netlist& nl,
                                   const std::vector<TestSequence>& sequences,
-                                  const std::vector<Fault>& faults,
-                                  int simd_width) {
+                                  const std::vector<Fault>& faults) {
   CompactionResult result;
-  FaultSimulator fsim(nl, /*num_threads=*/0, simd_width);
+  FaultSimulator fsim(nl);
 
   // Baseline coverage and length.
   std::vector<Fault> remaining = faults;

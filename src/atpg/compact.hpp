@@ -27,10 +27,8 @@ struct CompactionResult {
 /// Compacts `sequences` against `faults` (typically the full collapsed
 /// universe).  Coverage is preserved by construction: a sequence is dropped
 /// only if every fault it detects is also detected by a kept sequence.
-/// `simd_width` selects the fault-simulation packet width (see
-/// atpg::resolve_simd_width); the result is width-independent.
 [[nodiscard]] CompactionResult compact_test_set(
     const gates::Netlist& nl, const std::vector<TestSequence>& sequences,
-    const std::vector<Fault>& faults, int simd_width = 0);
+    const std::vector<Fault>& faults);
 
 }  // namespace hlts::atpg

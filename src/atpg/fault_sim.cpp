@@ -1,11 +1,8 @@
 #include "atpg/fault_sim.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "util/error.hpp"
 #include "util/failpoint.hpp"
-#include "util/knobs.hpp"
 
 namespace hlts::atpg {
 
@@ -42,58 +39,28 @@ void run_batch(WideSimulator<W>& sim, const TestSequence& sequence,
 
 }  // namespace
 
-int resolve_simd_width(int requested) {
-  if (requested == 0) {
-    // Registry-audited read; unsupported widths fall back to the default
-    // (the knob's documented Ignore policy).
-    if (const std::optional<long long> v =
-            util::knobs::read_int("HLTS_SIMD_WIDTH");
-        v && (*v == 64 || *v == 256 || *v == 512)) {
-      return static_cast<int>(*v);
-    }
-    return 256;
-  }
-  HLTS_REQUIRE(requested == 64 || requested == 256 || requested == 512,
-               "simd width must be 64, 256 or 512 lanes");
-  return requested;
-}
-
-FaultSimulator::FaultSimulator(const gates::Netlist& nl, int num_threads,
-                               int simd_width)
-    : nl_(nl), width_(resolve_simd_width(simd_width)) {
-  switch (width_) {
-    case 64:
-      sim64_ = std::make_unique<WideSimulator<1>>(nl);
-      break;
-    case 256:
-      sim256_ = std::make_unique<WideSimulator<4>>(nl);
-      break;
-    default:
-      sim512_ = std::make_unique<WideSimulator<8>>(nl);
-      break;
-  }
+FaultSimulator::FaultSimulator(const gates::Netlist& nl, int num_threads)
+    : sim_(nl) {
   const std::size_t threads =
       num_threads > 0 ? static_cast<std::size_t>(num_threads)
                       : util::ThreadPool::default_threads();
   if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
 }
 
-template <int W>
-std::vector<std::size_t> FaultSimulator::detect(
-    WideSimulator<W>& persistent, const TestSequence& sequence,
-    const std::vector<Fault>& faults) {
-  // One batch per packet: 64*W - 1 faults (lane 0 is the good machine).
-  constexpr std::size_t kCap =
-      static_cast<std::size_t>(WideSimulator<W>::kLanes) - 1;
+std::vector<std::size_t> FaultSimulator::detected_by(
+    const TestSequence& sequence, const std::vector<Fault>& faults) {
+  HLTS_FAILPOINT("atpg.fault_sim");
+  // One batch per packet: 255 faults (lane 0 is the good machine).
+  constexpr std::size_t kCap = static_cast<std::size_t>(Sim::kLanes) - 1;
   const std::size_t num_batches = (faults.size() + kCap - 1) / kCap;
   if (!pool_ || num_batches < 2) {
     std::vector<std::size_t> detected;
-    const std::uint64_t before = persistent.gate_lane_evals();
+    const std::uint64_t before = sim_.gate_lane_evals();
     for (std::size_t base = 0; base < faults.size(); base += kCap) {
       const std::size_t batch = std::min(kCap, faults.size() - base);
-      run_batch(persistent, sequence, faults, base, batch, detected);
+      run_batch(sim_, sequence, faults, base, batch, detected);
     }
-    lane_evals_ += persistent.gate_lane_evals() - before;
+    lane_evals_ += sim_.gate_lane_evals() - before;
     return detected;
   }
 
@@ -104,7 +71,7 @@ std::vector<std::size_t> FaultSimulator::detect(
   pool_->parallel_for(num_batches, [&](std::size_t bi) {
     const std::size_t base = bi * kCap;
     const std::size_t batch = std::min(kCap, faults.size() - base);
-    WideSimulator<W> sim(nl_);
+    Sim sim(sim_.netlist());
     run_batch(sim, sequence, faults, base, batch, per_batch[bi]);
     per_batch_evals[bi] = sim.gate_lane_evals();
   });
@@ -115,14 +82,6 @@ std::vector<std::size_t> FaultSimulator::detect(
     lane_evals_ += per_batch_evals[bi];
   }
   return detected;
-}
-
-std::vector<std::size_t> FaultSimulator::detected_by(
-    const TestSequence& sequence, const std::vector<Fault>& faults) {
-  HLTS_FAILPOINT("atpg.fault_sim");
-  if (sim64_) return detect(*sim64_, sequence, faults);
-  if (sim256_) return detect(*sim256_, sequence, faults);
-  return detect(*sim512_, sequence, faults);
 }
 
 std::size_t FaultSimulator::drop_detected(const TestSequence& sequence,

@@ -1,12 +1,10 @@
 // Sequential fault simulation with fault dropping.
 //
-// Faults are simulated in batches sized by the simulator's packet width:
-// a packet of 64*W lanes carries 64*W - 1 faults per batch (lane 0 is the
-// good machine), so the supported widths 64 / 256 / 512 give batch
-// capacities of 63 / 255 / 511 faults.  Wider packets amortize the
-// per-gate traversal cost (gate fetch, kind dispatch, levelized walk)
-// over more fault lanes and autovectorize; the detected fault set is
-// bit-identical at every width, thread count, and batch partition,
+// Faults are simulated in batches of 255: one WideSimulator<4> packet of
+// 256 lanes per batch, lane 0 being the good machine.  The 256-lane packet
+// amortizes the per-gate traversal cost (gate fetch, kind dispatch,
+// levelized walk) over 255 fault lanes and autovectorizes.  The detected
+// fault set is bit-identical at every thread count and batch partition,
 // because each lane is evaluated independently and detected indices are
 // emitted in ascending order.
 #pragma once
@@ -21,26 +19,18 @@
 
 namespace hlts::atpg {
 
-/// Resolves a requested packet width in lanes to one of the supported
-/// values {64, 256, 512}.  0 consults the HLTS_SIMD_WIDTH environment
-/// variable and falls back to 256 when it is absent or invalid; any other
-/// value must already be one of the supported widths.
-[[nodiscard]] int resolve_simd_width(int requested);
-
 class FaultSimulator {
  public:
   /// `num_threads` is the concurrency of detected_by's batch fan-out:
   /// 0 means util::ThreadPool::default_threads() (HLTS_THREADS, else
-  /// hardware_concurrency), 1 forces the serial path.  `simd_width` is the
-  /// packet width in lanes (see resolve_simd_width).  Results are
-  /// identical for every combination -- batches are independent and
-  /// detected indices are concatenated in batch order.
-  explicit FaultSimulator(const gates::Netlist& nl, int num_threads = 0,
-                          int simd_width = 0);
+  /// hardware_concurrency), 1 forces the serial path.  Results are
+  /// identical for every value -- batches are independent and detected
+  /// indices are concatenated in batch order.
+  explicit FaultSimulator(const gates::Netlist& nl, int num_threads = 0);
 
   /// Simulates `sequence` (from power-up/reset) against `faults`, one
-  /// packet-width batch at a time, and returns the indices (into `faults`)
-  /// of detected faults, ascending.
+  /// 255-fault batch at a time, and returns the indices (into `faults`) of
+  /// detected faults, ascending.
   [[nodiscard]] std::vector<std::size_t> detected_by(
       const TestSequence& sequence, const std::vector<Fault>& faults);
 
@@ -52,27 +42,17 @@ class FaultSimulator {
                             std::vector<Fault>& faults,
                             std::vector<Fault>* dropped = nullptr);
 
-  /// The resolved packet width in lanes (64, 256 or 512).
-  [[nodiscard]] int simd_width() const { return width_; }
   /// Cumulative gate-lane evaluations across all detected_by calls,
   /// including the parallel path's per-batch simulators; feeds the
   /// Mgate-lane-evals/s throughput metric in the benches.
   [[nodiscard]] std::uint64_t gate_lane_evals() const { return lane_evals_; }
 
  private:
-  template <int W>
-  [[nodiscard]] std::vector<std::size_t> detect(WideSimulator<W>& persistent,
-                                                const TestSequence& sequence,
-                                                const std::vector<Fault>& faults);
+  using Sim = WideSimulator<4>;
 
-  const gates::Netlist& nl_;
-  int width_;
-  /// Exactly one of these is non-null, matching width_; the persistent
-  /// instance serves the serial path (the parallel path builds a private
-  /// simulator per batch).
-  std::unique_ptr<WideSimulator<1>> sim64_;
-  std::unique_ptr<WideSimulator<4>> sim256_;
-  std::unique_ptr<WideSimulator<8>> sim512_;
+  /// Serves the serial path; the parallel path builds a private simulator
+  /// per batch.
+  Sim sim_;
   /// Present only when num_threads resolved to > 1.
   std::unique_ptr<util::ThreadPool> pool_;
   std::uint64_t lane_evals_ = 0;

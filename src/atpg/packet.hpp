@@ -4,8 +4,9 @@
 // vector.  The simulator's two-plane gate equations are pure bitwise
 // AND/OR/NOT, so widening a lane word to a packet of W words turns every
 // gate evaluation into W independent word operations over contiguous
-// storage -- a loop GCC/Clang autovectorize to 256-bit (W=4) or 512-bit
-// (W=8) SIMD at -O2 without any intrinsics or target-specific code.
+// storage -- a loop GCC/Clang autovectorize to 256-bit SIMD for the
+// fault simulator's W=4 at -O2 without any intrinsics or target-specific
+// code.
 //
 // Lane numbering is little-endian across words: lane L lives in bit
 // (L % 64) of word L/64, so word 0 bit 0 is lane 0 (the good machine) at

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "atpg/faults.hpp"
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 
 namespace hlts::atpg {
 

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 
 namespace hlts::atpg {
 

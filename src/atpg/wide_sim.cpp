@@ -174,6 +174,5 @@ Packet<W> WideSimulator<W>::step(const TestVector& inputs) {
 
 template class WideSimulator<1>;
 template class WideSimulator<4>;
-template class WideSimulator<8>;
 
 }  // namespace hlts::atpg

@@ -17,9 +17,11 @@
 // The gate equations are identical at every width (each lane is evaluated
 // independently), so the detected-lane packet of WideSimulator<W> restricted
 // to any lane equals WideSimulator<1>'s result for a batch containing just
-// that lane's fault -- the bit-identity contract fault_sim.cpp builds on.
-// W=1 is the historical 64-lane simulator; W=4 and W=8 evaluate 256/512
-// lanes per gate as flat uint64_t loops the compiler autovectorizes.
+// that lane's fault -- the lane contract the two users rely on.  W=4 is
+// FaultSimulator's fault-dropping engine: 256 lanes per gate as flat
+// uint64_t loops the compiler autovectorizes.  W=1 is the single-word
+// simulator the testbench generator and the tests read good-machine values
+// from (`plane_one(g).lane(0)`).
 #pragma once
 
 #include <cstdint>
@@ -85,10 +87,8 @@ class WideSimulator {
   std::uint64_t lane_evals_ = 0;
 };
 
-// Instantiated in wide_sim.cpp for the supported HLTS_SIMD_WIDTH values
-// (64, 256, 512 lanes).
+// Instantiated in wide_sim.cpp for the two widths in use (64 and 256 lanes).
 extern template class WideSimulator<1>;
 extern template class WideSimulator<4>;
-extern template class WideSimulator<8>;
 
 }  // namespace hlts::atpg

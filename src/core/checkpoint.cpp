@@ -175,9 +175,6 @@ util::JsonValue params_to_json(const AlgorithmOptions& p) {
       {"memory_budget_bytes",
        JsonValue::make_int(static_cast<std::int64_t>(p.memory_budget_bytes))},
       {"audit", JsonValue::make_bool(p.audit)},
-      {"atpg_backend", JsonValue::make_string(p.atpg_backend)},
-      {"sat_frames", JsonValue::make_int(p.sat_frames)},
-      {"sat_conflict_budget", JsonValue::make_int(p.sat_conflict_budget)},
   });
 }
 
@@ -207,23 +204,9 @@ AlgorithmOptions params_from_json(const util::JsonValue& v) {
   p.memory_budget_bytes = static_cast<std::size_t>(mem);
   p.audit = member_bool(v, "audit");
   // Members this reader does not know are ignored, so documents from older
-  // builds -- e.g. ones carrying the retired "incremental" flag -- parse.
-  // ATPG backend knobs postdate the journal format; absent members keep
-  // their defaults so pre-existing journals stay readable.
-  if (const JsonValue* m = v.find("atpg_backend")) {
-    if (!m->is_string()) bad("member 'atpg_backend' must be a string");
-    p.atpg_backend = m->as_string();
-  }
-  if (const JsonValue* m = v.find("sat_frames")) {
-    if (!m->is_int()) bad("member 'sat_frames' must be an integer");
-    if (m->as_int() < 0) bad("sat_frames negative");
-    p.sat_frames = static_cast<int>(m->as_int());
-  }
-  if (const JsonValue* m = v.find("sat_conflict_budget")) {
-    if (!m->is_int()) bad("member 'sat_conflict_budget' must be an integer");
-    if (m->as_int() < 0) bad("sat_conflict_budget negative");
-    p.sat_conflict_budget = m->as_int();
-  }
+  // builds -- e.g. ones carrying the retired "incremental" flag or the
+  // retired ATPG settings, which now live only in atpg::AtpgOptions --
+  // parse.
   return p;
 }
 

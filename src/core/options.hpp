@@ -57,6 +57,8 @@ struct Checkpoint;
 
 /// Knobs shared by all synthesis entry points (the Algorithm-1 parameters
 /// apply to the Camad/Ours flows; bits/max_latency/library to all four).
+/// Test-generation settings are not synthesis knobs: they live only in
+/// atpg::AtpgOptions.
 struct AlgorithmOptions {
   int bits = 8;        ///< data path width for the cost model
   int k = 5;           ///< candidate pairs evaluated per iteration
@@ -99,18 +101,6 @@ struct AlgorithmOptions {
   /// merger; a violation throws hlts::Error(ErrorKind::Internal).  Off by
   /// default: auditing is for tests, fault-injection soaks, and debugging.
   bool audit = false;
-  /// Deterministic-ATPG orchestration mode for the flow's testability
-  /// evaluation: "timeframe", "sat" or "hybrid" (atpg/atpg.hpp documents
-  /// the escalation order).  Empty resolves the HLTS_ATPG_BACKEND
-  /// environment knob, then falls back to "timeframe".  Journaled, so a
-  /// replayed run re-evaluates testability under the same backend.
-  std::string atpg_backend = {};
-  /// Time frames the SAT backend unrolls the netlist over; 0 resolves
-  /// HLTS_SAT_FRAMES, then two controller periods.
-  int sat_frames = 0;
-  /// Per-fault CDCL conflict budget for the SAT backend; 0 resolves
-  /// HLTS_SAT_CONFLICT_BUDGET, then 20000.
-  std::int64_t sat_conflict_budget = 0;
   cost::ModuleLibrary library = cost::ModuleLibrary::standard();
 
   // --- run hooks (never influence the synthesized result) -----------------

@@ -581,7 +581,6 @@ void Engine::run_job(const JobPtr& job) {
   const auto t0 = std::chrono::steady_clock::now();
   const bool has_deadline = job->options_.timeout.count() > 0;
   const auto deadline = t0 + job->options_.timeout;
-  const std::uint64_t span_start = trace_.now_us();
 
   // The job's own trace, installed for this worker thread: every
   // instrumented phase the flow passes through records into it.
@@ -758,8 +757,6 @@ void Engine::run_job(const JobPtr& job) {
     running_.erase(std::find(running_.begin(), running_.end(), job));
   }
   retire_journal(job, job_state_name(final_state));
-  trace_.add_span("job." + job->name_, span_start,
-                  trace_.now_us() - span_start);
   trace_.add_counter(std::string("jobs.") + job_state_name(final_state));
   job->finish(final_state);
 }

@@ -131,12 +131,6 @@ class Job {
  public:
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] core::FlowKind kind() const { return request_.kind; }
-  /// The parameters the job was submitted (or recovered) with -- a
-  /// --recover replay reads journaled per-job settings (e.g. the ATPG
-  /// backend) from here rather than from the new command line.
-  [[nodiscard]] const core::FlowParams& params() const {
-    return request_.params;
-  }
   /// Engine-assigned id; also the job's journal filename key.
   [[nodiscard]] std::uint64_t id() const { return id_; }
 
@@ -375,8 +369,9 @@ class Engine {
   [[nodiscard]] int max_concurrent_jobs() const { return num_workers_; }
   [[nodiscard]] int threads_per_job() const { return threads_per_job_; }
 
-  /// Engine-level metrics: job-state counters plus one span per executed
-  /// job (named "job.<name>").
+  /// Engine-level metrics: job-state and journal counters.  A job's own
+  /// time is in Job::wall_ms() and its trace, so the engine-level snapshot
+  /// does not grow with the number of jobs served.
   [[nodiscard]] util::TraceSnapshot metrics() const;
 
   /// Current health snapshot (queue depth, in-flight, shed/retry/stall/

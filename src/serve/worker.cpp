@@ -1,6 +1,8 @@
 #include "serve/worker.hpp"
 
+#include <atomic>
 #include <chrono>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,7 +40,18 @@ void run_worker(int fd, const WorkerConfig& config) {
   engine::Engine engine(opts);
 
   std::mutex write_mutex;
-  std::vector<std::thread> waiters;
+
+  // One waiter thread per in-flight job.  A waiter flags `done` as its last
+  // action, and deliver() joins and erases the flagged ones before it
+  // starts the next, so a long-lived shard holds one thread (and stack) per
+  // in-flight job rather than one per job it has ever served.  Only the
+  // protocol thread touches the list; list nodes keep `done` at a stable
+  // address for the waiter that sets it.
+  struct Waiter {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Waiter> waiters;
 
   // In-flight jobs by supervisor tag, for the best-effort cancel op (the
   // losing side of a hedged request).  Entries are removed by the waiter
@@ -58,13 +71,23 @@ void run_worker(int fd, const WorkerConfig& config) {
   // One waiter per job: blocks until the job finishes, then flushes its
   // result frame.  The job name carries the supervisor's tag.
   auto deliver = [&](const engine::JobPtr& job) {
+    for (auto it = waiters.begin(); it != waiters.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = waiters.erase(it);
+      } else {
+        ++it;
+      }
+    }
     std::uint64_t tag = 0;
     if (const auto tagged = proto::split_tag(job->name())) tag = tagged->tag;
     if (tag != 0) {
       std::lock_guard<std::mutex> lock(inflight_mutex);
       inflight[tag] = job;
     }
-    waiters.emplace_back([&send, &inflight_mutex, &inflight, job, tag] {
+    std::atomic<bool>& done = waiters.emplace_back().done;
+    waiters.back().thread = std::thread([&send, &inflight_mutex, &inflight,
+                                         &done, job, tag] {
       job->wait();
       api::FlowResultV1 result = engine::job_result_to_api(*job);
       if (const auto tagged = proto::split_tag(result.name)) {
@@ -75,6 +98,7 @@ void run_worker(int fd, const WorkerConfig& config) {
         std::lock_guard<std::mutex> lock(inflight_mutex);
         inflight.erase(tag);
       }
+      done.store(true, std::memory_order_release);
     });
   };
 
@@ -164,7 +188,7 @@ void run_worker(int fd, const WorkerConfig& config) {
 
   // Drain: every accepted job runs to completion and its result frame is
   // flushed before the process exits (graceful shutdown loses nothing).
-  for (std::thread& t : waiters) t.join();
+  for (Waiter& w : waiters) w.thread.join();
 }
 
 }  // namespace hlts::serve

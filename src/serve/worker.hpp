@@ -9,8 +9,10 @@
 // Protocol thread: reads supervisor frames (submit / health / adopt /
 // quit).  Each accepted job gets a small waiter thread that blocks on the
 // job and writes the result frame back (a write mutex serializes the
-// socketpair).  On `adopt` the worker replays a *dead peer's* journal
-// directory through Engine::recover -- a one-shot replay (see
+// socketpair); finished waiters are joined as new jobs arrive, so the
+// thread count tracks in-flight jobs, not jobs served.  On `adopt` the
+// worker replays a *dead peer's* journal directory through
+// Engine::recover -- a one-shot replay (see
 // engine.cpp): the jobs resume from their checkpoints, and the response
 // lists the tags recovered so the supervisor can tell adopted requests
 // from ones that died before their write-ahead record (those it

@@ -14,10 +14,6 @@ const Knob kRegistry[] = {
     {"HLTS_THREADS", Kind::Int, OnMalformed::Ignore, "hardware concurrency",
      "util::ThreadPool::default_threads",
      "trial-evaluation worker count; values < 1 fall back to the default"},
-    {"HLTS_SIMD_WIDTH", Kind::Int, OnMalformed::Ignore, "256",
-     "atpg::resolve_simd_width",
-     "fault-simulation packet width in lanes (64, 256 or 512); other values "
-     "fall back to the default"},
     {"HLTS_FAILPOINTS", Kind::String, OnMalformed::Throw, "unset",
      "util::failpoint (static init)",
      "arms fault-injection sites, grammar site:mode:prob:seed[:param]; a "

@@ -16,13 +16,13 @@
 //             serving layer, where silently ignoring a typo'd limit would
 //             run unprotected.
 //   Ignore -- a malformed value reads as "unset" and the consumer's default
-//             applies; used by the performance knobs (HLTS_THREADS,
-//             HLTS_SIMD_WIDTH), which predate the registry with that
-//             contract and where the safe fallback is the tuned default.
+//             applies; used by the performance knob HLTS_THREADS and the
+//             ATPG knobs, which predate the registry with that contract
+//             and where the safe fallback is the tuned default.
 //
-// Range/validity checks beyond integer syntax (e.g. HLTS_SIMD_WIDTH in
-// {64,256,512}) stay with the consumer: the registry audits *names and
-// parsing*, the consumer owns semantics.
+// Range/validity checks beyond integer syntax (e.g. HLTS_SAT_FRAMES >= 1)
+// stay with the consumer: the registry audits *names and parsing*, the
+// consumer owns semantics.
 #pragma once
 
 #include <cstddef>

@@ -45,16 +45,16 @@ TEST(Simulator, ThreeValuedPowerUpIsX) {
   GateId a = nl.add_input("a");
   nl.connect_dff(d, a);
   nl.add_output(d, "o");
-  atpg::ParallelSimulator sim(nl);
+  atpg::WideSimulator<1> sim(nl);
   sim.reset_state();
   sim.step({true});
   GateId o = nl.outputs()[0];
   // First cycle: register still X.
-  EXPECT_EQ(sim.plane_one(o) & 1, 0u);
-  EXPECT_EQ(sim.plane_zero(o) & 1, 0u);
+  EXPECT_FALSE(sim.plane_one(o).lane(0));
+  EXPECT_FALSE(sim.plane_zero(o).lane(0));
   sim.step({true});
   // Second cycle: captured the 1.
-  EXPECT_EQ(sim.plane_one(o) & 1, 1u);
+  EXPECT_TRUE(sim.plane_one(o).lane(0));
 }
 
 TEST(Simulator, FaultInjectionPerLane) {
@@ -64,17 +64,17 @@ TEST(Simulator, FaultInjectionPerLane) {
   GateId b = nl.add_input("b");
   GateId g = nl.add_gate(GateKind::And, {a, b});
   nl.add_output(g, "o");
-  atpg::ParallelSimulator sim(nl);
+  atpg::WideSimulator<1> sim(nl);
   sim.inject(1, {a, false});
   sim.inject(2, {b, true});
   // a=1 b=1: lane1 sees a=0 -> o=0 (differs from good 1): detected.
-  std::uint64_t det = sim.step({true, true});
-  EXPECT_TRUE(det & 2);
-  EXPECT_FALSE(det & 4);  // lane2: b already 1, no difference
+  atpg::Packet<1> det = sim.step({true, true});
+  EXPECT_TRUE(det.lane(1));
+  EXPECT_FALSE(det.lane(2));  // lane2: b already 1, no difference
   // a=1 b=0: lane2 sees b=1 -> o=1 vs good 0: detected.
   det = sim.step({true, false});
-  EXPECT_TRUE(det & 4);
-  EXPECT_FALSE(det & 2);  // lane1: o=0 either way
+  EXPECT_TRUE(det.lane(2));
+  EXPECT_FALSE(det.lane(1));  // lane1: o=0 either way
 }
 
 TEST(Simulator, XNeverDetects) {
@@ -83,10 +83,10 @@ TEST(Simulator, XNeverDetects) {
   GateId d = nl.add_dff("r");
   nl.connect_dff(d, d);  // holds X forever
   nl.add_output(d, "o");
-  atpg::ParallelSimulator sim(nl);
+  atpg::WideSimulator<1> sim(nl);
   sim.inject(1, {d, true});
-  EXPECT_EQ(sim.step({}), 0u);
-  EXPECT_EQ(sim.step({}), 0u);
+  EXPECT_FALSE(sim.step({}).any());
+  EXPECT_FALSE(sim.step({}).any());
 }
 
 TEST(FaultSim, DropsDetectedFaults) {

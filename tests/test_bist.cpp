@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "atpg/bist.hpp"
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flows.hpp"
 #include "rtl/elaborate.hpp"
@@ -49,8 +49,8 @@ TEST(Bist, FunctionallyTransparentWhenModeLow) {
   Rig rig = make_rig(4);
   rtl::Elaboration plain = rtl::elaborate(rig.design);
   rtl::Elaboration bist = elaborate_bist(rig.design);
-  atpg::ParallelSimulator sim_p(plain.netlist);
-  atpg::ParallelSimulator sim_b(bist.netlist);
+  atpg::WideSimulator<1> sim_p(plain.netlist);
+  atpg::WideSimulator<1> sim_b(bist.netlist);
   sim_p.reset_state();
   sim_b.reset_state();
 
@@ -78,9 +78,9 @@ TEST(Bist, FunctionallyTransparentWhenModeLow) {
       const std::string& name = plain.netlist.gate(op).name;
       for (auto ob : bist.netlist.outputs()) {
         if (bist.netlist.gate(ob).name != name) continue;
-        EXPECT_EQ(sim_p.plane_one(op) & 1, sim_b.plane_one(ob) & 1)
+        EXPECT_EQ(sim_p.plane_one(op).lane(0), sim_b.plane_one(ob).lane(0))
             << name << " cycle " << cycle;
-        EXPECT_EQ(sim_p.plane_zero(op) & 1, sim_b.plane_zero(ob) & 1)
+        EXPECT_EQ(sim_p.plane_zero(op).lane(0), sim_b.plane_zero(ob).lane(0))
             << name << " cycle " << cycle;
       }
     }

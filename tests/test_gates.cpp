@@ -3,7 +3,7 @@
 // through the three-valued simulator.
 #include <gtest/gtest.h>
 
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 #include "gates/netlist.hpp"
 #include "util/error.hpp"
 #include "gates/wordlib.hpp"
@@ -70,7 +70,7 @@ class WordFixture : public ::testing::Test {
  protected:
   std::uint64_t run(Netlist& nl, const Word& out, std::uint64_t a,
                     std::uint64_t b, const Word& wa, const Word& wb) {
-    atpg::ParallelSimulator sim(nl);
+    atpg::WideSimulator<1> sim(nl);
     atpg::TestVector v(nl.inputs().size(), false);
     auto set_word = [&](const Word& w, std::uint64_t value) {
       for (std::size_t i = 0; i < w.size(); ++i) {
@@ -85,9 +85,9 @@ class WordFixture : public ::testing::Test {
     sim.step(v);
     std::uint64_t result = 0;
     for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_TRUE((sim.plane_one(out[i]) | sim.plane_zero(out[i])) & 1)
+      EXPECT_TRUE((sim.plane_one(out[i]) | sim.plane_zero(out[i])).lane(0))
           << "undefined output bit";
-      result |= (sim.plane_one(out[i]) & 1) << i;
+      result |= (sim.plane_one(out[i]).w[0] & 1) << i;
     }
     return result;
   }
@@ -267,7 +267,7 @@ TEST(Wordlib, OnehotSelectPicksEnabledValue) {
   Word out = gates::onehot_select(nl, {e0, e1}, {a, b}, 4);
   gates::add_output_word(nl, out, "o");
 
-  atpg::ParallelSimulator sim(nl);
+  atpg::WideSimulator<1> sim(nl);
   atpg::TestVector v(nl.inputs().size(), false);
   // e1 = 1, a = 0101, b = 0011.
   v[1] = true;
@@ -278,7 +278,7 @@ TEST(Wordlib, OnehotSelectPicksEnabledValue) {
   sim.step(v);
   std::uint64_t result = 0;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    result |= (sim.plane_one(out[i]) & 1) << i;
+    result |= (sim.plane_one(out[i]).w[0] & 1) << i;
   }
   EXPECT_EQ(result, 0b0011u);
 }

@@ -3,10 +3,10 @@
 //
 //   - alignment audit of every POD the patch path carves from util::Arena
 //     and of the wide simulation packets;
-//   - bit-identity matrix: fault-sim detection over packet width
-//     {64, 256, 512} x threads {1, 4} on every benchmark, and the
-//     synthesis trajectory over the same widths x threads {1, 4}, whose
-//     serial reference run is replayed against the from-scratch
+//   - bit-identity matrix: FaultSimulator's 256-lane detection at threads
+//     {1, 4} against a test-local 64-lane WideSimulator<1> reference on
+//     every benchmark, and the synthesis trajectory over threads {1, 4},
+//     whose serial reference run is replayed against the from-scratch
 //     Algorithm-1 reference step;
 //   - arena reuse across trials: the workspace arena's footprint plateaus
 //     after the first merge-patch apply/revert cycle;
@@ -14,6 +14,7 @@
 //     bit-identical to the uninterrupted one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
@@ -79,17 +80,15 @@ static_assert(arena_safe<etpn::DpNodeId>);
 static_assert(arena_safe<int>);
 static_assert(arena_safe<atpg::Packet<1>>);
 static_assert(arena_safe<atpg::Packet<4>>);
-static_assert(arena_safe<atpg::Packet<8>>);
 
 // Packets are flat word arrays: W*8 bytes, word alignment, no padding --
 // the layout the autovectorizer and any future arena-carved plane storage
 // rely on.
 static_assert(sizeof(atpg::Packet<1>) == 8);
 static_assert(sizeof(atpg::Packet<4>) == 32);
-static_assert(sizeof(atpg::Packet<8>) == 64);
-static_assert(alignof(atpg::Packet<8>) == alignof(std::uint64_t));
+static_assert(alignof(atpg::Packet<4>) == alignof(std::uint64_t));
+static_assert(atpg::Packet<1>::kLanes == 64);
 static_assert(atpg::Packet<4>::kLanes == 256);
-static_assert(atpg::Packet<8>::kLanes == 512);
 
 TEST(LayoutAudit, ArenaCarvesAreAligned) {
   util::Arena arena;
@@ -104,9 +103,9 @@ TEST(LayoutAudit, ArenaCarvesAreAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(spans) %
                 alignof(etpn::PoolSpan),
             0u);
-  auto* packets = arena.alloc_array<atpg::Packet<8>>(3);
+  auto* packets = arena.alloc_array<atpg::Packet<4>>(3);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(packets) %
-                alignof(atpg::Packet<8>),
+                alignof(atpg::Packet<4>),
             0u);
 }
 
@@ -161,20 +160,42 @@ ElabFixture elaborate_benchmark(const std::string& name) {
   return f;
 }
 
+/// The lane-contract reference: `faults` in 63-fault batches through the
+/// single-word WideSimulator<1>, every batch run over the whole sequence
+/// (no early exit).  FaultSimulator's 255-fault WideSimulator<4> batches
+/// must detect exactly this set.
+std::vector<std::size_t> reference_detected(
+    const gates::Netlist& nl, const atpg::TestSequence& seq,
+    const std::vector<atpg::Fault>& faults) {
+  constexpr std::size_t kCap = atpg::WideSimulator<1>::kLanes - 1;
+  atpg::WideSimulator<1> sim(nl);
+  std::vector<std::size_t> detected;
+  for (std::size_t base = 0; base < faults.size(); base += kCap) {
+    const std::size_t batch = std::min(kCap, faults.size() - base);
+    sim.clear_faults();
+    for (std::size_t i = 0; i < batch; ++i) {
+      sim.inject(static_cast<int>(i + 1), faults[base + i]);
+    }
+    sim.reset_state();
+    atpg::Packet<1> caught = atpg::Packet<1>::zero();
+    for (const atpg::TestVector& v : seq) caught |= sim.step(v);
+    for (std::size_t i = 0; i < batch; ++i) {
+      if (caught.lane(static_cast<int>(i + 1))) detected.push_back(base + i);
+    }
+  }
+  return detected;
+}
+
 TEST(FaultSimLayout, DetectionBitIdenticalAcrossWidthsAndThreads) {
   for (const std::string& name : kBenchmarks) {
     const ElabFixture f = elaborate_benchmark(name);
-    atpg::FaultSimulator reference(f.elab.netlist, /*num_threads=*/1,
-                                   /*simd_width=*/64);
     const std::vector<std::size_t> expected =
-        reference.detected_by(f.seq, f.faults);
+        reference_detected(f.elab.netlist, f.seq, f.faults);
     EXPECT_FALSE(expected.empty()) << name;
-    for (const int width : {64, 256, 512}) {
-      for (const int threads : {1, 4}) {
-        atpg::FaultSimulator fsim(f.elab.netlist, threads, width);
-        EXPECT_EQ(fsim.detected_by(f.seq, f.faults), expected)
-            << name << " width=" << width << " threads=" << threads;
-      }
+    for (const int threads : {1, 4}) {
+      atpg::FaultSimulator fsim(f.elab.netlist, threads);
+      EXPECT_EQ(fsim.detected_by(f.seq, f.faults), expected)
+          << name << " threads=" << threads;
     }
   }
 }
@@ -182,32 +203,32 @@ TEST(FaultSimLayout, DetectionBitIdenticalAcrossWidthsAndThreads) {
 TEST(FaultSimLayout, BatchCapacityDerivesFromPacketWidth) {
   static_assert(atpg::WideSimulator<1>::kLanes == 64);
   static_assert(atpg::WideSimulator<4>::kLanes == 256);
-  static_assert(atpg::WideSimulator<8>::kLanes == 512);
 
   const ElabFixture f = elaborate_benchmark("ex");
-  // The top fault lane of each width is usable; one past it is not.
+  // The top fault lane of each width is usable; one past it is not, and
+  // lane 0 is reserved for the good machine.
   atpg::WideSimulator<4> sim(f.elab.netlist);
   sim.inject(255, f.faults.front());
   EXPECT_THROW(sim.inject(256, f.faults.front()), Error);
   EXPECT_THROW(sim.inject(0, f.faults.front()), Error);
-
-  for (const int width : {64, 256, 512}) {
-    atpg::FaultSimulator fsim(f.elab.netlist, 1, width);
-    EXPECT_EQ(fsim.simd_width(), width);
-  }
+  atpg::WideSimulator<1> narrow(f.elab.netlist);
+  narrow.inject(63, f.faults.front());
+  EXPECT_THROW(narrow.inject(64, f.faults.front()), Error);
+  EXPECT_THROW(narrow.inject(0, f.faults.front()), Error);
 }
 
+// The packet width is fixed: an HLTS_SIMD_WIDTH left in the environment by
+// older scripts changes nothing, down to the lane-evaluation count.
 TEST(FaultSimLayout, WidthResolution) {
+  const ElabFixture f = elaborate_benchmark("ex");
   EnvGuard guard("HLTS_SIMD_WIDTH");
   ::unsetenv("HLTS_SIMD_WIDTH");
-  EXPECT_EQ(atpg::resolve_simd_width(0), 256);  // documented default
-  EXPECT_EQ(atpg::resolve_simd_width(64), 64);
-  EXPECT_EQ(atpg::resolve_simd_width(512), 512);
-  EXPECT_THROW((void)atpg::resolve_simd_width(128), Error);
-  ::setenv("HLTS_SIMD_WIDTH", "512", 1);
-  EXPECT_EQ(atpg::resolve_simd_width(0), 512);
-  ::setenv("HLTS_SIMD_WIDTH", "banana", 1);
-  EXPECT_EQ(atpg::resolve_simd_width(0), 256);
+  atpg::FaultSimulator unset(f.elab.netlist, /*num_threads=*/1);
+  const std::vector<std::size_t> expected = unset.detected_by(f.seq, f.faults);
+  ::setenv("HLTS_SIMD_WIDTH", "64", 1);
+  atpg::FaultSimulator stale(f.elab.netlist, /*num_threads=*/1);
+  EXPECT_EQ(stale.detected_by(f.seq, f.faults), expected);
+  EXPECT_EQ(stale.gate_lane_evals(), unset.gate_lane_evals());
 }
 
 // --- synthesis bit-identity matrix ------------------------------------------
@@ -225,29 +246,23 @@ std::string signature(const core::SynthesisResult& r) {
   return os.str();
 }
 
-// The trajectory of the incremental Algorithm-1 step is the same for every
-// width x threads cell; the serial run is replayed against the reference.
+// The trajectory of the incremental Algorithm-1 step is the same at every
+// thread count; the serial run is replayed against the reference.
 TEST(SynthesisLayout, TrajectoryBitIdenticalAcrossWidthThreadsIncremental) {
-  EnvGuard guard("HLTS_SIMD_WIDTH");
   for (const std::string& name : kBenchmarks) {
     const dfg::Dfg g = benchmarks::make_benchmark(name);
     core::SynthesisParams reference_params;
     reference_params.bits = 8;
     reference_params.num_threads = 1;
-    ::unsetenv("HLTS_SIMD_WIDTH");
     // The serial default run is the matrix's reference, itself checked
     // iteration by iteration against the from-scratch reference step.
     const std::string expected = signature(
         test_support::replay_against_reference(g, reference_params));
-
-    for (const int width : {64, 256, 512}) {
-      ::setenv("HLTS_SIMD_WIDTH", std::to_string(width).c_str(), 1);
-      for (const int threads : {1, 4}) {
-        core::SynthesisParams p = reference_params;
-        p.num_threads = threads;
-        EXPECT_EQ(signature(core::integrated_synthesis(g, p)), expected)
-            << name << " width=" << width << " threads=" << threads;
-      }
+    for (const int threads : {1, 4}) {
+      core::SynthesisParams p = reference_params;
+      p.num_threads = threads;
+      EXPECT_EQ(signature(core::integrated_synthesis(g, p)), expected)
+          << name << " threads=" << threads;
     }
   }
 }

@@ -9,7 +9,7 @@
 #include <map>
 
 #include "alloc/alloc.hpp"
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flows.hpp"
 #include "sched/fds.hpp"
@@ -153,7 +153,7 @@ TEST(SimulatorCrossCheck, ParallelAgreesWithScalarReference) {
     nl.add_output(pool.back(), "o");
     nl.validate();
 
-    atpg::ParallelSimulator par(nl);
+    atpg::WideSimulator<1> par(nl);
     par.reset_state();
     ReferenceSim ref(nl);
     for (int cycle = 0; cycle < 20; ++cycle) {
@@ -162,8 +162,8 @@ TEST(SimulatorCrossCheck, ParallelAgreesWithScalarReference) {
       par.step(v);
       ref.step(v);
       for (gates::GateId g : nl.gate_ids()) {
-        const bool p1 = par.plane_one(g) & 1;
-        const bool p0 = par.plane_zero(g) & 1;
+        const bool p1 = par.plane_one(g).lane(0);
+        const bool p0 = par.plane_zero(g).lane(0);
         const char expect = ref.value(g);
         const char got = p1 ? '1' : (p0 ? '0' : 'x');
         ASSERT_EQ(got, expect)

@@ -7,7 +7,7 @@
 
 #include <map>
 
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 #include "core/flows.hpp"
 #include "core/resched.hpp"
 #include "rtl/elaborate.hpp"
@@ -51,7 +51,7 @@ TEST_P(RandomDesigns, ElaboratedMachineMatchesSpec) {
   }
   auto expected = interpret(g, inputs, bits);
 
-  atpg::ParallelSimulator sim(nl);
+  atpg::WideSimulator<1> sim(nl);
   sim.reset_state();
   auto vec = [&](bool reset) {
     atpg::TestVector v(nl.inputs().size(), false);
@@ -76,7 +76,7 @@ TEST_P(RandomDesigns, ElaboratedMachineMatchesSpec) {
     const std::string& name = nl.gate(o).name;
     const auto br = name.find('[');
     observed[name.substr(4, br - 4)] |=
-        static_cast<std::uint64_t>(sim.plane_one(o) & 1)
+        static_cast<std::uint64_t>(sim.plane_one(o).w[0] & 1)
         << std::stoi(name.substr(br + 1));
   }
   for (dfg::VarId v : g.var_ids()) {

@@ -149,13 +149,23 @@ util::JsonValue with_incremental_flag(const util::JsonValue& params,
   return util::JsonValue::make_object(std::move(out));
 }
 
-/// A FlowRequestV1 document whose params carry the retired flag.
-util::JsonValue request_with_incremental_flag(const util::JsonValue& request,
-                                              bool flag) {
+/// `params` in the form the previous build wrote: with the retired ATPG
+/// settings after "audit", the last member.
+util::JsonValue with_atpg_members(const util::JsonValue& params) {
+  util::JsonValue::Object out = params.as_object();
+  out.emplace_back("atpg_backend", util::JsonValue::make_string("hybrid"));
+  out.emplace_back("sat_frames", util::JsonValue::make_int(6));
+  out.emplace_back("sat_conflict_budget", util::JsonValue::make_int(1234));
+  return util::JsonValue::make_object(std::move(out));
+}
+
+/// A FlowRequestV1 document whose params member is rewritten by `edit`.
+template <typename Edit>
+util::JsonValue with_request_params(const util::JsonValue& request,
+                                    Edit edit) {
   util::JsonValue::Object out;
   for (const auto& [key, value] : request.as_object()) {
-    out.emplace_back(key, key == "params" ? with_incremental_flag(value, flag)
-                                          : value);
+    out.emplace_back(key, key == "params" ? edit(value) : value);
   }
   return util::JsonValue::make_object(std::move(out));
 }
@@ -218,9 +228,6 @@ TEST(CheckpointJson, ParamsRoundTrip) {
   p.max_iterations = 42;
   p.memory_budget_bytes = 1 << 20;
   p.audit = true;
-  p.atpg_backend = "hybrid";
-  p.sat_frames = 6;
-  p.sat_conflict_budget = 1234;
   const core::FlowParams q = core::params_from_json(
       reparse(core::params_to_json(p)));
   EXPECT_EQ(q.bits, p.bits);
@@ -232,25 +239,6 @@ TEST(CheckpointJson, ParamsRoundTrip) {
   EXPECT_EQ(q.max_iterations, p.max_iterations);
   EXPECT_EQ(q.memory_budget_bytes, p.memory_budget_bytes);
   EXPECT_EQ(q.audit, p.audit);
-  EXPECT_EQ(q.atpg_backend, p.atpg_backend);
-  EXPECT_EQ(q.sat_frames, p.sat_frames);
-  EXPECT_EQ(q.sat_conflict_budget, p.sat_conflict_budget);
-
-  // Journals written before the ATPG-backend knobs existed must stay
-  // readable: absent members resolve to the defaults.
-  util::JsonValue legacy = core::params_to_json(core::FlowParams{});
-  util::JsonValue::Object trimmed;
-  for (const auto& [key, value] : legacy.as_object()) {
-    if (key != "atpg_backend" && key != "sat_frames" &&
-        key != "sat_conflict_budget") {
-      trimmed.emplace_back(key, value);
-    }
-  }
-  const core::FlowParams old = core::params_from_json(
-      reparse(util::JsonValue::make_object(std::move(trimmed))));
-  EXPECT_EQ(old.atpg_backend, "");
-  EXPECT_EQ(old.sat_frames, 0);
-  EXPECT_EQ(old.sat_conflict_budget, 0);
 }
 
 // Builds that still had a from-scratch synthesis mode wrote an
@@ -272,13 +260,42 @@ TEST(CheckpointJson, ParamsWithRetiredIncrementalFlagStillParse) {
         reparse(with_incremental_flag(core::params_to_json(p), flag)));
     EXPECT_EQ(util::json_dump(core::params_to_json(q)), expected) << flag;
 
-    const api::FlowRequestV1 back = api::FlowRequestV1::from_json(
-        reparse(request_with_incremental_flag(req.to_json(), flag)));
+    const api::FlowRequestV1 back =
+        api::FlowRequestV1::from_json(reparse(with_request_params(
+            req.to_json(), [flag](const util::JsonValue& params) {
+              return with_incremental_flag(params, flag);
+            })));
     EXPECT_EQ(back.name, req.name);
     EXPECT_EQ(back.kind, req.kind);
     EXPECT_EQ(util::json_dump(core::params_to_json(back.params)), expected)
         << flag;
   }
+}
+
+// The previous build journaled ATPG settings (atpg_backend, sat_frames,
+// sat_conflict_budget) with every params document; they now live only in
+// atpg::AtpgOptions, and documents that still carry them parse to the same
+// knob set.
+TEST(CheckpointJson, ParamsWithRetiredAtpgMembersStillParse) {
+  core::FlowParams p;
+  p.bits = 16;
+  p.k = 7;
+  p.num_threads = 2;
+  const std::string expected = util::json_dump(core::params_to_json(p));
+  const core::FlowParams q = core::params_from_json(
+      reparse(with_atpg_members(core::params_to_json(p))));
+  EXPECT_EQ(util::json_dump(core::params_to_json(q)), expected);
+
+  api::FlowRequestV1 req;
+  req.name = "ex/ours";
+  req.kind = core::FlowKind::Ours;
+  req.dfg = benchmarks::make_benchmark("ex");
+  req.params = p;
+  const api::FlowRequestV1 back = api::FlowRequestV1::from_json(
+      reparse(with_request_params(req.to_json(), with_atpg_members)));
+  EXPECT_EQ(back.name, req.name);
+  EXPECT_EQ(back.kind, req.kind);
+  EXPECT_EQ(util::json_dump(core::params_to_json(back.params)), expected);
 }
 
 TEST(CheckpointJson, CheckpointRoundTripsAndRejectsCorruption) {
@@ -602,29 +619,27 @@ TEST(EngineJournal, RecoverIntoForeignDirLeavesRecordsInPlace) {
   EXPECT_TRUE(util::fs::file_exists(dir.path + "/job-1.json"));
 }
 
-// A version-3 record written by a build that journaled the retired
-// "incremental" flag (here: set to false, the from-scratch mode) replays to
-// the same design as a fresh default run.
-TEST(EngineJournal, RecoversV3RecordWithRetiredIncrementalFlag) {
-  const TempDir dir;
+/// Journals job `id` (Ours on `bench`) into `dir` as a version-3 record
+/// whose request params are rewritten by `edit`, resealed the way the
+/// journal seals (crc32c over the canonical dump of every other member).
+template <typename Edit>
+void write_v3_record_with_params(const std::string& dir, std::uint64_t id,
+                                 const std::string& bench, Edit edit) {
   {
-    const engine::Journal j(dir.path);
-    j.write_job(make_record(4, "dct"));
+    const engine::Journal j(dir);
+    j.write_job(make_record(id, bench));
   }
-  const std::string path = dir.path + "/job-4.json";
+  const std::string path = dir + "/job-" + std::to_string(id) + ".json";
   const std::optional<std::string> text = util::fs::read_file(path);
   ASSERT_TRUE(text.has_value());
   const std::optional<util::JsonValue> doc = util::json_parse(*text);
   ASSERT_TRUE(doc.has_value());
   ASSERT_EQ(doc->get_int("version", -1), 3);
-  // Re-seal exactly as the journal does: crc32c over the canonical dump of
-  // every other member.
   util::JsonValue::Object members;
   for (const auto& [key, value] : doc->as_object()) {
     if (key == "crc32c") continue;
-    members.emplace_back(key, key == "request"
-                                  ? request_with_incremental_flag(value, false)
-                                  : value);
+    members.emplace_back(
+        key, key == "request" ? with_request_params(value, edit) : value);
   }
   const std::string body =
       util::json_dump(util::JsonValue::make_object(members));
@@ -633,18 +648,45 @@ TEST(EngineJournal, RecoversV3RecordWithRetiredIncrementalFlag) {
   util::fs::write_file_atomic(
       path, util::json_dump(util::JsonValue::make_object(std::move(members))) +
                 "\n");
+}
 
+/// Recovers the single journaled job in `dir` and expects a design
+/// identical to a fresh default Ours run on `bench`.
+void expect_recovers_to_fresh_run(const std::string& dir,
+                                  const std::string& bench) {
   engine::Engine eng({.max_concurrent_jobs = 1});
-  const engine::Engine::RecoveryReport report = eng.recover(dir.path);
+  const engine::Engine::RecoveryReport report = eng.recover(dir);
   EXPECT_TRUE(report.errors.empty());
   ASSERT_EQ(report.jobs.size(), 1u);
   eng.wait_all();
   ASSERT_EQ(report.jobs[0]->state(), engine::JobState::Succeeded);
   const core::FlowResult fresh =
-      core::run_flow(core::FlowKind::Ours, benchmarks::make_benchmark("dct"));
-  EXPECT_TRUE(api::FlowResultV1::from_result("dct/ours", fresh)
+      core::run_flow(core::FlowKind::Ours, benchmarks::make_benchmark(bench));
+  const std::string name = bench + "/ours";
+  EXPECT_TRUE(api::FlowResultV1::from_result(name, fresh)
                   .design_identical(api::FlowResultV1::from_result(
-                      "dct/ours", *report.jobs[0]->result())));
+                      name, *report.jobs[0]->result())));
+}
+
+// A version-3 record written by a build that journaled the retired
+// "incremental" flag (here: set to false, the from-scratch mode) replays to
+// the same design as a fresh default run.
+TEST(EngineJournal, RecoversV3RecordWithRetiredIncrementalFlag) {
+  const TempDir dir;
+  ASSERT_NO_FATAL_FAILURE(write_v3_record_with_params(
+      dir.path, 4, "dct", [](const util::JsonValue& params) {
+        return with_incremental_flag(params, false);
+      }));
+  expect_recovers_to_fresh_run(dir.path, "dct");
+}
+
+// A version-3 record written by the previous build, whose params carry the
+// retired ATPG settings, replays to the same design as a fresh default run.
+TEST(EngineJournal, RecoversV3RecordWithRetiredAtpgMembers) {
+  const TempDir dir;
+  ASSERT_NO_FATAL_FAILURE(
+      write_v3_record_with_params(dir.path, 5, "dct", with_atpg_members));
+  expect_recovers_to_fresh_run(dir.path, "dct");
 }
 
 TEST(EngineJournal, MissingDirectoryIsAnEmptyReplay) {

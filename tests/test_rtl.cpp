@@ -5,7 +5,7 @@
 
 #include <map>
 
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flows.hpp"
 #include "rtl/elaborate.hpp"
@@ -24,7 +24,7 @@ using test_support::interpret;
 std::map<std::string, std::uint64_t> run_machine(
     const rtl::RtlDesign& design, const rtl::Elaboration& elab,
     const std::map<std::string, std::uint64_t>& inputs, int bits) {
-  atpg::ParallelSimulator sim(elab.netlist);
+  atpg::WideSimulator<1> sim(elab.netlist);
   sim.reset_state();
 
   const auto& nl = elab.netlist;
@@ -61,7 +61,7 @@ std::map<std::string, std::uint64_t> run_machine(
     const auto bracket = name.find('[');
     const std::string port = name.substr(4, bracket - 4);
     const int bit = std::stoi(name.substr(bracket + 1));
-    const std::uint64_t plane1 = sim.plane_one(o) & 1;
+    const std::uint64_t plane1 = sim.plane_one(o).lane(0);
     out[port] |= plane1 << bit;
   }
   (void)bits;

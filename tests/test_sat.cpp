@@ -26,7 +26,7 @@
 #include "atpg/backend.hpp"
 #include "atpg/fault_sim.hpp"
 #include "atpg/sat_backend.hpp"
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flows.hpp"
 #include "gates/cnf.hpp"
@@ -240,17 +240,17 @@ TEST(CnfProperty, GoodMachineModelsAgreeWithSimulatorEveryFrame) {
     ASSERT_EQ(seq.size(), static_cast<std::size_t>(frames));
     // Replay the model's PI assignment on the real simulator: every gate's
     // three-valued planes must match the model in every frame.
-    atpg::ParallelSimulator sim(nl);
+    atpg::WideSimulator<1> sim(nl);
     sim.reset_state();
     for (int t = 0; t < frames; ++t) {
       sim.step(seq[t]);
       for (GateId g : nl.gate_ids()) {
         const bool model_one = cnf.solver().model_true(cnf.one_lit(g, t));
         const bool model_zero = cnf.solver().model_true(cnf.zero_lit(g, t));
-        EXPECT_EQ(model_one, (sim.plane_one(g) & 1) != 0)
+        EXPECT_EQ(model_one, sim.plane_one(g).lane(0))
             << "one-plane mismatch at gate " << g.index() << " frame " << t
             << " (trial " << trial << ")";
-        EXPECT_EQ(model_zero, (sim.plane_zero(g) & 1) != 0)
+        EXPECT_EQ(model_zero, sim.plane_zero(g).lane(0))
             << "zero-plane mismatch at gate " << g.index() << " frame " << t
             << " (trial " << trial << ")";
       }
@@ -299,13 +299,15 @@ TEST(CnfProperty, EverySatTestIsConfirmedByTheFaultSimulator) {
 // ---------------------------------------------------------------------------
 
 TEST(Backend, RegistryListsBothBackendsAndRejectsUnknownNames) {
-  const std::vector<std::string> names = atpg::backend_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "timeframe"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "sat"), names.end());
   Netlist nl;
   nl.add_output(nl.add_input("a"), "o");
-  EXPECT_THROW((void)atpg::make_backend("no-such-backend", nl, {}),
-               hlts::Error);
+  EXPECT_STREQ(atpg::make_backend(atpg::BackendKind::TimeFrame, nl, {})->name(),
+               "timeframe");
+  EXPECT_STREQ(atpg::make_backend(atpg::BackendKind::Sat, nl, {})->name(),
+               "sat");
+  atpg::AtpgOptions options;
+  options.backend = "no-such-backend";
+  EXPECT_THROW((void)atpg::run_atpg(nl, 1, options), hlts::Error);
 }
 
 TEST(Backend, SatBackendClassifiesEveryFaultOnASmallSequentialDesign) {
@@ -479,14 +481,14 @@ TEST(BackendEquivalence, HybridCoverageDominatesTimeframeOnEveryBenchmark) {
 }
 
 TEST(BackendEquivalence, DetectedSetsBitIdenticalAcrossWidthsAndThreads) {
-  // The hybrid test set re-simulated under every packet width x thread
-  // combination must detect the *same* fault set -- the wide simulator's
-  // bit-identity contract extended over SAT-generated sequences.
+  // The hybrid test set re-simulated at every thread count must detect the
+  // *same* fault set -- the fault simulator's bit-identity contract
+  // extended over SAT-generated sequences.
   for (const char* name : kBenchmarks) {
     const BenchDesign& d = bench_design(name);
     atpg::AtpgOptions options;
     options.backend = "hybrid";
-    // Bit-identity across widths/threads is independent of search effort;
+    // Bit-identity across threads is independent of search effort;
     // a small budget keeps this six-benchmark sweep fast.
     options.sat_conflict_budget = 400;
     const atpg::AtpgResult hy =
@@ -495,23 +497,17 @@ TEST(BackendEquivalence, DetectedSetsBitIdenticalAcrossWidthsAndThreads) {
         atpg::FaultUniverse::collapsed(d.netlist);
     const std::vector<atpg::Fault>& faults = universe.faults();
 
-    auto detected_set = [&](int threads, int width) {
-      atpg::FaultSimulator fsim(d.netlist, threads, width);
+    auto detected_set = [&](int threads) {
+      atpg::FaultSimulator fsim(d.netlist, threads);
       std::set<std::size_t> out;
       for (const atpg::TestSequence& seq : hy.test_set) {
         for (std::size_t idx : fsim.detected_by(seq, faults)) out.insert(idx);
       }
       return out;
     };
-    const std::set<std::size_t> reference = detected_set(1, 64);
+    const std::set<std::size_t> reference = detected_set(1);
     EXPECT_EQ(reference.size(), hy.detected()) << name;
-    for (const int threads : {1, 4}) {
-      for (const int width : {64, 256, 512}) {
-        if (threads == 1 && width == 64) continue;
-        EXPECT_EQ(detected_set(threads, width), reference)
-            << name << " threads=" << threads << " width=" << width;
-      }
-    }
+    EXPECT_EQ(detected_set(4), reference) << name << " threads=4";
   }
 }
 

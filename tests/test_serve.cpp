@@ -8,11 +8,15 @@
 // exactly one result bit-identical to a serial core::run_flow.
 #include <gtest/gtest.h>
 
+#include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -29,6 +33,7 @@
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
 #include "serve/supervisor.hpp"
+#include "serve/worker.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/knobs.hpp"
@@ -654,6 +659,95 @@ TEST_F(ServeFixture, SubmitsAfterFailoverStillRouteAndSucceed) {
   ASSERT_TRUE(health.ok);
   EXPECT_EQ(health.health->find("cluster")->get_int("live_shards"), 1);
   EXPECT_TRUE(client.shutdown());
+}
+
+// ---------------------------------------------------------------------------
+// A long-lived shard worker keeps its threads and memory bounded however
+// many jobs it serves.
+
+/// The "Threads:" and "VmSize:" (kB) lines of /proc/<pid>/status.
+struct ProcStatus {
+  long threads = -1;
+  long vm_size_kb = -1;
+};
+
+ProcStatus proc_status(pid_t pid) {
+  ProcStatus s;
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  std::string key;
+  while (in >> key) {
+    if (key == "Threads:") in >> s.threads;
+    if (key == "VmSize:") in >> s.vm_size_kb;
+    in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return s;
+}
+
+// Every served job gets a waiter thread; a finished waiter must be joined,
+// not parked until drain.  An exited-but-unjoined thread leaves the kernel
+// task list (so Threads alone cannot see the leak) but keeps its stack
+// mapped, so VmSize grows by one thread stack per job served.
+TEST(Worker, ThreadsAndStacksStayBoundedOverThousandsOfJobs) {
+  const TempRoot root;
+  auto [ours, theirs] = util::net::socket_pair();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ours.close();
+    serve::WorkerConfig config;
+    config.journal_dir = root.path;
+    config.engine.max_concurrent_jobs = 2;
+    config.engine.threads_per_job = 1;
+    serve::run_worker(theirs.get(), config);
+    std::_Exit(0);
+  }
+  theirs.close();
+  util::net::LineReader reader(ours.get(), 1u << 20);
+  ASSERT_TRUE(reader.read_line().has_value());  // the ready frame
+
+  const util::JsonValue request =
+      make_request("tiny", "ex", core::FlowKind::Approach1).to_json();
+  std::uint64_t tag = 0;
+  int succeeded = 0;
+  // Pipelines `n` submits, then reads their `n` result frames.
+  auto serve_jobs = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      util::net::write_all(ours.get(), serve::proto::submit_line(++tag, request));
+    }
+    for (int i = 0; i < n; ++i) {
+      const auto line = reader.read_line();
+      if (!line) return;
+      const auto doc = util::json_parse(*line);
+      if (doc && doc->get_string("kind") == "result" &&
+          doc->find("result")->get_string("state") == "succeeded") {
+        ++succeeded;
+      }
+    }
+  };
+
+  constexpr int kWarmJobs = 10;
+  constexpr int kJobs = 2000;
+  serve_jobs(kWarmJobs);
+  const ProcStatus warm = proc_status(pid);
+  for (int served = kWarmJobs; served < kJobs; served += kWarmJobs) {
+    serve_jobs(kWarmJobs);
+  }
+  const ProcStatus after = proc_status(pid);
+  util::net::write_all(ours.get(), serve::proto::quit_line());
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  EXPECT_EQ(succeeded, kJobs);
+  ASSERT_GT(warm.threads, 0);
+  ASSERT_GT(warm.vm_size_kb, 0);
+  std::printf("[worker] Threads %ld -> %ld, VmSize %ld -> %ld kB over %d jobs\n",
+              warm.threads, after.threads, warm.vm_size_kb, after.vm_size_kb,
+              kJobs);
+  EXPECT_LE(after.threads, warm.threads + 4);
+  // 1 GiB of slack covers allocator growth (including an ASan quarantine);
+  // one parked 8 MiB stack per job would be ~15 GiB here.
+  EXPECT_LE(after.vm_size_kb, warm.vm_size_kb + 1024L * 1024L);
 }
 
 }  // namespace

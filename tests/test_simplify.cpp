@@ -4,7 +4,7 @@
 // stimulus (three-valued, from the unknown power-up state).
 #include <gtest/gtest.h>
 
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flows.hpp"
 #include "gates/simplify.hpp"
@@ -136,8 +136,8 @@ TEST(Simplify, SequentialEquivalenceUnderRandomStimulus) {
   auto simplified = gates::simplify(nl);
   EXPECT_LT(simplified.netlist.num_gates(), nl.num_gates());
 
-  atpg::ParallelSimulator sim_a(nl);
-  atpg::ParallelSimulator sim_b(simplified.netlist);
+  atpg::WideSimulator<1> sim_a(nl);
+  atpg::WideSimulator<1> sim_b(simplified.netlist);
   Rng rng(2024);
   atpg::TestVector v(nl.inputs().size());
   for (int cycle = 0; cycle < 50; ++cycle) {
@@ -148,11 +148,11 @@ TEST(Simplify, SequentialEquivalenceUnderRandomStimulus) {
       GateId oa = nl.outputs()[i];
       GateId ob = simplified.netlist.outputs()[i];
       const bool a_def =
-          (sim_a.plane_one(oa) | sim_a.plane_zero(oa)) & 1;
+          (sim_a.plane_one(oa) | sim_a.plane_zero(oa)).lane(0);
       const bool b_def =
-          (sim_b.plane_one(ob) | sim_b.plane_zero(ob)) & 1;
+          (sim_b.plane_one(ob) | sim_b.plane_zero(ob)).lane(0);
       if (a_def && b_def) {
-        EXPECT_EQ(sim_a.plane_one(oa) & 1, sim_b.plane_one(ob) & 1)
+        EXPECT_EQ(sim_a.plane_one(oa).lane(0), sim_b.plane_one(ob).lane(0))
             << "cycle " << cycle << " output " << i;
       }
       // Simplification must not make outputs *less* defined.

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "atpg/atpg.hpp"
-#include "atpg/simulator.hpp"
+#include "atpg/wide_sim.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flows.hpp"
 #include "rtl/elaborate.hpp"
@@ -72,7 +72,7 @@ TEST(TestPoints, HoldInputFreezesController) {
     return rtl::elaborate(s.design, options);
   }();
   const auto& nl = elab.netlist;
-  atpg::ParallelSimulator sim(nl);
+  atpg::WideSimulator<1> sim(nl);
   sim.reset_state();
 
   atpg::TestVector v(nl.inputs().size(), false);
@@ -84,7 +84,7 @@ TEST(TestPoints, HoldInputFreezesController) {
   auto state_vector = [&] {
     std::string out;
     for (auto g : elab.state) {
-      out += (sim.plane_one(g) & 1) ? '1' : ((sim.plane_zero(g) & 1) ? '0' : 'X');
+      out += sim.plane_one(g).lane(0) ? '1' : (sim.plane_zero(g).lane(0) ? '0' : 'X');
     }
     return out;
   };
