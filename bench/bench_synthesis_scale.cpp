@@ -11,7 +11,12 @@
 //     merger reuse their dE/dH across iterations;
 //   - fault simulation of the synthesized design's full collapsed fault
 //     universe (FaultSimulator's 256-lane packets), reported as one
-//     Mgate-lane-evals/s figure per benchmark.
+//     Mgate-lane-evals/s figure per benchmark;
+//   - Algorithm 1 at scale: Ours run to convergence on seeded generated
+//     designs, workload::generate(42, {ops, depth = 8}) at 8 bits and one
+//     thread, for 20/40/80/120 ops (20/40/80 under --quick), written to
+//     the JSON's own "generated" section with wall time (median, min and
+//     max over the reps), committed iterations and evaluated trials.
 //
 // The sweep configs run with the cache on (that is the production-scale
 // configuration); the baseline row is the seed-equivalent exact path
@@ -23,8 +28,9 @@
 //                         [--compare committed.json]
 //
 //   --quick          one rep per configuration (CI smoke)
-//   --verify-serial  also check the 4-thread fault-sim detected set is
-//                    bit-identical to the serial one
+//   --verify-serial  also check the 4-thread fault-sim detected set, and
+//                    the 4-thread generated-design trajectories, are
+//                    bit-identical to the serial ones
 //   --compare FILE   warn (non-gating, exit 0) when a benchmark's serial
 //                    per-trial time regressed >20% vs the committed JSON
 #include <algorithm>
@@ -35,6 +41,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "atpg/atpg.hpp"
@@ -48,6 +55,7 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
+#include "workload/generator.hpp"
 
 namespace {
 
@@ -216,6 +224,90 @@ std::vector<AtpgBackendSample> atpg_backend_sweep(const hlts::dfg::Dfg& g,
   return samples;
 }
 
+// ---------------------------------------------------------------------------
+// Generated-design sweep: Ours to convergence at growing design sizes.
+// ---------------------------------------------------------------------------
+struct GeneratedSample {
+  int ops = 0;
+  double ms_median = 0, ms_min = 0, ms_max = 0;
+  int iterations = 0;
+  std::int64_t trials = 0;  ///< synth.trials_evaluated of one traced run
+  std::string stop_reason;
+  bool threads4_identical = true;  ///< --verify-serial: 4 threads match
+};
+
+GeneratedSample generated_sample(int ops, int reps, bool verify_serial) {
+  namespace core = hlts::core;
+  hlts::workload::DfgShape shape;
+  shape.ops = ops;
+  shape.depth = 8;
+  const hlts::dfg::Dfg g = hlts::workload::generate(42, shape);
+  core::FlowParams params;
+  params.bits = 8;
+  params.num_threads = 1;
+  SynthesisParams p = core::synthesis_params(core::FlowKind::Ours, params);
+
+  GeneratedSample s;
+  s.ops = ops;
+  std::vector<double> ms;
+  std::string sig;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const SynthesisResult r = core::integrated_synthesis(g, p);
+    const auto t1 = std::chrono::steady_clock::now();
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    if (rep == 0) {
+      s.iterations = r.iterations;
+      s.stop_reason = r.stop_reason;
+      sig = signature(r);
+    }
+  }
+  std::sort(ms.begin(), ms.end());
+  s.ms_min = ms.front();
+  s.ms_max = ms.back();
+  s.ms_median = ms[ms.size() / 2];
+
+  hlts::util::Trace trace;
+  {
+    hlts::util::Trace::Scope scope(&trace);
+    (void)core::integrated_synthesis(g, p);
+  }
+  const auto counters = trace.snapshot().counters;
+  if (auto it = counters.find("synth.trials_evaluated"); it != counters.end())
+    s.trials = it->second;
+
+  if (verify_serial) {
+    p.num_threads = 4;
+    s.threads4_identical = signature(core::integrated_synthesis(g, p)) == sig;
+  }
+  return s;
+}
+
+/// Source-tree commit for the JSON header (`git rev-parse` at run time;
+/// "-dirty" when the tree has uncommitted changes, "unknown" without git).
+std::string source_commit() {
+  const std::string git = std::string("git -C \"") + HLTS_SOURCE_DIR + "\" ";
+  auto run = [](const std::string& cmd) {
+    std::string out;
+    if (FILE* pipe = popen(cmd.c_str(), "r")) {
+      char buf[256];
+      while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+      pclose(pipe);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+      out.pop_back();
+    }
+    return out;
+  };
+  std::string commit = run(git + "rev-parse HEAD 2>/dev/null");
+  if (commit.empty()) return "unknown";
+  if (!run(git + "status --porcelain --untracked-files=no 2>/dev/null")
+           .empty()) {
+    commit += "-dirty";
+  }
+  return commit;
+}
+
 /// Pulls `"per_trial_us": <number>` for benchmark `name` out of a committed
 /// BENCH_synthesis.json (crude scan; the file is machine-written).
 double committed_per_trial_us(const std::string& json,
@@ -285,6 +377,10 @@ int main(int argc, char** argv) {
   json.precision(17);
   json << "{\n"
        << "  \"bench\": \"bench_synthesis_scale\",\n"
+       << "  \"commit\": \"" << source_commit() << "\",\n"
+       << "  \"build_type\": \""
+       << (*HLTS_BUILD_TYPE != '\0' ? HLTS_BUILD_TYPE : "none") << "\",\n"
+       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"default_threads\": " << hw << ",\n"
        << "  \"reps\": " << reps << ",\n"
        << "  \"params\": {\"bits\": " << common.bits << ", \"k\": " << common.k
@@ -418,7 +514,38 @@ int main(int argc, char** argv) {
       }
     }
   }
-  json << "\n  ]\n}\n";
+  json << "\n  ],\n";
+
+  // Algorithm 1 at scale on generated designs.
+  std::vector<int> sizes{20, 40, 80};
+  if (!quick) sizes.push_back(120);
+  json << "  \"generated\": {\n"
+       << "    \"flow\": \"Ours\", \"seed\": 42, \"depth\": 8, "
+       << "\"bits\": 8, \"threads\": 1, \"reps\": " << reps << ",\n"
+       << "    \"points\": [\n";
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const GeneratedSample gs = generated_sample(sizes[i], reps, verify_serial);
+    if (!gs.threads4_identical) ++not_identical;
+    std::printf(
+        "gen-%-4d Ours to convergence: %9.1f ms (min %.1f, max %.1f)  "
+        "%d iterations  %lld trials  %s%s\n",
+        gs.ops, gs.ms_median, gs.ms_min, gs.ms_max, gs.iterations,
+        static_cast<long long>(gs.trials), gs.stop_reason.c_str(),
+        verify_serial ? (gs.threads4_identical ? "  threads4=yes"
+                                               : "  threads4=NO")
+                      : "");
+    json << "      {\"ops\": " << gs.ops << ", \"ms_median\": " << gs.ms_median
+         << ", \"ms_min\": " << gs.ms_min << ", \"ms_max\": " << gs.ms_max
+         << ", \"iterations\": " << gs.iterations
+         << ", \"trials\": " << gs.trials << ", \"stop_reason\": \""
+         << gs.stop_reason << "\"";
+    if (verify_serial) {
+      json << ", \"threads4_identical\": "
+           << (gs.threads4_identical ? "true" : "false");
+    }
+    json << "}" << (i + 1 < sizes.size() ? "," : "") << "\n";
+  }
+  json << "    ]\n  }\n}\n";
 
   std::ofstream out(out_path);
   out << json.str();

@@ -32,6 +32,7 @@
 #include "etpn/etpn.hpp"
 #include "etpn/patch.hpp"
 #include "petri/petri.hpp"
+#include "sched/constraint_graph.hpp"
 #include "sched/schedule.hpp"
 #include "testability/balance.hpp"
 #include "testability/testability.hpp"
@@ -40,12 +41,15 @@
 namespace hlts::analysis {
 
 /// Per-worker trial state: a private copy of the committed design that
-/// merge patches are applied to and undone from, plus reusable cost
-/// buffers.  Copies are refreshed lazily (epoch check) on checkout, so the
-/// steady-state cost of a trial is one merge patch, not one design copy.
+/// merge patches are applied to and undone from, plus reusable
+/// rescheduling and cost buffers.  Copies are refreshed lazily (epoch
+/// check) on checkout, so the steady-state cost of a trial is one merge
+/// patch, not one design copy.
 struct TrialWorkspace {
   etpn::Binding binding;
   etpn::Etpn etpn;
+  /// The rescheduler's constraint graph, reset (not freed) per trial.
+  sched::ConstraintGraph resched;
   cost::CostScratch cost;
   /// Backs the trial's merge-patch undo log and worklists; reset (not
   /// freed) when the DesignDelta comes off, so a steady-state trial carves

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <climits>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "sched/constraint_graph.hpp"
 #include "sched/lifetime.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -13,37 +15,16 @@ namespace hlts::core {
 
 namespace {
 
-using ModuleChains = std::vector<std::vector<dfg::OpId>>;
-using RegChains = std::vector<std::vector<dfg::VarId>>;
-
-/// Builds the constraint graph for the given execution/lifetime orders and
-/// solves it.
-std::optional<sched::Schedule> solve_orders(const dfg::Dfg& g,
-                                            const ModuleChains& module_chains,
-                                            const RegChains& reg_chains) {
-  sched::ConstraintGraph cg(g);
-  for (const auto& chain : module_chains) {
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      cg.add_arc(chain[i], chain[i + 1], 1);
-    }
+/// Stable insertion sort: chains are short, and unlike std::stable_sort it
+/// needs no temporary buffer.  Any stable sort yields the same order.
+template <typename T, typename Less>
+void stable_insertion_sort(std::span<T> items, Less less) {
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    const T item = items[i];
+    std::size_t j = i;
+    for (; j > 0 && less(item, items[j - 1]); --j) items[j] = items[j - 1];
+    items[j] = item;
   }
-  for (const auto& chain : reg_chains) {
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      const dfg::Variable& earlier = g.var(chain[i]);
-      const dfg::Variable& later = g.var(chain[i + 1]);
-      if (!later.def.valid()) return std::nullopt;  // PI not first: impossible
-      // The later variable may be written at the clock edge ending the step
-      // in which the earlier one is last read (weight-0 arcs).
-      if (earlier.uses.empty()) {
-        if (earlier.def.valid()) cg.add_arc(earlier.def, later.def, 0);
-      } else {
-        for (dfg::OpId use : earlier.uses) {
-          cg.add_arc(use, later.def, 0);
-        }
-      }
-    }
-  }
-  return cg.solve();
 }
 
 /// Lifetime-order sort key: primary inputs first (born at load time),
@@ -100,29 +81,39 @@ ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
                           const sched::Schedule& hint,
                           OrderStrategy strategy,
                           const etpn::Etpn* premerged) {
+  sched::ConstraintGraph graph;
+  return reschedule(g, b, hint, strategy, premerged, graph);
+}
+
+ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
+                          const sched::Schedule& hint,
+                          OrderStrategy strategy,
+                          const etpn::Etpn* premerged,
+                          sched::ConstraintGraph& graph) {
   HLTS_FAILPOINT("sched.reschedule");
   ReschedOutcome out;
 
   // --- derive initial chains from the previous schedule ---------------------
-  ModuleChains module_chains;
-  for (etpn::ModuleId m : b.alive_modules()) {
-    std::vector<dfg::OpId> chain = b.module_ops(m);
-    std::stable_sort(chain.begin(), chain.end(), [&](dfg::OpId a, dfg::OpId c) {
-      return hint.step(a) < hint.step(c);
-    });
-    module_chains.push_back(std::move(chain));
+  graph.reset(g);
+  for (etpn::ModuleId m : id_range<etpn::ModuleId>(b.num_module_slots())) {
+    if (!b.module_alive(m)) continue;
+    stable_insertion_sort(graph.add_module_chain(b.module_ops(m)),
+                          [&](dfg::OpId a, dfg::OpId c) {
+                            return hint.step(a) < hint.step(c);
+                          });
   }
-  RegChains reg_chains;
-  for (etpn::RegId r : b.alive_regs()) {
-    std::vector<dfg::VarId> chain = b.reg_vars(r);
-    if (!reg_set_feasible(g, chain)) return out;
-    std::stable_sort(chain.begin(), chain.end(), [&](dfg::VarId a, dfg::VarId c) {
-      return var_order_key(g, hint, a) < var_order_key(g, hint, c);
-    });
-    reg_chains.push_back(std::move(chain));
+  for (etpn::RegId r : id_range<etpn::RegId>(b.num_reg_slots())) {
+    if (!b.reg_alive(r)) continue;
+    if (!reg_set_feasible(g, b.reg_vars(r))) return out;
+    stable_insertion_sort(graph.add_register_chain(b.reg_vars(r)),
+                          [&](dfg::VarId a, dfg::VarId c) {
+                            return var_order_key(g, hint, a) <
+                                   var_order_key(g, hint, c);
+                          });
   }
-
-  auto solution = solve_orders(g, module_chains, reg_chains);
+  // The incumbent orders' length, carried across conflict points: only a
+  // kept swap changes it.
+  std::optional<int> len = graph.schedule_length();
 
   // --- SR1/SR2 ordering refinement at conflict points ------------------------
   // Conflict points are adjacent chain elements that previously shared a
@@ -137,67 +128,71 @@ ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
   // Register distances are a pure BFS over the alive data-path topology --
   // step annotations never enter -- so a caller-supplied merge-patched graph
   // (structurally identical, stale steps) yields the same distances as the
-  // fresh build and therefore the identical schedule.
+  // fresh build and therefore the identical schedule.  They are derived on
+  // first use: most reschedules never compare two feasible tied orders.
   std::optional<etpn::Etpn> local_e;
-  if (premerged == nullptr) {
-    local_e.emplace(etpn::build_etpn(g, hint, b));
-    premerged = &*local_e;
-  }
-  const etpn::Etpn& e = *premerged;
-  const etpn::DataPath::RegisterDistances dist =
-      e.data_path.register_distances();
+  std::optional<etpn::DataPath::RegisterDistances> dist;
   auto op_controllability_key = [&](dfg::OpId op) {
+    if (!dist) {
+      if (premerged == nullptr) {
+        local_e.emplace(etpn::build_etpn(g, hint, b));
+        premerged = &*local_e;
+      }
+      dist = premerged->data_path.register_distances();
+    }
     // Smaller = operands closer to primary inputs.
     int best = INT_MAX;
     for (dfg::VarId in : g.op(op).inputs) {
       etpn::RegId r = b.reg_of(in);
       if (!r.valid()) continue;
-      const int d = dist.d_in[e.reg_node[r].index()];
+      const int d = dist->d_in[premerged->reg_node[r].index()];
       if (d >= 0) best = std::min(best, d);
     }
     return best;
   };
-
-  auto evaluate = [&](const ModuleChains& mc, const RegChains& rc)
-      -> std::optional<int> {
-    auto s = solve_orders(g, mc, rc);
-    if (!s) return std::nullopt;
-    return s->length();
+  // Whether the swapped order replaces the incumbent; `keys` yields the
+  // SR keys (swapped-out first member, swapped-in first member).
+  auto keep_swap = [&](const std::optional<int>& len_swap, auto&& keys) {
+    if (!len) return len_swap.has_value();  // only the swap is feasible
+    if (!len_swap) return false;
+    if (strategy == OrderStrategy::Testability) {
+      const auto [ka, kb] = keys();
+      if (ka != kb) return kb < ka;  // SR2: more controllable operands first
+    }
+    return *len_swap < *len;  // critical-path fallback
   };
 
-  for (auto& chain : module_chains) {
+  for (std::size_t c = 0; c < graph.num_module_chains(); ++c) {
+    const std::span<const dfg::OpId> chain = graph.module_chain(c);
     for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      const bool tied = hint.step(chain[i]) == hint.step(chain[i + 1]);
       // Candidate orders: as-is and swapped.  Non-tied pairs keep the
       // incumbent order unless it is infeasible (the paper's two
       // "possibilities" are explored only where the merger created a new
       // ordering decision).
-      auto len_asis = evaluate(module_chains, reg_chains);
-      if (!tied && len_asis) continue;  // keep incumbent order
-      std::swap(chain[i], chain[i + 1]);
-      auto len_swap = evaluate(module_chains, reg_chains);
-
-      bool keep_swap = false;
-      if (!len_asis) {
-        keep_swap = len_swap.has_value();  // only the swap is feasible
-      } else if (len_swap) {
-        if (strategy == OrderStrategy::Testability) {
-          const int ka = op_controllability_key(chain[i + 1]);  // swapped
-          const int kb = op_controllability_key(chain[i]);
-          if (ka != kb) {
-            keep_swap = kb < ka;  // SR2: more controllable operands go first
-          } else {
-            keep_swap = *len_swap < *len_asis;  // critical-path fallback
-          }
-        } else {
-          keep_swap = *len_swap < *len_asis;
-        }
+      const bool tied = hint.step(chain[i]) == hint.step(chain[i + 1]);
+      if (!tied && len) continue;  // keep incumbent order
+      const std::optional<int> len_swap = graph.try_swap_module(c, i);
+      // The chain view shows the swapped order now.
+      if (keep_swap(len_swap, [&] {
+            return std::pair{op_controllability_key(chain[i + 1]),
+                             op_controllability_key(chain[i])};
+          })) {
+        graph.keep();
+        len = len_swap;
+      } else {
+        graph.revert();
       }
-      if (!keep_swap) std::swap(chain[i], chain[i + 1]);  // undo
     }
   }
 
-  for (auto& chain : reg_chains) {
+  // SR1 at the variable level: let the variable whose defining op has the
+  // more controllable operands expire first.
+  auto var_key = [&](dfg::VarId v) {
+    const dfg::OpId def = g.var(v).def;
+    return def.valid() ? op_controllability_key(def) : -1;
+  };
+  for (std::size_t c = 0; c < graph.num_register_chains(); ++c) {
+    const std::span<const dfg::VarId> chain = graph.register_chain(c);
     for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
       // Primary inputs are born at load time and must stay first; registered
       // primary outputs are held to the end and must stay last.  The
@@ -210,40 +205,22 @@ ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
       }
       const bool tied = var_order_key(g, hint, chain[i]) ==
                         var_order_key(g, hint, chain[i + 1]);
-      auto len_asis = evaluate(module_chains, reg_chains);
-      if (!tied && len_asis) continue;
-      std::swap(chain[i], chain[i + 1]);
-      auto len_swap = evaluate(module_chains, reg_chains);
-
-      bool keep_swap = false;
-      if (!len_asis) {
-        keep_swap = len_swap.has_value();
-      } else if (len_swap) {
-        if (strategy == OrderStrategy::Testability) {
-          // SR1 at the variable level: let the variable whose defining op
-          // has the more controllable operands expire first.
-          const dfg::Variable& va = g.var(chain[i + 1]);  // swapped
-          const dfg::Variable& vb = g.var(chain[i]);
-          const int ka = va.def.valid() ? op_controllability_key(va.def) : -1;
-          const int kb = vb.def.valid() ? op_controllability_key(vb.def) : -1;
-          if (ka != kb) {
-            keep_swap = kb < ka;
-          } else {
-            keep_swap = *len_swap < *len_asis;
-          }
-        } else {
-          keep_swap = *len_swap < *len_asis;
-        }
+      if (!tied && len) continue;
+      const std::optional<int> len_swap = graph.try_swap_register(c, i);
+      if (keep_swap(len_swap, [&] {
+            return std::pair{var_key(chain[i + 1]), var_key(chain[i])};
+          })) {
+        graph.keep();
+        len = len_swap;
+      } else {
+        graph.revert();
       }
-      if (!keep_swap) std::swap(chain[i], chain[i + 1]);
     }
   }
 
-  solution = solve_orders(g, module_chains, reg_chains);
-  if (!solution) return out;
-
+  if (!len) return out;
   out.feasible = true;
-  out.schedule = *solution;
+  out.schedule = *graph.schedule();
   HLTS_REQUIRE(schedule_respects_binding(g, b, out.schedule),
                "rescheduler produced a schedule violating the binding");
   return out;

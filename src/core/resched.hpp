@@ -17,12 +17,19 @@
 // increase in critical path length is chosen (paper: "If these two rules
 // can not be applied, we will select the pair which results in the smallest
 // increase in the length of the critical path").
+//
+// The order search runs on one sched::ConstraintGraph per call: the
+// incumbent orders are solved once, their length is carried from conflict
+// point to conflict point (only a kept swap changes it), and each candidate
+// swap is solved as a local arc edit over its forward cone.  The result is
+// bit-identical to re-solving the whole graph for every order compared.
 #pragma once
 
 #include <optional>
 
 #include "etpn/binding.hpp"
 #include "etpn/etpn.hpp"
+#include "sched/constraint_graph.hpp"
 #include "sched/schedule.hpp"
 
 namespace hlts::core {
@@ -59,6 +66,15 @@ struct ReschedOutcome {
                                         const sched::Schedule& hint,
                                         OrderStrategy strategy,
                                         const etpn::Etpn* premerged = nullptr);
+
+/// As above, solving in `graph` (reset on entry) so repeated calls reuse
+/// its buffers; the result does not depend on the graph's prior state.
+[[nodiscard]] ReschedOutcome reschedule(const dfg::Dfg& g,
+                                        const etpn::Binding& b,
+                                        const sched::Schedule& hint,
+                                        OrderStrategy strategy,
+                                        const etpn::Etpn* premerged,
+                                        sched::ConstraintGraph& graph);
 
 /// Validation helper: true when `s` is consistent with `b` -- no two ops of
 /// one module share a step, and all variables of one register have pairwise

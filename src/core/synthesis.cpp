@@ -137,10 +137,11 @@ struct TrialEval {
 
 /// One trial: a DesignDelta patches a checked-out workspace in place (merge
 /// patch, no rebuild), the rescheduler reuses the patched graph for its
-/// register distances, and the cost estimate runs over the tombstoned data
-/// path.  The numbers are bit-identical to a binding copy -> reschedule ->
-/// build_etpn -> estimate_cost pipeline, which the tests keep as the
-/// reference (tests/support/reference_synthesis.hpp).
+/// register distances and the workspace's constraint graph for its order
+/// search, and the cost estimate runs over the tombstoned data path.  The
+/// numbers are bit-identical to a binding copy -> reschedule -> build_etpn
+/// -> estimate_cost pipeline, which the tests keep as the reference
+/// (tests/support/reference_synthesis.hpp).
 TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
                          analysis::IncrementalContext& ctx,
                          const sched::Schedule& hint,
@@ -150,7 +151,8 @@ TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
   std::unique_ptr<analysis::TrialWorkspace> ws = ctx.checkout();
   {
     analysis::DesignDelta delta(g, *ws, cand);
-    ReschedOutcome r = reschedule(g, ws->binding, hint, p.order, &ws->etpn);
+    ReschedOutcome r =
+        reschedule(g, ws->binding, hint, p.order, &ws->etpn, ws->resched);
     if (r.feasible && r.schedule.length() <= max_latency) {
       t.feasible = true;
       t.schedule = std::move(r.schedule);

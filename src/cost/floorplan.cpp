@@ -75,7 +75,6 @@ void floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib, int bits,
                      return scratch.connectivity[a] > scratch.connectivity[b];
                    });
 
-  scratch.occupied.clear();
   scratch.placed.assign(dp.num_nodes(), false);
   // Spiral candidate positions around the origin, enough for all nodes.
   scratch.spiral.clear();
@@ -90,28 +89,56 @@ void floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib, int bits,
       }
     }
   }
+  // Occupancy of the spiral's square, row-major from (-radius, -radius).
+  const int side = 2 * radius + 1;
+  scratch.occupied.assign(static_cast<std::size_t>(side) * side, 0);
+  auto cell = [&](const std::pair<int, int>& pos) {
+    return static_cast<std::size_t>(pos.first + radius) * side +
+           static_cast<std::size_t>(pos.second + radius);
+  };
 
   for (std::uint32_t idx : scratch.order) {
     etpn::DpNodeId n{idx};
+    // The placed neighbours' positions, in neighbour-list order (repeats
+    // kept) so each candidate's cost sums the same terms in the same order.
+    scratch.anchors.clear();
+    for (std::uint32_t nb : scratch.neighbours[idx]) {
+      if (scratch.placed[nb]) {
+        scratch.anchors.push_back(plan.position[etpn::DpNodeId{nb}]);
+      }
+    }
     std::pair<int, int> best_pos{0, 0};
     double best_cost = 1e300;
-    for (const auto& pos : scratch.spiral) {
-      if (scratch.occupied.count(pos)) continue;
-      double cost = 0;
-      for (std::uint32_t nb : scratch.neighbours[idx]) {
-        if (!scratch.placed[nb]) continue;
-        const auto [nx, ny] = plan.position[etpn::DpNodeId{nb}];
-        cost += std::abs(pos.first - nx) + std::abs(pos.second - ny);
+    // Ring r of the spiral (max(|x|, |y|) == r) holds indices
+    // [(2r - 1)^2, (2r + 1)^2).  A cell at ring r or beyond is at least
+    // r - max(|nx|, |ny|) from each anchor and pays at least 0.01 * r of
+    // pull, and both bounds round no higher than the cost itself, so once
+    // they reach best_cost no later cell can win the strict comparison.
+    for (int r = 0; r <= radius; ++r) {
+      int reach = 0;
+      for (const auto& [nx, ny] : scratch.anchors) {
+        reach += std::max(0, r - std::max(std::abs(nx), std::abs(ny)));
       }
-      // Light pull toward the origin keeps unconnected nodes compact.
-      cost += 0.01 * (std::abs(pos.first) + std::abs(pos.second));
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_pos = pos;
+      if (reach + 0.01 * r >= best_cost) break;
+      const std::size_t begin = r == 0 ? 0 : (2 * r - 1) * (2 * r - 1);
+      const std::size_t end = (2 * r + 1) * (2 * r + 1);
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::pair<int, int>& pos = scratch.spiral[i];
+        if (scratch.occupied[cell(pos)]) continue;
+        double cost = 0;
+        for (const auto& [nx, ny] : scratch.anchors) {
+          cost += std::abs(pos.first - nx) + std::abs(pos.second - ny);
+        }
+        // Light pull toward the origin keeps unconnected nodes compact.
+        cost += 0.01 * (std::abs(pos.first) + std::abs(pos.second));
+        if (cost < best_cost) {
+          best_cost = cost;
+          best_pos = pos;
+        }
       }
     }
     plan.position[n] = best_pos;
-    scratch.occupied.insert(best_pos);
+    scratch.occupied[cell(best_pos)] = 1;
     scratch.placed[idx] = true;
   }
 }

@@ -2,10 +2,20 @@
 // [14]): estimates wire lengths for the hardware cost model.
 //
 // Nodes are placed one by one, most-connected first, each at the free grid
-// position minimizing the connection-width-weighted Manhattan distance to
-// its already-placed neighbours.  The physical pitch of a grid cell is
+// position minimizing the summed Manhattan distance to its already-placed
+// neighbours, one term per connecting arc (connection widths do not enter;
+// the cost model weights wire lengths by width afterwards), plus a 0.01
+// pull toward the origin.  Candidates are scanned on a square spiral and
+// the first strict minimum wins.  The physical pitch of a grid cell is
 // derived from the average cell footprint, so wire length contributions
 // scale correctly with bit width.
+//
+// Occupancy is a dense grid over the spiral's square, each node's placed
+// neighbours are gathered into a position list before its scan (a probe is
+// one array read and one pass over that list), and the scan stops at the
+// first ring whose cost lower bound reaches the best cost found -- no cell
+// from there on could win the strict comparison, so positions are the
+// same as for a full scan.
 //
 // Tombstoned (dead) nodes and arcs are skipped throughout, so a patched
 // graph floorplans exactly like a freshly built compact one: the same alive
@@ -13,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -43,7 +52,10 @@ struct FloorplanScratch {
   std::vector<std::uint32_t> order;
   std::vector<bool> placed;
   std::vector<std::pair<int, int>> spiral;
-  std::set<std::pair<int, int>> occupied;
+  /// Row-major over [-radius, radius]^2: nonzero where a node sits.
+  std::vector<std::uint8_t> occupied;
+  /// Positions of the node being placed's already-placed neighbours.
+  std::vector<std::pair<int, int>> anchors;
 };
 
 [[nodiscard]] Floorplan floorplan(const etpn::DataPath& dp,

@@ -11,11 +11,31 @@
 //                the clock edge that ends the step in which its previous
 //                value is last read).
 //
-// The rescheduler then derives a schedule by longest-path (constrained
-// ASAP).  A cycle in the graph means the constraint set is infeasible.
+// A schedule is derived by longest path (constrained ASAP).  A cycle in the
+// graph means the constraint set is infeasible.
+//
+// The graph is a reusable solver for the rescheduler's order search.  The
+// data-dependence arcs and the variable read/write tables are collected
+// once per reset() into flat buffers (capacity is kept across resets, so a
+// warm graph allocates nothing).  The order decisions are module chains and
+// register chains, stored as links, not arc lists: swapping two adjacent
+// chain members changes at most three arcs (module chains) or the
+// last-read -> definition arcs of the two variables (register chains).
+// try_swap_*() evaluates such a swap by re-propagating longest paths, and
+// checking for cycles, only over the forward cone of the operations whose
+// incoming arcs changed; keep() or revert() then settles it.  Steps outside
+// the cone cannot change, and the least solution of a constraint system
+// does not depend on the order Kahn's algorithm pops ready operations, so
+// every length and schedule equals a from-scratch solve of the same arcs.
+// From a cyclic incumbent most swaps are rejected without a solve: a swap
+// reverses one chain link, every other arc it removes has a replacement
+// path, so a witness cycle that avoids the reversed link survives.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dfg/dfg.hpp"
@@ -24,36 +44,195 @@
 
 namespace hlts::sched {
 
-/// A weighted precedence arc: step(to) >= step(from) + weight.
-struct ConstraintArc {
-  dfg::OpId from;
-  dfg::OpId to;
-  int weight = 1;
-};
-
 class ConstraintGraph {
  public:
+  ConstraintGraph() = default;
   /// Builds a graph seeded with the data-dependence arcs of `g` (weight 1).
   explicit ConstraintGraph(const dfg::Dfg& g);
+
+  /// Re-seeds the graph with the data-dependence arcs of `g`, dropping every
+  /// other arc and chain; buffer capacity is kept.
+  void reset(const dfg::Dfg& g);
 
   /// Adds step(to) >= step(from) + weight.  Duplicate arcs are kept; they
   /// are harmless for longest-path.
   void add_arc(dfg::OpId from, dfg::OpId to, int weight);
 
+  /// Appends a module chain: each op runs in a later step than the one
+  /// before it (weight-1 arcs between neighbours).  Returns the stored
+  /// chain, which the caller may reorder in place until the next solve.
+  std::span<dfg::OpId> add_module_chain(std::span<const dfg::OpId> ops);
+
+  /// Appends a register chain: each variable is written no earlier than the
+  /// step in which the one before it is last read -- weight-0 arcs from the
+  /// earlier variable's readers (its definition when it has none) to the
+  /// later variable's definition.  A chain member after the first with no
+  /// defining operation (a primary input) makes the graph infeasible.
+  /// Returns the stored chain, reorderable until the next solve.
+  std::span<dfg::VarId> add_register_chain(std::span<const dfg::VarId> vars);
+
   [[nodiscard]] std::size_t num_ops() const { return num_ops_; }
-  [[nodiscard]] const std::vector<ConstraintArc>& arcs() const { return arcs_; }
+  [[nodiscard]] std::size_t num_module_chains() const {
+    return module_chain_begin_.size();
+  }
+  [[nodiscard]] std::size_t num_register_chains() const {
+    return register_chain_begin_.size();
+  }
+  /// Current order of module chain `c` (swaps already applied).
+  [[nodiscard]] std::span<const dfg::OpId> module_chain(std::size_t c) const;
+  [[nodiscard]] std::span<const dfg::VarId> register_chain(
+      std::size_t c) const;
 
   /// Constrained-ASAP schedule: the componentwise-minimal schedule with all
   /// steps >= 1 satisfying every arc.  Returns nullopt if the constraints
-  /// are cyclic (infeasible).
-  [[nodiscard]] std::optional<Schedule> solve() const;
+  /// are cyclic (infeasible).  Solves the whole graph and makes the result
+  /// the incumbent that try_swap_*() starts from.
+  [[nodiscard]] std::optional<Schedule> solve();
 
   /// Shorthand for solve()->length(); nullopt when infeasible.
-  [[nodiscard]] std::optional<int> schedule_length() const;
+  [[nodiscard]] std::optional<int> schedule_length();
+
+  /// The incumbent schedule (last solve, as amended by kept swaps).
+  [[nodiscard]] std::optional<Schedule> schedule() const;
+
+  /// Tentatively swaps members `i` and `i + 1` of module chain `c` and
+  /// returns the schedule length of the resulting graph (nullopt when it is
+  /// infeasible).  Needs a solved incumbent; must be followed by keep() or
+  /// revert() before the next edit.
+  [[nodiscard]] std::optional<int> try_swap_module(std::size_t c,
+                                                   std::size_t i);
+  /// As try_swap_module, for register chain `c`.
+  [[nodiscard]] std::optional<int> try_swap_register(std::size_t c,
+                                                     std::size_t i);
+  /// Makes the tentative swap part of the incumbent.
+  void keep();
+  /// Restores the order and incumbent from before the tentative swap.
+  void revert();
 
  private:
-  std::size_t num_ops_;
-  std::vector<ConstraintArc> arcs_;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  /// Where an arc comes from: fixed (data dependence or add_arc), a module
+  /// chain link or a register chain link.  Also names the pending swap.
+  enum class ArcKind : std::uint8_t { None, Fixed, Module, Register };
+
+  /// Rebuilds the fixed-arc CSR and the chain links from their sources.
+  void link();
+  /// Swaps members i, i+1 of a chain in storage and in the links; applying
+  /// it twice restores both.
+  void swap_module(std::size_t c, std::size_t i);
+  void swap_register(std::size_t c, std::size_t i);
+  /// Count of register-chain pairs whose later member has no definition,
+  /// over the pairs a swap at position i of chain c touches.
+  [[nodiscard]] int undefined_pairs(std::size_t c, std::size_t i) const;
+  /// Marks the forward closure of cone_ (the seeds) and appends it to cone_.
+  void close_cone();
+  /// Longest path over cone_, given the incumbent steps outside it; leaves
+  /// the cone's steps in value_ and unresolved ops with indegree_ > 0.
+  /// Returns the new length, or nullopt when the cone has a cycle, the
+  /// incumbent's unresolved ops are not all inside it, or a register chain
+  /// has an undefined later member.
+  std::optional<int> solve_cone();
+  /// Writes a solve_cone() result into the incumbent.
+  void commit_cone();
+  /// Solves the whole (linked) graph as one cone into the incumbent.
+  std::optional<int> solve_all();
+  /// Starts a new cone mark generation.
+  void next_epoch();
+  /// Checks a swap may start, labels the incumbent's cycles if needed, and
+  /// opens an empty cone.
+  void begin_edit();
+  /// Adds `op` (kNone is ignored) to the cone's seeds.
+  void seed(std::uint32_t op);
+  /// Solves the edited graph over the seeds' forward cone.  `reversed` is
+  /// the head of the arc the swap reverses: the new first member (module
+  /// chains) or its definition (register chains).
+  std::optional<int> evaluate_swap(std::uint32_t reversed);
+  /// False when a cycle of the incumbent surely survives the edit: the
+  /// incumbent is cyclic and lacks a single cyclic component whose witness
+  /// cycle enters `reversed` through the reversed chain arc.  Needs the
+  /// labels begin_edit() made.
+  [[nodiscard]] bool may_break_cycles(std::uint32_t reversed) const;
+  /// Labels the incumbent's cyclic strongly connected components and, when
+  /// there is exactly one, finds a witness cycle in it.
+  void label_cycles();
+  /// Walks from cycle_root_ inside its component until a node repeats and
+  /// records the arc kinds entering the cycle it closed in witness_in_.
+  void find_witness();
+
+  template <typename F>
+  void for_each_pred(std::uint32_t v, F&& f) const;
+  template <typename F>
+  void for_each_succ(std::uint32_t u, F&& f) const;
+
+  std::size_t num_ops_ = 0;
+  bool linked_ = false;  ///< CSR and links match the arcs and chains
+  bool solved_ = false;  ///< the incumbent below is valid
+
+  // Fixed arcs (data dependences + add_arc) as a list and as CSR.
+  struct Arc {
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+    int weight = 1;
+  };
+  std::vector<Arc> arcs_;
+  std::vector<std::uint32_t> succ_begin_, pred_begin_;  ///< size num_ops + 1
+  std::vector<Arc> succ_, pred_;
+
+  // Variable tables: the ops whose step bounds a variable's lifetime end
+  // (its readers, else its definition), the inverse, and definitions.
+  std::vector<std::uint32_t> release_begin_, release_ops_;  ///< per var
+  std::vector<std::uint32_t> released_begin_, released_vars_;  ///< per op
+  std::vector<std::uint32_t> var_def_;  ///< per var; kNone for PIs
+  std::vector<std::uint32_t> op_output_;  ///< per op
+
+  // Chains: flat storage plus doubly linked neighbours.
+  std::vector<std::uint32_t> module_chain_begin_, register_chain_begin_;
+  std::vector<dfg::OpId> module_chain_ops_;
+  std::vector<dfg::VarId> register_chain_vars_;
+  std::vector<std::uint32_t> module_next_, module_prev_;      ///< per op
+  std::vector<std::uint32_t> register_next_, register_prev_;  ///< per var
+  int undefined_ = 0;  ///< register-chain pairs with an undefined later var
+
+  // Incumbent solution: steps of resolved ops, a histogram of those steps
+  // (for the maximum outside a cone), and the ops a cycle left unresolved.
+  std::vector<int> step_;
+  std::vector<std::uint8_t> resolved_;
+  std::vector<std::uint32_t> step_count_;  ///< per step value
+  int top_ = 0;  ///< largest resolved step
+  std::vector<std::uint32_t> unresolved_;
+
+  // Cone scratch.
+  std::vector<std::uint32_t> cone_, stack_;
+  std::vector<std::uint32_t> mark_;  ///< == epoch_ inside the current cone
+  std::uint32_t epoch_ = 0;
+  std::vector<int> value_, indegree_;
+  int cone_top_ = 0;  ///< largest step solve_cone() derived
+
+  // Cyclic strongly connected components of an infeasible incumbent.
+  bool cycles_labelled_ = false;
+  std::uint32_t num_cycles_ = 0;
+  std::vector<std::uint32_t> cycle_of_;  ///< per op: component, or kNone
+  std::uint32_t cycle_root_ = kNone;  ///< a member of the last one found
+  /// Per op: kind of the witness-cycle arc entering it (None off-cycle).
+  std::vector<ArcKind> witness_in_;
+  // Tarjan scratch over the unresolved ops, indexed locally.
+  struct Frame {
+    std::uint32_t node = 0;
+    std::uint32_t next = 0;  ///< next arc of node to follow
+  };
+  std::vector<std::uint32_t> local_;  ///< per op: local index
+  std::vector<std::uint32_t> sub_begin_, sub_adj_;
+  std::vector<std::uint32_t> order_, low_, tarjan_stack_;
+  std::vector<std::uint8_t> on_stack_;
+  std::vector<Frame> frames_;
+  /// find_witness's walk: each node with the kind of arc leaving it.
+  std::vector<std::pair<std::uint32_t, ArcKind>> walk_;
+
+  // The tentative swap.
+  ArcKind pending_ = ArcKind::None;
+  std::size_t pending_chain_ = 0, pending_pos_ = 0;
+  int pending_undefined_ = 0;  ///< undefined_ before the swap
+  bool cone_solved_ = false;   ///< solve_cone() reached its Kahn pass
 };
 
 }  // namespace hlts::sched

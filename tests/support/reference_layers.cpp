@@ -1,0 +1,442 @@
+#include "support/reference_layers.hpp"
+
+#include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <optional>
+#include <queue>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "util/error.hpp"
+
+namespace hlts::test_support {
+
+namespace {
+
+/// The scheduling-constraint graph as a one-shot arc list: every solve
+/// builds successor lists and runs Kahn's algorithm with a min-heap.
+class FrozenConstraintGraph {
+ public:
+  explicit FrozenConstraintGraph(const dfg::Dfg& g) : num_ops_(g.num_ops()) {
+    for (dfg::OpId op : g.op_ids()) {
+      for (dfg::OpId p : g.preds(op)) {
+        add_arc(p, op, 1);
+      }
+    }
+  }
+
+  void add_arc(dfg::OpId from, dfg::OpId to, int weight) {
+    arcs_.push_back({from, to, weight});
+  }
+
+  [[nodiscard]] std::optional<sched::Schedule> solve() const {
+    // Kahn's algorithm over the arc multigraph; zero-weight arcs still count
+    // for ordering, so any directed cycle (even all-zero-weight) is rejected.
+    std::vector<std::vector<std::pair<std::uint32_t, int>>> succs(num_ops_);
+    std::vector<int> indegree(num_ops_, 0);
+    for (const Arc& a : arcs_) {
+      succs[a.from.index()].push_back({a.to.value(), a.weight});
+      ++indegree[a.to.index()];
+    }
+
+    std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                        std::greater<>>
+        ready;
+    for (std::uint32_t i = 0; i < num_ops_; ++i) {
+      if (indegree[i] == 0) ready.push(i);
+    }
+
+    sched::Schedule s(num_ops_);
+    std::vector<int> step(num_ops_, 1);
+    std::size_t done = 0;
+    while (!ready.empty()) {
+      std::uint32_t u = ready.top();
+      ready.pop();
+      ++done;
+      s.set_step(dfg::OpId{u}, step[u]);
+      for (auto [v, w] : succs[u]) {
+        step[v] = std::max(step[v], step[u] + w);
+        if (--indegree[v] == 0) ready.push(v);
+      }
+    }
+    if (done != num_ops_) return std::nullopt;  // cycle
+    return s;
+  }
+
+ private:
+  struct Arc {
+    dfg::OpId from;
+    dfg::OpId to;
+    int weight = 1;
+  };
+  std::size_t num_ops_;
+  std::vector<Arc> arcs_;
+};
+
+using ModuleChains = std::vector<std::vector<dfg::OpId>>;
+using RegChains = std::vector<std::vector<dfg::VarId>>;
+
+/// Builds the constraint graph for the given execution/lifetime orders and
+/// solves it.
+std::optional<sched::Schedule> solve_orders(const dfg::Dfg& g,
+                                            const ModuleChains& module_chains,
+                                            const RegChains& reg_chains) {
+  FrozenConstraintGraph cg(g);
+  for (const auto& chain : module_chains) {
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+      cg.add_arc(chain[i], chain[i + 1], 1);
+    }
+  }
+  for (const auto& chain : reg_chains) {
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+      const dfg::Variable& earlier = g.var(chain[i]);
+      const dfg::Variable& later = g.var(chain[i + 1]);
+      if (!later.def.valid()) return std::nullopt;  // PI not first: impossible
+      // The later variable may be written at the clock edge ending the step
+      // in which the earlier one is last read (weight-0 arcs).
+      if (earlier.uses.empty()) {
+        if (earlier.def.valid()) cg.add_arc(earlier.def, later.def, 0);
+      } else {
+        for (dfg::OpId use : earlier.uses) {
+          cg.add_arc(use, later.def, 0);
+        }
+      }
+    }
+  }
+  return cg.solve();
+}
+
+/// Lifetime-order sort key: primary inputs first (born at load time),
+/// registered primary outputs last (held to the end), otherwise previous
+/// birth step.
+int var_order_key(const dfg::Dfg& g, const sched::Schedule& hint,
+                  dfg::VarId v) {
+  const dfg::Variable& var = g.var(v);
+  if (var.is_primary_input) return -1;
+  if (var.is_primary_output && var.po_registered) return INT_MAX;
+  return hint.step(var.def);
+}
+
+/// Structural feasibility of one register's variable set: at most one
+/// primary input (all PIs are born simultaneously) and at most one
+/// registered primary output (all are held to the end).
+bool reg_set_feasible(const dfg::Dfg& g, const std::vector<dfg::VarId>& vars) {
+  int pis = 0;
+  int pos = 0;
+  for (dfg::VarId v : vars) {
+    const dfg::Variable& var = g.var(v);
+    if (var.is_primary_input) ++pis;
+    if (var.is_primary_output && var.po_registered) ++pos;
+  }
+  return pis <= 1 && pos <= 1;
+}
+
+// --- floorplanner -----------------------------------------------------------
+
+struct FrozenFloorplanScratch {
+  std::vector<int> connectivity;
+  std::vector<std::vector<std::uint32_t>> neighbours;
+  std::vector<std::uint32_t> order;
+  std::vector<bool> placed;
+  std::vector<std::pair<int, int>> spiral;
+  std::set<std::pair<int, int>> occupied;
+};
+
+double node_area(const etpn::DpNode& node, const cost::ModuleLibrary& lib,
+                 int bits) {
+  switch (node.kind) {
+    case etpn::DpNodeKind::Register:
+      return lib.register_area(bits);
+    case etpn::DpNodeKind::Module:
+      return lib.module_area(node.op_class, bits);
+    case etpn::DpNodeKind::InPort:
+    case etpn::DpNodeKind::OutPort:
+      return 0.0;  // pads; excluded from core area
+  }
+  return 0.0;
+}
+
+}  // namespace
+
+core::ReschedOutcome reference_reschedule(const dfg::Dfg& g,
+                                          const etpn::Binding& b,
+                                          const sched::Schedule& hint,
+                                          core::OrderStrategy strategy,
+                                          const etpn::Etpn* premerged) {
+  core::ReschedOutcome out;
+
+  // --- derive initial chains from the previous schedule ---------------------
+  ModuleChains module_chains;
+  for (etpn::ModuleId m : b.alive_modules()) {
+    std::vector<dfg::OpId> chain = b.module_ops(m);
+    std::stable_sort(chain.begin(), chain.end(), [&](dfg::OpId a, dfg::OpId c) {
+      return hint.step(a) < hint.step(c);
+    });
+    module_chains.push_back(std::move(chain));
+  }
+  RegChains reg_chains;
+  for (etpn::RegId r : b.alive_regs()) {
+    std::vector<dfg::VarId> chain = b.reg_vars(r);
+    if (!reg_set_feasible(g, chain)) return out;
+    std::stable_sort(chain.begin(), chain.end(), [&](dfg::VarId a, dfg::VarId c) {
+      return var_order_key(g, hint, a) < var_order_key(g, hint, c);
+    });
+    reg_chains.push_back(std::move(chain));
+  }
+
+  auto solution = solve_orders(g, module_chains, reg_chains);
+
+  // --- SR1/SR2 ordering refinement at conflict points ------------------------
+  // Conflict points are adjacent chain elements that previously shared a
+  // control step (modules) or a birth step (registers): exactly the places
+  // where the merger forces a new ordering decision.  Each is resolved by
+  // comparing the two orders; the testability strategy prefers executing
+  // first the operation whose operand registers are nearest to primary
+  // inputs (SR2 supports SR1: the controllable value is consumed at once
+  // and its result heads toward an observable register one step sooner),
+  // falling back to the smallest critical-path increase.  The plain
+  // strategy swaps only when forced or when it shortens the schedule.
+  // Register distances are a pure BFS over the alive data-path topology --
+  // step annotations never enter -- so a caller-supplied merge-patched graph
+  // (structurally identical, stale steps) yields the same distances as the
+  // fresh build and therefore the identical schedule.
+  std::optional<etpn::Etpn> local_e;
+  if (premerged == nullptr) {
+    local_e.emplace(etpn::build_etpn(g, hint, b));
+    premerged = &*local_e;
+  }
+  const etpn::Etpn& e = *premerged;
+  const etpn::DataPath::RegisterDistances dist =
+      e.data_path.register_distances();
+  auto op_controllability_key = [&](dfg::OpId op) {
+    // Smaller = operands closer to primary inputs.
+    int best = INT_MAX;
+    for (dfg::VarId in : g.op(op).inputs) {
+      etpn::RegId r = b.reg_of(in);
+      if (!r.valid()) continue;
+      const int d = dist.d_in[e.reg_node[r].index()];
+      if (d >= 0) best = std::min(best, d);
+    }
+    return best;
+  };
+
+  auto evaluate = [&](const ModuleChains& mc, const RegChains& rc)
+      -> std::optional<int> {
+    auto s = solve_orders(g, mc, rc);
+    if (!s) return std::nullopt;
+    return s->length();
+  };
+
+  for (auto& chain : module_chains) {
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+      const bool tied = hint.step(chain[i]) == hint.step(chain[i + 1]);
+      // Candidate orders: as-is and swapped.  Non-tied pairs keep the
+      // incumbent order unless it is infeasible (the paper's two
+      // "possibilities" are explored only where the merger created a new
+      // ordering decision).
+      auto len_asis = evaluate(module_chains, reg_chains);
+      if (!tied && len_asis) continue;  // keep incumbent order
+      std::swap(chain[i], chain[i + 1]);
+      auto len_swap = evaluate(module_chains, reg_chains);
+
+      bool keep_swap = false;
+      if (!len_asis) {
+        keep_swap = len_swap.has_value();  // only the swap is feasible
+      } else if (len_swap) {
+        if (strategy == core::OrderStrategy::Testability) {
+          const int ka = op_controllability_key(chain[i + 1]);  // swapped
+          const int kb = op_controllability_key(chain[i]);
+          if (ka != kb) {
+            keep_swap = kb < ka;  // SR2: more controllable operands go first
+          } else {
+            keep_swap = *len_swap < *len_asis;  // critical-path fallback
+          }
+        } else {
+          keep_swap = *len_swap < *len_asis;
+        }
+      }
+      if (!keep_swap) std::swap(chain[i], chain[i + 1]);  // undo
+    }
+  }
+
+  for (auto& chain : reg_chains) {
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+      // Primary inputs are born at load time and must stay first; registered
+      // primary outputs are held to the end and must stay last.  The
+      // constraint graph cannot express these (they are not op-to-op arcs),
+      // so such pairs are never reordered.
+      const dfg::Variable& vi = g.var(chain[i]);
+      const dfg::Variable& vj = g.var(chain[i + 1]);
+      if (vi.is_primary_input || (vj.is_primary_output && vj.po_registered)) {
+        continue;
+      }
+      const bool tied = var_order_key(g, hint, chain[i]) ==
+                        var_order_key(g, hint, chain[i + 1]);
+      auto len_asis = evaluate(module_chains, reg_chains);
+      if (!tied && len_asis) continue;
+      std::swap(chain[i], chain[i + 1]);
+      auto len_swap = evaluate(module_chains, reg_chains);
+
+      bool keep_swap = false;
+      if (!len_asis) {
+        keep_swap = len_swap.has_value();
+      } else if (len_swap) {
+        if (strategy == core::OrderStrategy::Testability) {
+          // SR1 at the variable level: let the variable whose defining op
+          // has the more controllable operands expire first.
+          const dfg::Variable& va = g.var(chain[i + 1]);  // swapped
+          const dfg::Variable& vb = g.var(chain[i]);
+          const int ka = va.def.valid() ? op_controllability_key(va.def) : -1;
+          const int kb = vb.def.valid() ? op_controllability_key(vb.def) : -1;
+          if (ka != kb) {
+            keep_swap = kb < ka;
+          } else {
+            keep_swap = *len_swap < *len_asis;
+          }
+        } else {
+          keep_swap = *len_swap < *len_asis;
+        }
+      }
+      if (!keep_swap) std::swap(chain[i], chain[i + 1]);
+    }
+  }
+
+  solution = solve_orders(g, module_chains, reg_chains);
+  if (!solution) return out;
+
+  out.feasible = true;
+  out.schedule = *solution;
+  HLTS_REQUIRE(core::schedule_respects_binding(g, b, out.schedule),
+               "rescheduler produced a schedule violating the binding");
+  return out;
+}
+
+cost::Floorplan reference_floorplan(const etpn::DataPath& dp,
+                                    const cost::ModuleLibrary& lib,
+                                    int bits) {
+  cost::Floorplan plan;
+  FrozenFloorplanScratch scratch;
+  plan.position.assign(dp.num_nodes(), {0, 0});
+  plan.pitch = 0.0;
+  const std::size_t alive = dp.num_alive_nodes();
+  if (alive == 0) return plan;
+
+  // Pitch: side of the average cell footprint.
+  double total_area = 0;
+  for (etpn::DpNodeId n : dp.node_ids()) {
+    if (!dp.alive(n)) continue;
+    total_area += node_area(dp.node(n), lib, bits);
+  }
+  plan.pitch =
+      std::sqrt(std::max(total_area, 1e-9) / static_cast<double>(alive));
+
+  // Connectivity (number of arcs) per node, and neighbour lists.
+  scratch.connectivity.assign(dp.num_nodes(), 0);
+  scratch.neighbours.resize(dp.num_nodes());
+  for (auto& nb : scratch.neighbours) nb.clear();
+  for (etpn::DpArcId a : dp.arc_ids()) {
+    if (!dp.alive(a)) continue;
+    const etpn::DpArc& arc = dp.arc(a);
+    ++scratch.connectivity[arc.from.index()];
+    ++scratch.connectivity[arc.to.index()];
+    scratch.neighbours[arc.from.index()].push_back(arc.to.value());
+    scratch.neighbours[arc.to.index()].push_back(arc.from.value());
+  }
+
+  scratch.order.clear();
+  for (etpn::DpNodeId n : dp.node_ids()) {
+    if (dp.alive(n)) scratch.order.push_back(n.value());
+  }
+  std::stable_sort(scratch.order.begin(), scratch.order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return scratch.connectivity[a] > scratch.connectivity[b];
+                   });
+
+  scratch.occupied.clear();
+  scratch.placed.assign(dp.num_nodes(), false);
+  // Spiral candidate positions around the origin, enough for all nodes.
+  scratch.spiral.clear();
+  const int radius =
+      static_cast<int>(std::ceil(std::sqrt(static_cast<double>(alive)))) + 2;
+  for (int r = 0; r <= radius; ++r) {
+    for (int x = -r; x <= r; ++x) {
+      for (int y = -r; y <= r; ++y) {
+        if (std::max(std::abs(x), std::abs(y)) == r) {
+          scratch.spiral.push_back({x, y});
+        }
+      }
+    }
+  }
+
+  for (std::uint32_t idx : scratch.order) {
+    etpn::DpNodeId n{idx};
+    std::pair<int, int> best_pos{0, 0};
+    double best_cost = 1e300;
+    for (const auto& pos : scratch.spiral) {
+      if (scratch.occupied.count(pos)) continue;
+      double cost = 0;
+      for (std::uint32_t nb : scratch.neighbours[idx]) {
+        if (!scratch.placed[nb]) continue;
+        const auto [nx, ny] = plan.position[etpn::DpNodeId{nb}];
+        cost += std::abs(pos.first - nx) + std::abs(pos.second - ny);
+      }
+      // Light pull toward the origin keeps unconnected nodes compact.
+      cost += 0.01 * (std::abs(pos.first) + std::abs(pos.second));
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_pos = pos;
+      }
+    }
+    plan.position[n] = best_pos;
+    scratch.occupied.insert(best_pos);
+    scratch.placed[idx] = true;
+  }
+  return plan;
+}
+
+cost::HardwareCost reference_estimate_cost(const etpn::DataPath& dp,
+                                           const cost::ModuleLibrary& lib,
+                                           int bits) {
+  cost::HardwareCost cost;
+
+  for (etpn::DpNodeId n : dp.node_ids()) {
+    if (!dp.alive(n)) continue;
+    const etpn::DpNode& node = dp.node(n);
+    switch (node.kind) {
+      case etpn::DpNodeKind::Register:
+        cost.register_area += lib.register_area(bits);
+        break;
+      case etpn::DpNodeKind::Module:
+        cost.module_area += lib.module_area(node.op_class, bits);
+        break;
+      default:
+        break;
+    }
+    // Multiplexers: a port with s >= 2 sources needs (s - 1) two-to-one
+    // muxes.
+    for (int port = 0; port < dp.num_ports(n); ++port) {
+      const int sources = dp.num_port_sources(n, port);
+      if (sources >= 2) {
+        cost.mux_area += (static_cast<double>(sources) - 1.0) *
+                         lib.mux_area(bits);
+      }
+    }
+  }
+
+  const cost::Floorplan plan = reference_floorplan(dp, lib, bits);
+  for (etpn::DpArcId a : dp.arc_ids()) {
+    if (!dp.alive(a)) continue;
+    const etpn::DpArc& arc = dp.arc(a);
+    const double len = plan.distance(arc.from, arc.to);
+    const double wid = static_cast<double>(bits) * lib.wire_pitch();
+    cost.wire_area += len * wid;
+  }
+  return cost;
+}
+
+}  // namespace hlts::test_support

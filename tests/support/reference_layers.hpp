@@ -1,0 +1,40 @@
+// Frozen reference implementations of the two layers an Algorithm-1 trial
+// spends its time in: the merge-sort rescheduler (paper §4.3) and the
+// connectivity-driven floorplanner behind the hardware cost estimate
+// (paper §4.2).
+//
+// These are the straightforward versions the production code was derived
+// from.  The rescheduler rebuilds and re-solves the whole scheduling-
+// constraint graph (a heap-ordered Kahn longest path) for every order it
+// evaluates; the floorplanner probes a std::set of occupied cells at every
+// spiral position.  Production core::reschedule and cost::estimate_cost
+// must match them bit for bit -- the differential tests and
+// reference_synthesis.hpp's from-scratch Algorithm-1 step compare against
+// these copies, never against the code under test.
+#pragma once
+
+#include "core/resched.hpp"
+#include "cost/cost.hpp"
+#include "cost/floorplan.hpp"
+#include "dfg/dfg.hpp"
+#include "etpn/binding.hpp"
+#include "etpn/etpn.hpp"
+#include "sched/schedule.hpp"
+
+namespace hlts::test_support {
+
+/// core::reschedule as a full re-solve per evaluated order.  `premerged`
+/// plays the same role as in core::reschedule.
+[[nodiscard]] core::ReschedOutcome reference_reschedule(
+    const dfg::Dfg& g, const etpn::Binding& b, const sched::Schedule& hint,
+    core::OrderStrategy strategy, const etpn::Etpn* premerged = nullptr);
+
+/// cost::floorplan with a std::set occupancy probe.
+[[nodiscard]] cost::Floorplan reference_floorplan(
+    const etpn::DataPath& dp, const cost::ModuleLibrary& lib, int bits);
+
+/// cost::estimate_cost over reference_floorplan.
+[[nodiscard]] cost::HardwareCost reference_estimate_cost(
+    const etpn::DataPath& dp, const cost::ModuleLibrary& lib, int bits);
+
+}  // namespace hlts::test_support

@@ -9,9 +9,8 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/resched.hpp"
-#include "cost/cost.hpp"
 #include "etpn/etpn.hpp"
+#include "support/reference_layers.hpp"
 #include "testability/testability.hpp"
 #include "util/json.hpp"
 
@@ -60,13 +59,13 @@ ReferenceTrial reference_trial(const dfg::Dfg& g,
   ReferenceTrial t;
   t.binding = base;
   cand.apply(g, t.binding);
-  core::ReschedOutcome r = core::reschedule(g, t.binding, hint, p.order);
+  core::ReschedOutcome r = reference_reschedule(g, t.binding, hint, p.order);
   if (!r.feasible || r.schedule.length() > max_latency) return t;
   t.feasible = true;
   t.schedule = std::move(r.schedule);
   t.exec_time = t.schedule.length();
   const etpn::Etpn e = etpn::build_etpn(g, t.schedule, t.binding);
-  t.hw_cost = cost::estimate_cost(e.data_path, p.library, p.bits).total();
+  t.hw_cost = reference_estimate_cost(e.data_path, p.library, p.bits).total();
   return t;
 }
 
@@ -90,7 +89,7 @@ std::optional<ReferenceStep> reference_step(const dfg::Dfg& g,
 
   const double base_exec = static_cast<double>(schedule.length());
   const double base_hw =
-      cost::estimate_cost(e.data_path, p.library, p.bits).total();
+      reference_estimate_cost(e.data_path, p.library, p.bits).total();
   struct Feasible {
     std::size_t rank = 0;
     ReferenceTrial trial;
@@ -128,7 +127,8 @@ std::optional<ReferenceStep> reference_step(const dfg::Dfg& g,
   rec.delta_h = win.delta_h;
   rec.delta_c = win.delta_c;
   rec.exec_time = win.trial.exec_time;
-  rec.hw_cost = cost::estimate_cost(next.data_path, p.library, p.bits).total();
+  rec.hw_cost =
+      reference_estimate_cost(next.data_path, p.library, p.bits).total();
   rec.registers = win.trial.binding.num_alive_regs();
   rec.modules = win.trial.binding.num_alive_modules();
   rec.balance_index =

@@ -8,8 +8,11 @@
 // the committed design, a binding copy + reschedule + build_etpn +
 // estimate_cost per trial, a serial walk of the ranking -- and
 // replay_against_reference() checks every iteration of a real run against
-// it bit for bit.  The oracle covers the exact Algorithm 1 only: the trial
-// cache and the memory budget are out of its scope.
+// it bit for bit.  The rescheduler and cost estimate it calls are the
+// frozen copies in reference_layers.hpp, not the production ones, so a
+// divergence in either production layer shows up here.  The oracle covers
+// the exact Algorithm 1 only: the trial cache and the memory budget are
+// out of its scope.
 #pragma once
 
 #include <optional>

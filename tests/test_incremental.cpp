@@ -13,10 +13,16 @@
 //  - every Algorithm-1 iteration of every flow, on every benchmark and on
 //    random designs, is bit-identical to the from-scratch reference step
 //    replayed from the previous checkpoint
-//    (tests/support/reference_synthesis.hpp).
+//    (tests/support/reference_synthesis.hpp);
+//  - the production rescheduler and floorplanner match their frozen
+//    reference copies (tests/support/reference_layers.hpp) over random
+//    merge walks and merge-patched graphs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -32,8 +38,11 @@
 #include "petri/petri.hpp"
 #include "sched/schedule.hpp"
 #include "support/dfg_fixtures.hpp"
+#include "support/reference_layers.hpp"
 #include "support/reference_synthesis.hpp"
 #include "testability/balance.hpp"
+#include "util/rng.hpp"
+#include "workload/generator.hpp"
 
 namespace hlts {
 namespace {
@@ -396,6 +405,195 @@ TEST(IncrementalRandomDesigns, PatchUndoRoundTripsOnRandomGraphs) {
       EXPECT_EQ(dp_snapshot(d.e.data_path), before) << "seed " << seed;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests: the production rescheduler (one reusable constraint
+// graph, swaps solved over their forward cone) and floorplanner (dense
+// occupancy grid) against the frozen copies in
+// tests/support/reference_layers.hpp.
+// ---------------------------------------------------------------------------
+
+/// The designs the differential tests walk: the six benchmarks, seeded
+/// random DAGs, and generated designs with loop-carried state (a primary
+/// input and a registered primary output per loop variable) and with
+/// memory-port token chains.
+std::vector<dfg::Dfg> differential_designs() {
+  std::vector<dfg::Dfg> designs;
+  for (const std::string& name : benchmarks::benchmark_names()) {
+    designs.push_back(benchmarks::make_benchmark(name));
+  }
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    designs.push_back(random_dfg(6100 + seed, 3 + static_cast<int>(seed),
+                                 10 + 4 * static_cast<int>(seed)));
+  }
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    workload::DfgShape loopy;
+    loopy.ops = 30;
+    loopy.depth = 6;
+    loopy.loop_density = 0.3;
+    loopy.self_loop_density = 0.5;
+    designs.push_back(workload::generate(seed, loopy));
+    workload::DfgShape memory;
+    memory.ops = 30;
+    memory.depth = 6;
+    memory.memories = 2;
+    memory.memory_access_density = 0.2;
+    designs.push_back(workload::generate(seed, memory));
+  }
+  return designs;
+}
+
+/// What a merge walk exercised.
+struct WalkStats {
+  int feasible = 0;
+  int infeasible = 0;
+  int pi_chains = 0;  ///< feasible reschedules with a PI sharing a register
+  int po_chains = 0;  ///< ... with a registered PO sharing a register
+};
+
+/// Applies one random mergeable pair (a module pair or a register pair) to
+/// `b`; false when none was found.
+bool merge_random_pair(const dfg::Dfg& g, etpn::Binding& b, Rng& rng) {
+  const bool modules_first = rng.next_bool();
+  for (int kind = 0; kind < 2; ++kind) {
+    if ((kind == 0) == modules_first) {
+      const std::vector<etpn::ModuleId> alive = b.alive_modules();
+      for (int attempt = 0; attempt < 32 && alive.size() > 1; ++attempt) {
+        const etpn::ModuleId x = alive[rng.next_below(alive.size())];
+        const etpn::ModuleId y = alive[rng.next_below(alive.size())];
+        if (!b.can_merge_modules(g, x, y)) continue;
+        b.merge_modules(g, x, y);
+        return true;
+      }
+    } else {
+      const std::vector<etpn::RegId> alive = b.alive_regs();
+      for (int attempt = 0; attempt < 32 && alive.size() > 1; ++attempt) {
+        const etpn::RegId x = alive[rng.next_below(alive.size())];
+        const etpn::RegId y = alive[rng.next_below(alive.size())];
+        if (!b.can_merge_regs(x, y)) continue;
+        b.merge_regs(x, y);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Walks a random merge sequence from the ASAP design, rescheduling every
+/// merged binding with both rescheduler copies and requiring identical
+/// feasibility and schedules.  A feasible merger becomes the next design; an
+/// infeasible one is dropped.  One constraint graph serves every call, as a
+/// trial workspace's does; every other call passes a premerged ETPN.
+void walk_merges(const dfg::Dfg& g, core::OrderStrategy strategy,
+                 std::uint64_t seed, int steps, WalkStats& stats) {
+  Rng rng(seed);
+  sched::Schedule s = sched::asap(g);
+  etpn::Binding b =
+      etpn::Binding::default_binding(g, etpn::ModuleCompat::ExactKind);
+  sched::ConstraintGraph graph;
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    etpn::Binding merged = b;
+    if (!merge_random_pair(g, merged, rng)) return;
+    std::optional<etpn::Etpn> premerged;
+    if (step % 2 == 1) premerged.emplace(etpn::build_etpn(g, s, merged));
+    const core::ReschedOutcome ours = core::reschedule(
+        g, merged, s, strategy, premerged ? &*premerged : nullptr, graph);
+    const core::ReschedOutcome ref =
+        test_support::reference_reschedule(g, merged, s, strategy);
+    ASSERT_EQ(ours.feasible, ref.feasible);
+    if (!ref.feasible) {
+      ++stats.infeasible;
+      continue;
+    }
+    ASSERT_EQ(ours.schedule, ref.schedule);
+    ++stats.feasible;
+    for (etpn::RegId r : merged.alive_regs()) {
+      const std::vector<dfg::VarId>& vars = merged.reg_vars(r);
+      if (vars.size() < 2) continue;
+      for (dfg::VarId v : vars) {
+        const dfg::Variable& var = g.var(v);
+        if (var.is_primary_input) ++stats.pi_chains;
+        if (var.is_primary_output && var.po_registered) ++stats.po_chains;
+      }
+    }
+    b = std::move(merged);
+    s = ref.schedule;
+  }
+}
+
+TEST(ReschedDifferential, RandomMergeWalksMatchFrozenRescheduler) {
+  const std::vector<dfg::Dfg> designs = differential_designs();
+  for (auto strategy :
+       {core::OrderStrategy::Testability, core::OrderStrategy::Plain}) {
+    WalkStats stats;
+    for (std::size_t d = 0; d < designs.size(); ++d) {
+      SCOPED_TRACE(designs[d].name() + " strategy " +
+                   std::to_string(static_cast<int>(strategy)));
+      for (std::uint64_t walk = 0; walk < 3; ++walk) {
+        walk_merges(designs[d], strategy, 7000 + 31 * d + walk, 40, stats);
+      }
+    }
+    // The walks must reach both outcomes and the PI-first /
+    // registered-PO-last chain pairs the swap loop never reorders.
+    EXPECT_GT(stats.feasible, 100);
+    EXPECT_GT(stats.infeasible, 100);
+    EXPECT_GT(stats.pi_chains, 0);
+    EXPECT_GT(stats.po_chains, 0);
+  }
+}
+
+/// Bitwise equality of two doubles (EXPECT_EQ on doubles compares values,
+/// which would let -0.0 match 0.0).
+::testing::AssertionResult same_bits(double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << a << " vs " << b;
+}
+
+/// Floorplan and cost of `dp` by the production code (through a reused
+/// scratch) against the frozen floorplanner.
+void expect_floorplan_matches_frozen(const etpn::DataPath& dp,
+                                     cost::CostScratch& scratch) {
+  const cost::ModuleLibrary& lib = cost::ModuleLibrary::standard();
+  const cost::Floorplan ref = test_support::reference_floorplan(dp, lib, 8);
+  cost::Floorplan plan;
+  cost::floorplan(dp, lib, 8, plan, scratch.floorplan);
+  EXPECT_TRUE(same_bits(plan.pitch, ref.pitch));
+  for (etpn::DpNodeId n : dp.node_ids()) {
+    EXPECT_EQ(plan.position[n], ref.position[n]) << "node " << n.value();
+  }
+  const cost::HardwareCost ours = cost::estimate_cost(dp, lib, 8, scratch);
+  const cost::HardwareCost frozen =
+      test_support::reference_estimate_cost(dp, lib, 8);
+  EXPECT_TRUE(same_bits(ours.module_area, frozen.module_area));
+  EXPECT_TRUE(same_bits(ours.register_area, frozen.register_area));
+  EXPECT_TRUE(same_bits(ours.mux_area, frozen.mux_area));
+  EXPECT_TRUE(same_bits(ours.wire_area, frozen.wire_area));
+}
+
+TEST_P(OnBenchmark, FloorplanMatchesFrozenFloorplanner) {
+  dfg::Dfg g = benchmarks::make_benchmark(GetParam());
+  Design d = make_design(g);
+  cost::CostScratch scratch;
+  expect_floorplan_matches_frozen(d.e.data_path, scratch);
+
+  // Merge-patched graphs: mergers accumulate as tombstones, as in the
+  // committed design of a running synthesis.
+  util::Arena arena;
+  int patched = 0;
+  for (const testability::MergeCandidate& cand : all_candidates(g, d)) {
+    if (patched >= 6) break;
+    const auto [into, from] = cand.nodes(d.e);
+    if (!d.e.data_path.alive(into) || !d.e.data_path.alive(from)) continue;
+    (void)etpn::apply_merge_patch(d.e.data_path, arena, into, from);
+    ++patched;
+    SCOPED_TRACE("after " + std::to_string(patched) + " merge patches");
+    expect_floorplan_matches_frozen(d.e.data_path, scratch);
+  }
+  EXPECT_GT(patched, 0);
 }
 
 }  // namespace

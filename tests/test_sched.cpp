@@ -2,6 +2,13 @@
 // constraint graph, list scheduling, FDS and mobility-path scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "benchmarks/benchmarks.hpp"
 #include "sched/constraint_graph.hpp"
 #include "sched/fds.hpp"
@@ -9,6 +16,7 @@
 #include "sched/list_sched.hpp"
 #include "sched/mobility_path.hpp"
 #include "sched/schedule.hpp"
+#include "util/rng.hpp"
 
 namespace hlts {
 namespace {
@@ -119,6 +127,134 @@ TEST(ConstraintGraph, ZeroWeightAllowsSameStep) {
   auto s = cg.solve();
   ASSERT_TRUE(s.has_value());
   EXPECT_GE(s->step(n22), s->step(n21));
+}
+
+/// Random chains over `g` that the ASAP schedule satisfies, ordered the
+/// way the rescheduler seeds them: each op joins a random module chain
+/// holding no op of its ASAP step, each register-resident variable a
+/// random register chain
+/// whose variables' ASAP lifetimes are disjoint from its own (a new chain
+/// when none is), and chains are sorted by ASAP step.  Swaps then move
+/// between feasible and infeasible orders.
+struct RandomChains {
+  std::vector<std::vector<dfg::OpId>> modules;
+  std::vector<std::vector<dfg::VarId>> regs;
+};
+
+RandomChains random_chains(const dfg::Dfg& g, Rng& rng, std::size_t modules,
+                           std::size_t regs) {
+  const sched::Schedule asap = sched::asap(g);
+  const sched::LifetimeTable lifetimes = sched::LifetimeTable::compute(g, asap);
+  RandomChains c;
+  c.modules.resize(modules);
+  c.regs.resize(regs);
+  auto place = [&](auto& chains, auto item, auto fits) {
+    const std::size_t start = rng.next_below(chains.size());
+    for (std::size_t k = 0; k < chains.size(); ++k) {
+      auto& chain = chains[(start + k) % chains.size()];
+      if (std::all_of(chain.begin(), chain.end(),
+                      [&](auto other) { return fits(item, other); })) {
+        chain.push_back(item);
+        return;
+      }
+    }
+    chains.push_back({item});
+  };
+  for (dfg::OpId op : g.op_ids()) {
+    place(c.modules, op, [&](dfg::OpId a, dfg::OpId b) {
+      return asap.step(a) != asap.step(b);
+    });
+  }
+  for (dfg::VarId v : g.var_ids()) {
+    if (!g.needs_register(v)) continue;
+    // Strictly disjoint: a hand-over in one step (b written by a reader
+    // of a) is a zero-weight self-loop, which the graph rejects.
+    place(c.regs, v, [&](dfg::VarId a, dfg::VarId b) {
+      const sched::Lifetime la = lifetimes.lifetime(a);
+      const sched::Lifetime lb = lifetimes.lifetime(b);
+      return la.death < lb.birth || lb.death < la.birth;
+    });
+  }
+  for (auto& chain : c.modules) {
+    std::stable_sort(chain.begin(), chain.end(), [&](dfg::OpId a, dfg::OpId b) {
+      return asap.step(a) < asap.step(b);
+    });
+  }
+  auto key = [&](dfg::VarId v) {
+    return g.var(v).def.valid() ? asap.step(g.var(v).def) : -1;
+  };
+  for (auto& chain : c.regs) {
+    std::stable_sort(chain.begin(), chain.end(),
+                     [&](dfg::VarId a, dfg::VarId b) { return key(a) < key(b); });
+  }
+  return c;
+}
+
+/// A fresh graph of `g` with the given chains, solved from scratch.
+std::optional<sched::Schedule> fresh_solve(const dfg::Dfg& g,
+                                           const RandomChains& c) {
+  sched::ConstraintGraph fresh(g);
+  for (const auto& chain : c.modules) (void)fresh.add_module_chain(chain);
+  for (const auto& chain : c.regs) (void)fresh.add_register_chain(chain);
+  return fresh.solve();
+}
+
+TEST(ConstraintGraph, ChainSwapsMatchFreshSolves) {
+  // Random chain swaps, kept or reverted at random (infeasible ones
+  // included), on one reused graph: every tentative length and every kept
+  // schedule must equal a from-scratch solve of the same orders.
+  sched::ConstraintGraph graph;
+  int feasible = 0;
+  int infeasible = 0;
+  for (const char* name : {"ewf", "diffeq", "tseng"}) {
+    const dfg::Dfg g = benchmarks::make_benchmark(name);
+    Rng rng(std::hash<std::string>{}(name));
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE(std::string(name) + " round " + std::to_string(round));
+      RandomChains c = random_chains(g, rng, 2 + round, 3 + round);
+      graph.reset(g);
+      for (const auto& chain : c.modules) (void)graph.add_module_chain(chain);
+      for (const auto& chain : c.regs) (void)graph.add_register_chain(chain);
+      std::optional<int> len = graph.schedule_length();
+      for (int swap = 0; swap < 60; ++swap) {
+        const bool module = rng.next_bool();
+        const std::size_t k =
+            rng.next_below(module ? c.modules.size() : c.regs.size());
+        const std::size_t size =
+            module ? c.modules[k].size() : c.regs[k].size();
+        if (size < 2) continue;
+        const std::size_t i = rng.next_below(size - 1);
+        const std::optional<int> tried = module
+                                             ? graph.try_swap_module(k, i)
+                                             : graph.try_swap_register(k, i);
+        if (module) {
+          std::swap(c.modules[k][i], c.modules[k][i + 1]);
+        } else {
+          std::swap(c.regs[k][i], c.regs[k][i + 1]);
+        }
+        const std::optional<sched::Schedule> expected = fresh_solve(g, c);
+        ASSERT_EQ(tried, expected ? std::optional<int>(expected->length())
+                                  : std::nullopt);
+        (expected ? feasible : infeasible)++;
+        // Mostly keep feasible swaps, sometimes an infeasible one.
+        if (expected ? rng.next_bool() : rng.next_below(8) == 0) {
+          graph.keep();
+          len = tried;
+          ASSERT_EQ(graph.schedule(), expected);
+        } else {
+          graph.revert();
+          if (module) {
+            std::swap(c.modules[k][i], c.modules[k][i + 1]);
+          } else {
+            std::swap(c.regs[k][i], c.regs[k][i + 1]);
+          }
+        }
+      }
+      EXPECT_EQ(graph.schedule().has_value(), len.has_value());
+    }
+  }
+  EXPECT_GT(feasible, 50);
+  EXPECT_GT(infeasible, 50);
 }
 
 TEST(ListSched, ResourceLimitLengthensSchedule) {

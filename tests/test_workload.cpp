@@ -3,17 +3,21 @@
 // repeated generation and across synthesis thread counts -- its shape knobs
 // verifiably steer the graph (depth chain, loop states, memory-port
 // serialization), its designs pass FlowParams::audit under all four flows,
-// and the acceptance-scale check: a >= 2000-op seeded design synthesizes
-// under every flow.  Plus the traffic-pattern schedule: exact apportionment,
+// and the acceptance-scale checks: a >= 2000-op seeded design synthesizes
+// under every flow, and Ours runs uncapped to convergence on a 72-op
+// loop-and-memory design, bit-identically at 1 and 4 threads.  Plus the traffic-pattern schedule: exact apportionment,
 // determinism, and the shape of each pattern.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/api.hpp"
 #include "core/flows.hpp"
+#include "core/synthesis.hpp"
 #include "dfg/dfg.hpp"
 #include "util/error.hpp"
 #include "workload/generator.hpp"
@@ -202,6 +206,45 @@ TEST(WorkloadGenerator, TwoThousandOpDesignSynthesizesUnderAllFourFlows) {
     const core::FlowResult r = core::run_flow(kind, g, p);
     EXPECT_GE(r.exec_time, g.critical_path_ops()) << core::flow_name(kind);
     EXPECT_GT(r.registers, 0) << core::flow_name(kind);
+  }
+}
+
+TEST(WorkloadGenerator, OursConvergesUncappedOnLoopyMemoryDesign) {
+  // Algorithm 1 at scale with no iteration cap: a loop-carried, memory-port
+  // design of 72 ops must run to convergence, with the same trajectory --
+  // every committed merger and its bitwise numbers -- at 1 and 4 threads.
+  workload::DfgShape s;
+  s.ops = 72;
+  s.depth = 8;
+  s.loop_density = 0.2;
+  s.self_loop_density = 0.5;
+  s.memories = 2;
+  s.memory_ports = 1;
+  s.memory_access_density = 0.15;
+  const dfg::Dfg g = workload::generate(3, s);
+  core::FlowParams p;
+  p.bits = 8;
+  p.max_iterations = std::numeric_limits<int>::max();
+  std::string serial;
+  for (const int threads : {1, 4}) {
+    p.num_threads = threads;
+    const core::SynthesisResult r = core::integrated_synthesis(
+        g, core::synthesis_params(core::FlowKind::Ours, p));
+    EXPECT_EQ(r.stop_reason, "converged") << "threads=" << threads;
+    EXPECT_GT(r.iterations, 20) << "threads=" << threads;
+    std::ostringstream os;
+    os.precision(17);
+    for (const core::IterationRecord& rec : r.trajectory) {
+      os << rec.description << ';' << rec.exec_time << ';' << rec.hw_cost
+         << ';' << rec.delta_e << ';' << rec.delta_h << ';' << rec.delta_c
+         << ';' << rec.balance_index << '|';
+    }
+    os << r.exec_time << ';' << r.cost.total();
+    if (threads == 1) {
+      serial = os.str();
+    } else {
+      EXPECT_EQ(os.str(), serial) << "threads=" << threads;
+    }
   }
 }
 
