@@ -32,7 +32,8 @@
 //                    the 4-thread generated-design trajectories, are
 //                    bit-identical to the serial ones
 //   --compare FILE   warn (non-gating, exit 0) when a benchmark's serial
-//                    per-trial time regressed >20% vs the committed JSON
+//                    per-trial time or its hybrid ATPG time (tg_ms)
+//                    regressed >20% vs the committed JSON
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -178,12 +179,17 @@ FaultSimSample fault_sim_sample(const hlts::dfg::Dfg& g, int reps,
 // Deterministic-ATPG backends: full run_atpg under "timeframe" (random +
 // PODEM) and "hybrid" (random + SAT on the survivors) over the same
 // synthesized design, so the JSON tracks per-backend TG time and coverage.
+// Each run is traced; the hybrid row splits its time into the per-target
+// atpg.sat_encode / atpg.sat_solve / atpg.rescue spans.
 // ---------------------------------------------------------------------------
 struct AtpgBackendSample {
   std::string backend;
   double coverage = 0;
   double efficiency = 0;
   double tg_ms = 0;
+  double encode_ms = 0;  ///< summed atpg.sat_encode spans
+  double solve_ms = 0;   ///< summed atpg.sat_solve spans
+  double rescue_ms = 0;  ///< summed atpg.rescue spans
   std::size_t detected = 0;
   std::size_t untestable = 0;
   std::size_t aborted = 0;
@@ -203,13 +209,23 @@ std::vector<AtpgBackendSample> atpg_backend_sweep(const hlts::dfg::Dfg& g,
   for (const char* backend : {"timeframe", "hybrid"}) {
     atpg::AtpgOptions options;
     options.backend = backend;
-    // The same modest per-fault budget the sat test suite uses: the hybrid
-    // rescue pass preserves coverage dominance and the six-benchmark sweep
-    // stays affordable in the perf-smoke job.
+    // The same modest per-fault budget the sat test suite uses: coverage
+    // dominance holds at it and the six-benchmark sweep stays affordable
+    // in the perf-smoke job.
     options.sat_conflict_budget = 2000;
-    const atpg::AtpgResult res =
-        atpg::run_atpg(elab.netlist, design.steps() + 1, options);
+    hlts::util::Trace trace;
+    atpg::AtpgResult res;
+    {
+      const hlts::util::Trace::Scope scope(&trace);
+      res = atpg::run_atpg(elab.netlist, design.steps() + 1, options);
+    }
     AtpgBackendSample s;
+    for (const hlts::util::SpanRecord& span : trace.snapshot().spans) {
+      const double ms = static_cast<double>(span.dur_us) / 1e3;
+      if (span.name == "atpg.sat_encode") s.encode_ms += ms;
+      if (span.name == "atpg.sat_solve") s.solve_ms += ms;
+      if (span.name == "atpg.rescue") s.rescue_ms += ms;
+    }
     s.backend = backend;
     s.coverage = res.fault_coverage;
     s.efficiency = res.fault_efficiency;
@@ -308,17 +324,22 @@ std::string source_commit() {
   return commit;
 }
 
-/// Pulls `"per_trial_us": <number>` for benchmark `name` out of a committed
-/// BENCH_synthesis.json (crude scan; the file is machine-written).
-double committed_per_trial_us(const std::string& json,
-                              const std::string& name) {
+/// Pulls `"<key>": <number>` for benchmark `name` out of a committed
+/// BENCH_synthesis.json, optionally the first one after `within` inside
+/// that benchmark's entry (crude scan; the file is machine-written).
+/// Returns 0 when absent.
+double committed_number(const std::string& json, const std::string& name,
+                        const std::string& key,
+                        const std::string& within = "") {
   const std::string anchor = "\"name\": \"" + name + "\"";
   std::size_t at = json.find(anchor);
   if (at == std::string::npos) return 0;
-  const std::string key = "\"per_trial_us\": ";
-  at = json.find(key, at);
-  if (at == std::string::npos) return 0;
-  return std::strtod(json.c_str() + at + key.size(), nullptr);
+  const std::size_t end = json.find("\"name\": \"", at + anchor.size());
+  if (!within.empty()) at = json.find(within, at);
+  const std::string needle = "\"" + key + "\": ";
+  if (at != std::string::npos) at = json.find(needle, at);
+  if (at == std::string::npos || at > end) return 0;
+  return std::strtod(json.c_str() + at + needle.size(), nullptr);
 }
 
 }  // namespace
@@ -487,6 +508,11 @@ int main(int argc, char** argv) {
           s.backend == "hybrid"
               ? (hybrid_ge_timeframe ? "  >=timeframe=yes" : "  >=timeframe=NO")
               : "");
+      if (s.backend == "hybrid") {
+        std::printf("%-7s atpg hybrid split: sat_encode %7.1f ms  sat_solve "
+                    "%7.1f ms  rescue %7.1f ms\n",
+                    name, s.encode_ms, s.solve_ms, s.rescue_ms);
+      }
       json << "        {\"backend\": \"" << s.backend << "\""
            << ", \"fault_coverage\": " << s.coverage
            << ", \"fault_efficiency\": " << s.efficiency
@@ -496,7 +522,10 @@ int main(int argc, char** argv) {
            << ", \"aborted\": " << s.aborted
            << ", \"unconfirmed\": " << s.unconfirmed;
       if (s.backend == "hybrid") {
-        json << ", \"coverage_ge_timeframe\": "
+        json << ", \"sat_encode_ms\": " << s.encode_ms
+             << ", \"sat_solve_ms\": " << s.solve_ms
+             << ", \"rescue_ms\": " << s.rescue_ms
+             << ", \"coverage_ge_timeframe\": "
              << (hybrid_ge_timeframe ? "true" : "false");
       }
       json << "}" << (ai + 1 < atpg_samples.size() ? "," : "") << "\n";
@@ -504,13 +533,23 @@ int main(int argc, char** argv) {
     json << "      ]\n    }";
 
     if (!committed.empty()) {
-      const double old_us = committed_per_trial_us(committed, name);
+      const double old_us = committed_number(committed, name, "per_trial_us");
       if (old_us > 0 && per_trial_us > old_us * 1.2) {
         ++regressions;
         std::fprintf(stderr,
                      "WARNING: %s per-trial time regressed %.1f -> %.1f us "
                      "(>20%% vs %s)\n",
                      name, old_us, per_trial_us, compare_path.c_str());
+      }
+      const double old_tg_ms = committed_number(
+          committed, name, "tg_ms", "\"backend\": \"hybrid\"");
+      const double tg_ms = atpg_samples[1].tg_ms;
+      if (old_tg_ms > 0 && tg_ms > old_tg_ms * 1.2) {
+        ++regressions;
+        std::fprintf(stderr,
+                     "WARNING: %s hybrid ATPG time regressed %.1f -> %.1f ms "
+                     "(>20%% vs %s)\n",
+                     name, old_tg_ms, tg_ms, compare_path.c_str());
       }
     }
   }
@@ -556,7 +595,7 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << out_path << "\n";
   if (regressions > 0) {
     std::cerr << "WARNING: " << regressions
-              << " benchmark(s) regressed >20% on per-trial time "
+              << " regression(s) >20% on per-trial or hybrid ATPG time "
                  "(non-gating)\n";
   }
   if (not_identical > 0) {

@@ -184,6 +184,7 @@ AtpgResult run_atpg(const gates::Netlist& nl, int period,
       BackendResult br = backend->generate(target);
       bool rescued = false;
       if (br.status == BackendStatus::Aborted && rescue) {
+        HLTS_SPAN("atpg.rescue");
         br = rescue->generate(target);
         rescued = true;
       }

@@ -11,10 +11,18 @@
 // Retiring a fault deactivates its detection clause but leaves the faulty
 // cone's definition clauses in the database, so unit propagation would
 // slow down linearly in the number of targets processed (quadratic over a
-// run).  The backend therefore rebuilds the encoding from scratch whenever
-// the clause count exceeds twice the good-machine baseline, bounding the
-// garbage carried into any solve by one baseline's worth of clauses.  The
-// trigger depends only on clause counts, so runs stay deterministic.
+// run).  Whenever the clause count exceeds twice the good-machine baseline,
+// the backend therefore resets the encoding (TimeFrameCnf::reset): every
+// fault cone and learnt clause is dropped and the solver is back in the
+// exact state the constructor left it in, without re-encoding the good
+// machine.  That bounds the garbage carried into any solve, and the memory,
+// by one baseline's worth of clauses.  The trigger depends only on clause
+// counts and the reset state only on the netlist, so runs stay
+// deterministic; the solver's stats keep counting across resets.
+//
+// Spans: atpg.sat_encode covers the reset check and add_fault,
+// atpg.sat_solve the CDCL call, per target (the orchestrator adds
+// atpg.rescue around a hybrid PODEM retry).
 //
 // Outcome mapping: Sat -> Detected with the model's extracted input
 // sequence (confirmable by the fault simulator by construction of the
@@ -22,8 +30,6 @@
 // same bound the PODEM backend searches, but a complete proof rather than
 // a search-exhaustion claim); Unknown (budget) -> Aborted.
 #pragma once
-
-#include <memory>
 
 #include "atpg/backend.hpp"
 #include "gates/cnf.hpp"
@@ -39,24 +45,14 @@ class SatBackend final : public DeterministicBackend {
   [[nodiscard]] const BackendStats& stats() const override { return stats_; }
 
   /// The underlying encoding, for tests (literal numbering, DIMACS dump).
-  [[nodiscard]] gates::TimeFrameCnf& cnf() { return *cnf_; }
+  [[nodiscard]] gates::TimeFrameCnf& cnf() { return cnf_; }
 
  private:
-  /// Replaces cnf_ with a fresh good-machine encoding once retired fault
-  /// cones have doubled the clause count (see the header comment).
-  void maybe_rebuild();
-
   const gates::Netlist& nl_;
-  std::unique_ptr<gates::TimeFrameCnf> cnf_;
+  gates::TimeFrameCnf cnf_;
   std::int64_t conflict_budget_;
   std::string dump_dir_;
-  int frames_;
-  int reset_index_;
-  std::size_t base_clauses_ = 0;   ///< clause count of the fault-free encoding
-  std::uint64_t carried_conflicts_ = 0;  ///< stats from discarded solvers
-  std::uint64_t carried_decisions_ = 0;
-  std::uint64_t carried_propagations_ = 0;
-  std::uint64_t carried_learned_ = 0;
+  std::size_t base_clauses_ = 0;  ///< clause count of the fault-free encoding
   BackendStats stats_;
 };
 

@@ -30,8 +30,9 @@ Var Solver::new_var() {
   reason_.push_back(kNoClause);
   activity_.push_back(0.0);
   seen_.push_back(0);
-  watches_.emplace_back();
-  watches_.emplace_back();
+  // restore_baseline() keeps the watch lists of dropped variables (empty,
+  // with their capacity), so a re-created variable reuses them.
+  if (watches_.size() < 2 * assign_.size()) watches_.resize(2 * assign_.size());
   heap_pos_.push_back(-1);
   model_.push_back(Value::False);
   heap_insert(v);
@@ -50,7 +51,7 @@ Value Solver::value(Var v) const {
   return model_[static_cast<std::size_t>(v)];
 }
 
-Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& lits,
+Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> lits,
                                        bool learnt) {
   const auto ref = static_cast<ClauseRef>(arena_.size());
   arena_.push_back(static_cast<int>(lits.size()));
@@ -69,29 +70,30 @@ void Solver::watch_clause(ClauseRef c) {
   watches_[static_cast<std::size_t>((~l1).x)].push_back(c);
 }
 
-bool Solver::add_clause(const std::vector<Lit>& lits) {
+bool Solver::add_clause(std::span<const Lit> lits) {
   HLTS_REQUIRE(trail_lim_.empty(), "cdcl: add_clause only at decision level 0");
   if (!ok_) return false;
 
-  // Normalize: sort by code, merge duplicates, drop tautologies and
-  // literals already false at the root level; a literal true at the root
-  // satisfies the clause outright.
-  std::vector<Lit> c(lits);
-  std::sort(c.begin(), c.end(),
+  // Normalize in the member buffer: sort by code, merge duplicates, drop
+  // tautologies and literals already false at the root level; a literal
+  // true at the root satisfies the clause outright.
+  std::vector<Lit>& out = add_scratch_;
+  out.assign(lits.begin(), lits.end());
+  std::sort(out.begin(), out.end(),
             [](Lit a, Lit b) { return a.x < b.x; });
-  std::vector<Lit> out;
-  out.reserve(c.size());
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    const Lit l = c[i];
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const Lit l = out[i];
     HLTS_REQUIRE(l.var() >= 0 && l.var() < num_vars(),
                  "cdcl: clause literal over unknown variable");
-    if (!out.empty() && out.back() == l) continue;      // duplicate
-    if (!out.empty() && out.back() == ~l) return true;  // tautology
+    if (kept > 0 && out[kept - 1] == l) continue;      // duplicate
+    if (kept > 0 && out[kept - 1] == ~l) return true;  // tautology
     const Value v = lit_value(l);
     if (v == Value::True) return true;   // satisfied at root
     if (v == Value::False) continue;     // falsified at root: drop literal
-    out.push_back(l);
+    out[kept++] = l;
   }
+  out.resize(kept);
 
   if (out.empty()) {
     ok_ = false;
@@ -308,9 +310,8 @@ void Solver::analyze_final(Lit failed) {
   // The failed assumption's negation is implied by root clauses plus some
   // subset of the other assumptions; walk reasons back to decisions (which
   // are all assumptions at this point in the decision loop) to collect it.
+  // seen_ marks a var to visit with 1 and a decision in the core with 2.
   conflict_core_.clear();
-  std::vector<std::uint8_t> in_core(assign_.size(), 0);
-  in_core[static_cast<std::size_t>(failed.var())] = 1;
   const auto fv = static_cast<std::size_t>(failed.var());
   seen_[fv] = 1;
   if (!trail_lim_.empty()) {
@@ -320,25 +321,25 @@ void Solver::analyze_final(Lit failed) {
       const auto v = static_cast<std::size_t>(t.var());
       if (seen_[v] == 0) continue;
       if (reason_[v] == kNoClause) {
-        in_core[v] = 1;  // a decision == an assumption
-      } else {
-        const ClauseRef c = reason_[v];
-        const int size = clause_size(c);
-        for (int k = 1; k < size; ++k) {
-          const Lit q = clause_lit(c, k);
-          const auto qv = static_cast<std::size_t>(q.var());
-          if (level_[qv] > 0) seen_[qv] = 1;
-        }
+        seen_[v] = 2;  // a decision == an assumption
+        continue;
+      }
+      const ClauseRef c = reason_[v];
+      const int size = clause_size(c);
+      for (int k = 1; k < size; ++k) {
+        const Lit q = clause_lit(c, k);
+        const auto qv = static_cast<std::size_t>(q.var());
+        if (level_[qv] > 0) seen_[qv] = 1;
       }
       seen_[v] = 0;
     }
   }
-  seen_[fv] = 0;
   for (const Lit a : assumptions_) {
-    if (in_core[static_cast<std::size_t>(a.var())] != 0) {
-      conflict_core_.push_back(a);
-    }
+    const auto v = static_cast<std::size_t>(a.var());
+    if (v == fv || seen_[v] == 2) conflict_core_.push_back(a);
   }
+  for (const Lit a : assumptions_) seen_[static_cast<std::size_t>(a.var())] = 0;
+  seen_[fv] = 0;
 }
 
 void Solver::backtrack(int target) {
@@ -454,6 +455,69 @@ Status Solver::solve(const std::vector<Lit>& assumptions,
     trail_lim_.push_back(static_cast<int>(trail_.size()));
     enqueue(next, kNoClause);
   }
+}
+
+// ---- baseline --------------------------------------------------------------
+
+void Solver::rewatch_problem_clauses() {
+  // Every clause is watched on its first two literals, so re-registering
+  // the problem clauses in insertion order rebuilds the same watch sets in
+  // a canonical list order.
+  for (std::vector<ClauseRef>& ws : watches_) ws.clear();
+  for (const ClauseRef c : clauses_) watch_clause(c);
+}
+
+void Solver::mark_baseline() {
+  HLTS_REQUIRE(trail_lim_.empty() && learnts_.empty(),
+               "cdcl: baseline only at level 0 before any learnt clause");
+  rewatch_problem_clauses();
+  baseline_.set = true;
+  baseline_.ok = ok_;
+  baseline_.vars = num_vars();
+  baseline_.clauses = clauses_.size();
+  baseline_.trail = trail_.size();
+  baseline_.activity_inc = activity_inc_;
+  baseline_.arena = arena_;
+  baseline_.activity = activity_;
+  baseline_.phase = phase_;
+  baseline_.heap = heap_;
+}
+
+void Solver::restore_baseline() {
+  HLTS_REQUIRE(baseline_.set, "cdcl: restore_baseline without a baseline");
+  backtrack(0);
+  const Baseline& b = baseline_;
+  for (std::size_t i = trail_.size(); i-- > b.trail;) {
+    const auto v = static_cast<std::size_t>(trail_[i].var());
+    assign_[v] = Value::Undef;
+    reason_[v] = kNoClause;
+  }
+  trail_.resize(b.trail);
+  qhead_ = b.trail;
+
+  const auto n = static_cast<std::size_t>(b.vars);
+  assign_.resize(n);
+  level_.resize(n);
+  reason_.resize(n);
+  seen_.resize(n);
+  model_.resize(n);
+  phase_ = b.phase;
+  activity_ = b.activity;
+  activity_inc_ = b.activity_inc;
+  heap_ = b.heap;
+  heap_pos_.assign(n, -1);
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    heap_pos_[static_cast<std::size_t>(heap_[i])] = static_cast<int>(i);
+  }
+
+  arena_ = b.arena;  // the baseline clauses in their baseline literal order
+  clauses_.resize(b.clauses);
+  num_problem_clauses_ = b.clauses;
+  learnts_.clear();
+  rewatch_problem_clauses();
+  ok_ = b.ok;
+  assumptions_.clear();
+  conflict_core_.clear();
 }
 
 // ---- activity heap (max-heap; ties break toward the smaller index) ------

@@ -22,7 +22,12 @@
 //     subset of assumptions the final conflict depends on (an unsat core
 //     over the assumptions, not guaranteed minimal);
 //   - a per-call conflict budget: exceeding it returns Status::Unknown,
-//     the bounded-effort "abort" the ATPG orchestrator expects.
+//     the bounded-effort "abort" the ATPG orchestrator expects;
+//   - a baseline: mark_baseline() records the clause database, and
+//     restore_baseline() later drops every variable, clause and learnt
+//     clause added since and puts the search state back exactly as it was,
+//     so a caller can shed accumulated per-query garbage without
+//     re-encoding the shared part of its formula.
 //
 // Determinism: there is no randomness anywhere (ties in VSIDS break by
 // variable index through the activity heap's ordering), no pointers are
@@ -31,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace hlts::util::cdcl {
@@ -91,11 +97,15 @@ class Solver {
   /// duplicate literals merged.  Adding the empty clause (or a unit that
   /// contradicts a previous unit) makes the solver permanently Unsat.
   /// Returns false when the solver is already known Unsat.
-  bool add_clause(const std::vector<Lit>& lits);
-  bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
-  bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(Lit a) { return add_clause(std::span<const Lit>(&a, 1)); }
+  bool add_clause(Lit a, Lit b) {
+    const Lit lits[] = {a, b};
+    return add_clause(lits);
+  }
   bool add_clause(Lit a, Lit b, Lit c) {
-    return add_clause(std::vector<Lit>{a, b, c});
+    const Lit lits[] = {a, b, c};
+    return add_clause(lits);
   }
 
   /// Solves under `assumptions` (each forced true for this call only).
@@ -118,6 +128,15 @@ class Solver {
   [[nodiscard]] const std::vector<Lit>& failed_assumptions() const {
     return conflict_core_;
   }
+
+  /// Records the current variables, problem clauses and root assignments
+  /// as the baseline.  Only at decision level 0 with no learnt clauses.
+  void mark_baseline();
+  /// Drops every variable, problem clause and learnt clause added since
+  /// mark_baseline() and restores the activities, saved phases, decision
+  /// order, root trail and clause watches the baseline had, so the solver
+  /// then behaves exactly as it did at the mark.  Stats keep counting.
+  void restore_baseline();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] bool inconsistent() const { return !ok_; }
@@ -160,8 +179,9 @@ class Solver {
     return l;
   }
 
-  ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learnt);
+  ClauseRef alloc_clause(std::span<const Lit> lits, bool learnt);
   void watch_clause(ClauseRef c);
+  void rewatch_problem_clauses();
 
   [[nodiscard]] Value lit_value(Lit l) const;
   void enqueue(Lit l, ClauseRef reason);
@@ -216,6 +236,23 @@ class Solver {
   std::vector<std::uint8_t> seen_;
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> analyze_clear_;
+  std::vector<Lit> add_scratch_;  ///< add_clause() normalization buffer
+
+  // The mark_baseline() snapshot: sizes plus copies of everything search
+  // permutes in place (clause literal order, activities, phases, heap).
+  struct Baseline {
+    bool set = false;
+    bool ok = true;
+    int vars = 0;
+    std::size_t clauses = 0;
+    std::size_t trail = 0;
+    double activity_inc = 1.0;
+    std::vector<int> arena;
+    std::vector<double> activity;
+    std::vector<std::uint8_t> phase;
+    std::vector<int> heap;
+  };
+  Baseline baseline_;
 
   Stats stats_;
 };

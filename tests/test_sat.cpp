@@ -1,6 +1,7 @@
 // SAT backend suite (label: sat): unit tests of the in-repo CDCL solver,
-// CNF-vs-simulator property tests over random sequential gate cones, and
-// the deterministic-backend equivalence matrix over the six benchmarks.
+// CNF-vs-simulator property tests over random sequential gate cones (with
+// exhaustive simulation as ground truth for both verdicts), and the
+// deterministic-backend equivalence matrix over the six benchmarks.
 //
 // The load-bearing property is soundness-by-construction: TimeFrameCnf
 // encodes the *same* dual-rail plane equations the wide fault simulator
@@ -187,13 +188,15 @@ TEST(Cdcl, DeterministicAcrossRuns) {
 /// A random sequential netlist: `num_inputs` PIs, `num_dffs` flip-flops fed
 /// from random signals, `num_gates` combinational gates over the growing
 /// signal pool.  Structurally acyclic in the combinational part by
-/// construction (gates only reference earlier signals).
+/// construction (gates only reference earlier signals).  With `with_reset`
+/// input 0 is named "reset", which the SAT backend forces 1-then-0.
 Netlist random_netlist(Rng& rng, int num_inputs, int num_gates,
-                       int num_dffs) {
+                       int num_dffs, bool with_reset = false) {
   Netlist nl("random");
   std::vector<GateId> pool;
   for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(nl.add_input("i" + std::to_string(i)));
+    pool.push_back(nl.add_input(with_reset && i == 0 ? std::string("reset")
+                                                     : "i" + std::to_string(i)));
   }
   std::vector<GateId> dffs;
   for (int i = 0; i < num_dffs; ++i) {
@@ -292,6 +295,108 @@ TEST(CnfProperty, EverySatTestIsConfirmedByTheFaultSimulator) {
   // Random cones must exercise both outcomes for the property to bite.
   EXPECT_GT(detected, 100);
   EXPECT_GT(untestable, 0);
+}
+
+TEST(CnfProperty, VerdictsMatchExhaustiveSimulation) {
+  // Ground truth for both verdicts.  With 3 PIs and 3 frames there are only
+  // 512 input sequences, so the set of faults some sequence detects is
+  // known exactly: Sat must come with a detecting sequence, Unsat must mean
+  // no sequence detects the fault.  The faults run through the production
+  // SatBackend with no conflict budget, resets included.  Every other
+  // netlist has a reset input, which every sequence drives 1-then-0.
+  Rng rng(1992);
+  constexpr int kInputs = 3;
+  constexpr int kFrames = 3;
+  int detected = 0;
+  int untestable = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const bool with_reset = trial % 2 == 1;
+    const Netlist nl = random_netlist(rng, kInputs, 18, 3, with_reset);
+    const atpg::FaultUniverse universe = atpg::FaultUniverse::collapsed(nl);
+    const std::vector<atpg::Fault>& faults = universe.faults();
+    atpg::FaultSimulator fsim(nl, /*num_threads=*/1);
+    std::vector<std::uint8_t> testable(faults.size(), 0);
+    for (unsigned code = 0; code < (1u << (kInputs * kFrames)); ++code) {
+      atpg::TestSequence seq(kFrames, atpg::TestVector(kInputs));
+      bool base_state = true;
+      for (int t = 0; t < kFrames; ++t) {
+        for (int i = 0; i < kInputs; ++i) {
+          seq[t][i] = ((code >> (t * kInputs + i)) & 1u) != 0;
+        }
+        base_state = base_state && (!with_reset || seq[t][0] == (t == 0));
+      }
+      if (!base_state) continue;
+      for (const std::size_t idx : fsim.detected_by(seq, faults)) {
+        testable[idx] = 1;
+      }
+    }
+
+    atpg::BackendConfig config;
+    config.frames = kFrames;
+    config.conflict_budget = 0;
+    auto backend = atpg::make_backend(atpg::BackendKind::Sat, nl, config);
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      const atpg::Fault& f = faults[k];
+      const atpg::BackendResult r = backend->generate(f);
+      ASSERT_NE(r.status, atpg::BackendStatus::Aborted);
+      if (r.status == atpg::BackendStatus::Detected) {
+        ++detected;
+        std::vector<atpg::Fault> remaining{f};
+        fsim.drop_detected(r.sequence, remaining);
+        EXPECT_TRUE(remaining.empty())
+            << "Sat test for " << atpg::fault_name(nl, f)
+            << " not confirmed (trial " << trial << ")";
+      } else {
+        ++untestable;
+        EXPECT_EQ(testable[k], 0)
+            << "Unsat for " << atpg::fault_name(nl, f)
+            << ", which some sequence detects (trial " << trial << ")";
+      }
+    }
+  }
+  // Both verdicts must be common for the oracle to bite.
+  EXPECT_GT(detected, 2000);
+  EXPECT_GT(untestable, 2000);
+  std::printf("[oracle] %d detected, %d untestable\n", detected, untestable);
+}
+
+TEST(CnfProperty, ResetRestoresTheFreshEncodingExactly) {
+  // After reset() the encoding must behave exactly like a freshly built
+  // one: same CNF, same verdicts, same models, same conflict counts.
+  Rng rng(77);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Netlist nl = random_netlist(rng, 4, 20, 3);
+    const int frames = 4;
+    const std::vector<atpg::Fault> faults =
+        atpg::FaultUniverse::collapsed(nl).faults();
+    gates::TimeFrameCnf reused(nl, frames);
+    std::ostringstream pristine;
+    reused.dump_dimacs(pristine);
+    for (const atpg::Fault& f : faults) {
+      gates::TimeFrameCnf fresh(nl, frames);
+      const Lit fresh_act = fresh.add_fault(f.gate, f.stuck_at_one);
+      const std::uint64_t fresh_before = fresh.solver().stats().conflicts;
+      const Status fresh_st = fresh.solver().solve({fresh_act});
+
+      const Lit act = reused.add_fault(f.gate, f.stuck_at_one);
+      ASSERT_EQ(act, fresh_act) << atpg::fault_name(nl, f);
+      const std::uint64_t before = reused.solver().stats().conflicts;
+      const Status st = reused.solver().solve({act});
+      ASSERT_EQ(st, fresh_st) << atpg::fault_name(nl, f);
+      EXPECT_EQ(reused.solver().stats().conflicts - before,
+                fresh.solver().stats().conflicts - fresh_before)
+          << atpg::fault_name(nl, f);
+      if (st == Status::Sat) {
+        EXPECT_EQ(reused.extract_sequence(), fresh.extract_sequence())
+            << atpg::fault_name(nl, f);
+      }
+      reused.retire_fault(act);
+      reused.reset();
+    }
+    std::ostringstream after;
+    reused.dump_dimacs(after);
+    EXPECT_EQ(after.str(), pristine.str()) << "trial " << trial;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -437,9 +542,9 @@ TEST(BackendEquivalence, HybridCoverageDominatesTimeframeOnEveryBenchmark) {
   for (const char* name : kBenchmarks) {
     const BenchDesign& d = bench_design(name);
     atpg::AtpgOptions options;
-    // A modest per-fault budget keeps the six-benchmark matrix affordable;
-    // the hybrid rescue pass (PODEM retry on budget aborts) is what makes
-    // dominance hold at this setting.
+    // A modest per-fault budget keeps the six-benchmark matrix affordable.
+    // With the active-path clauses the budgeted SAT search alone already
+    // dominates here; the PODEM rescue of its few aborts only adds to it.
     options.sat_conflict_budget = 2000;
     options.backend = "timeframe";
     const atpg::AtpgResult tf =
@@ -478,6 +583,25 @@ TEST(BackendEquivalence, HybridCoverageDominatesTimeframeOnEveryBenchmark) {
   EXPECT_GT(newly_resolved_total, 0u);
   std::printf("[matrix] timeframe aborted %zu target(s); SAT resolved %zu\n",
               timeframe_aborted_total, newly_resolved_total);
+}
+
+TEST(BackendEquivalence, HybridSatAbortsStayRare) {
+  // The active-path clauses let the budgeted CDCL settle nearly every
+  // target itself; a target it aborts goes to the PODEM rescue.  Without
+  // them tseng alone aborts about 95 targets at this setting, so the bound
+  // catches a lost or weakened path constraint.
+  std::size_t aborted_total = 0;
+  for (const char* name : kBenchmarks) {
+    const BenchDesign& d = bench_design(name);
+    atpg::AtpgOptions options;
+    options.backend = "hybrid";
+    options.sat_conflict_budget = 2000;
+    const atpg::AtpgResult hy = atpg::run_atpg(d.netlist, d.period, options);
+    std::printf("[aborts] %-6s %zu SAT-aborted of %zu targets\n", name,
+                hy.backend_stats.aborted, hy.backend_stats.targets);
+    aborted_total += hy.backend_stats.aborted;
+  }
+  EXPECT_LE(aborted_total, 20u);
 }
 
 TEST(BackendEquivalence, DetectedSetsBitIdenticalAcrossWidthsAndThreads) {
