@@ -31,15 +31,19 @@
 //   --verify-serial  also check the 4-thread fault-sim detected set, and
 //                    the 4-thread generated-design trajectories, are
 //                    bit-identical to the serial ones
-//   --compare FILE   warn (non-gating, exit 0) when a benchmark's serial
-//                    per-trial time or its hybrid ATPG time (tg_ms)
-//                    regressed >20% vs the committed JSON
+//   --compare FILE   fail (exit 1) when a benchmark's ATPG counts
+//                    (detected / untestable / aborted / unconfirmed, both
+//                    backends) differ from the committed JSON -- they are
+//                    deterministic, so this is an identity check; warn
+//                    (non-gating) when its serial per-trial time or its
+//                    timeframe or hybrid ATPG time (tg_ms) regressed >20%
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -327,18 +331,18 @@ std::string source_commit() {
 /// Pulls `"<key>": <number>` for benchmark `name` out of a committed
 /// BENCH_synthesis.json, optionally the first one after `within` inside
 /// that benchmark's entry (crude scan; the file is machine-written).
-/// Returns 0 when absent.
-double committed_number(const std::string& json, const std::string& name,
-                        const std::string& key,
-                        const std::string& within = "") {
+std::optional<double> committed_number(const std::string& json,
+                                       const std::string& name,
+                                       const std::string& key,
+                                       const std::string& within = "") {
   const std::string anchor = "\"name\": \"" + name + "\"";
   std::size_t at = json.find(anchor);
-  if (at == std::string::npos) return 0;
+  if (at == std::string::npos) return std::nullopt;
   const std::size_t end = json.find("\"name\": \"", at + anchor.size());
   if (!within.empty()) at = json.find(within, at);
   const std::string needle = "\"" + key + "\": ";
   if (at != std::string::npos) at = json.find(needle, at);
-  if (at == std::string::npos || at > end) return 0;
+  if (at == std::string::npos || at > end) return std::nullopt;
   return std::strtod(json.c_str() + at + needle.size(), nullptr);
 }
 
@@ -411,6 +415,7 @@ int main(int argc, char** argv) {
   bool first_bench = true;
   int not_identical = 0;
   int regressions = 0;
+  int count_mismatches = 0;  ///< --compare: ATPG counts off the committed file
   for (const char* name : {"ex", "dct", "diffeq", "ewf", "paulin", "tseng"}) {
     hlts::dfg::Dfg g = hlts::benchmarks::make_benchmark(name);
 
@@ -533,7 +538,8 @@ int main(int argc, char** argv) {
     json << "      ]\n    }";
 
     if (!committed.empty()) {
-      const double old_us = committed_number(committed, name, "per_trial_us");
+      const double old_us =
+          committed_number(committed, name, "per_trial_us").value_or(0);
       if (old_us > 0 && per_trial_us > old_us * 1.2) {
         ++regressions;
         std::fprintf(stderr,
@@ -541,15 +547,34 @@ int main(int argc, char** argv) {
                      "(>20%% vs %s)\n",
                      name, old_us, per_trial_us, compare_path.c_str());
       }
-      const double old_tg_ms = committed_number(
-          committed, name, "tg_ms", "\"backend\": \"hybrid\"");
-      const double tg_ms = atpg_samples[1].tg_ms;
-      if (old_tg_ms > 0 && tg_ms > old_tg_ms * 1.2) {
-        ++regressions;
-        std::fprintf(stderr,
-                     "WARNING: %s hybrid ATPG time regressed %.1f -> %.1f ms "
-                     "(>20%% vs %s)\n",
-                     name, old_tg_ms, tg_ms, compare_path.c_str());
+      for (const AtpgBackendSample& s : atpg_samples) {
+        const std::string row = "\"backend\": \"" + s.backend + "\"";
+        const double old_tg_ms =
+            committed_number(committed, name, "tg_ms", row).value_or(0);
+        if (old_tg_ms > 0 && s.tg_ms > old_tg_ms * 1.2) {
+          ++regressions;
+          std::fprintf(stderr,
+                       "WARNING: %s %s ATPG time regressed %.1f -> %.1f ms "
+                       "(>20%% vs %s)\n",
+                       name, s.backend.c_str(), old_tg_ms, s.tg_ms,
+                       compare_path.c_str());
+        }
+        const std::pair<const char*, std::size_t> counts[] = {
+            {"detected", s.detected},
+            {"untestable", s.untestable},
+            {"aborted", s.aborted},
+            {"unconfirmed", s.unconfirmed}};
+        for (const auto& [key, value] : counts) {
+          const std::optional<double> old =
+              committed_number(committed, name, key, row);
+          if (old && *old == static_cast<double>(value)) continue;
+          ++count_mismatches;
+          const std::string was =
+              old ? std::to_string(static_cast<long long>(*old)) : "none";
+          std::fprintf(stderr, "ERROR: %s %s ATPG %s is %zu, %s has %s\n",
+                       name, s.backend.c_str(), key, value,
+                       compare_path.c_str(), was.c_str());
+        }
       }
     }
   }
@@ -595,13 +620,16 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << out_path << "\n";
   if (regressions > 0) {
     std::cerr << "WARNING: " << regressions
-              << " regression(s) >20% on per-trial or hybrid ATPG time "
+              << " regression(s) >20% on per-trial or ATPG time "
                  "(non-gating)\n";
+  }
+  if (count_mismatches > 0) {
+    std::cerr << "ERROR: " << count_mismatches
+              << " ATPG count(s) differ from " << compare_path << "\n";
   }
   if (not_identical > 0) {
     std::cerr << "ERROR: " << not_identical
               << " config(s) diverged from the serial reference\n";
-    return 1;
   }
-  return 0;
+  return count_mismatches > 0 || not_identical > 0 ? 1 : 0;
 }

@@ -12,9 +12,24 @@
 // through the D-frontier), backtrace through X-valued nets to an
 // assignable primary input, imply, and branch with a bounded backtrack
 // budget.
+//
+// Incremental state.  The unrolled model is built once per instance, on
+// the first call: the node arrays, the static justifiability analysis and
+// the good machine implied from the forced reset (no fault depends on
+// them).  Every value change goes onto one undo trail.  A target adds the
+// faulty values of its fault cone on top of that good base and records
+// the trail length as its base mark; each restart of the search undoes to
+// the base mark, and the next target undoes to the empty trail.  The
+// D-frontier is kept as per-node flags plus a sorted node list: set_value
+// and undo_to mark every fault-cone node they touch, and the next query
+// re-derives membership for exactly those nodes and their cone fanouts.
+// Invariant: once the touched nodes are drained, the frontier flags and
+// list equal a full rescan of the cone -- so an undo_to restores the
+// frontier of the state it returns to, the base mark's included.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "atpg/faults.hpp"
@@ -38,8 +53,10 @@ struct PodemResult {
 
 class TimeFramePodem {
  public:
-  /// Builds the unrolled model.  `frames` >= 1.
+  /// Binds the netlist; the unrolled model is built on first use.
+  /// `frames` >= 1.
   TimeFramePodem(const gates::Netlist& nl, int frames);
+  ~TimeFramePodem();
 
   /// Attempts to generate a test for `fault`.
   [[nodiscard]] PodemResult generate(const Fault& fault, int backtrack_limit);
@@ -52,12 +69,12 @@ class TimeFramePodem {
                                     const TestSequence& sequence);
 
  private:
-  struct Node;  // defined in the .cpp
   class Impl;
+  Impl& impl();
 
   const gates::Netlist& nl_;
   int frames_;
-  int reset_index_ = -1;  ///< position of the "reset" input, -1 if absent
+  std::unique_ptr<Impl> impl_;  ///< built by the first impl() call
 };
 
 }  // namespace hlts::atpg

@@ -47,10 +47,6 @@ const Knob kRegistry[] = {
      "CMakeLists.txt",
      "configure-time: 'thread' or 'address' builds the tree under TSan / "
      "ASan+UBSan"},
-    {"HLTS_PODEM_DEBUG", Kind::Flag, OnMalformed::Ignore, "0",
-     "atpg::podem",
-     "verbose PODEM search tracing (0/false/off quiet, anything else "
-     "verbose)"},
     {"HLTS_ATPG_BACKEND", Kind::String, OnMalformed::Ignore, "timeframe",
      "atpg::run_atpg (AtpgOptions::backend)",
      "deterministic ATPG mode: timeframe (random phase + time-frame PODEM), "

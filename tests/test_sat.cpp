@@ -33,6 +33,7 @@
 #include "gates/cnf.hpp"
 #include "rtl/elaborate.hpp"
 #include "rtl/rtl.hpp"
+#include "support/netlist_fixtures.hpp"
 #include "util/cdcl.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -47,6 +48,7 @@ using util::cdcl::Lit;
 using util::cdcl::mk_lit;
 using util::cdcl::Solver;
 using util::cdcl::Status;
+using test_support::random_netlist;
 using util::cdcl::Value;
 using util::cdcl::Var;
 
@@ -184,45 +186,6 @@ TEST(Cdcl, DeterministicAcrossRuns) {
 // ---------------------------------------------------------------------------
 // Random sequential cones: CNF model <=> simulator agreement, frame by frame
 // ---------------------------------------------------------------------------
-
-/// A random sequential netlist: `num_inputs` PIs, `num_dffs` flip-flops fed
-/// from random signals, `num_gates` combinational gates over the growing
-/// signal pool.  Structurally acyclic in the combinational part by
-/// construction (gates only reference earlier signals).  With `with_reset`
-/// input 0 is named "reset", which the SAT backend forces 1-then-0.
-Netlist random_netlist(Rng& rng, int num_inputs, int num_gates,
-                       int num_dffs, bool with_reset = false) {
-  Netlist nl("random");
-  std::vector<GateId> pool;
-  for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(nl.add_input(with_reset && i == 0 ? std::string("reset")
-                                                     : "i" + std::to_string(i)));
-  }
-  std::vector<GateId> dffs;
-  for (int i = 0; i < num_dffs; ++i) {
-    dffs.push_back(nl.add_dff("r" + std::to_string(i)));
-    pool.push_back(dffs.back());
-  }
-  const GateKind kinds[] = {GateKind::And,  GateKind::Or,  GateKind::Nand,
-                            GateKind::Nor,  GateKind::Xor, GateKind::Xnor,
-                            GateKind::Mux,  GateKind::Not, GateKind::Buf};
-  auto pick = [&] { return pool[static_cast<std::size_t>(rng.next_below(pool.size()))]; };
-  for (int i = 0; i < num_gates; ++i) {
-    const GateKind kind = kinds[static_cast<std::size_t>(rng.next_below(std::size(kinds)))];
-    std::vector<GateId> in;
-    // gate_arity returns -1 for the variadic kinds (>= 2 inputs required).
-    int arity = gates::gate_arity(kind);
-    if (arity < 0) arity = 2 + static_cast<int>(rng.next_below(2));
-    for (int a = 0; a < arity; ++a) in.push_back(pick());
-    pool.push_back(nl.add_gate(kind, in));
-  }
-  for (GateId d : dffs) nl.connect_dff(d, pick());
-  // Observe the tail of the pool so fault cones reach primary outputs.
-  for (int i = 0; i < 3 && i < static_cast<int>(pool.size()); ++i) {
-    nl.add_output(pool[pool.size() - 1 - i], "o" + std::to_string(i));
-  }
-  return nl;
-}
 
 TEST(CnfProperty, GoodMachineModelsAgreeWithSimulatorEveryFrame) {
   Rng rng(2026);
