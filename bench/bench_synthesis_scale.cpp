@@ -14,9 +14,15 @@
 //     Mgate-lane-evals/s figure per benchmark;
 //   - Algorithm 1 at scale: Ours run to convergence on seeded generated
 //     designs, workload::generate(42, {ops, depth = 8}) at 8 bits and one
-//     thread, for 20/40/80/120 ops (20/40/80 under --quick), written to
-//     the JSON's own "generated" section with wall time (median, min and
-//     max over the reps), committed iterations and evaluated trials.
+//     thread, for 20/40/80/120/200/500 ops (20/40/80 under --quick),
+//     written to the JSON's own "generated" section with wall time
+//     (median, min and max over the reps), committed iterations and
+//     evaluated trials.
+//
+// Each benchmark's serial exact run and each generated point also records
+// a digest of its result signature (every committed merger with its
+// bitwise cost numbers), so a change that alters any trajectory shows up
+// against the committed file.
 //
 // The sweep configs run with the cache on (that is the production-scale
 // configuration); the baseline row is the seed-equivalent exact path
@@ -33,12 +39,15 @@
 //                    bit-identical to the serial ones
 //   --compare FILE   fail (exit 1) when a benchmark's ATPG counts
 //                    (detected / untestable / aborted / unconfirmed, both
-//                    backends) differ from the committed JSON -- they are
-//                    deterministic, so this is an identity check; warn
-//                    (non-gating) when its serial per-trial time or its
-//                    timeframe or hybrid ATPG time (tg_ms) regressed >20%
+//                    backends) or a synthesis digest (a benchmark's or a
+//                    generated point's) differ from the committed JSON --
+//                    they are deterministic, so this is an identity check;
+//                    warn (non-gating) when its serial per-trial time or
+//                    its timeframe or hybrid ATPG time (tg_ms) regressed
+//                    >20%
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -78,6 +87,18 @@ std::string signature(const SynthesisResult& r) {
   }
   os << "final;" << r.exec_time << ';' << r.cost.total();
   return os.str();
+}
+
+/// 64-bit FNV-1a of a signature, as 16 hex digits.
+std::string digest(const std::string& signature) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : signature) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
 }
 
 double best_of(int reps, const hlts::dfg::Dfg& g, const SynthesisParams& p,
@@ -253,6 +274,7 @@ struct GeneratedSample {
   int iterations = 0;
   std::int64_t trials = 0;  ///< synth.trials_evaluated of one traced run
   std::string stop_reason;
+  std::string digest;  ///< of the serial run's signature
   bool threads4_identical = true;  ///< --verify-serial: 4 threads match
 };
 
@@ -296,6 +318,7 @@ GeneratedSample generated_sample(int ops, int reps, bool verify_serial) {
   if (auto it = counters.find("synth.trials_evaluated"); it != counters.end())
     s.trials = it->second;
 
+  s.digest = digest(sig);
   if (verify_serial) {
     p.num_threads = 4;
     s.threads4_identical = signature(core::integrated_synthesis(g, p)) == sig;
@@ -344,6 +367,22 @@ std::optional<double> committed_number(const std::string& json,
   if (at != std::string::npos) at = json.find(needle, at);
   if (at == std::string::npos || at > end) return std::nullopt;
   return std::strtod(json.c_str() + at + needle.size(), nullptr);
+}
+
+/// The string value of `"<key>": "..."` in the JSON object that `anchor`
+/// opens, searched up to that object's first closing brace (crude scan;
+/// the file is machine-written with the key ahead of any nested object).
+std::optional<std::string> committed_string(const std::string& json,
+                                            const std::string& anchor,
+                                            const std::string& key) {
+  std::size_t at = json.find(anchor);
+  if (at == std::string::npos) return std::nullopt;
+  const std::size_t close = json.find('}', at);
+  const std::string needle = "\"" + key + "\": \"";
+  at = json.find(needle, at);
+  if (at == std::string::npos || at > close) return std::nullopt;
+  at += needle.size();
+  return json.substr(at, json.find('"', at) - at);
 }
 
 }  // namespace
@@ -415,7 +454,20 @@ int main(int argc, char** argv) {
   bool first_bench = true;
   int not_identical = 0;
   int regressions = 0;
-  int count_mismatches = 0;  ///< --compare: ATPG counts off the committed file
+  /// --compare: ATPG counts or synthesis digests off the committed file.
+  int count_mismatches = 0;
+  // A digest that differs from (or is missing in) the committed file.
+  auto check_digest = [&](const std::string& what, const std::string& anchor,
+                          const std::string& now) {
+    if (committed.empty()) return;
+    const std::optional<std::string> old =
+        committed_string(committed, anchor, "digest");
+    if (old && *old == now) return;
+    ++count_mismatches;
+    std::fprintf(stderr, "ERROR: %s synthesis digest is %s, %s has %s\n",
+                 what.c_str(), now.c_str(), compare_path.c_str(),
+                 old ? old->c_str() : "none");
+  };
   for (const char* name : {"ex", "dct", "diffeq", "ewf", "paulin", "tseng"}) {
     hlts::dfg::Dfg g = hlts::benchmarks::make_benchmark(name);
 
@@ -443,10 +495,14 @@ int main(int argc, char** argv) {
         name, baseline_s.ms, shape.trajectory.size(),
         static_cast<long long>(baseline_s.trials), baseline_per_trial_us);
 
+    const std::string bench_digest = digest(baseline_s.sig);
+    check_digest(name, std::string("\"name\": \"") + name + "\"",
+                 bench_digest);
     if (!first_bench) json << ",\n";
     first_bench = false;
     json << "    {\n"
          << "      \"name\": \"" << name << "\",\n"
+         << "      \"digest\": \"" << bench_digest << "\",\n"
          << "      \"mergers\": " << shape.trajectory.size() << ",\n"
          << "      \"baseline_serial_nocache_ms\": " << baseline_s.ms << ",\n"
          << "      \"baseline_trials\": " << baseline_s.trials << ",\n"
@@ -582,7 +638,7 @@ int main(int argc, char** argv) {
 
   // Algorithm 1 at scale on generated designs.
   std::vector<int> sizes{20, 40, 80};
-  if (!quick) sizes.push_back(120);
+  if (!quick) sizes.insert(sizes.end(), {120, 200, 500});
   json << "  \"generated\": {\n"
        << "    \"flow\": \"Ours\", \"seed\": 42, \"depth\": 8, "
        << "\"bits\": 8, \"threads\": 1, \"reps\": " << reps << ",\n"
@@ -590,6 +646,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const GeneratedSample gs = generated_sample(sizes[i], reps, verify_serial);
     if (!gs.threads4_identical) ++not_identical;
+    check_digest("gen-" + std::to_string(gs.ops),
+                 "{\"ops\": " + std::to_string(gs.ops) + ",", gs.digest);
     std::printf(
         "gen-%-4d Ours to convergence: %9.1f ms (min %.1f, max %.1f)  "
         "%d iterations  %lld trials  %s%s\n",
@@ -602,7 +660,7 @@ int main(int argc, char** argv) {
          << ", \"ms_min\": " << gs.ms_min << ", \"ms_max\": " << gs.ms_max
          << ", \"iterations\": " << gs.iterations
          << ", \"trials\": " << gs.trials << ", \"stop_reason\": \""
-         << gs.stop_reason << "\"";
+         << gs.stop_reason << "\", \"digest\": \"" << gs.digest << "\"";
     if (verify_serial) {
       json << ", \"threads4_identical\": "
            << (gs.threads4_identical ? "true" : "false");
@@ -625,7 +683,8 @@ int main(int argc, char** argv) {
   }
   if (count_mismatches > 0) {
     std::cerr << "ERROR: " << count_mismatches
-              << " ATPG count(s) differ from " << compare_path << "\n";
+              << " ATPG count(s) or synthesis digest(s) differ from "
+              << compare_path << "\n";
   }
   if (not_identical > 0) {
     std::cerr << "ERROR: " << not_identical

@@ -57,7 +57,7 @@ DesignDelta::~DesignDelta() {
 IncrementalContext::IncrementalContext(const dfg::Dfg& g,
                                        const cost::ModuleLibrary& lib,
                                        int bits)
-    : g_(g), lib_(lib), bits_(bits) {}
+    : g_(g), lib_(lib), bits_(bits), tables_(g) {}
 
 void IncrementalContext::attach(const sched::Schedule& s,
                                 const etpn::Binding& b) {
@@ -67,12 +67,14 @@ void IncrementalContext::attach(const sched::Schedule& s,
   analysis_.reset();  // holds a reference into *e_; drop before replacing
   e_ = std::make_unique<etpn::Etpn>(etpn::build_etpn(g_, s_, b_));
   analysis_.emplace(e_->data_path);
+  cost_ = cost::estimate_cost(e_->data_path, lib_, bits_);
   ++epoch_;
 }
 
-IncrementalContext::CommitResult IncrementalContext::commit(
-    const testability::MergeCandidate& cand, const etpn::Binding& b_after,
-    const sched::Schedule& s_after) {
+void IncrementalContext::commit(const testability::MergeCandidate& cand,
+                                const etpn::Binding& b_after,
+                                const sched::Schedule& s_after,
+                                const cost::HardwareCost& cost_after) {
   HLTS_REQUIRE(!poisoned_, "incremental context is poisoned");
   HLTS_REQUIRE(e_ != nullptr, "commit before attach");
   HLTS_FAILPOINT("analysis.commit");
@@ -92,16 +94,14 @@ IncrementalContext::CommitResult IncrementalContext::commit(
     HLTS_REQUIRE(cp.length == s_after.length(),
                  "incremental critical path diverged from schedule length");
 
-    CommitResult out;
-    out.stats = analysis_->update({into});
-    out.cost = cost::estimate_cost(e_->data_path, lib_, bits_, cost_scratch_);
+    (void)analysis_->update({into});
     b_ = b_after;
     s_ = s_after;
+    cost_ = cost_after;
     ++epoch_;
     util::count("analysis.commits");
     util::count("analysis.patch_saved_arcs",
                 static_cast<std::int64_t>(patch.saved_arcs.size()));
-    return out;
   } catch (...) {
     poisoned_ = true;
     throw;

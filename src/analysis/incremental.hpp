@@ -10,8 +10,9 @@
 //   - DesignDelta: RAII application of one candidate (copy-on-write
 //     binding merge + etpn::apply_merge_patch), undone on destruction;
 //   - IncrementalContext: owner of the committed design's persistent ETPN,
-//     testability fixpoint, Petri-net critical path and floorplan cost,
-//     each re-derived at commit time only over the merger's dirty cone.
+//     testability fixpoint, Petri-net critical path and hardware cost; the
+//     first three are re-derived at commit time only over the merger's
+//     dirty cone, and the cost is the winning trial's own estimate.
 //
 // Bit-identity contract: every number this layer produces (trial costs,
 // schedules, testability measures, balance indices, critical paths) is
@@ -48,8 +49,12 @@ namespace hlts::analysis {
 struct TrialWorkspace {
   etpn::Binding binding;
   etpn::Etpn etpn;
-  /// The rescheduler's constraint graph, reset (not freed) per trial.
+  /// The rescheduler's constraint graph.  Between trials it holds the base
+  /// of the committed design (core::build_trial_base), which a trial edits
+  /// and restores (core::reschedule_merger).
   sched::ConstraintGraph resched;
+  /// Committed-design epoch the base in `resched` was built for; 0 = none.
+  std::uint64_t resched_epoch = 0;
   cost::CostScratch cost;
   /// Backs the trial's merge-patch undo log and worklists; reset (not
   /// freed) when the DesignDelta comes off, so a steady-state trial carves
@@ -93,11 +98,13 @@ class DesignDelta {
 /// fixpoint + cost); each commit() then patches the persistent ETPN in
 /// place, re-stamps its step annotations from the post-merge schedule,
 /// re-checks the Petri-net critical path (cached on the control part's
-/// structural signature), cone-updates the testability fixpoint and
-/// re-costs the tombstoned graph.  A commit that throws poisons the
-/// context: the design state may be half-patched, and every subsequent
-/// call fails fast -- callers absorb the fault at an iteration boundary
-/// and never touch the context again.
+/// structural signature), cone-updates the testability fixpoint and takes
+/// over the cost the winning trial measured on the same merged data path.
+/// The constraint-graph tables of the DFG are built once, at construction,
+/// and shared by every workspace's rescheduler.  A commit that throws
+/// poisons the context: the design state may be half-patched, and every
+/// subsequent call fails fast -- callers absorb the fault at an iteration
+/// boundary and never touch the context again.
 class IncrementalContext {
  public:
   IncrementalContext(const dfg::Dfg& g, const cost::ModuleLibrary& lib,
@@ -118,21 +125,25 @@ class IncrementalContext {
     return *analysis_;
   }
   [[nodiscard]] const etpn::Binding& binding() const { return b_; }
+  /// Hardware cost of the committed design.
+  [[nodiscard]] const cost::HardwareCost& cost() const { return cost_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+  /// The DFG's constraint-graph tables, shared by every trial rescheduler.
+  [[nodiscard]] const sched::ConstraintTables& tables() const {
+    return tables_;
+  }
 
-  struct CommitResult {
-    cost::HardwareCost cost;  ///< hardware cost of the post-merge design
-    testability::TestabilityAnalysis::UpdateStats stats;
-  };
-
-  /// Applies the winning merger to the persistent state.  `b_after` and
-  /// `s_after` are the already-merged binding and its reschedule; the
+  /// Applies the winning merger to the persistent state.  `b_after`,
+  /// `s_after` and `cost_after` are the already-merged binding, its
+  /// reschedule and the hardware cost the winning trial estimated over the
+  /// same merge-patched data path (a floorplan of the tombstoned graph
+  /// equals one of the patched persistent graph, so it is not re-run).  The
   /// caller commits them to its own result only after this returns, so a
   /// throw here leaves the caller's checkpoint intact (and this context
   /// poisoned).
-  CommitResult commit(const testability::MergeCandidate& cand,
-                      const etpn::Binding& b_after,
-                      const sched::Schedule& s_after);
+  void commit(const testability::MergeCandidate& cand,
+              const etpn::Binding& b_after, const sched::Schedule& s_after,
+              const cost::HardwareCost& cost_after);
 
   /// Checks a workspace out of the reuse pool (or creates one), synced to
   /// the current epoch.  Thread-safe; called from trial-pool workers.
@@ -150,10 +161,11 @@ class IncrementalContext {
   bool poisoned_ = false;
   etpn::Binding b_;
   sched::Schedule s_;
+  cost::HardwareCost cost_;
   std::unique_ptr<etpn::Etpn> e_;  ///< stable address for analysis_'s ref
   std::optional<testability::TestabilityAnalysis> analysis_;
   petri::IncrementalCriticalPath critical_path_;
-  cost::CostScratch cost_scratch_;
+  sched::ConstraintTables tables_;
   util::Arena commit_arena_;  ///< backs commit()'s (never-reverted) patch
   std::mutex pool_mutex_;
   std::vector<std::unique_ptr<TrialWorkspace>> pool_;

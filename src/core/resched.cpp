@@ -38,18 +38,31 @@ int var_order_key(const dfg::Dfg& g, const sched::Schedule& hint,
   return hint.step(var.def);
 }
 
-/// Structural feasibility of one register's variable set: at most one
-/// primary input (all PIs are born simultaneously) and at most one
-/// registered primary output (all are held to the end).
-bool reg_set_feasible(const dfg::Dfg& g, const std::vector<dfg::VarId>& vars) {
-  int pis = 0;
-  int pos = 0;
-  for (dfg::VarId v : vars) {
-    const dfg::Variable& var = g.var(v);
-    if (var.is_primary_input) ++pis;
-    if (var.is_primary_output && var.po_registered) ++pos;
+void sort_module_chain(const sched::Schedule& hint,
+                       std::span<dfg::OpId> chain) {
+  stable_insertion_sort(chain, [&](dfg::OpId a, dfg::OpId c) {
+    return hint.step(a) < hint.step(c);
+  });
+}
+
+void sort_register_chain(const dfg::Dfg& g, const sched::Schedule& hint,
+                         std::span<dfg::VarId> chain) {
+  stable_insertion_sort(chain, [&](dfg::VarId a, dfg::VarId c) {
+    return var_order_key(g, hint, a) < var_order_key(g, hint, c);
+  });
+}
+
+/// Adds `b`'s chains to `graph`, one per group slot in slot order (empty
+/// for tombstones, so chain c belongs to group c), each sorted by `hint`:
+/// module chains by step, register chains by var_order_key.
+void add_chains(const dfg::Dfg& g, const etpn::Binding& b,
+                const sched::Schedule& hint, sched::ConstraintGraph& graph) {
+  for (etpn::ModuleId m : id_range<etpn::ModuleId>(b.num_module_slots())) {
+    sort_module_chain(hint, graph.add_module_chain(b.module_ops(m)));
   }
-  return pis <= 1 && pos <= 1;
+  for (etpn::RegId r : id_range<etpn::RegId>(b.num_reg_slots())) {
+    sort_register_chain(g, hint, graph.add_register_chain(b.reg_vars(r)));
+  }
 }
 
 }  // namespace
@@ -57,63 +70,57 @@ bool reg_set_feasible(const dfg::Dfg& g, const std::vector<dfg::VarId>& vars) {
 bool schedule_respects_binding(const dfg::Dfg& g, const etpn::Binding& b,
                                const sched::Schedule& s) {
   if (!s.respects_data_deps(g)) return false;
-  for (etpn::ModuleId m : b.alive_modules()) {
-    const auto& ops = b.module_ops(m);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      for (std::size_t j = i + 1; j < ops.size(); ++j) {
-        if (s.step(ops[i]) == s.step(ops[j])) return false;
-      }
+  // No two ops of one module share a step: sorted, no two neighbours are
+  // equal.  (Tombstoned groups are empty.)
+  std::vector<int> steps;
+  for (etpn::ModuleId m : id_range<etpn::ModuleId>(b.num_module_slots())) {
+    const std::vector<dfg::OpId>& ops = b.module_ops(m);
+    if (ops.size() < 2) continue;
+    steps.clear();
+    for (dfg::OpId op : ops) steps.push_back(s.step(op));
+    std::sort(steps.begin(), steps.end());
+    if (std::adjacent_find(steps.begin(), steps.end()) != steps.end()) {
+      return false;
     }
   }
+  // Pairwise disjoint lifetimes: sorted by birth, each non-empty lifetime
+  // ends no later than the next one is born (empty ones are disjoint from
+  // everything).
   const sched::LifetimeTable lifetimes = sched::LifetimeTable::compute(g, s);
-  for (etpn::RegId r : b.alive_regs()) {
-    const auto& vars = b.reg_vars(r);
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      for (std::size_t j = i + 1; j < vars.size(); ++j) {
-        if (!lifetimes.disjoint(vars[i], vars[j])) return false;
-      }
+  std::vector<sched::Lifetime> held;
+  for (etpn::RegId r : id_range<etpn::RegId>(b.num_reg_slots())) {
+    const std::vector<dfg::VarId>& vars = b.reg_vars(r);
+    if (vars.size() < 2) continue;
+    held.clear();
+    for (dfg::VarId v : vars) {
+      const sched::Lifetime lt = lifetimes.lifetime(v);
+      if (!lt.empty()) held.push_back(lt);
+    }
+    std::sort(held.begin(), held.end(),
+              [](const sched::Lifetime& x, const sched::Lifetime& y) {
+                return x.birth < y.birth;
+              });
+    for (std::size_t i = 0; i + 1 < held.size(); ++i) {
+      if (held[i].death > held[i + 1].birth) return false;
     }
   }
   return true;
 }
 
-ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
-                          const sched::Schedule& hint,
-                          OrderStrategy strategy,
-                          const etpn::Etpn* premerged) {
-  sched::ConstraintGraph graph;
-  return reschedule(g, b, hint, strategy, premerged, graph);
-}
+namespace {
 
-ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
-                          const sched::Schedule& hint,
-                          OrderStrategy strategy,
-                          const etpn::Etpn* premerged,
-                          sched::ConstraintGraph& graph) {
-  HLTS_FAILPOINT("sched.reschedule");
+/// The SR1/SR2 order search over `graph`'s chains, from its solved
+/// incumbent of length `len`; the result of reschedule().
+ReschedOutcome search_orders(const dfg::Dfg& g, const etpn::Binding& b,
+                             const sched::Schedule& hint,
+                             OrderStrategy strategy,
+                             const etpn::Etpn* premerged,
+                             sched::ConstraintGraph& graph,
+                             std::optional<int> len) {
   ReschedOutcome out;
-
-  // --- derive initial chains from the previous schedule ---------------------
-  graph.reset(g);
-  for (etpn::ModuleId m : id_range<etpn::ModuleId>(b.num_module_slots())) {
-    if (!b.module_alive(m)) continue;
-    stable_insertion_sort(graph.add_module_chain(b.module_ops(m)),
-                          [&](dfg::OpId a, dfg::OpId c) {
-                            return hint.step(a) < hint.step(c);
-                          });
-  }
-  for (etpn::RegId r : id_range<etpn::RegId>(b.num_reg_slots())) {
-    if (!b.reg_alive(r)) continue;
-    if (!reg_set_feasible(g, b.reg_vars(r))) return out;
-    stable_insertion_sort(graph.add_register_chain(b.reg_vars(r)),
-                          [&](dfg::VarId a, dfg::VarId c) {
-                            return var_order_key(g, hint, a) <
-                                   var_order_key(g, hint, c);
-                          });
-  }
-  // The incumbent orders' length, carried across conflict points: only a
-  // kept swap changes it.
-  std::optional<int> len = graph.schedule_length();
+  // With two or more cyclic components no single swap yields a feasible
+  // order, so none is ever kept: the search cannot succeed.
+  if (!len && graph.cyclic_components() >= 2) return out;
 
   // --- SR1/SR2 ordering refinement at conflict points ------------------------
   // Conflict points are adjacent chain elements that previously shared a
@@ -224,6 +231,59 @@ ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
   HLTS_REQUIRE(schedule_respects_binding(g, b, out.schedule),
                "rescheduler produced a schedule violating the binding");
   return out;
+}
+
+}  // namespace
+
+ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
+                          const sched::Schedule& hint,
+                          OrderStrategy strategy,
+                          const etpn::Etpn* premerged) {
+  HLTS_FAILPOINT("sched.reschedule");
+  // --- derive initial chains from the previous schedule ---------------------
+  sched::ConstraintGraph graph(g);
+  add_chains(g, b, hint, graph);
+  if (graph.contradicted()) return {};
+  return search_orders(g, b, hint, strategy, premerged, graph,
+                       graph.schedule_length());
+}
+
+void build_trial_base(const dfg::Dfg& g, const sched::ConstraintTables& tables,
+                      const etpn::Binding& b, const sched::Schedule& hint,
+                      sched::ConstraintGraph& graph) {
+  graph.reset(tables);
+  add_chains(g, b, hint, graph);
+  (void)graph.schedule_length();
+  graph.save_base();
+}
+
+ReschedOutcome reschedule_merger(const dfg::Dfg& g, const etpn::Binding& b,
+                                 const sched::Schedule& hint,
+                                 OrderStrategy strategy,
+                                 const etpn::Etpn* premerged,
+                                 const testability::MergeCandidate& cand,
+                                 sched::ConstraintGraph& graph) {
+  HLTS_FAILPOINT("sched.reschedule");
+  // A merger appends the second group's members to the first's, and a
+  // stable sort of that concatenation is the stable merge of the two
+  // sorted base chains, ties to the first: the chain a fresh build sorts.
+  // A merge that throws leaves the base untouched.
+  if (cand.is_modules()) {
+    sort_module_chain(hint, graph.merge_module_chains(cand.module_a.index(),
+                                                      cand.module_b.index()));
+  } else {
+    sort_register_chain(g, hint,
+                        graph.merge_register_chains(cand.reg_a.index(),
+                                                    cand.reg_b.index()));
+  }
+  // However the trial ends from here, the graph goes back to the base.
+  struct Restore {
+    sched::ConstraintGraph& graph;
+    ~Restore() { graph.restore_base(); }
+  } restore{graph};
+  if (graph.contradicted()) return {};
+  return search_orders(g, b, hint, strategy, premerged, graph,
+                       graph.solve_merge());
 }
 
 }  // namespace hlts::core

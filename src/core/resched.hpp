@@ -23,6 +23,9 @@
 // point to conflict point (only a kept swap changes it), and each candidate
 // swap is solved as a local arc edit over its forward cone.  The result is
 // bit-identical to re-solving the whole graph for every order compared.
+// Algorithm-1 trials go further (reschedule_merger): the committed design's
+// chains and solve are kept as a base, and a trial edits only the chain its
+// merger changes.
 #pragma once
 
 #include <optional>
@@ -31,6 +34,7 @@
 #include "etpn/etpn.hpp"
 #include "sched/constraint_graph.hpp"
 #include "sched/schedule.hpp"
+#include "testability/balance.hpp"
 
 namespace hlts::core {
 
@@ -67,18 +71,28 @@ struct ReschedOutcome {
                                         OrderStrategy strategy,
                                         const etpn::Etpn* premerged = nullptr);
 
-/// As above, solving in `graph` (reset on entry) so repeated calls reuse
-/// its buffers; the result does not depend on the graph's prior state.
-[[nodiscard]] ReschedOutcome reschedule(const dfg::Dfg& g,
-                                        const etpn::Binding& b,
-                                        const sched::Schedule& hint,
-                                        OrderStrategy strategy,
-                                        const etpn::Etpn* premerged,
-                                        sched::ConstraintGraph& graph);
+/// The base a trial merger edits: `b`'s chains, sorted by `hint`, solved
+/// in `graph` over the shared DFG `tables` (which must outlive the graph's
+/// use of them).  Built once per Algorithm-1 iteration per workspace, from
+/// the committed binding and schedule.
+void build_trial_base(const dfg::Dfg& g, const sched::ConstraintTables& tables,
+                      const etpn::Binding& b, const sched::Schedule& hint,
+                      sched::ConstraintGraph& graph);
+
+/// reschedule(g, b, hint, strategy, premerged) for `b` = the base's binding
+/// with `cand` applied, computed by editing the base in `graph` (see
+/// build_trial_base): only the merged chain changes, only the forward cone
+/// of its changed links is re-solved, and `graph` is restored to the base
+/// on return.  Bit-identical to the stand-alone overload.
+[[nodiscard]] ReschedOutcome reschedule_merger(
+    const dfg::Dfg& g, const etpn::Binding& b, const sched::Schedule& hint,
+    OrderStrategy strategy, const etpn::Etpn* premerged,
+    const testability::MergeCandidate& cand, sched::ConstraintGraph& graph);
 
 /// Validation helper: true when `s` is consistent with `b` -- no two ops of
 /// one module share a step, and all variables of one register have pairwise
-/// disjoint lifetimes.
+/// disjoint lifetimes.  Sorts each group's steps (lifetimes) and compares
+/// neighbours.
 [[nodiscard]] bool schedule_respects_binding(const dfg::Dfg& g,
                                              const etpn::Binding& b,
                                              const sched::Schedule& s);

@@ -132,16 +132,17 @@ struct TrialEval {
   bool feasible = false;
   sched::Schedule schedule;
   int exec_time = 0;
-  double hw_cost = 0;
+  cost::HardwareCost cost;  ///< committed as is when the trial wins
 };
 
 /// One trial: a DesignDelta patches a checked-out workspace in place (merge
 /// patch, no rebuild), the rescheduler reuses the patched graph for its
-/// register distances and the workspace's constraint graph for its order
-/// search, and the cost estimate runs over the tombstoned data path.  The
-/// numbers are bit-identical to a binding copy -> reschedule -> build_etpn
-/// -> estimate_cost pipeline, which the tests keep as the reference
-/// (tests/support/reference_synthesis.hpp).
+/// register distances and edits the workspace's base constraint graph --
+/// the committed design's chains, built at the workspace's first trial of
+/// the iteration -- for its order search, and the cost estimate runs over
+/// the tombstoned data path.  The numbers are bit-identical to a binding
+/// copy -> reschedule -> build_etpn -> estimate_cost pipeline, which the
+/// tests keep as the reference (tests/support/reference_synthesis.hpp).
 TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
                          analysis::IncrementalContext& ctx,
                          const sched::Schedule& hint,
@@ -149,17 +150,20 @@ TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
                          int max_latency) {
   TrialEval t;
   std::unique_ptr<analysis::TrialWorkspace> ws = ctx.checkout();
+  if (ws->resched_epoch != ctx.epoch()) {
+    build_trial_base(g, ctx.tables(), ws->binding, hint, ws->resched);
+    ws->resched_epoch = ctx.epoch();
+  }
   {
     analysis::DesignDelta delta(g, *ws, cand);
-    ReschedOutcome r =
-        reschedule(g, ws->binding, hint, p.order, &ws->etpn, ws->resched);
+    ReschedOutcome r = reschedule_merger(g, ws->binding, hint, p.order,
+                                         &ws->etpn, cand, ws->resched);
     if (r.feasible && r.schedule.length() <= max_latency) {
       t.feasible = true;
       t.schedule = std::move(r.schedule);
       t.exec_time = t.schedule.length();
-      t.hw_cost =
-          cost::estimate_cost(ws->etpn.data_path, p.library, p.bits, ws->cost)
-              .total();
+      t.cost =
+          cost::estimate_cost(ws->etpn.data_path, p.library, p.bits, ws->cost);
     }
   }
   ctx.checkin(std::move(ws));
@@ -294,7 +298,7 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
   analysis::IncrementalContext ctx(g, p.library, p.bits);
   ctx.attach(result.schedule, result.binding);
   result.exec_time = result.schedule.length();
-  result.cost = cost::estimate_cost(ctx.etpn().data_path, p.library, p.bits);
+  result.cost = ctx.cost();
 
   // One pool for the whole run, reused across iterations.  Everything that
   // follows is bit-identical for any thread count: trials are evaluated
@@ -406,7 +410,7 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
       o.feasible = o.eval.feasible;
       if (o.feasible) {
         o.delta_e = static_cast<double>(o.eval.exec_time) - base_exec;
-        o.delta_h = (o.eval.hw_cost - base_hw) / kAreaUnit;
+        o.delta_h = (o.eval.cost.total() - base_hw) / kAreaUnit;
         o.delta_c = p.alpha * o.delta_e + p.beta * o.delta_h;
       }
     };
@@ -490,11 +494,11 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     // Steps 12-14: commit the merger.  The winner's trial ran on a throwaway
     // workspace; re-apply its merger onto a copy of the committed binding,
     // patch the context's persistent state (ETPN, critical path,
-    // testability cone, cost), and only then move the staged state into
-    // `result`.  The commit is exception-atomic with respect to `result`,
-    // which is what makes the catch below safe to resume from; a throw in
-    // ctx.commit poisons the context, which the catch turns into a
-    // degraded (previous-checkpoint) return.
+    // testability cone) and hand it the trial's cost, and only then move
+    // the staged state into `result`.  The commit is exception-atomic with
+    // respect to `result`, which is what makes the catch below safe to
+    // resume from; a throw in ctx.commit poisons the context, which the
+    // catch turns into a degraded (previous-checkpoint) return.
     HLTS_SPAN("synth.commit");
     const testability::MergeCandidate& cand = ranking[*winner];
     IterationRecord rec;
@@ -506,9 +510,8 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
 
     etpn::Binding next_b = result.binding;
     cand.apply(g, next_b);
-    const analysis::IncrementalContext::CommitResult cres =
-        ctx.commit(cand, next_b, win.eval.schedule);
-    rec.hw_cost = cres.cost.total();
+    ctx.commit(cand, next_b, win.eval.schedule, win.eval.cost);
+    rec.hw_cost = win.eval.cost.total();
     rec.registers = next_b.num_alive_regs();
     rec.modules = next_b.num_alive_modules();
     rec.balance_index = ctx.analysis().balance_index();
@@ -527,7 +530,7 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     result.binding = std::move(next_b);
     result.schedule = std::move(win.eval.schedule);
     result.exec_time = rec.exec_time;
-    result.cost = cres.cost;
+    result.cost = win.eval.cost;
     HLTS_DEBUG("iter " << iter << ": " << rec.description << " dC=" << rec.delta_c
                        << " E=" << rec.exec_time << " H=" << rec.hw_cost);
     result.trajectory.push_back(std::move(rec));

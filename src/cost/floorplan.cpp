@@ -1,8 +1,11 @@
 #include "cost/floorplan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <numeric>
 
 namespace hlts::cost {
 
@@ -27,6 +30,137 @@ double node_area(const etpn::DpNode& node, const ModuleLibrary& lib, int bits) {
   return 0.0;
 }
 
+/// Position of cell (x, y) on the spiral: ring r (max(|x|, |y|) == r)
+/// follows ring r - 1 and is visited in (x, y) order -- the full column
+/// x = -r, then the two cells (x, -r), (x, r) of each inner column, then
+/// the full column x = r.
+std::uint32_t spiral_index(int x, int y) {
+  const int r = std::max(std::abs(x), std::abs(y));
+  if (r == 0) return 0;
+  const int before = (2 * r - 1) * (2 * r - 1);
+  int offset = 0;
+  if (x == -r) {
+    offset = y + r;
+  } else if (x < r) {
+    offset = (2 * r + 1) + 2 * (x + r - 1) + (y == r ? 1 : 0);
+  } else {
+    offset = (2 * r + 1) + 2 * (2 * r - 1) + (y + r);
+  }
+  return static_cast<std::uint32_t>(before + offset);
+}
+
+/// Grows the cached (|x| + |y|, spiral index) cell order to cover
+/// [-radius, radius]^2; a smaller square's order is the cached one with
+/// the cells outside it skipped.
+void cache_nearest(FloorplanScratch& s, int radius) {
+  if (s.radius >= radius) return;
+  s.nearest.clear();
+  for (int x = -radius; x <= radius; ++x) {
+    for (int y = -radius; y <= radius; ++y) s.nearest.push_back({x, y});
+  }
+  std::sort(s.nearest.begin(), s.nearest.end(),
+            [](const std::pair<int, int>& a, const std::pair<int, int>& b) {
+              const int pa = std::abs(a.first) + std::abs(a.second);
+              const int pb = std::abs(b.first) + std::abs(b.second);
+              return pa != pb ? pa < pb
+                              : spiral_index(a.first, a.second) <
+                                    spiral_index(b.first, b.second);
+            });
+  s.radius = radius;
+}
+
+/// Smallest set bit position >= `from` in a line of `words` words; -1 if
+/// none.
+int next_free(const std::uint64_t* line, std::size_t words, int from) {
+  std::size_t w = static_cast<std::size_t>(from) / 64;
+  std::uint64_t bits = line[w] & (~std::uint64_t{0} << (from % 64));
+  for (;;) {
+    if (bits != 0) return static_cast<int>(w * 64) + std::countr_zero(bits);
+    if (++w == words) return -1;
+    bits = line[w];
+  }
+}
+
+/// Largest set bit position < `before` in a line; -1 if none.
+int prev_free(const std::uint64_t* line, int before) {
+  if (before <= 0) return -1;
+  const int last = before - 1;
+  std::size_t w = static_cast<std::size_t>(last) / 64;
+  std::uint64_t bits = line[w] & (~std::uint64_t{0} >> (63 - last % 64));
+  for (;;) {
+    if (bits != 0) {
+      return static_cast<int>(w * 64) + 63 - std::countl_zero(bits);
+    }
+    if (w == 0) return -1;
+    bits = line[--w];
+  }
+}
+
+/// The coordinate minimizing sum |c - a_i| + 0.01 |c|: the anchors' median
+/// interval clamped toward 0.
+int best_coordinate(const std::vector<int>& anchors, std::vector<int>& sorted) {
+  if (anchors.size() <= 2) {  // most nodes have one or two anchors
+    const auto [lo, hi] = std::minmax(anchors.front(), anchors.back());
+    return std::clamp(0, lo, hi);
+  }
+  sorted.assign(anchors.begin(), anchors.end());
+  std::sort(sorted.begin(), sorted.end());
+  const std::size_t k = sorted.size();
+  return std::clamp(0, sorted[(k - 1) / 2], sorted[k / 2]);
+}
+
+int summed_distance(const int* anchors, std::size_t k, int c) {
+  int sum = 0;
+  for (std::size_t i = 0; i < k; ++i) sum += std::abs(c - anchors[i]);
+  return sum;
+}
+
+/// The free cell minimizing (cost, spiral index) for a node with `k` >= 1
+/// anchors at (ax[i], ay[i]), best coordinates (bx, by).  `free` holds the
+/// lines of [-radius, radius]^2, `words` words each.
+std::pair<int, int> place_near(const int* ax, const int* ay, std::size_t k,
+                               int bx, int by, const std::uint64_t* free,
+                               std::size_t words, int radius) {
+  const int min_sy = summed_distance(ay, k, by);
+  double best_cost = std::numeric_limits<double>::infinity();
+  std::uint32_t best_index = 0;
+  std::pair<int, int> best_pos{0, 0};
+  auto consider = [&](int x, int y, int sx) {
+    const double cost = static_cast<double>(sx + summed_distance(ay, k, y)) +
+                        0.01 * (std::abs(x) + std::abs(y));
+    if (cost > best_cost) return;
+    const std::uint32_t index = spiral_index(x, y);
+    if (cost < best_cost || index < best_index) {
+      best_cost = cost;
+      best_index = index;
+      best_pos = {x, y};
+    }
+  };
+  // Line x's best free cells, unless its bound exceeds the best cost (then
+  // so do the bounds of the lines beyond it).
+  auto scan_line = [&](int x) {
+    const int sx = summed_distance(ax, k, x);
+    if (static_cast<double>(sx + min_sy) + 0.01 * std::abs(x) > best_cost) {
+      return false;
+    }
+    const std::uint64_t* line = free + (x + radius) * words;
+    const int up = next_free(line, words, by + radius);
+    if (up >= 0) consider(x, up - radius, sx);
+    const int down = prev_free(line, by + radius);
+    if (down >= 0) consider(x, down - radius, sx);
+    return true;
+  };
+  // Outward from bx, alternating sides, each side until its bound exceeds
+  // the best cost.
+  bool up = true;
+  bool down = true;
+  for (int d = 0; up || down; ++d) {
+    if (up) up = bx + d <= radius && scan_line(bx + d);
+    if (down && d > 0) down = bx - d >= -radius && scan_line(bx - d);
+  }
+  return best_pos;
+}
+
 }  // namespace
 
 Floorplan floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib,
@@ -38,7 +172,7 @@ Floorplan floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib,
 }
 
 void floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib, int bits,
-               Floorplan& plan, FloorplanScratch& scratch) {
+               Floorplan& plan, FloorplanScratch& s) {
   plan.position.assign(dp.num_nodes(), {0, 0});
   plan.pitch = 0.0;
   const std::size_t alive = dp.num_alive_nodes();
@@ -53,93 +187,96 @@ void floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib, int bits,
   plan.pitch =
       std::sqrt(std::max(total_area, 1e-9) / static_cast<double>(alive));
 
-  // Connectivity (number of arcs) per node, and neighbour lists.
-  scratch.connectivity.assign(dp.num_nodes(), 0);
-  scratch.neighbours.resize(dp.num_nodes());
-  for (auto& nb : scratch.neighbours) nb.clear();
+  // Connectivity (number of arcs) per node, and neighbour lists as CSR.
+  const std::size_t n = dp.num_nodes();
+  s.connectivity.assign(n, 0);
+  for (etpn::DpArcId a : dp.arc_ids()) {
+    if (!dp.alive(a)) continue;
+    ++s.connectivity[dp.arc(a).from.index()];
+    ++s.connectivity[dp.arc(a).to.index()];
+  }
+  s.neighbour_begin.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.neighbour_begin[i + 1] = s.neighbour_begin[i] + s.connectivity[i];
+  }
+  s.neighbours.resize(s.neighbour_begin[n]);
   for (etpn::DpArcId a : dp.arc_ids()) {
     if (!dp.alive(a)) continue;
     const etpn::DpArc& arc = dp.arc(a);
-    ++scratch.connectivity[arc.from.index()];
-    ++scratch.connectivity[arc.to.index()];
-    scratch.neighbours[arc.from.index()].push_back(arc.to.value());
-    scratch.neighbours[arc.to.index()].push_back(arc.from.value());
+    s.neighbours[s.neighbour_begin[arc.from.index()]++] = arc.to.value();
+    s.neighbours[s.neighbour_begin[arc.to.index()]++] = arc.from.value();
+  }
+  for (std::size_t i = n; i > 0; --i) {
+    s.neighbour_begin[i] = s.neighbour_begin[i - 1];
+  }
+  s.neighbour_begin[0] = 0;
+
+  // Placement order: connectivity descending, ids ascending among equals
+  // (a counting sort; a stable sort of the ids by connectivity agrees).
+  std::uint32_t max_conn = 0;
+  for (etpn::DpNodeId v : dp.node_ids()) {
+    if (dp.alive(v)) max_conn = std::max(max_conn, s.connectivity[v.index()]);
+  }
+  s.bucket.assign(static_cast<std::size_t>(max_conn) + 2, 0);
+  for (etpn::DpNodeId v : dp.node_ids()) {
+    if (dp.alive(v)) ++s.bucket[max_conn - s.connectivity[v.index()] + 1];
+  }
+  std::partial_sum(s.bucket.begin(), s.bucket.end(), s.bucket.begin());
+  s.order.resize(alive);
+  for (etpn::DpNodeId v : dp.node_ids()) {
+    if (dp.alive(v)) {
+      s.order[s.bucket[max_conn - s.connectivity[v.index()]]++] = v.value();
+    }
   }
 
-  scratch.order.clear();
-  for (etpn::DpNodeId n : dp.node_ids()) {
-    if (dp.alive(n)) scratch.order.push_back(n.value());
-  }
-  std::stable_sort(scratch.order.begin(), scratch.order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return scratch.connectivity[a] > scratch.connectivity[b];
-                   });
-
-  scratch.placed.assign(dp.num_nodes(), false);
-  // Spiral candidate positions around the origin, enough for all nodes.
-  scratch.spiral.clear();
+  // The spiral's square, [-radius, radius]^2, enough cells for all nodes.
   const int radius =
       static_cast<int>(std::ceil(std::sqrt(static_cast<double>(alive)))) + 2;
-  for (int r = 0; r <= radius; ++r) {
-    for (int x = -r; x <= r; ++x) {
-      for (int y = -r; y <= r; ++y) {
-        if (std::max(std::abs(x), std::abs(y)) == r) {
-          scratch.spiral.push_back({x, y});
-        }
-      }
-    }
-  }
-  // Occupancy of the spiral's square, row-major from (-radius, -radius).
+  cache_nearest(s, radius);
   const int side = 2 * radius + 1;
-  scratch.occupied.assign(static_cast<std::size_t>(side) * side, 0);
-  auto cell = [&](const std::pair<int, int>& pos) {
-    return static_cast<std::size_t>(pos.first + radius) * side +
-           static_cast<std::size_t>(pos.second + radius);
-  };
+  const std::size_t words = (static_cast<std::size_t>(side) + 63) / 64;
+  s.free.assign(static_cast<std::size_t>(side) * words, ~std::uint64_t{0});
+  if (side % 64 != 0) {
+    const std::uint64_t tail = (std::uint64_t{1} << (side % 64)) - 1;
+    for (int x = 0; x < side; ++x) s.free[(x + 1) * words - 1] = tail;
+  }
+  auto line = [&](int x) { return &s.free[(x + radius) * words]; };
+  s.placed.assign(n, 0);
+  std::size_t nearest = 0;  // cells before it in s.nearest are all taken
 
-  for (std::uint32_t idx : scratch.order) {
-    etpn::DpNodeId n{idx};
-    // The placed neighbours' positions, in neighbour-list order (repeats
-    // kept) so each candidate's cost sums the same terms in the same order.
-    scratch.anchors.clear();
-    for (std::uint32_t nb : scratch.neighbours[idx]) {
-      if (scratch.placed[nb]) {
-        scratch.anchors.push_back(plan.position[etpn::DpNodeId{nb}]);
-      }
+  for (std::uint32_t idx : s.order) {
+    s.anchor_x.clear();
+    s.anchor_y.clear();
+    for (std::uint32_t k = s.neighbour_begin[idx];
+         k < s.neighbour_begin[idx + 1]; ++k) {
+      const std::uint32_t nb = s.neighbours[k];
+      if (!s.placed[nb]) continue;
+      const auto [nx, ny] = plan.position[etpn::DpNodeId{nb}];
+      s.anchor_x.push_back(nx);
+      s.anchor_y.push_back(ny);
     }
+
     std::pair<int, int> best_pos{0, 0};
-    double best_cost = 1e300;
-    // Ring r of the spiral (max(|x|, |y|) == r) holds indices
-    // [(2r - 1)^2, (2r + 1)^2).  A cell at ring r or beyond is at least
-    // r - max(|nx|, |ny|) from each anchor and pays at least 0.01 * r of
-    // pull, and both bounds round no higher than the cost itself, so once
-    // they reach best_cost no later cell can win the strict comparison.
-    for (int r = 0; r <= radius; ++r) {
-      int reach = 0;
-      for (const auto& [nx, ny] : scratch.anchors) {
-        reach += std::max(0, r - std::max(std::abs(nx), std::abs(ny)));
-      }
-      if (reach + 0.01 * r >= best_cost) break;
-      const std::size_t begin = r == 0 ? 0 : (2 * r - 1) * (2 * r - 1);
-      const std::size_t end = (2 * r + 1) * (2 * r + 1);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::pair<int, int>& pos = scratch.spiral[i];
-        if (scratch.occupied[cell(pos)]) continue;
-        double cost = 0;
-        for (const auto& [nx, ny] : scratch.anchors) {
-          cost += std::abs(pos.first - nx) + std::abs(pos.second - ny);
-        }
-        // Light pull toward the origin keeps unconnected nodes compact.
-        cost += 0.01 * (std::abs(pos.first) + std::abs(pos.second));
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_pos = pos;
-        }
-      }
+    if (s.anchor_x.empty()) {
+      // Only the pull: the first free cell in (|x| + |y|, spiral) order.
+      auto usable = [&](const std::pair<int, int>& c) {
+        const auto [x, y] = c;
+        return std::abs(x) <= radius && std::abs(y) <= radius &&
+               ((line(x)[(y + radius) / 64] >> ((y + radius) % 64)) & 1) != 0;
+      };
+      while (!usable(s.nearest[nearest])) ++nearest;
+      best_pos = s.nearest[nearest];
+    } else {
+      best_pos = place_near(s.anchor_x.data(), s.anchor_y.data(),
+                            s.anchor_x.size(),
+                            best_coordinate(s.anchor_x, s.median),
+                            best_coordinate(s.anchor_y, s.median),
+                            s.free.data(), words, radius);
     }
-    plan.position[n] = best_pos;
-    scratch.occupied[cell(best_pos)] = 1;
-    scratch.placed[idx] = true;
+    plan.position[etpn::DpNodeId{idx}] = best_pos;
+    line(best_pos.first)[(best_pos.second + radius) / 64] &=
+        ~(std::uint64_t{1} << ((best_pos.second + radius) % 64));
+    s.placed[idx] = 1;
   }
 }
 

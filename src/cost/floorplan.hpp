@@ -5,17 +5,28 @@
 // position minimizing the summed Manhattan distance to its already-placed
 // neighbours, one term per connecting arc (connection widths do not enter;
 // the cost model weights wire lengths by width afterwards), plus a 0.01
-// pull toward the origin.  Candidates are scanned on a square spiral and
-// the first strict minimum wins.  The physical pitch of a grid cell is
-// derived from the average cell footprint, so wire length contributions
-// scale correctly with bit width.
+// pull toward the origin.  Candidates are the cells of a square spiral
+// around the origin, and among equal costs the earliest spiral cell wins:
+// the chosen cell is the lexicographic minimum of (cost, spiral index) over
+// the free cells.  The physical pitch of a grid cell is derived from the
+// average cell footprint, so wire length contributions scale correctly
+// with bit width.
 //
-// Occupancy is a dense grid over the spiral's square, each node's placed
-// neighbours are gathered into a position list before its scan (a probe is
-// one array read and one pass over that list), and the scan stops at the
-// first ring whose cost lower bound reaches the best cost found -- no cell
-// from there on could win the strict comparison, so positions are the
-// same as for a full scan.
+// Because the choice is a lexicographic minimum, the search may probe cells
+// in any order as long as it stops on an exact bound.  The summed distance
+// is separable, S(x, y) = Sx(x) + Sy(y), and each half is convex with its
+// minimum on the anchors' median interval.  Adding the pull, each half is
+// strictly decreasing then strictly increasing around one best coordinate
+// (the median interval clamped toward 0).  So within one grid line x the
+// best free cell is the nearest free cell on either side of the best y, and
+// the lines' lower bound Sx(x) + min Sy + 0.01 |x| grows away from the best
+// x: the search walks lines outward from there and stops a direction once
+// that bound exceeds the best cost found.  A per-line free-cell bitmask makes
+// each line's nearest free cells one bit scan.  Costs are sums of small
+// integers plus the pull, far below 2^40, so steps of 0.01 survive
+// rounding and every comparison is made on the same double the full scan
+// computes.  A node with no placed neighbour pays the pull only: it takes
+// the first free cell in a cached (|x| + |y|, spiral index) order.
 //
 // Tombstoned (dead) nodes and arcs are skipped throughout, so a patched
 // graph floorplans exactly like a freshly built compact one: the same alive
@@ -47,15 +58,20 @@ struct Floorplan {
 /// removes the per-trial allocation churn without changing any result (the
 /// scratch-taking overloads produce bit-identical output to the plain ones).
 struct FloorplanScratch {
-  std::vector<int> connectivity;
-  std::vector<std::vector<std::uint32_t>> neighbours;
-  std::vector<std::uint32_t> order;
-  std::vector<bool> placed;
-  std::vector<std::pair<int, int>> spiral;
-  /// Row-major over [-radius, radius]^2: nonzero where a node sits.
-  std::vector<std::uint8_t> occupied;
-  /// Positions of the node being placed's already-placed neighbours.
-  std::vector<std::pair<int, int>> anchors;
+  /// Per node: alive arc count, and the neighbour lists as CSR.
+  std::vector<std::uint32_t> connectivity, neighbour_begin, neighbours;
+  /// Placement order (connectivity descending, then id) and its buckets.
+  std::vector<std::uint32_t> order, bucket;
+  std::vector<std::uint8_t> placed;
+  /// Per line x: one bit per free cell y, lines of words_per_line words.
+  std::vector<std::uint64_t> free;
+  /// The node being placed's anchors (placed neighbours' coordinates).
+  std::vector<int> anchor_x, anchor_y, median;
+
+  /// The cells of [-radius, radius]^2 in (|x| + |y|, spiral index) order,
+  /// for the largest radius seen so far.
+  int radius = -1;
+  std::vector<std::pair<int, int>> nearest;
 };
 
 [[nodiscard]] Floorplan floorplan(const etpn::DataPath& dp,

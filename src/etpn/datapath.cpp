@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -267,75 +266,71 @@ DataPath::SeqDepthStats DataPath::sequential_depth() const {
 }
 
 DataPath::RegisterDistances DataPath::register_distances() const {
+  RegisterDistances dist;
+  dist.d_in.assign(nodes_.size(), -1);
+  dist.d_out.assign(nodes_.size(), -1);
+  auto is = [&](DpNodeId n, DpNodeKind kind) { return nodes_[n].kind == kind; };
+
   // Register hop graph: r1 -> r2 when r1 reaches r2 through at most one
-  // module (one clocked stage).
-  std::vector<std::vector<std::uint32_t>> fwd(nodes_.size());
-  std::vector<std::vector<std::uint32_t>> bwd(nodes_.size());
-  std::vector<std::uint32_t> regs;
-  std::vector<int> d_in(nodes_.size(), -1);
-  std::vector<int> d_out(nodes_.size(), -1);
-
-  auto reg_targets_of = [&](DpNodeId n, auto&& self, bool through_module,
-                            std::vector<std::uint32_t>& out) -> void {
-    for (DpArcId a : out_arcs(n)) {
-      const DpNode& to = nodes_[arcs_[a].to];
-      if (to.kind == DpNodeKind::Register) {
-        out.push_back(arcs_[a].to.value());
-      } else if (to.kind == DpNodeKind::Module && !through_module) {
-        self(arcs_[a].to, self, true, out);
-      }
-    }
-  };
-
+  // module (one clocked stage), as an arc list.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> hops;
+  std::vector<std::uint32_t> queue_in, queue_out;  // the BFS seeds
   for (DpNodeId n : node_ids()) {
-    if (!node_alive_[n] || nodes_[n].kind != DpNodeKind::Register) continue;
-    regs.push_back(n.value());
-    std::vector<std::uint32_t> targets;
-    reg_targets_of(n, reg_targets_of, false, targets);
-    for (std::uint32_t t : targets) {
-      fwd[n.index()].push_back(t);
-      bwd[t].push_back(n.value());
+    if (!node_alive_[n] || !is(n, DpNodeKind::Register)) continue;
+    for (DpArcId a : out_arcs(n)) {
+      const DpNodeId to = arcs_[a].to;
+      if (is(to, DpNodeKind::Register)) hops.push_back({n.value(), to.value()});
+      if (!is(to, DpNodeKind::Module)) continue;
+      for (DpArcId b : out_arcs(to)) {
+        if (is(arcs_[b].to, DpNodeKind::Register)) {
+          hops.push_back({n.value(), arcs_[b].to.value()});
+        }
+      }
     }
     // Controllable seed: loaded directly from an input port.
     for (DpArcId a : in_arcs(n)) {
-      if (nodes_[arcs_[a].from].kind == DpNodeKind::InPort) d_in[n.index()] = 0;
+      if (is(arcs_[a].from, DpNodeKind::InPort)) dist.d_in[n.index()] = 0;
     }
     // Observable seed: feeds an output port directly or through one module.
     for (DpArcId a : out_arcs(n)) {
-      const DpNode& to = nodes_[arcs_[a].to];
-      if (to.kind == DpNodeKind::OutPort) d_out[n.index()] = 0;
-      if (to.kind == DpNodeKind::Module) {
-        for (DpArcId b : out_arcs(arcs_[a].to)) {
-          if (nodes_[arcs_[b].to].kind == DpNodeKind::OutPort) {
-            d_out[n.index()] = 0;
-          }
-        }
+      const DpNodeId to = arcs_[a].to;
+      if (is(to, DpNodeKind::OutPort)) dist.d_out[n.index()] = 0;
+      if (!is(to, DpNodeKind::Module)) continue;
+      for (DpArcId b : out_arcs(to)) {
+        if (is(arcs_[b].to, DpNodeKind::OutPort)) dist.d_out[n.index()] = 0;
       }
     }
+    if (dist.d_in[n.index()] == 0) queue_in.push_back(n.value());
+    if (dist.d_out[n.index()] == 0) queue_out.push_back(n.value());
   }
 
-  auto bfs = [&](std::vector<int>& dist, const std::vector<std::vector<std::uint32_t>>& adj) {
-    std::deque<std::uint32_t> q;
-    for (std::uint32_t r : regs) {
-      if (dist[r] == 0) q.push_back(r);
+  // Breadth-first hop counts from the seeds, along the hops (d_in) or
+  // against them (d_out), over the hops as CSR.  Shortest hop counts do not
+  // depend on the order arcs are followed.
+  std::vector<std::uint32_t> begin(nodes_.size() + 1);
+  std::vector<std::uint32_t> adj(hops.size());
+  auto bfs = [&](std::vector<int>& d, std::vector<std::uint32_t>& queue,
+                 bool forward) {
+    std::fill(begin.begin(), begin.end(), 0);
+    for (const auto& [from, to] : hops) ++begin[(forward ? from : to) + 1];
+    for (std::size_t k = 1; k < begin.size(); ++k) begin[k] += begin[k - 1];
+    for (const auto& [from, to] : hops) {
+      adj[begin[forward ? from : to]++] = forward ? to : from;
     }
-    while (!q.empty()) {
-      std::uint32_t u = q.front();
-      q.pop_front();
-      for (std::uint32_t v : adj[u]) {
-        if (dist[v] < 0) {
-          dist[v] = dist[u] + 1;
-          q.push_back(v);
+    for (std::size_t k = begin.size() - 1; k > 0; --k) begin[k] = begin[k - 1];
+    begin[0] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::uint32_t u = queue[head];
+      for (std::uint32_t k = begin[u]; k < begin[u + 1]; ++k) {
+        if (d[adj[k]] < 0) {
+          d[adj[k]] = d[u] + 1;
+          queue.push_back(adj[k]);
         }
       }
     }
   };
-  bfs(d_in, fwd);
-  bfs(d_out, bwd);
-
-  RegisterDistances dist;
-  dist.d_in = std::move(d_in);
-  dist.d_out = std::move(d_out);
+  bfs(dist.d_in, queue_in, true);
+  bfs(dist.d_out, queue_out, false);
   return dist;
 }
 

@@ -24,14 +24,8 @@ void unshift(std::vector<std::uint32_t>& begin) {
 
 }  // namespace
 
-ConstraintGraph::ConstraintGraph(const dfg::Dfg& g) { reset(g); }
-
-void ConstraintGraph::reset(const dfg::Dfg& g) {
+void ConstraintTables::assign(const dfg::Dfg& g) {
   num_ops_ = g.num_ops();
-  linked_ = false;
-  solved_ = false;
-  pending_ = ArcKind::None;
-
   arcs_.clear();
   op_output_.assign(num_ops_, kNone);
   for (dfg::OpId op : g.op_ids()) {
@@ -45,12 +39,17 @@ void ConstraintGraph::reset(const dfg::Dfg& g) {
 
   const std::size_t num_vars = g.num_vars();
   var_def_.assign(num_vars, kNone);
+  var_flags_.assign(num_vars, 0);
   release_begin_.assign(num_vars + 1, 0);
   release_ops_.clear();
   released_begin_.assign(num_ops_ + 1, 0);
   for (dfg::VarId v : g.var_ids()) {
     const dfg::Variable& var = g.var(v);
     if (var.def.valid()) var_def_[v.index()] = var.def.value();
+    if (var.is_primary_input) var_flags_[v.index()] |= kBornAtLoad;
+    if (var.is_primary_output && var.po_registered) {
+      var_flags_[v.index()] |= kHeldToEnd;
+    }
     release_begin_[v.index()] = static_cast<std::uint32_t>(release_ops_.size());
     if (!var.uses.empty()) {
       for (dfg::OpId use : var.uses) release_ops_.push_back(use.value());
@@ -68,66 +67,17 @@ void ConstraintGraph::reset(const dfg::Dfg& g) {
     }
   }
   unshift(released_begin_);
-
-  module_chain_begin_.clear();
-  module_chain_ops_.clear();
-  register_chain_begin_.clear();
-  register_chain_vars_.clear();
+  linked_ = false;
+  link();
 }
 
-void ConstraintGraph::add_arc(dfg::OpId from, dfg::OpId to, int weight) {
-  HLTS_REQUIRE(from.index() < num_ops_ && to.index() < num_ops_,
-               "constraint arc references unknown operation");
-  HLTS_REQUIRE(weight >= 0, "constraint arc weight must be non-negative");
-  arcs_.push_back({from.value(), to.value(), weight});
+void ConstraintTables::add_arc(Arc a) {
+  arcs_.push_back(a);
   linked_ = false;
 }
 
-std::span<dfg::OpId> ConstraintGraph::add_module_chain(
-    std::span<const dfg::OpId> ops) {
-  for (dfg::OpId op : ops) {
-    HLTS_REQUIRE(op.index() < num_ops_,
-                 "module chain references unknown operation");
-  }
-  const std::size_t begin = module_chain_ops_.size();
-  module_chain_begin_.push_back(static_cast<std::uint32_t>(begin));
-  module_chain_ops_.insert(module_chain_ops_.end(), ops.begin(), ops.end());
-  linked_ = false;
-  return {module_chain_ops_.data() + begin, ops.size()};
-}
-
-std::span<dfg::VarId> ConstraintGraph::add_register_chain(
-    std::span<const dfg::VarId> vars) {
-  for (dfg::VarId v : vars) {
-    HLTS_REQUIRE(v.index() < var_def_.size(),
-                 "register chain references unknown variable");
-  }
-  const std::size_t begin = register_chain_vars_.size();
-  register_chain_begin_.push_back(static_cast<std::uint32_t>(begin));
-  register_chain_vars_.insert(register_chain_vars_.end(), vars.begin(),
-                              vars.end());
-  linked_ = false;
-  return {register_chain_vars_.data() + begin, vars.size()};
-}
-
-std::span<const dfg::OpId> ConstraintGraph::module_chain(std::size_t c) const {
-  const std::size_t begin = module_chain_begin_[c];
-  const std::size_t end = c + 1 < module_chain_begin_.size()
-                              ? module_chain_begin_[c + 1]
-                              : module_chain_ops_.size();
-  return {module_chain_ops_.data() + begin, end - begin};
-}
-
-std::span<const dfg::VarId> ConstraintGraph::register_chain(
-    std::size_t c) const {
-  const std::size_t begin = register_chain_begin_[c];
-  const std::size_t end = c + 1 < register_chain_begin_.size()
-                              ? register_chain_begin_[c + 1]
-                              : register_chain_vars_.size();
-  return {register_chain_vars_.data() + begin, end - begin};
-}
-
-void ConstraintGraph::link() {
+void ConstraintTables::link() {
+  if (linked_) return;
   succ_begin_.assign(num_ops_ + 1, 0);
   pred_begin_.assign(num_ops_ + 1, 0);
   for (const Arc& a : arcs_) {
@@ -144,78 +94,211 @@ void ConstraintGraph::link() {
   }
   unshift(succ_begin_);
   unshift(pred_begin_);
+  linked_ = true;
+}
+
+ConstraintGraph::ConstraintGraph(const dfg::Dfg& g) { reset(g); }
+
+void ConstraintGraph::reset(const dfg::Dfg& g) {
+  shared_ = nullptr;
+  own_.assign(g);
+  clear_chains();
+}
+
+void ConstraintGraph::reset(const ConstraintTables& tables) {
+  shared_ = &tables;
+  clear_chains();
+}
+
+void ConstraintGraph::clear_chains() {
+  linked_ = false;
+  solved_ = false;
+  pending_ = ArcKind::None;
+  has_base_ = false;
+  kept_.clear();
+  merged_ = ArcKind::None;
+  module_chain_begin_.clear();
+  module_chain_size_.clear();
+  module_chain_ops_.clear();
+  register_chain_begin_.clear();
+  register_chain_size_.clear();
+  register_chain_vars_.clear();
+  register_chain_contradicted_.clear();
+  contradictions_ = 0;
+}
+
+void ConstraintGraph::add_arc(dfg::OpId from, dfg::OpId to, int weight) {
+  HLTS_REQUIRE(shared_ == nullptr,
+               "constraint arcs need the graph's own tables");
+  HLTS_REQUIRE(from.index() < num_ops() && to.index() < num_ops(),
+               "constraint arc references unknown operation");
+  HLTS_REQUIRE(weight >= 0, "constraint arc weight must be non-negative");
+  own_.add_arc({from.value(), to.value(), weight});
+  linked_ = false;
+  has_base_ = false;
+}
+
+std::span<dfg::OpId> ConstraintGraph::add_module_chain(
+    std::span<const dfg::OpId> ops) {
+  HLTS_REQUIRE(merged_ == ArcKind::None, "chain added during a merge");
+  for (dfg::OpId op : ops) {
+    HLTS_REQUIRE(op.index() < num_ops(),
+                 "module chain references unknown operation");
+  }
+  const std::size_t begin = module_chain_ops_.size();
+  module_chain_begin_.push_back(static_cast<std::uint32_t>(begin));
+  module_chain_size_.push_back(static_cast<std::uint32_t>(ops.size()));
+  module_chain_ops_.insert(module_chain_ops_.end(), ops.begin(), ops.end());
+  linked_ = false;
+  has_base_ = false;
+  return {module_chain_ops_.data() + begin, ops.size()};
+}
+
+std::span<dfg::VarId> ConstraintGraph::add_register_chain(
+    std::span<const dfg::VarId> vars) {
+  HLTS_REQUIRE(merged_ == ArcKind::None, "chain added during a merge");
+  for (dfg::VarId v : vars) {
+    HLTS_REQUIRE(v.index() < tables().num_vars(),
+                 "register chain references unknown variable");
+  }
+  const std::size_t begin = register_chain_vars_.size();
+  register_chain_begin_.push_back(static_cast<std::uint32_t>(begin));
+  register_chain_size_.push_back(static_cast<std::uint32_t>(vars.size()));
+  register_chain_vars_.insert(register_chain_vars_.end(), vars.begin(),
+                              vars.end());
+  const bool contradicted = contradictory(vars);
+  register_chain_contradicted_.push_back(contradicted ? 1 : 0);
+  if (contradicted) ++contradictions_;
+  linked_ = false;
+  has_base_ = false;
+  return {register_chain_vars_.data() + begin, vars.size()};
+}
+
+bool ConstraintGraph::contradictory(std::span<const dfg::VarId> chain) const {
+  int born = 0;
+  int held = 0;
+  for (dfg::VarId v : chain) {
+    const std::uint8_t flags = tables().var_flags_[v.index()];
+    if (flags & ConstraintTables::kBornAtLoad) ++born;
+    if (flags & ConstraintTables::kHeldToEnd) ++held;
+  }
+  return born > 1 || held > 1;
+}
+
+std::span<const dfg::OpId> ConstraintGraph::module_chain(std::size_t c) const {
+  return {module_chain_ops_.data() + module_chain_begin_[c],
+          module_chain_size_[c]};
+}
+
+std::span<const dfg::VarId> ConstraintGraph::register_chain(
+    std::size_t c) const {
+  return {register_chain_vars_.data() + register_chain_begin_[c],
+          register_chain_size_[c]};
+}
+
+void ConstraintGraph::link() {
+  if (shared_ == nullptr) own_.link();
+  const std::size_t ops = num_ops();
+  const std::size_t vars = tables().num_vars();
 
   // Chain links.  Each op (variable) may sit in at most one chain position.
-  mark_.assign(std::max(num_ops_, var_def_.size()), 0);
+  mark_.assign(std::max(ops, vars), 0);
   epoch_ = 1;
-  module_next_.assign(num_ops_, kNone);
-  module_prev_.assign(num_ops_, kNone);
-  for (dfg::OpId op : module_chain_ops_) {
-    HLTS_REQUIRE(mark_[op.index()] != epoch_,
-                 "operation in more than one module-chain position");
-    mark_[op.index()] = epoch_;
-  }
+  module_next_.assign(ops, kNone);
+  module_prev_.assign(ops, kNone);
   for (std::size_t c = 0; c < num_module_chains(); ++c) {
-    const std::span<const dfg::OpId> chain = module_chain(c);
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      module_next_[chain[i].index()] = chain[i + 1].value();
-      module_prev_[chain[i + 1].index()] = chain[i].value();
+    for (dfg::OpId op : module_chain(c)) {
+      HLTS_REQUIRE(mark_[op.index()] != epoch_,
+                   "operation in more than one module-chain position");
+      mark_[op.index()] = epoch_;
     }
+    link_module_chain(module_chain(c), false);
   }
   next_epoch();
-  register_next_.assign(var_def_.size(), kNone);
-  register_prev_.assign(var_def_.size(), kNone);
-  for (dfg::VarId v : register_chain_vars_) {
-    HLTS_REQUIRE(mark_[v.index()] != epoch_,
-                 "variable in more than one register-chain position");
-    mark_[v.index()] = epoch_;
-  }
+  register_next_.assign(vars, kNone);
+  register_prev_.assign(vars, kNone);
   undefined_ = 0;
   for (std::size_t c = 0; c < num_register_chains(); ++c) {
-    const std::span<const dfg::VarId> chain = register_chain(c);
-    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      register_next_[chain[i].index()] = chain[i + 1].value();
-      register_prev_[chain[i + 1].index()] = chain[i].value();
-      if (var_def_[chain[i + 1].index()] == kNone) ++undefined_;
+    for (dfg::VarId v : register_chain(c)) {
+      HLTS_REQUIRE(mark_[v.index()] != epoch_,
+                   "variable in more than one register-chain position");
+      mark_[v.index()] = epoch_;
     }
+    link_register_chain(register_chain(c), false);
+    undefined_ += undefined_members(register_chain(c));
   }
 
-  value_.resize(num_ops_);
-  indegree_.resize(num_ops_);
-  local_.resize(num_ops_);
+  value_.resize(ops);
+  indegree_.resize(ops);
+  local_.resize(ops);
   linked_ = true;
+}
+
+void ConstraintGraph::link_module_chain(std::span<const dfg::OpId> chain,
+                                        bool seed_changed) {
+  for (std::size_t k = 0; k < chain.size(); ++k) {
+    const std::uint32_t op = chain[k].value();
+    const std::uint32_t prev = k > 0 ? chain[k - 1].value() : kNone;
+    if (seed_changed && module_prev_[op] != prev) seed(op);
+    module_prev_[op] = prev;
+    module_next_[op] = k + 1 < chain.size() ? chain[k + 1].value() : kNone;
+  }
+}
+
+void ConstraintGraph::link_register_chain(std::span<const dfg::VarId> chain,
+                                          bool seed_changed) {
+  for (std::size_t k = 0; k < chain.size(); ++k) {
+    const std::uint32_t v = chain[k].value();
+    const std::uint32_t prev = k > 0 ? chain[k - 1].value() : kNone;
+    if (seed_changed && register_prev_[v] != prev) {
+      seed(tables().var_def_[v]);
+    }
+    register_prev_[v] = prev;
+    register_next_[v] = k + 1 < chain.size() ? chain[k + 1].value() : kNone;
+  }
+}
+
+int ConstraintGraph::undefined_members(
+    std::span<const dfg::VarId> chain) const {
+  int count = 0;
+  for (std::size_t k = 1; k < chain.size(); ++k) {
+    if (tables().var_def_[chain[k].index()] == kNone) ++count;
+  }
+  return count;
 }
 
 template <typename F>
 void ConstraintGraph::for_each_pred(std::uint32_t v, F&& f) const {
-  for (std::uint32_t k = pred_begin_[v]; k < pred_begin_[v + 1]; ++k) {
-    f(pred_[k].from, pred_[k].weight);
+  const ConstraintTables& t = tables();
+  for (std::uint32_t k = t.pred_begin_[v]; k < t.pred_begin_[v + 1]; ++k) {
+    f(t.pred_[k].from, t.pred_[k].weight);
   }
   if (module_prev_[v] != kNone) f(module_prev_[v], 1);
   // v writes op_output_[v]: it waits for the last reads of the variable
   // before it in that variable's register.
-  const std::uint32_t out = op_output_[v];
+  const std::uint32_t out = t.op_output_[v];
   if (out == kNone) return;
   const std::uint32_t before = register_prev_[out];
   if (before == kNone) return;
-  for (std::uint32_t k = release_begin_[before]; k < release_begin_[before + 1];
-       ++k) {
-    f(release_ops_[k], 0);
+  for (std::uint32_t k = t.release_begin_[before];
+       k < t.release_begin_[before + 1]; ++k) {
+    f(t.release_ops_[k], 0);
   }
 }
 
 template <typename F>
 void ConstraintGraph::for_each_succ(std::uint32_t u, F&& f) const {
-  for (std::uint32_t k = succ_begin_[u]; k < succ_begin_[u + 1]; ++k) {
-    f(succ_[k].to, succ_[k].weight);
+  const ConstraintTables& t = tables();
+  for (std::uint32_t k = t.succ_begin_[u]; k < t.succ_begin_[u + 1]; ++k) {
+    f(t.succ_[k].to, t.succ_[k].weight);
   }
   if (module_next_[u] != kNone) f(module_next_[u], 1);
   // Every variable whose lifetime u ends lets its register's next variable
   // be written.
-  for (std::uint32_t k = released_begin_[u]; k < released_begin_[u + 1];
+  for (std::uint32_t k = t.released_begin_[u]; k < t.released_begin_[u + 1];
        ++k) {
-    const std::uint32_t after = register_next_[released_vars_[k]];
-    if (after != kNone && var_def_[after] != kNone) f(var_def_[after], 0);
+    const std::uint32_t after = register_next_[t.released_vars_[k]];
+    if (after != kNone && t.var_def_[after] != kNone) f(t.var_def_[after], 0);
   }
 }
 
@@ -269,7 +352,9 @@ std::optional<int> ConstraintGraph::solve_cone() {
       if (--indegree_[x] == 0) stack_.push_back(x);
     });
   }
-  if (done != cone_.size() || undefined_ > 0) return std::nullopt;
+  if (done != cone_.size() || undefined_ > 0 || contradictions_ > 0) {
+    return std::nullopt;
+  }
 
   // Length: the cone's largest step against the largest step outside it.
   for (std::uint32_t v : cone_) {
@@ -305,14 +390,15 @@ void ConstraintGraph::commit_cone() {
 }
 
 std::optional<int> ConstraintGraph::solve_all() {
-  step_.assign(num_ops_, 0);
-  resolved_.assign(num_ops_, 0);
-  step_count_.assign(num_ops_ + 2, 0);
+  const std::size_t ops = num_ops();
+  step_.assign(ops, 0);
+  resolved_.assign(ops, 0);
+  step_count_.assign(ops + 2, 0);
   top_ = 0;
   unresolved_.clear();
   next_epoch();
   cone_.clear();
-  for (std::uint32_t v = 0; v < num_ops_; ++v) {
+  for (std::uint32_t v = 0; v < ops; ++v) {
     mark_[v] = epoch_;
     cone_.push_back(v);
   }
@@ -343,9 +429,11 @@ std::optional<int> ConstraintGraph::schedule_length() {
 
 std::optional<Schedule> ConstraintGraph::schedule() const {
   HLTS_REQUIRE(solved_, "constraint graph has no solution yet");
-  if (!unresolved_.empty() || undefined_ > 0) return std::nullopt;
-  Schedule s(num_ops_);
-  for (std::uint32_t v = 0; v < num_ops_; ++v) {
+  if (!unresolved_.empty() || undefined_ > 0 || contradictions_ > 0) {
+    return std::nullopt;
+  }
+  Schedule s(num_ops());
+  for (std::uint32_t v = 0; v < num_ops(); ++v) {
     s.set_step(dfg::OpId{v}, step_[v]);
   }
   return s;
@@ -391,16 +479,26 @@ int ConstraintGraph::undefined_pairs(std::size_t c, std::size_t i) const {
   int count = 0;
   for (std::size_t later = std::max<std::size_t>(i, 1);
        later <= i + 2 && later < chain.size(); ++later) {
-    if (var_def_[chain[later].index()] == kNone) ++count;
+    if (tables().var_def_[chain[later].index()] == kNone) ++count;
   }
   return count;
 }
 
-void ConstraintGraph::begin_edit() {
+void ConstraintGraph::begin_edit(ArcKind kind, std::size_t c,
+                                 std::size_t i) {
   HLTS_REQUIRE(solved_ && linked_,
                "constraint-graph swap needs a solved incumbent");
   HLTS_REQUIRE(pending_ == ArcKind::None,
                "constraint-graph swap while another is pending");
+  HLTS_REQUIRE(i + 1 < (kind == ArcKind::Module ? module_chain_size_[c]
+                                                : register_chain_size_[c]),
+               "constraint-graph swap out of range");
+  pending_ = kind;
+  pending_chain_ = c;
+  pending_pos_ = i;
+  pending_applied_ = false;
+  pending_undefined_ = undefined_;
+  cone_solved_ = false;
   if (!unresolved_.empty() && !cycles_labelled_) label_cycles();
   next_epoch();
   cone_.clear();
@@ -412,44 +510,58 @@ void ConstraintGraph::seed(std::uint32_t op) {
   cone_.push_back(op);
 }
 
+void ConstraintGraph::apply_pending() {
+  if (pending_ == ArcKind::Module) {
+    swap_module(pending_chain_, pending_pos_);
+  } else {
+    undefined_ -= undefined_pairs(pending_chain_, pending_pos_);
+    swap_register(pending_chain_, pending_pos_);
+    undefined_ += undefined_pairs(pending_chain_, pending_pos_);
+  }
+  pending_applied_ = true;
+}
+
 std::optional<int> ConstraintGraph::try_swap_module(std::size_t c,
                                                     std::size_t i) {
-  begin_edit();
-  swap_module(c, i);
-  pending_ = ArcKind::Module;
-  pending_chain_ = c;
-  pending_pos_ = i;
+  begin_edit(ArcKind::Module, c, i);
+  // The swap reverses the link into the second member; checked before the
+  // edit, a rejected swap costs a lookup.
+  if (undefined_ > 0 || contradictions_ > 0 ||
+      !may_break_cycles(module_chain(c)[i + 1].value())) {
+    return std::nullopt;
+  }
+  apply_pending();
   // The ops whose incoming chain arcs changed: the swapped pair and the
   // member after it.
   const std::span<const dfg::OpId> chain = module_chain(c);
   for (std::size_t k = i; k <= i + 2 && k < chain.size(); ++k) {
     seed(chain[k].value());
   }
-  return evaluate_swap(chain[i].value());
+  close_cone();
+  return solve_cone();
 }
 
 std::optional<int> ConstraintGraph::try_swap_register(std::size_t c,
                                                       std::size_t i) {
-  begin_edit();
-  pending_undefined_ = undefined_;
-  undefined_ -= undefined_pairs(c, i);
-  swap_register(c, i);
-  undefined_ += undefined_pairs(c, i);
-  pending_ = ArcKind::Register;
-  pending_chain_ = c;
-  pending_pos_ = i;
+  begin_edit(ArcKind::Register, c, i);
+  const std::span<const dfg::VarId> chain = register_chain(c);
+  const std::vector<std::uint32_t>& var_def = tables().var_def_;
+  // Only a swap at the head changes which members count as later ones.
+  auto undefined = [&](dfg::VarId v) {
+    return var_def[v.index()] == kNone ? 1 : 0;
+  };
+  const int undefined_after =
+      undefined_ + (i == 0 ? undefined(chain[0]) - undefined(chain[1]) : 0);
+  if (undefined_after > 0 || contradictions_ > 0 ||
+      !may_break_cycles(var_def[chain[i + 1].index()])) {
+    return std::nullopt;
+  }
+  apply_pending();
   // The definitions whose incoming last-read arcs changed: those of the
   // swapped pair and of the member after it.
-  const std::span<const dfg::VarId> chain = register_chain(c);
   for (std::size_t k = i; k <= i + 2 && k < chain.size(); ++k) {
-    seed(var_def_[chain[k].index()]);
+    seed(var_def[chain[k].index()]);
   }
-  return evaluate_swap(var_def_[chain[i].index()]);
-}
-
-std::optional<int> ConstraintGraph::evaluate_swap(std::uint32_t reversed) {
-  cone_solved_ = false;
-  if (undefined_ > 0 || !may_break_cycles(reversed)) return std::nullopt;
   close_cone();
   return solve_cone();
 }
@@ -467,6 +579,13 @@ bool ConstraintGraph::may_break_cycles(std::uint32_t reversed) const {
   // and the other keeps its cycles; with one, its witness must use it.
   return num_cycles_ == 1 && reversed != kNone &&
          witness_in_[reversed] == pending_;
+}
+
+std::uint32_t ConstraintGraph::cyclic_components() {
+  HLTS_REQUIRE(solved_, "constraint graph has no solution yet");
+  if (unresolved_.empty()) return 0;
+  if (!cycles_labelled_) label_cycles();
+  return num_cycles_;
 }
 
 void ConstraintGraph::label_cycles() {
@@ -488,7 +607,7 @@ void ConstraintGraph::label_cycles() {
   }
   sub_begin_[m] = static_cast<std::uint32_t>(sub_adj_.size());
 
-  cycle_of_.assign(num_ops_, kNone);
+  cycle_of_.assign(num_ops(), kNone);
   num_cycles_ = 0;
   order_.assign(m, kNone);  // DFS discovery index
   low_.assign(m, 0);
@@ -545,7 +664,7 @@ void ConstraintGraph::label_cycles() {
 
   // Only a lone cyclic component's witness can decide anything (see
   // may_break_cycles).
-  witness_in_.assign(num_ops_, ArcKind::None);
+  witness_in_.assign(num_ops(), ArcKind::None);
   if (num_cycles_ == 1) find_witness();
   cycles_labelled_ = true;
 }
@@ -554,19 +673,20 @@ void ConstraintGraph::find_witness() {
   // Every member of the cyclic component has a successor inside it; fixed
   // arcs are preferred because no swap removes them.
   const std::uint32_t c = cycle_of_[cycle_root_];
+  const ConstraintTables& t = tables();
   auto step = [&](std::uint32_t u) -> std::pair<std::uint32_t, ArcKind> {
-    for (std::uint32_t k = succ_begin_[u]; k < succ_begin_[u + 1]; ++k) {
-      if (cycle_of_[succ_[k].to] == c) return {succ_[k].to, ArcKind::Fixed};
+    for (std::uint32_t k = t.succ_begin_[u]; k < t.succ_begin_[u + 1]; ++k) {
+      if (cycle_of_[t.succ_[k].to] == c) return {t.succ_[k].to, ArcKind::Fixed};
     }
     if (module_next_[u] != kNone && cycle_of_[module_next_[u]] == c) {
       return {module_next_[u], ArcKind::Module};
     }
-    for (std::uint32_t k = released_begin_[u]; k < released_begin_[u + 1];
+    for (std::uint32_t k = t.released_begin_[u]; k < t.released_begin_[u + 1];
          ++k) {
-      const std::uint32_t after = register_next_[released_vars_[k]];
-      if (after == kNone || var_def_[after] == kNone) continue;
-      if (cycle_of_[var_def_[after]] == c) {
-        return {var_def_[after], ArcKind::Register};
+      const std::uint32_t after = register_next_[t.released_vars_[k]];
+      if (after == kNone || t.var_def_[after] == kNone) continue;
+      if (cycle_of_[t.var_def_[after]] == c) {
+        return {t.var_def_[after], ArcKind::Register};
       }
     }
     HLTS_REQUIRE(false, "cyclic component member without a successor in it");
@@ -592,6 +712,11 @@ void ConstraintGraph::find_witness() {
 
 void ConstraintGraph::keep() {
   HLTS_REQUIRE(pending_ != ArcKind::None, "no constraint-graph swap pending");
+  if (!pending_applied_) apply_pending();
+  if (has_base_) {
+    kept_.push_back({pending_, static_cast<std::uint32_t>(pending_chain_),
+                     static_cast<std::uint32_t>(pending_pos_)});
+  }
   pending_ = ArcKind::None;
   if (cone_solved_) {
     commit_cone();
@@ -602,13 +727,149 @@ void ConstraintGraph::keep() {
 
 void ConstraintGraph::revert() {
   HLTS_REQUIRE(pending_ != ArcKind::None, "no constraint-graph swap pending");
-  if (pending_ == ArcKind::Module) {
-    swap_module(pending_chain_, pending_pos_);
-  } else {
-    swap_register(pending_chain_, pending_pos_);
-    undefined_ = pending_undefined_;
+  if (pending_applied_) {
+    if (pending_ == ArcKind::Module) {
+      swap_module(pending_chain_, pending_pos_);
+    } else {
+      swap_register(pending_chain_, pending_pos_);
+    }
   }
+  undefined_ = pending_undefined_;
   pending_ = ArcKind::None;
+}
+
+void ConstraintGraph::save_base() {
+  HLTS_REQUIRE(solved_ && linked_ && pending_ == ArcKind::None &&
+                   merged_ == ArcKind::None,
+               "constraint-graph base needs a solved, unedited graph");
+  has_base_ = true;
+  kept_.clear();
+  base_module_ops_ = module_chain_ops_.size();
+  base_register_vars_ = register_chain_vars_.size();
+  base_undefined_ = undefined_;
+  base_contradictions_ = contradictions_;
+  base_top_ = top_;
+  base_step_ = step_;
+  base_resolved_ = resolved_;
+  base_step_count_ = step_count_;
+  base_unresolved_ = unresolved_;
+}
+
+template <typename T>
+std::span<T> ConstraintGraph::append_chain(ArcKind kind, std::vector<T>& items,
+                                          std::vector<std::uint32_t>& begins,
+                                          std::vector<std::uint32_t>& sizes,
+                                          std::size_t into, std::size_t from) {
+  HLTS_REQUIRE(has_base_ && merged_ == ArcKind::None && kept_.empty() &&
+                   pending_ == ArcKind::None,
+               "chain merge needs an unedited base");
+  HLTS_REQUIRE(into != from && into < begins.size() && from < begins.size(),
+               "chain merge out of range");
+  into_begin_ = begins[into];
+  into_size_ = sizes[into];
+  from_size_ = sizes[from];
+  const auto tail = static_cast<std::uint32_t>(items.size());
+  items.resize(tail + into_size_ + from_size_);  // may throw: nothing changed
+  std::copy_n(items.begin() + into_begin_, into_size_, items.begin() + tail);
+  std::copy_n(items.begin() + begins[from], from_size_,
+              items.begin() + tail + into_size_);
+  merged_ = kind;
+  merged_into_ = static_cast<std::uint32_t>(into);
+  merged_from_ = static_cast<std::uint32_t>(from);
+  begins[into] = tail;
+  sizes[into] = into_size_ + from_size_;
+  sizes[from] = 0;
+  return {items.data() + tail, into_size_ + from_size_};
+}
+
+std::span<dfg::OpId> ConstraintGraph::merge_module_chains(std::size_t into,
+                                                          std::size_t from) {
+  return append_chain(ArcKind::Module, module_chain_ops_, module_chain_begin_,
+                      module_chain_size_, into, from);
+}
+
+std::span<dfg::VarId> ConstraintGraph::merge_register_chains(
+    std::size_t into, std::size_t from) {
+  const std::span<dfg::VarId> merged =
+      append_chain(ArcKind::Register, register_chain_vars_,
+                   register_chain_begin_, register_chain_size_, into, from);
+  into_contradicted_ = register_chain_contradicted_[into];
+  from_contradicted_ = register_chain_contradicted_[from];
+  register_chain_contradicted_[into] = contradictory(merged) ? 1 : 0;
+  register_chain_contradicted_[from] = 0;
+  contradictions_ += register_chain_contradicted_[into] - into_contradicted_ -
+                     from_contradicted_;
+  return merged;
+}
+
+std::optional<int> ConstraintGraph::solve_merge() {
+  HLTS_REQUIRE(merged_ != ArcKind::None && pending_ == ArcKind::None &&
+                   kept_.empty(),
+               "solve_merge needs a fresh chain merge");
+  next_epoch();
+  cone_.clear();
+  if (merged_ == ArcKind::Module) {
+    link_module_chain(module_chain(merged_into_), true);
+  } else {
+    const std::span<const dfg::VarId> merged = register_chain(merged_into_);
+    // The two base chains are still in place in storage.
+    const std::span<const dfg::VarId> into{
+        register_chain_vars_.data() + into_begin_, into_size_};
+    const std::span<const dfg::VarId> from{
+        register_chain_vars_.data() + register_chain_begin_[merged_from_],
+        from_size_};
+    undefined_ += undefined_members(merged) - undefined_members(into) -
+                  undefined_members(from);
+    link_register_chain(merged, true);
+  }
+  cycles_labelled_ = false;
+  // A base cycle outside the cone would block it: solve everything.
+  if (!unresolved_.empty()) return solve_all();
+  close_cone();
+  const std::optional<int> length = solve_cone();
+  commit_cone();
+  return length;
+}
+
+void ConstraintGraph::restore_base() {
+  HLTS_REQUIRE(has_base_, "constraint graph has no base");
+  if (pending_ != ArcKind::None) revert();
+  for (auto it = kept_.rbegin(); it != kept_.rend(); ++it) {
+    if (it->kind == ArcKind::Module) {
+      swap_module(it->chain, it->pos);
+    } else {
+      swap_register(it->chain, it->pos);
+    }
+  }
+  kept_.clear();
+  // The two chains' base members are still in place in storage.
+  if (merged_ == ArcKind::Module) {
+    module_chain_begin_[merged_into_] = into_begin_;
+    module_chain_size_[merged_into_] = into_size_;
+    module_chain_size_[merged_from_] = from_size_;
+    module_chain_ops_.resize(base_module_ops_);
+    link_module_chain(module_chain(merged_into_), false);
+    link_module_chain(module_chain(merged_from_), false);
+  } else if (merged_ == ArcKind::Register) {
+    register_chain_begin_[merged_into_] = into_begin_;
+    register_chain_size_[merged_into_] = into_size_;
+    register_chain_size_[merged_from_] = from_size_;
+    register_chain_contradicted_[merged_into_] = into_contradicted_;
+    register_chain_contradicted_[merged_from_] = from_contradicted_;
+    register_chain_vars_.resize(base_register_vars_);
+    link_register_chain(register_chain(merged_into_), false);
+    link_register_chain(register_chain(merged_from_), false);
+  }
+  merged_ = ArcKind::None;
+  undefined_ = base_undefined_;
+  contradictions_ = base_contradictions_;
+  top_ = base_top_;
+  step_ = base_step_;
+  resolved_ = base_resolved_;
+  step_count_ = base_step_count_;
+  unresolved_ = base_unresolved_;
+  cycles_labelled_ = false;
+  solved_ = true;
 }
 
 }  // namespace hlts::sched

@@ -14,8 +14,11 @@ int Schedule::length() const {
 
 bool Schedule::respects_data_deps(const dfg::Dfg& g) const {
   for (dfg::OpId op : g.op_ids()) {
-    for (dfg::OpId p : g.preds(op)) {
-      if (step(op) <= step(p)) return false;
+    // The defining ops of op's inputs are its predecessors (read in place:
+    // Dfg::preds would build a deduplicated list per op).
+    for (dfg::VarId in : g.op(op).inputs) {
+      const dfg::OpId p = g.var(in).def;
+      if (p.valid() && step(op) <= step(p)) return false;
     }
     if (step(op) < 1) return false;
   }

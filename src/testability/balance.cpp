@@ -2,50 +2,38 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 namespace hlts::testability {
 
 namespace {
 
-/// Op-level reachability over data dependences: reach[a] contains b when
-/// there is a path of >= 1 arc from a to b.
+/// Op-level reachability over data dependences: row a has bit b set when
+/// there is a path of >= 1 arc from a to b.  One flat word array, rows of
+/// words_ words.
 class Reachability {
  public:
   explicit Reachability(const dfg::Dfg& g)
-      : words_((g.num_ops() + 63) / 64), bits_(g.num_ops()) {
-    for (auto& row : bits_) row.assign(words_, 0);
+      : words_((g.num_ops() + 63) / 64), bits_(g.num_ops() * words_, 0) {
     std::vector<dfg::OpId> order = g.topo_order();
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      std::uint64_t* row = &bits_[it->index() * words_];
       for (dfg::OpId s : g.succs(*it)) {
-        set(*it, s);
-        for (std::size_t w = 0; w < words_; ++w) {
-          bits_[it->index()][w] |= bits_[s.index()][w];
-        }
+        row[s.index() / 64] |= std::uint64_t{1} << (s.index() % 64);
+        const std::uint64_t* reach = &bits_[s.index() * words_];
+        for (std::size_t w = 0; w < words_; ++w) row[w] |= reach[w];
       }
     }
   }
 
   [[nodiscard]] bool reaches(dfg::OpId a, dfg::OpId b) const {
-    return (bits_[a.index()][b.index() / 64] >> (b.index() % 64)) & 1u;
+    return (bits_[a.index() * words_ + b.index() / 64] >> (b.index() % 64)) &
+           1u;
   }
 
  private:
-  void set(dfg::OpId a, dfg::OpId b) {
-    bits_[a.index()][b.index() / 64] |= (std::uint64_t{1} << (b.index() % 64));
-  }
   std::size_t words_;
-  std::vector<std::vector<std::uint64_t>> bits_;
+  std::vector<std::uint64_t> bits_;
 };
-
-/// Ops that determine the lifetime of `v`: its definition and all uses.
-std::vector<dfg::OpId> lifetime_ops(const dfg::Dfg& g, dfg::VarId v) {
-  std::vector<dfg::OpId> out;
-  const dfg::Variable& var = g.var(v);
-  if (var.def.valid()) out.push_back(var.def);
-  for (dfg::OpId u : var.uses) out.push_back(u);
-  return out;
-}
 
 /// Registers read (port side) and written (result side) by a module node.
 void module_reg_sets(const etpn::DataPath& dp, etpn::DpNodeId m,
@@ -105,8 +93,8 @@ struct RegMergeOracle::Impl {
   const dfg::Dfg& g;
   const etpn::Binding& b;
   Reachability reach;
-  /// Case (2) pairs, keyed (min_reg << 32) | max_reg.
-  std::unordered_set<std::uint64_t> op_conflicts;
+  /// Case (2) pairs, keyed (min_reg << 32) | max_reg; sorted, unique.
+  std::vector<std::uint64_t> op_conflicts;
 
   Impl(const dfg::Dfg& g_in, const etpn::Binding& b_in)
       : g(g_in), b(b_in), reach(g_in) {
@@ -121,10 +109,13 @@ struct RegMergeOracle::Impl {
           if (ri == rj) continue;
           const std::uint64_t lo = std::min(ri.value(), rj.value());
           const std::uint64_t hi = std::max(ri.value(), rj.value());
-          op_conflicts.insert((lo << 32) | hi);
+          op_conflicts.push_back((lo << 32) | hi);
         }
       }
     }
+    std::sort(op_conflicts.begin(), op_conflicts.end());
+    op_conflicts.erase(std::unique(op_conflicts.begin(), op_conflicts.end()),
+                       op_conflicts.end());
   }
 };
 
@@ -140,19 +131,24 @@ bool RegMergeOracle::impossible(etpn::RegId ra, etpn::RegId rb) const {
   // Case (2): an operation uses variables of both registers as inputs.
   const std::uint64_t lo = std::min(ra.value(), rb.value());
   const std::uint64_t hi = std::max(ra.value(), rb.value());
-  if (impl_->op_conflicts.count((lo << 32) | hi) != 0) return true;
+  if (std::binary_search(impl_->op_conflicts.begin(),
+                         impl_->op_conflicts.end(), (lo << 32) | hi)) {
+    return true;
+  }
 
   // Case (1): for some variable pair, data dependences force an ordering
   // arc in each direction, so the lifetimes can never be made disjoint.
   auto dir_blocked = [&](dfg::VarId before, dfg::VarId after) {
     // "before expires before after is created" is infeasible when the
-    // definition of `after` strictly precedes some lifetime op of `before`.
+    // definition of `after` strictly precedes some lifetime op of `before`
+    // (its definition or a use).
     const dfg::Variable& va = g.var(after);
     if (!va.def.valid()) return true;  // primary input: born at step 0
-    for (dfg::OpId u : lifetime_ops(g, before)) {
-      if (impl_->reach.reaches(va.def, u)) return true;
-    }
-    return false;
+    const dfg::Variable& vb = g.var(before);
+    if (vb.def.valid() && impl_->reach.reaches(va.def, vb.def)) return true;
+    return std::any_of(vb.uses.begin(), vb.uses.end(), [&](dfg::OpId u) {
+      return impl_->reach.reaches(va.def, u);
+    });
   };
   for (dfg::VarId v1 : b.reg_vars(ra)) {
     for (dfg::VarId v2 : b.reg_vars(rb)) {
@@ -224,18 +220,20 @@ std::vector<MergeCandidate> select_balance_candidates(
   // Register pairs.  A merged register self-loops when some module reads
   // one register of the pair and writes the other (or reads and writes the
   // same one); precompute every module's (read register, written register)
-  // pairs once so the per-pair check is four set probes instead of a walk
-  // over the whole data path.
-  std::unordered_set<std::uint64_t> rw_pairs;
+  // pairs once (sorted) so the per-pair check is four binary searches
+  // instead of a walk over the whole data path.
+  std::vector<std::uint64_t> rw_pairs;
   for (std::size_t i = 0; i < modules.size(); ++i) {
     for (std::uint32_t r : mod_reads[i]) {
       for (std::uint32_t w : mod_writes[i]) {
-        rw_pairs.insert((std::uint64_t{r} << 32) | w);
+        rw_pairs.push_back((std::uint64_t{r} << 32) | w);
       }
     }
   }
+  std::sort(rw_pairs.begin(), rw_pairs.end());
   auto has_rw = [&](etpn::DpNodeId r, etpn::DpNodeId w) {
-    return rw_pairs.count((std::uint64_t{r.value()} << 32) | w.value()) != 0;
+    return std::binary_search(rw_pairs.begin(), rw_pairs.end(),
+                              (std::uint64_t{r.value()} << 32) | w.value());
   };
   const RegMergeOracle oracle(g, b);
   std::vector<etpn::RegId> regs = b.alive_regs();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <queue>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "sched/lifetime.hpp"
 #include "util/error.hpp"
 
 namespace hlts::test_support {
@@ -212,7 +214,7 @@ core::ReschedOutcome reference_reschedule(const dfg::Dfg& g,
   }
   const etpn::Etpn& e = *premerged;
   const etpn::DataPath::RegisterDistances dist =
-      e.data_path.register_distances();
+      reference_register_distances(e.data_path);
   auto op_controllability_key = [&](dfg::OpId op) {
     // Smaller = operands closer to primary inputs.
     int best = INT_MAX;
@@ -311,9 +313,113 @@ core::ReschedOutcome reference_reschedule(const dfg::Dfg& g,
 
   out.feasible = true;
   out.schedule = *solution;
-  HLTS_REQUIRE(core::schedule_respects_binding(g, b, out.schedule),
+  HLTS_REQUIRE(reference_schedule_respects_binding(g, b, out.schedule),
                "rescheduler produced a schedule violating the binding");
   return out;
+}
+
+etpn::DataPath::RegisterDistances reference_register_distances(
+    const etpn::DataPath& dp) {
+  using etpn::DpArcId;
+  using etpn::DpNodeId;
+  using etpn::DpNodeKind;
+  // Register hop graph: r1 -> r2 when r1 reaches r2 through at most one
+  // module (one clocked stage).
+  std::vector<std::vector<std::uint32_t>> fwd(dp.num_nodes());
+  std::vector<std::vector<std::uint32_t>> bwd(dp.num_nodes());
+  std::vector<std::uint32_t> regs;
+  std::vector<int> d_in(dp.num_nodes(), -1);
+  std::vector<int> d_out(dp.num_nodes(), -1);
+
+  auto reg_targets_of = [&](DpNodeId n, auto&& self, bool through_module,
+                            std::vector<std::uint32_t>& out) -> void {
+    for (DpArcId a : dp.out_arcs(n)) {
+      const etpn::DpNode& to = dp.node(dp.arc(a).to);
+      if (to.kind == DpNodeKind::Register) {
+        out.push_back(dp.arc(a).to.value());
+      } else if (to.kind == DpNodeKind::Module && !through_module) {
+        self(dp.arc(a).to, self, true, out);
+      }
+    }
+  };
+
+  for (DpNodeId n : dp.node_ids()) {
+    if (!dp.alive(n) || dp.node(n).kind != DpNodeKind::Register) continue;
+    regs.push_back(n.value());
+    std::vector<std::uint32_t> targets;
+    reg_targets_of(n, reg_targets_of, false, targets);
+    for (std::uint32_t t : targets) {
+      fwd[n.index()].push_back(t);
+      bwd[t].push_back(n.value());
+    }
+    // Controllable seed: loaded directly from an input port.
+    for (DpArcId a : dp.in_arcs(n)) {
+      if (dp.node(dp.arc(a).from).kind == DpNodeKind::InPort) {
+        d_in[n.index()] = 0;
+      }
+    }
+    // Observable seed: feeds an output port directly or through one module.
+    for (DpArcId a : dp.out_arcs(n)) {
+      const etpn::DpNode& to = dp.node(dp.arc(a).to);
+      if (to.kind == DpNodeKind::OutPort) d_out[n.index()] = 0;
+      if (to.kind == DpNodeKind::Module) {
+        for (DpArcId b : dp.out_arcs(dp.arc(a).to)) {
+          if (dp.node(dp.arc(b).to).kind == DpNodeKind::OutPort) {
+            d_out[n.index()] = 0;
+          }
+        }
+      }
+    }
+  }
+
+  auto bfs = [&](std::vector<int>& dist,
+                 const std::vector<std::vector<std::uint32_t>>& adj) {
+    std::deque<std::uint32_t> q;
+    for (std::uint32_t r : regs) {
+      if (dist[r] == 0) q.push_back(r);
+    }
+    while (!q.empty()) {
+      std::uint32_t u = q.front();
+      q.pop_front();
+      for (std::uint32_t v : adj[u]) {
+        if (dist[v] < 0) {
+          dist[v] = dist[u] + 1;
+          q.push_back(v);
+        }
+      }
+    }
+  };
+  bfs(d_in, fwd);
+  bfs(d_out, bwd);
+
+  etpn::DataPath::RegisterDistances dist;
+  dist.d_in = std::move(d_in);
+  dist.d_out = std::move(d_out);
+  return dist;
+}
+
+bool reference_schedule_respects_binding(const dfg::Dfg& g,
+                                         const etpn::Binding& b,
+                                         const sched::Schedule& s) {
+  if (!s.respects_data_deps(g)) return false;
+  for (etpn::ModuleId m : b.alive_modules()) {
+    const auto& ops = b.module_ops(m);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      for (std::size_t j = i + 1; j < ops.size(); ++j) {
+        if (s.step(ops[i]) == s.step(ops[j])) return false;
+      }
+    }
+  }
+  const sched::LifetimeTable lifetimes = sched::LifetimeTable::compute(g, s);
+  for (etpn::RegId r : b.alive_regs()) {
+    const auto& vars = b.reg_vars(r);
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      for (std::size_t j = i + 1; j < vars.size(); ++j) {
+        if (!lifetimes.disjoint(vars[i], vars[j])) return false;
+      }
+    }
+  }
+  return true;
 }
 
 cost::Floorplan reference_floorplan(const etpn::DataPath& dp,

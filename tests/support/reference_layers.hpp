@@ -7,10 +7,15 @@
 // from.  The rescheduler rebuilds and re-solves the whole scheduling-
 // constraint graph (a heap-ordered Kahn longest path) for every order it
 // evaluates; the floorplanner probes a std::set of occupied cells at every
-// spiral position.  Production core::reschedule and cost::estimate_cost
-// must match them bit for bit -- the differential tests and
-// reference_synthesis.hpp's from-scratch Algorithm-1 step compare against
-// these copies, never against the code under test.
+// spiral position; the binding check compares every pair of a group; the
+// register distances behind the SR1/SR2 keys use per-node adjacency
+// vectors and a deque.
+// Production core::reschedule, core::reschedule_merger,
+// cost::estimate_cost, core::schedule_respects_binding and
+// etpn::DataPath::register_distances must match them
+// bit for bit -- the differential tests and reference_synthesis.hpp's
+// from-scratch Algorithm-1 step compare against these copies, never
+// against the code under test.
 #pragma once
 
 #include "core/resched.hpp"
@@ -28,6 +33,15 @@ namespace hlts::test_support {
 [[nodiscard]] core::ReschedOutcome reference_reschedule(
     const dfg::Dfg& g, const etpn::Binding& b, const sched::Schedule& hint,
     core::OrderStrategy strategy, const etpn::Etpn* premerged = nullptr);
+
+/// core::schedule_respects_binding by all-pairs comparison per module and
+/// per register.
+[[nodiscard]] bool reference_schedule_respects_binding(
+    const dfg::Dfg& g, const etpn::Binding& b, const sched::Schedule& s);
+
+/// etpn::DataPath::register_distances over per-node adjacency vectors.
+[[nodiscard]] etpn::DataPath::RegisterDistances reference_register_distances(
+    const etpn::DataPath& dp);
 
 /// cost::floorplan with a std::set occupancy probe.
 [[nodiscard]] cost::Floorplan reference_floorplan(

@@ -14,9 +14,13 @@
 //    random designs, is bit-identical to the from-scratch reference step
 //    replayed from the previous checkpoint
 //    (tests/support/reference_synthesis.hpp);
-//  - the production rescheduler and floorplanner match their frozen
-//    reference copies (tests/support/reference_layers.hpp) over random
-//    merge walks and merge-patched graphs.
+//  - the production rescheduler -- stand-alone and as a per-iteration base
+//    edited by each trial merger -- floorplanner and binding check match
+//    their frozen reference copies (tests/support/reference_layers.hpp)
+//    over random merge walks, merge-patched graphs, random data paths and
+//    random schedules;
+//  - every commit's hardware cost, taken over from the winning trial,
+//    equals a frozen estimate of the committed data path.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -30,6 +34,7 @@
 
 #include "analysis/incremental.hpp"
 #include "benchmarks/benchmarks.hpp"
+#include "core/checkpoint.hpp"
 #include "core/flows.hpp"
 #include "core/resched.hpp"
 #include "core/synthesis.hpp"
@@ -42,6 +47,7 @@
 #include "support/reference_synthesis.hpp"
 #include "testability/balance.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace hlts {
@@ -483,15 +489,13 @@ bool merge_random_pair(const dfg::Dfg& g, etpn::Binding& b, Rng& rng) {
 /// Walks a random merge sequence from the ASAP design, rescheduling every
 /// merged binding with both rescheduler copies and requiring identical
 /// feasibility and schedules.  A feasible merger becomes the next design; an
-/// infeasible one is dropped.  One constraint graph serves every call, as a
-/// trial workspace's does; every other call passes a premerged ETPN.
+/// infeasible one is dropped.  Every other call passes a premerged ETPN.
 void walk_merges(const dfg::Dfg& g, core::OrderStrategy strategy,
                  std::uint64_t seed, int steps, WalkStats& stats) {
   Rng rng(seed);
   sched::Schedule s = sched::asap(g);
   etpn::Binding b =
       etpn::Binding::default_binding(g, etpn::ModuleCompat::ExactKind);
-  sched::ConstraintGraph graph;
   for (int step = 0; step < steps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     etpn::Binding merged = b;
@@ -499,7 +503,7 @@ void walk_merges(const dfg::Dfg& g, core::OrderStrategy strategy,
     std::optional<etpn::Etpn> premerged;
     if (step % 2 == 1) premerged.emplace(etpn::build_etpn(g, s, merged));
     const core::ReschedOutcome ours = core::reschedule(
-        g, merged, s, strategy, premerged ? &*premerged : nullptr, graph);
+        g, merged, s, strategy, premerged ? &*premerged : nullptr);
     const core::ReschedOutcome ref =
         test_support::reference_reschedule(g, merged, s, strategy);
     ASSERT_EQ(ours.feasible, ref.feasible);
@@ -594,6 +598,373 @@ TEST_P(OnBenchmark, FloorplanMatchesFrozenFloorplanner) {
     expect_floorplan_matches_frozen(d.e.data_path, scratch);
   }
   EXPECT_GT(patched, 0);
+}
+
+/// A random data path of `nodes` nodes of every kind: a few hubs with 20 or
+/// more neighbours, repeated arcs (the other operand port, the reverse
+/// direction), self-loops, then tombstones -- nodes with their arcs, and
+/// arcs alone -- detached from their endpoints' lists.
+etpn::DataPath random_data_path(Rng& rng, int nodes, bool kill_nodes) {
+  etpn::DataPath dp;
+  const dfg::OpKind classes[] = {dfg::OpKind::Add, dfg::OpKind::Mul,
+                                 dfg::OpKind::Sub, dfg::OpKind::Less};
+  const etpn::DpNodeKind kinds[] = {
+      etpn::DpNodeKind::InPort, etpn::DpNodeKind::OutPort,
+      etpn::DpNodeKind::Register, etpn::DpNodeKind::Module};
+  for (int i = 0; i < nodes; ++i) {
+    etpn::DpNode node;
+    node.kind = kinds[rng.next_below(4)];
+    node.op_class = classes[rng.next_below(4)];
+    node.name = "n" + std::to_string(i);
+    (void)dp.add_node(std::move(node));
+  }
+  auto any = [&] {
+    return etpn::DpNodeId{static_cast<std::uint32_t>(rng.next_below(nodes))};
+  };
+  auto port = [&] { return static_cast<int>(rng.next_below(2)); };
+  const int hubs = nodes >= 24 ? 1 + nodes / 100 : 0;
+  for (int h = 0; h < hubs; ++h) {
+    const etpn::DpNodeId hub = any();
+    const int degree = 20 + static_cast<int>(rng.next_below(12));
+    for (int j = 0; j < degree; ++j) {
+      if (rng.next_bool()) {
+        (void)dp.add_transfer(hub, any(), port(), 1);
+      } else {
+        (void)dp.add_transfer(any(), hub, port(), 1);
+      }
+    }
+  }
+  const int arcs = nodes + static_cast<int>(rng.next_below(nodes + 1));
+  for (int k = 0; k < arcs; ++k) {
+    const etpn::DpNodeId from = any();
+    const etpn::DpNodeId to = rng.next_bool(0.05) ? from : any();
+    const int p = port();
+    (void)dp.add_transfer(from, to, p, 1 + static_cast<int>(rng.next_below(4)));
+    if (rng.next_bool(0.1)) (void)dp.add_transfer(from, to, 1 - p, 2);
+    if (rng.next_bool(0.1)) (void)dp.add_transfer(to, from, p, 3);
+  }
+  auto kill_arc = [&](etpn::DpArcId a) {
+    if (dp.alive(a)) dp.set_alive(a, false);
+  };
+  if (kill_nodes) {
+    for (etpn::DpNodeId n : dp.node_ids()) {
+      if (!rng.next_bool(0.1)) continue;
+      for (etpn::DpArcId a : dp.arc_ids()) {
+        if (dp.arc(a).from == n || dp.arc(a).to == n) kill_arc(a);
+      }
+      dp.set_alive(n, false);
+    }
+  }
+  for (etpn::DpArcId a : dp.arc_ids()) {
+    if (rng.next_bool(0.1)) kill_arc(a);
+  }
+  // Dead arcs leave their endpoints' lists, as the merge patcher keeps it.
+  std::vector<etpn::DpArcId> kept;
+  for (etpn::DpNodeId n : dp.node_ids()) {
+    for (const bool in : {true, false}) {
+      kept.clear();
+      for (etpn::DpArcId a : in ? dp.in_arcs(n) : dp.out_arcs(n)) {
+        if (dp.alive(a)) kept.push_back(a);
+      }
+      const auto len = static_cast<std::uint32_t>(kept.size());
+      if (in) {
+        dp.rewrite_in_list(n, kept.data(), len);
+      } else {
+        dp.rewrite_out_list(n, kept.data(), len);
+      }
+    }
+  }
+  return dp;
+}
+
+/// The largest number of alive arcs at one alive node.
+int max_alive_degree(const etpn::DataPath& dp) {
+  std::vector<int> degree(dp.num_nodes(), 0);
+  for (etpn::DpArcId a : dp.arc_ids()) {
+    if (!dp.alive(a)) continue;
+    ++degree[dp.arc(a).from.index()];
+    ++degree[dp.arc(a).to.index()];
+  }
+  return degree.empty() ? 0 : *std::max_element(degree.begin(), degree.end());
+}
+
+TEST(RegisterDistances, MatchFrozenCopyOnPatchedAndRandomGraphs) {
+  auto expect_same = [](const etpn::DataPath& dp) {
+    const etpn::DataPath::RegisterDistances ours = dp.register_distances();
+    const etpn::DataPath::RegisterDistances frozen =
+        test_support::reference_register_distances(dp);
+    EXPECT_EQ(ours.d_in, frozen.d_in);
+    EXPECT_EQ(ours.d_out, frozen.d_out);
+  };
+  for (const dfg::Dfg& g : differential_designs()) {
+    SCOPED_TRACE(g.name());
+    Design d = make_design(g);
+    expect_same(d.e.data_path);
+    util::Arena arena;
+    int patched = 0;
+    for (const testability::MergeCandidate& cand : all_candidates(g, d)) {
+      if (patched >= 8) break;
+      const auto [into, from] = cand.nodes(d.e);
+      if (!d.e.data_path.alive(into) || !d.e.data_path.alive(from)) continue;
+      (void)etpn::apply_merge_patch(d.e.data_path, arena, into, from);
+      ++patched;
+      expect_same(d.e.data_path);
+    }
+  }
+  Rng rng(9400);
+  for (int n = 1; n <= 120; n += 7) {
+    expect_same(random_data_path(rng, n, false));
+  }
+}
+
+TEST(FloorplanDifferential, RandomDataPathsMatchFrozenFloorplanner) {
+  Rng rng(9100);
+  cost::CostScratch scratch;  // reused across sizes, as a trial worker's is
+  int hubs = 0;
+  std::vector<int> sizes;
+  for (int n = 1; n <= 40; ++n) sizes.push_back(n);
+  for (int n = 47; n <= 400; n += 11) sizes.push_back(n);
+  sizes.push_back(400);
+  for (int n : sizes) {
+    SCOPED_TRACE("nodes " + std::to_string(n));
+    const etpn::DataPath dp = random_data_path(rng, n, true);
+    if (max_alive_degree(dp) >= 20) ++hubs;
+    expect_floorplan_matches_frozen(dp, scratch);
+  }
+  EXPECT_GT(hubs, 10);
+}
+
+TEST(FloorplanDifferential, LargeGridMatchesFrozenFloorplanner) {
+  // At 2304 or more alive nodes the spiral's radius reaches 50, where the
+  // 0.01 pull toward the origin can outweigh one grid step.
+  Rng rng(9200);
+  const etpn::DataPath dp = random_data_path(rng, 2400, false);
+  ASSERT_GE(dp.num_alive_nodes(), 2304u);
+  cost::CostScratch scratch;
+  expect_floorplan_matches_frozen(dp, scratch);
+}
+
+/// Runs Algorithm 1 once per committed merger, resumed from the checkpoint
+/// before it, and checks that the committed cost -- the winning trial's
+/// estimate, taken over at commit -- equals a frozen estimate of a fresh
+/// build of the committed design, field by field.
+void expect_commit_costs_match_frozen(const dfg::Dfg& g,
+                                      core::SynthesisParams p) {
+  std::vector<core::Checkpoint> checkpoints{
+      {0, sched::asap(g), etpn::Binding::default_binding(g, p.compat)}};
+  p.checkpoint_every = 1;
+  p.on_checkpoint = [&](const core::Checkpoint& c) {
+    checkpoints.push_back(c);
+  };
+  const core::SynthesisResult full = core::integrated_synthesis(g, p);
+  p.on_checkpoint = nullptr;
+  for (std::size_t i = 0; i <= full.trajectory.size(); ++i) {
+    SCOPED_TRACE(g.name() + " commit " + std::to_string(i));
+    core::SynthesisResult r = full;
+    if (i < full.trajectory.size()) {
+      // The run stopped right after commit i + 1.
+      core::SynthesisParams one = p;
+      one.resume_from = &checkpoints[i];
+      one.max_iterations = static_cast<int>(i) + 1;
+      r = core::integrated_synthesis(g, one);
+      ASSERT_EQ(r.iterations, static_cast<int>(i) + 1);
+    }
+    const etpn::Etpn e = etpn::build_etpn(g, r.schedule, r.binding);
+    const cost::HardwareCost frozen =
+        test_support::reference_estimate_cost(e.data_path, p.library, p.bits);
+    EXPECT_TRUE(same_bits(r.cost.module_area, frozen.module_area));
+    EXPECT_TRUE(same_bits(r.cost.register_area, frozen.register_area));
+    EXPECT_TRUE(same_bits(r.cost.mux_area, frozen.mux_area));
+    EXPECT_TRUE(same_bits(r.cost.wire_area, frozen.wire_area));
+  }
+}
+
+TEST_P(FlowGrid, CommittedCostEqualsFrozenEstimate) {
+  const auto& [bench, kind] = GetParam();
+  const dfg::Dfg g = benchmarks::make_benchmark(bench);
+  if (kind == core::FlowKind::Approach1 || kind == core::FlowKind::Approach2) {
+    // No merger loop, so no commit; the flow's one cost is a fresh estimate.
+    const core::FlowParams params;
+    const core::FlowResult r = core::run_flow(kind, g, params);
+    ASSERT_EQ(r.iterations, 0);
+    const etpn::Etpn e = etpn::build_etpn(g, r.schedule, r.binding);
+    const cost::HardwareCost frozen = test_support::reference_estimate_cost(
+        e.data_path, params.library, params.bits);
+    EXPECT_TRUE(same_bits(r.cost.module_area, frozen.module_area));
+    EXPECT_TRUE(same_bits(r.cost.register_area, frozen.register_area));
+    EXPECT_TRUE(same_bits(r.cost.mux_area, frozen.mux_area));
+    EXPECT_TRUE(same_bits(r.cost.wire_area, frozen.wire_area));
+    return;
+  }
+  expect_commit_costs_match_frozen(g, core::synthesis_params(kind, {}));
+}
+
+TEST(CommitCost, WorkloadShapesEqualFrozenEstimate) {
+  workload::DfgShape plain;
+  plain.ops = 24;
+  plain.depth = 6;
+  workload::DfgShape loopy = plain;
+  loopy.loop_density = 0.3;
+  loopy.self_loop_density = 0.5;
+  workload::DfgShape memory = plain;
+  memory.memories = 2;
+  memory.memory_access_density = 0.2;
+  std::uint64_t seed = 11;
+  for (const workload::DfgShape& shape : {plain, loopy, memory}) {
+    const dfg::Dfg g = workload::generate(seed++, shape);
+    for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
+      SCOPED_TRACE(core::flow_name(kind));
+      expect_commit_costs_match_frozen(g, core::synthesis_params(kind, {}));
+    }
+  }
+}
+
+/// One trial's rescheduler outcome through the production path: a
+/// checked-out workspace, its per-iteration base (built on first use after
+/// each commit), the merge patch and reschedule_merger.
+core::ReschedOutcome base_trial(const dfg::Dfg& g,
+                                analysis::IncrementalContext& ctx,
+                                const sched::Schedule& hint,
+                                core::OrderStrategy strategy,
+                                const testability::MergeCandidate& cand) {
+  std::unique_ptr<analysis::TrialWorkspace> ws = ctx.checkout();
+  if (ws->resched_epoch != ctx.epoch()) {
+    core::build_trial_base(g, ctx.tables(), ws->binding, hint, ws->resched);
+    ws->resched_epoch = ctx.epoch();
+  }
+  core::ReschedOutcome r;
+  {
+    analysis::DesignDelta delta(g, *ws, cand);
+    r = core::reschedule_merger(g, ws->binding, hint, strategy, &ws->etpn,
+                                cand, ws->resched);
+  }
+  ctx.checkin(std::move(ws));
+  return r;
+}
+
+TEST(ReschedDifferential, BaseGraphTrialsMatchFrozenRescheduler) {
+  // Random merge walks: at each committed state every candidate of the
+  // ranking is rescheduled through the per-iteration base, serially and on
+  // four threads (four workspaces, four bases over shared tables), and
+  // compared with the frozen from-scratch rescheduler.
+  std::vector<dfg::Dfg> designs;
+  for (const std::string& name : benchmarks::benchmark_names()) {
+    designs.push_back(benchmarks::make_benchmark(name));
+  }
+  const std::vector<dfg::Dfg> more = differential_designs();
+  designs.insert(designs.end(), more.end() - 4, more.end());  // loopy, memory
+  util::ThreadPool pool(4);
+  int feasible = 0;
+  int infeasible = 0;
+  for (auto strategy :
+       {core::OrderStrategy::Testability, core::OrderStrategy::Plain}) {
+    for (std::size_t d = 0; d < designs.size(); ++d) {
+      const dfg::Dfg& g = designs[d];
+      SCOPED_TRACE(g.name() + " strategy " +
+                   std::to_string(static_cast<int>(strategy)));
+      Rng rng(8100 + 17 * d + static_cast<std::uint64_t>(strategy));
+      const cost::ModuleLibrary& lib = cost::ModuleLibrary::standard();
+      analysis::IncrementalContext ctx(g, lib, 8);
+      sched::Schedule s = sched::asap(g);
+      etpn::Binding b =
+          etpn::Binding::default_binding(g, etpn::ModuleCompat::ExactKind);
+      ctx.attach(s, b);
+      for (int step = 0; step < 6; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        testability::TestabilityAnalysis analysis(ctx.etpn().data_path);
+        const int all = static_cast<int>(ctx.etpn().data_path.num_nodes() *
+                                         ctx.etpn().data_path.num_nodes());
+        const std::vector<testability::MergeCandidate> cands =
+            testability::select_balance_candidates(g, b, ctx.etpn(), analysis,
+                                                   all, {});
+        if (cands.empty()) break;
+        std::vector<core::ReschedOutcome> serial(cands.size());
+        std::vector<core::ReschedOutcome> threaded(cands.size());
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+          serial[i] = base_trial(g, ctx, s, strategy, cands[i]);
+        }
+        pool.parallel_for(cands.size(), [&](std::size_t i) {
+          threaded[i] = base_trial(g, ctx, s, strategy, cands[i]);
+        });
+        std::vector<std::size_t> feasible_now;
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+          etpn::Binding merged = b;
+          cands[i].apply(g, merged);
+          const core::ReschedOutcome ref =
+              test_support::reference_reschedule(g, merged, s, strategy);
+          ASSERT_EQ(serial[i].feasible, ref.feasible)
+              << cands[i].description(g, b);
+          ASSERT_EQ(threaded[i].feasible, ref.feasible);
+          if (!ref.feasible) {
+            ++infeasible;
+            continue;
+          }
+          ++feasible;
+          ASSERT_EQ(serial[i].schedule, ref.schedule)
+              << cands[i].description(g, b);
+          ASSERT_EQ(threaded[i].schedule, ref.schedule);
+          feasible_now.push_back(i);
+        }
+        if (feasible_now.empty()) break;
+        // Commit a random feasible merger; the next step's trials rebuild
+        // their bases.
+        const std::size_t pick =
+            feasible_now[rng.next_below(feasible_now.size())];
+        etpn::Binding next = b;
+        cands[pick].apply(g, next);
+        const etpn::Etpn e = etpn::build_etpn(g, serial[pick].schedule, next);
+        ctx.commit(cands[pick], next, serial[pick].schedule,
+                   cost::estimate_cost(e.data_path, lib, 8));
+        b = std::move(next);
+        s = serial[pick].schedule;
+      }
+    }
+  }
+  EXPECT_GT(feasible, 200);
+  EXPECT_GT(infeasible, 200);
+}
+
+/// A random schedule of `g` respecting its data dependences (each op some
+/// steps after its latest predecessor); with `break_deps`, one op is then
+/// moved to step 1, which usually violates them.
+sched::Schedule random_schedule(const dfg::Dfg& g, Rng& rng, bool break_deps) {
+  sched::Schedule s(g.num_ops());
+  for (dfg::OpId op : g.topo_order()) {
+    int step = 1;
+    for (dfg::OpId p : g.preds(op)) step = std::max(step, s.step(p) + 1);
+    s.set_step(op, step + static_cast<int>(rng.next_below(3)));
+  }
+  if (break_deps && g.num_ops() > 0) {
+    s.set_step(dfg::OpId{static_cast<std::uint32_t>(
+                   rng.next_below(g.num_ops()))},
+               1);
+  }
+  return s;
+}
+
+TEST(ReschedDifferential, SortedBindingCheckMatchesAllPairsCheck) {
+  const std::vector<dfg::Dfg> designs = differential_designs();
+  int holds = 0;
+  int violated = 0;
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const dfg::Dfg& g = designs[d];
+    SCOPED_TRACE(g.name());
+    Rng rng(9300 + d);
+    for (int round = 0; round < 40; ++round) {
+      etpn::Binding b =
+          etpn::Binding::default_binding(g, etpn::ModuleCompat::ExactKind);
+      const int merges = static_cast<int>(rng.next_below(12));
+      for (int k = 0; k < merges; ++k) (void)merge_random_pair(g, b, rng);
+      const sched::Schedule s = random_schedule(g, rng, round % 8 == 7);
+      const bool ref =
+          test_support::reference_schedule_respects_binding(g, b, s);
+      ASSERT_EQ(core::schedule_respects_binding(g, b, s), ref)
+          << "round " << round;
+      (ref ? holds : violated)++;
+    }
+  }
+  EXPECT_GT(holds, 50);
+  EXPECT_GT(violated, 50);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -255,6 +256,130 @@ TEST(ConstraintGraph, ChainSwapsMatchFreshSolves) {
   }
   EXPECT_GT(feasible, 50);
   EXPECT_GT(infeasible, 50);
+}
+
+TEST(ConstraintGraph, BaseMergesMatchFreshSolves) {
+  // A base of random chains over shared tables.  Each trial merges two
+  // chains of one kind (re-sorted the way a merger's trial sorts them),
+  // solves the edit, tries random swaps, keeping some, and restores the
+  // base: every length and schedule equals a fresh solve of the same
+  // chains, and the restored chains and incumbent equal the base's.
+  int feasible = 0;
+  int infeasible = 0;
+  for (const char* name : {"ewf", "diffeq", "tseng"}) {
+    const dfg::Dfg g = benchmarks::make_benchmark(name);
+    const sched::Schedule asap = sched::asap(g);
+    const sched::ConstraintTables tables(g);
+    auto var_key = [&](dfg::VarId v) {
+      return g.var(v).def.valid() ? asap.step(g.var(v).def) : -1;
+    };
+    Rng rng(std::hash<std::string>{}(name) + 1);
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE(std::string(name) + " round " + std::to_string(round));
+      const RandomChains base = random_chains(g, rng, 3 + round, 4 + round);
+      sched::ConstraintGraph graph;
+      graph.reset(tables);
+      for (const auto& chain : base.modules) {
+        (void)graph.add_module_chain(chain);
+      }
+      for (const auto& chain : base.regs) {
+        (void)graph.add_register_chain(chain);
+      }
+      ASSERT_TRUE(graph.schedule_length().has_value());
+      const std::optional<sched::Schedule> base_schedule = graph.schedule();
+      graph.save_base();
+      for (int trial = 0; trial < 16; ++trial) {
+        RandomChains c = base;
+        const bool module = rng.next_bool();
+        const std::size_t n = module ? c.modules.size() : c.regs.size();
+        const std::size_t into = rng.next_below(n);
+        const std::size_t from = (into + 1 + rng.next_below(n - 1)) % n;
+        if (module) {
+          auto& a = c.modules[into];
+          a.insert(a.end(), c.modules[from].begin(), c.modules[from].end());
+          std::stable_sort(a.begin(), a.end(), [&](dfg::OpId x, dfg::OpId y) {
+            return asap.step(x) < asap.step(y);
+          });
+          c.modules[from].clear();
+          const std::span<dfg::OpId> merged =
+              graph.merge_module_chains(into, from);
+          std::stable_sort(merged.begin(), merged.end(),
+                           [&](dfg::OpId x, dfg::OpId y) {
+                             return asap.step(x) < asap.step(y);
+                           });
+          ASSERT_TRUE(std::equal(merged.begin(), merged.end(), a.begin(),
+                                 a.end()));
+        } else {
+          auto& a = c.regs[into];
+          a.insert(a.end(), c.regs[from].begin(), c.regs[from].end());
+          std::stable_sort(a.begin(), a.end(), [&](dfg::VarId x, dfg::VarId y) {
+            return var_key(x) < var_key(y);
+          });
+          c.regs[from].clear();
+          const std::span<dfg::VarId> merged =
+              graph.merge_register_chains(into, from);
+          std::stable_sort(merged.begin(), merged.end(),
+                           [&](dfg::VarId x, dfg::VarId y) {
+                             return var_key(x) < var_key(y);
+                           });
+          ASSERT_TRUE(std::equal(merged.begin(), merged.end(), a.begin(),
+                                 a.end()));
+        }
+        const std::optional<int> len = graph.solve_merge();
+        std::optional<sched::Schedule> expected = fresh_solve(g, c);
+        ASSERT_EQ(len, expected ? std::optional<int>(expected->length())
+                                : std::nullopt);
+        ASSERT_EQ(graph.schedule(), expected);
+        (expected ? feasible : infeasible)++;
+        for (int swap = 0; swap < 6; ++swap) {
+          const bool on_module = rng.next_bool();
+          const std::size_t k =
+              rng.next_below(on_module ? c.modules.size() : c.regs.size());
+          const std::size_t size =
+              on_module ? c.modules[k].size() : c.regs[k].size();
+          if (size < 2) continue;
+          const std::size_t i = rng.next_below(size - 1);
+          const std::optional<int> tried =
+              on_module ? graph.try_swap_module(k, i)
+                        : graph.try_swap_register(k, i);
+          if (on_module) {
+            std::swap(c.modules[k][i], c.modules[k][i + 1]);
+          } else {
+            std::swap(c.regs[k][i], c.regs[k][i + 1]);
+          }
+          expected = fresh_solve(g, c);
+          ASSERT_EQ(tried, expected ? std::optional<int>(expected->length())
+                                    : std::nullopt);
+          if (rng.next_bool()) {
+            graph.keep();
+            ASSERT_EQ(graph.schedule(), expected);
+          } else {
+            graph.revert();
+            if (on_module) {
+              std::swap(c.modules[k][i], c.modules[k][i + 1]);
+            } else {
+              std::swap(c.regs[k][i], c.regs[k][i + 1]);
+            }
+          }
+        }
+        graph.restore_base();
+        ASSERT_EQ(graph.schedule(), base_schedule);
+        for (std::size_t k = 0; k < base.modules.size(); ++k) {
+          const std::span<const dfg::OpId> chain = graph.module_chain(k);
+          ASSERT_TRUE(std::equal(chain.begin(), chain.end(),
+                                 base.modules[k].begin(),
+                                 base.modules[k].end()));
+        }
+        for (std::size_t k = 0; k < base.regs.size(); ++k) {
+          const std::span<const dfg::VarId> chain = graph.register_chain(k);
+          ASSERT_TRUE(std::equal(chain.begin(), chain.end(),
+                                 base.regs[k].begin(), base.regs[k].end()));
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible, 20);
+  EXPECT_GT(infeasible, 20);
 }
 
 TEST(ListSched, ResourceLimitLengthensSchedule) {
