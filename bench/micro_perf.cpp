@@ -25,12 +25,11 @@
 // Heap-allocation counter (configure with -DHLTS_COUNT_ALLOCS=ON).
 //
 // Replaces the global operator new/delete pair with counting wrappers so the
-// trial-inner-loop benchmarks below can assert their zero-allocation
-// contract: after warm-up, a merge-patch apply/revert cycle and a
-// testability cone update must perform no heap allocations at all (the
-// workspace arena and reusable member scratch absorb everything).  Reported
-// as the `allocs_per_iter` counter; without the option the counter is
-// absent and the hooks compile away.
+// trial-inner-loop benchmark below can assert its zero-allocation contract:
+// after warm-up, a merge-patch apply/revert cycle must perform no heap
+// allocations at all (the workspace arena and the pool tails absorb
+// everything).  Reported as the `allocs_per_iter` counter; without the
+// option the counter is absent and the hooks compile away.
 // ---------------------------------------------------------------------------
 #ifdef HLTS_COUNT_ALLOCS
 
@@ -209,40 +208,6 @@ void BM_MergePatchRevert(benchmark::State& state) {
   report_allocs(state, before);
 }
 BENCHMARK(BM_MergePatchRevert);
-
-/// Steady-state incremental testability cone update on the persistent
-/// fixpoint.  Contract: zero heap allocations per iteration after warm-up
-/// (member scratch and the pooled trajectory storage absorb everything,
-/// including the periodic history compaction).
-void BM_TestabilityUpdate(benchmark::State& state) {
-  dfg::Dfg g = benchmarks::make_ewf();
-  sched::Schedule s = sched::asap(g);
-  etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
-
-  etpn::DpNodeId seed = etpn::DpNodeId::invalid();
-  for (etpn::DpNodeId n : e.data_path.node_ids()) {
-    if (e.data_path.alive(n) &&
-        e.data_path.node(n).kind == etpn::DpNodeKind::Module) {
-      seed = n;
-      break;
-    }
-  }
-
-  testability::TestabilityAnalysis analysis(e.data_path);
-  const std::vector<etpn::DpNodeId> changed = {seed};
-  // Warm-up past the first few history compactions so the pooled trajectory
-  // storage and its compaction scratch reach their plateau capacities.
-  for (int i = 0; i < 512; ++i) {
-    benchmark::DoNotOptimize(analysis.update(changed).node_visits);
-  }
-  const std::uint64_t before = alloc_count();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis.update(changed).node_visits);
-  }
-  report_allocs(state, before);
-}
-BENCHMARK(BM_TestabilityUpdate);
 
 void BM_IntegratedSynthesis(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_diffeq();

@@ -1,8 +1,8 @@
 #include "analysis/incremental.hpp"
 
-#include <string>
 #include <utility>
 
+#include "petri/petri.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/trace.hpp"
@@ -59,49 +59,39 @@ IncrementalContext::IncrementalContext(const dfg::Dfg& g,
                                        int bits)
     : g_(g), lib_(lib), bits_(bits), tables_(g) {}
 
-void IncrementalContext::attach(const sched::Schedule& s,
+void IncrementalContext::derive(const sched::Schedule& s,
                                 const etpn::Binding& b) {
-  HLTS_REQUIRE(!poisoned_, "incremental context is poisoned");
   b_ = b;
   s_ = s;
   analysis_.reset();  // holds a reference into *e_; drop before replacing
   e_ = std::make_unique<etpn::Etpn>(etpn::build_etpn(g_, s_, b_));
+  // The control part is a chain of unit-delay step places, so its critical
+  // path must equal the schedule length -- a cheap cross-check that the
+  // control part agrees with the schedule.
+  HLTS_REQUIRE(petri::critical_path(e_->control).length == s_.length(),
+               "critical path diverged from schedule length");
   analysis_.emplace(e_->data_path);
+}
+
+void IncrementalContext::attach(const sched::Schedule& s,
+                                const etpn::Binding& b) {
+  HLTS_REQUIRE(!poisoned_, "incremental context is poisoned");
+  derive(s, b);
   cost_ = cost::estimate_cost(e_->data_path, lib_, bits_);
   ++epoch_;
 }
 
-void IncrementalContext::commit(const testability::MergeCandidate& cand,
-                                const etpn::Binding& b_after,
+void IncrementalContext::commit(const etpn::Binding& b_after,
                                 const sched::Schedule& s_after,
                                 const cost::HardwareCost& cost_after) {
   HLTS_REQUIRE(!poisoned_, "incremental context is poisoned");
   HLTS_REQUIRE(e_ != nullptr, "commit before attach");
   HLTS_FAILPOINT("analysis.commit");
   try {
-    const auto [into, from] = cand.nodes(*e_);
-    const std::string label = cand.merged_label(g_, b_after);
-    commit_arena_.reset();  // the previous commit's patch is long dead
-    const etpn::MergePatch patch = etpn::apply_merge_patch(
-        e_->data_path, commit_arena_, into, from, &label);
-    etpn::refresh_etpn_steps(*e_, g_, s_after, b_after);
-
-    // dE: the control part is a chain of unit-delay step places, so the
-    // (cached, signature-checked) Petri-net critical path must equal the
-    // schedule length the caller measured -- a cheap cross-check that the
-    // patched control part agrees with the reschedule.
-    const petri::CriticalPathResult& cp = critical_path_.recompute(e_->control);
-    HLTS_REQUIRE(cp.length == s_after.length(),
-                 "incremental critical path diverged from schedule length");
-
-    (void)analysis_->update({into});
-    b_ = b_after;
-    s_ = s_after;
+    derive(s_after, b_after);
     cost_ = cost_after;
     ++epoch_;
     util::count("analysis.commits");
-    util::count("analysis.patch_saved_arcs",
-                static_cast<std::int64_t>(patch.saved_arcs.size()));
   } catch (...) {
     poisoned_ = true;
     throw;

@@ -1,25 +1,23 @@
 // Incremental analysis layer for Algorithm 1's per-trial evaluation.
 //
-// The synthesis loop evaluates hundreds of candidate mergers per iteration;
-// historically every trial rebuilt the full ETPN and re-ran every analysis
-// from scratch.  This layer replaces that with explicit dirty-set
-// propagation over a persistent design state:
+// The synthesis loop evaluates hundreds of candidate mergers per iteration
+// and commits one.  Trials are the hot path, so they patch a copy of the
+// committed design in place instead of rebuilding it:
 //
 //   - TrialWorkspace: a per-worker binding + ETPN copy of the committed
 //     design that candidate mergers are applied to in place;
 //   - DesignDelta: RAII application of one candidate (copy-on-write
 //     binding merge + etpn::apply_merge_patch), undone on destruction;
-//   - IncrementalContext: owner of the committed design's persistent ETPN,
-//     testability fixpoint, Petri-net critical path and hardware cost; the
-//     first three are re-derived at commit time only over the merger's
-//     dirty cone, and the cost is the winning trial's own estimate.
+//   - IncrementalContext: owner of the committed design's ETPN and
+//     testability fixpoint, derived from scratch once per commit, and of its
+//     hardware cost, which is the winning trial's own estimate.
 //
 // Bit-identity contract: every number this layer produces (trial costs,
 // schedules, testability measures, balance indices, critical paths) is
-// bit-identical to the from-scratch pipeline it replaces, for every
-// benchmark, thread count and flow configuration.  That pipeline is kept
-// only as a test oracle (tests/support/reference_synthesis.hpp), which
-// `ctest -L incremental` replays every Algorithm-1 iteration against.
+// bit-identical to the from-scratch pipeline, for every benchmark, thread
+// count and flow configuration.  That pipeline is kept as a test oracle
+// (tests/support/reference_synthesis.hpp), which `ctest -L incremental`
+// replays every Algorithm-1 iteration against.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +30,6 @@
 #include "etpn/binding.hpp"
 #include "etpn/etpn.hpp"
 #include "etpn/patch.hpp"
-#include "petri/petri.hpp"
 #include "sched/constraint_graph.hpp"
 #include "sched/schedule.hpp"
 #include "testability/balance.hpp"
@@ -91,20 +88,18 @@ class DesignDelta {
   etpn::MergePatch patch_;
 };
 
-/// Owner of the committed design's analysis state, updated incrementally
-/// at every committed merger instead of rebuilt from scratch.
+/// Owner of the committed design's analysis state.
 ///
-/// Lifecycle: attach() performs the one full build (ETPN + testability
-/// fixpoint + cost); each commit() then patches the persistent ETPN in
-/// place, re-stamps its step annotations from the post-merge schedule,
-/// re-checks the Petri-net critical path (cached on the control part's
-/// structural signature), cone-updates the testability fixpoint and takes
-/// over the cost the winning trial measured on the same merged data path.
-/// The constraint-graph tables of the DFG are built once, at construction,
-/// and shared by every workspace's rescheduler.  A commit that throws
-/// poisons the context: the design state may be half-patched, and every
-/// subsequent call fails fast -- callers absorb the fault at an iteration
-/// boundary and never touch the context again.
+/// attach() and commit() derive it the same way: a fresh build_etpn of the
+/// committed (schedule, binding), a full testability fixpoint of it, and a
+/// check that the Petri-net critical path equals the schedule length.
+/// attach() then estimates the hardware cost; commit() takes over the cost
+/// the winning trial measured on the same merged data path.  The
+/// constraint-graph tables of the DFG are built once, at construction, and
+/// shared by every workspace's rescheduler.  A commit that throws poisons
+/// the context: the design state may be half-replaced, and every subsequent
+/// call fails fast -- callers absorb the fault at an iteration boundary and
+/// never touch the context again.
 class IncrementalContext {
  public:
   IncrementalContext(const dfg::Dfg& g, const cost::ModuleLibrary& lib,
@@ -112,15 +107,13 @@ class IncrementalContext {
   IncrementalContext(const IncrementalContext&) = delete;
   IncrementalContext& operator=(const IncrementalContext&) = delete;
 
-  /// Full (non-incremental) build of the analysis state for a committed
-  /// design; the one place build_etpn + the full fixpoint still run.
+  /// Derives the analysis state of a committed design and estimates its
+  /// cost.
   void attach(const sched::Schedule& s, const etpn::Binding& b);
 
-  /// The persistent ETPN of the committed design.  Merged-away nodes and
-  /// arcs are tombstones (etpn::DataPath::alive); all consumers skip them.
+  /// The committed design's ETPN, a fresh build_etpn (no tombstones).
   [[nodiscard]] const etpn::Etpn& etpn() const { return *e_; }
-  /// The committed design's testability fixpoint, maintained by cone
-  /// updates; equals a from-scratch TestabilityAnalysis of etpn().
+  /// The committed design's testability fixpoint over etpn().
   [[nodiscard]] const testability::TestabilityAnalysis& analysis() const {
     return *analysis_;
   }
@@ -133,16 +126,14 @@ class IncrementalContext {
     return tables_;
   }
 
-  /// Applies the winning merger to the persistent state.  `b_after`,
+  /// Moves the context to the design after the winning merger.  `b_after`,
   /// `s_after` and `cost_after` are the already-merged binding, its
-  /// reschedule and the hardware cost the winning trial estimated over the
-  /// same merge-patched data path (a floorplan of the tombstoned graph
-  /// equals one of the patched persistent graph, so it is not re-run).  The
-  /// caller commits them to its own result only after this returns, so a
-  /// throw here leaves the caller's checkpoint intact (and this context
-  /// poisoned).
-  void commit(const testability::MergeCandidate& cand,
-              const etpn::Binding& b_after, const sched::Schedule& s_after,
+  /// reschedule and the hardware cost the winning trial estimated over its
+  /// merge-patched data path (a floorplan of the tombstoned graph equals
+  /// one of a fresh build, so it is not re-run).  The caller commits them
+  /// to its own result only after this returns, so a throw here leaves the
+  /// caller's checkpoint intact (and this context poisoned).
+  void commit(const etpn::Binding& b_after, const sched::Schedule& s_after,
               const cost::HardwareCost& cost_after);
 
   /// Checks a workspace out of the reuse pool (or creates one), synced to
@@ -152,6 +143,9 @@ class IncrementalContext {
   void checkin(std::unique_ptr<TrialWorkspace> ws);
 
  private:
+  /// The derivation attach() and commit() share: stores (s, b), builds
+  /// their ETPN and testability fixpoint, and checks the critical path.
+  void derive(const sched::Schedule& s, const etpn::Binding& b);
   void refresh(TrialWorkspace& ws) const;
 
   const dfg::Dfg& g_;
@@ -164,9 +158,7 @@ class IncrementalContext {
   cost::HardwareCost cost_;
   std::unique_ptr<etpn::Etpn> e_;  ///< stable address for analysis_'s ref
   std::optional<testability::TestabilityAnalysis> analysis_;
-  petri::IncrementalCriticalPath critical_path_;
   sched::ConstraintTables tables_;
-  util::Arena commit_arena_;  ///< backs commit()'s (never-reverted) patch
   std::mutex pool_mutex_;
   std::vector<std::unique_ptr<TrialWorkspace>> pool_;
 };

@@ -292,9 +292,9 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
   const int max_latency =
       p.max_latency > 0 ? p.max_latency : g.critical_path_ops() + 1;
 
-  // The committed design's analysis state: persistent tombstoned ETPN,
-  // cone-updated testability fixpoint, cached critical path and the trial
-  // workspace pool, all patched at each commit instead of rebuilt.
+  // The committed design's analysis state (ETPN, testability fixpoint and
+  // cost, derived at attach and at each commit) and the trial workspace
+  // pool.
   analysis::IncrementalContext ctx(g, p.library, p.bits);
   ctx.attach(result.schedule, result.binding);
   result.exec_time = result.schedule.length();
@@ -352,10 +352,8 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     std::vector<testability::MergeCandidate> ranking;
     {
       HLTS_SPAN("synth.candidates");
-      // The context's fixpoint was cone-updated at the last commit and
-      // equals a from-scratch analysis.  The candidate cap counts alive
-      // nodes only (tombstones stay in the id space); it exceeds the pair
-      // count, so it never truncates the ranking.
+      // The candidate cap exceeds the pair count, so it never truncates
+      // the ranking.
       const etpn::Etpn& ce = ctx.etpn();
       const int all = static_cast<int>(ce.data_path.num_alive_nodes() *
                                        ce.data_path.num_alive_nodes());
@@ -493,9 +491,9 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
 
     // Steps 12-14: commit the merger.  The winner's trial ran on a throwaway
     // workspace; re-apply its merger onto a copy of the committed binding,
-    // patch the context's persistent state (ETPN, critical path,
-    // testability cone) and hand it the trial's cost, and only then move
-    // the staged state into `result`.  The commit is exception-atomic with
+    // let the context derive the committed ETPN and testability fixpoint
+    // from scratch and hand it the trial's cost, and only then move the
+    // staged state into `result`.  The commit is exception-atomic with
     // respect to `result`, which is what makes the catch below safe to
     // resume from; a throw in ctx.commit poisons the context, which the
     // catch turns into a degraded (previous-checkpoint) return.
@@ -510,7 +508,7 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
 
     etpn::Binding next_b = result.binding;
     cand.apply(g, next_b);
-    ctx.commit(cand, next_b, win.eval.schedule, win.eval.cost);
+    ctx.commit(next_b, win.eval.schedule, win.eval.cost);
     rec.hw_cost = win.eval.cost.total();
     rec.registers = next_b.num_alive_regs();
     rec.modules = next_b.num_alive_modules();

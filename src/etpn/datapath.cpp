@@ -158,16 +158,6 @@ void DataPath::compact_pools() {
   step_pool_ = std::move(steps);
 }
 
-std::size_t DataPath::pool_slack_bytes() const {
-  std::size_t live = 0;
-  for (DpNodeId n : node_ids()) live += in_span_[n].len + out_span_[n].len;
-  std::size_t bytes = (arc_pool_.size() - live) * sizeof(DpArcId);
-  live = 0;
-  for (DpArcId a : arc_ids()) live += step_span_[a].len;
-  bytes += (step_pool_.size() - live) * sizeof(int);
-  return bytes;
-}
-
 std::vector<DpNodeId> DataPath::port_sources(DpNodeId n, int port) const {
   std::vector<DpNodeId> out;
   for (DpArcId a : in_arcs(n)) {

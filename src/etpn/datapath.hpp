@@ -159,17 +159,12 @@ class DataPath {
   /// Inserts `step` into `a`'s sorted step set (no-op when present),
   /// growing in place when slack allows, else relocating to the tail.
   void insert_step(DpArcId a, int step);
-  /// Empties `a`'s step set, keeping its pool window as slack for
-  /// insert_step (refresh_etpn_steps re-stamps every alive arc in place).
-  void clear_steps(DpArcId a) { step_span_[a].len = 0; }
 
   /// Squeezes relocation slack out of the pools and re-lays lists in id
-  /// order (fresh-build layout).  Call after a build or a committed patch;
-  /// never with an outstanding un-reverted MergePatch, whose saved spans
-  /// would be invalidated.
+  /// order (fresh-build layout).  build_etpn calls it once; never call it
+  /// with an outstanding un-reverted MergePatch, whose saved spans would be
+  /// invalidated.
   void compact_pools();
-  /// Bytes wasted by relocation holes, for the compaction heuristic.
-  [[nodiscard]] std::size_t pool_slack_bytes() const;
 
   /// Distinct sources feeding input port `port` of `n`.
   [[nodiscard]] std::vector<DpNodeId> port_sources(DpNodeId n, int port) const;

@@ -1,8 +1,5 @@
 #include "etpn/etpn.hpp"
 
-#include <algorithm>
-
-#include "etpn/patch.hpp"
 #include "util/error.hpp"
 
 namespace hlts::etpn {
@@ -11,50 +8,10 @@ int Etpn::execution_time() const { return petri::critical_path(control).length; 
 
 namespace {
 
-/// Replays the canonical data-transfer emission scan: PI loads (step 0) in
-/// variable order, then per operation in op-id order its operand fetches,
-/// result store, and output-port connection.  Shared by build_etpn (which
-/// materializes arcs) and refresh_etpn_steps (which re-stamps step sets on
-/// an already-patched structure), so the two can never drift apart.
-template <typename Emit>
-void for_each_transfer(const dfg::Dfg& g, const sched::Schedule& s,
-                       const Binding& b, const Etpn& e, Emit&& emit) {
-  const int length = s.length();
-  for (dfg::VarId v : g.var_ids()) {
-    if (!g.var(v).is_primary_input) continue;
-    emit(e.inport_node[v], e.reg_node[b.reg_of(v)], 0, 0);
-  }
-  for (dfg::OpId op : g.op_ids()) {
-    const dfg::Operation& o = g.op(op);
-    const int step = s.step(op);
-    DpNodeId mod = e.module_node[b.module_of(op)];
-    for (std::size_t i = 0; i < o.inputs.size(); ++i) {
-      RegId src = b.reg_of(o.inputs[i]);
-      HLTS_REQUIRE(src.valid(), "operand variable is not register-resident");
-      emit(e.reg_node[src], mod, static_cast<int>(i), step);
-    }
-    const dfg::Variable& out = g.var(o.output);
-    RegId dst = b.reg_of(o.output);
-    if (dst.valid()) {
-      emit(mod, e.reg_node[dst], 0, step);
-      if (out.is_primary_output) {
-        // Registered PO: the held value is presented at the port after the
-        // last step.
-        emit(e.reg_node[dst], e.outport_node[o.output], 0, length + 1);
-      }
-    } else {
-      HLTS_REQUIRE(out.is_primary_output,
-                   "unregistered variable must be a primary output");
-      emit(mod, e.outport_node[o.output], 0, step);
-    }
-  }
-}
-
 /// Builds the control part: a chain of control places S0 (load) .. SL, plus
 /// optionally a guarded loop back to S1 and a guarded exit to a final place.
 void build_control(Etpn& e, const dfg::Dfg& g, int length,
                    const EtpnOptions& options) {
-  e.control = petri::PetriNet{};
   e.step_place.assign(length + 1, petri::PlaceId::invalid());
   e.step_place[0] = e.control.add_place("S0", /*delay=*/0, /*marked=*/true);
   for (int step = 1; step <= length; ++step) {
@@ -140,39 +97,46 @@ Etpn build_etpn(const dfg::Dfg& g, const sched::Schedule& s, const Binding& b,
   }
 
   // --- data path arcs -------------------------------------------------------
-  for_each_transfer(g, s, b, e, [&](DpNodeId from, DpNodeId to, int port, int step) {
-    dp.add_transfer(from, to, port, step);
-  });
+  // The canonical emission scan: PI loads (step 0) in variable order, then
+  // per operation in op-id order its operand fetches, result store, and
+  // output-port connection.
+  const int length = s.length();
+  for (dfg::VarId v : g.var_ids()) {
+    if (!g.var(v).is_primary_input) continue;
+    dp.add_transfer(e.inport_node[v], e.reg_node[b.reg_of(v)], 0, 0);
+  }
+  for (dfg::OpId op : g.op_ids()) {
+    const dfg::Operation& o = g.op(op);
+    const int step = s.step(op);
+    DpNodeId mod = e.module_node[b.module_of(op)];
+    for (std::size_t i = 0; i < o.inputs.size(); ++i) {
+      RegId src = b.reg_of(o.inputs[i]);
+      HLTS_REQUIRE(src.valid(), "operand variable is not register-resident");
+      dp.add_transfer(e.reg_node[src], mod, static_cast<int>(i), step);
+    }
+    const dfg::Variable& out = g.var(o.output);
+    RegId dst = b.reg_of(o.output);
+    if (dst.valid()) {
+      dp.add_transfer(mod, e.reg_node[dst], 0, step);
+      if (out.is_primary_output) {
+        // Registered PO: the held value is presented at the port after the
+        // last step.
+        dp.add_transfer(e.reg_node[dst], e.outport_node[o.output], 0,
+                        length + 1);
+      }
+    } else {
+      HLTS_REQUIRE(out.is_primary_output,
+                   "unregistered variable must be a primary output");
+      dp.add_transfer(mod, e.outport_node[o.output], 0, step);
+    }
+  }
   // Squeeze incremental-growth slack out of the pools so a fresh build's
   // layout is the canonical dense one (spans in id order, cap == len).
   dp.compact_pools();
 
   // --- control part ---------------------------------------------------------
-  build_control(e, g, s.length(), options);
+  build_control(e, g, length, options);
   return e;
-}
-
-void refresh_etpn_steps(Etpn& e, const dfg::Dfg& g, const sched::Schedule& s,
-                        const Binding& b, const EtpnOptions& options) {
-  HLTS_REQUIRE(s.num_ops() == g.num_ops(), "schedule does not match DFG");
-  DataPath& dp = e.data_path;
-  for (DpArcId a : dp.arc_ids()) {
-    if (dp.alive(a)) dp.clear_steps(a);
-  }
-  for_each_transfer(g, s, b, e, [&](DpNodeId from, DpNodeId to, int port, int step) {
-    for (DpArcId a : dp.out_arcs(from)) {
-      const DpArc& arc = dp.arc(a);
-      if (arc.to == to && arc.to_port == port) {
-        dp.insert_step(a, step);
-        return;
-      }
-    }
-    HLTS_REQUIRE(false, "refresh_etpn_steps: transfer has no arc");
-  });
-  // Re-stamping can relocate step spans to the tail; restore the dense
-  // canonical layout (this is the commit path, never the trial hot path).
-  dp.compact_pools();
-  build_control(e, g, s.length(), options);
 }
 
 }  // namespace hlts::etpn

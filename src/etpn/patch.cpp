@@ -47,7 +47,7 @@ std::size_t MergePatch::approx_bytes() const {
 }
 
 MergePatch apply_merge_patch(DataPath& dp, util::Arena& arena, DpNodeId into,
-                             DpNodeId from, const std::string* new_into_name) {
+                             DpNodeId from) {
   HLTS_REQUIRE(into != from, "merge patch: self-merge");
   HLTS_REQUIRE(dp.alive(into) && dp.alive(from), "merge patch: dead endpoint");
   HLTS_REQUIRE(dp.node(into).kind == dp.node(from).kind,
@@ -57,16 +57,11 @@ MergePatch apply_merge_patch(DataPath& dp, util::Arena& arena, DpNodeId into,
                "merge patch: only modules and registers merge");
 
   MergePatch patch;
-  patch.into = into;
   patch.from = from;
   patch.saved_arcs.bind(arena);
   patch.saved_nodes.bind(arena);
   patch.arc_pool_mark = dp.arc_pool_size();
   patch.step_pool_mark = dp.step_pool_size();
-  if (new_into_name != nullptr) {
-    patch.old_into_name = dp.node(into).name;
-    patch.renamed = true;
-  }
 
   // The touched neighbourhood: every arc incident to either endpoint (any of
   // them can be redirected, absorb steps, or be killed by duplicate
@@ -194,9 +189,8 @@ MergePatch apply_merge_patch(DataPath& dp, util::Arena& arena, DpNodeId into,
     dp.rewrite_out_list(into, kept.data(),
                         static_cast<std::uint32_t>(kept.size()));
 
-    // 4. Retire `from` and take over the merged label.
+    // 4. Retire `from`.
     dp.set_alive(from, false);
-    if (new_into_name != nullptr) dp.node(into).name = *new_into_name;
   } catch (...) {
     revert_merge_patch(dp, patch);
     throw;
@@ -205,7 +199,6 @@ MergePatch apply_merge_patch(DataPath& dp, util::Arena& arena, DpNodeId into,
 }
 
 void revert_merge_patch(DataPath& dp, const MergePatch& patch) {
-  if (patch.renamed) dp.node(patch.into).name = patch.old_into_name;
   for (const MergePatch::ArcState& st : patch.saved_arcs) {
     DpArc& arc = dp.arc(st.id);
     arc.from = st.from;

@@ -19,9 +19,12 @@
 // counts this).  Stacked patches revert in LIFO order: an outer patch's
 // saved spans all point below an inner patch's marks.
 //
-// Bit-identity contract (relied on by cost estimation and testability):
-// a patched graph is *indistinguishable by iteration order* from a graph
-// freshly built for the merged binding.  Three invariants make this hold:
+// Bit-identity contract (relied on by a trial's cost estimate and register
+// distances): a patched graph is *indistinguishable by iteration order*
+// from a graph freshly built for the merged binding, up to node names and
+// step sets, which the patch leaves stale (the merged design is not yet
+// rescheduled).  The committed design is never patched: it is rebuilt with
+// build_etpn.  Three invariants make this hold:
 //
 //  1. Fresh builds assign arc ids in emission order, and every node's arc
 //     lists are ascending in arc id.  The patcher preserves the sorted-list
@@ -37,8 +40,6 @@
 //     exactly the fresh build's elements, in the fresh build's order.
 #pragma once
 
-#include <string>
-
 #include "etpn/etpn.hpp"
 #include "util/arena.hpp"
 
@@ -48,11 +49,7 @@ namespace hlts::etpn {
 /// only POD descriptors in arena storage -- the arena (and thus the patch's
 /// memory) must outlive the patch and not be reset before its revert.
 struct MergePatch {
-  DpNodeId into;
   DpNodeId from;
-  /// Survivor's pre-patch name; saved only when the patch renamed it.
-  std::string old_into_name;
-  bool renamed = false;
 
   struct ArcState {
     DpArcId id;
@@ -85,23 +82,14 @@ struct MergePatch {
 /// Fuses data-path node `from` into `into` in place (both must be alive and
 /// of the same kind: two Modules or two Registers).  `arena` backs the undo
 /// log and the patcher's internal worklists; reset it only after the patch
-/// is reverted or abandoned.  `new_into_name`, when non-null, renames the
-/// survivor to the merged binding's label so the patched graph matches a
-/// fresh build's node names.
+/// is reverted or abandoned.  The survivor keeps its name, and no step set
+/// is re-stamped for a new schedule: a patched graph's names and steps are
+/// stale, and no trial consumer reads them.
 MergePatch apply_merge_patch(DataPath& dp, util::Arena& arena, DpNodeId into,
-                             DpNodeId from,
-                             const std::string* new_into_name = nullptr);
+                             DpNodeId from);
 
 /// Restores the graph to its exact pre-patch state.  Patches must be
 /// reverted in LIFO order when stacked.
 void revert_merge_patch(DataPath& dp, const MergePatch& patch);
-
-/// Recomputes every alive arc's step annotations for a (new) schedule and
-/// rebuilds the control chain, replaying the same emission scan as
-/// build_etpn.  Used after a committed merger is rescheduled: the arc
-/// *structure* of the ETPN is schedule-independent, only the step sets and
-/// the control part change.
-void refresh_etpn_steps(Etpn& e, const dfg::Dfg& g, const sched::Schedule& s,
-                        const Binding& b, const EtpnOptions& options = {});
 
 }  // namespace hlts::etpn

@@ -307,40 +307,4 @@ CriticalPathResult critical_path(const PetriNet& net) {
   return result;
 }
 
-IncrementalCriticalPath::Signature IncrementalCriticalPath::signature_of(
-    const PetriNet& net) {
-  Signature sig;
-  sig.place_delays.reserve(net.num_places());
-  sig.place_marked.reserve(net.num_places());
-  for (PlaceId p : net.place_ids()) {
-    sig.place_delays.push_back(net.place(p).delay);
-    sig.place_marked.push_back(net.place(p).initially_marked);
-  }
-  sig.trans_inputs.reserve(net.num_transitions());
-  sig.trans_outputs.reserve(net.num_transitions());
-  sig.trans_guards.reserve(net.num_transitions());
-  for (TransId t : net.trans_ids()) {
-    const Transition& tr = net.transition(t);
-    std::vector<std::uint32_t> ins, outs;
-    for (PlaceId p : tr.inputs) ins.push_back(p.value());
-    for (PlaceId p : tr.outputs) outs.push_back(p.value());
-    sig.trans_inputs.push_back(std::move(ins));
-    sig.trans_outputs.push_back(std::move(outs));
-    sig.trans_guards.emplace_back(tr.guard_group, tr.guard_polarity);
-  }
-  return sig;
-}
-
-const CriticalPathResult& IncrementalCriticalPath::recompute(const PetriNet& net) {
-  Signature sig = signature_of(net);
-  if (sig_ && *sig_ == sig) {
-    ++hits_;
-    return cached_;
-  }
-  ++misses_;
-  cached_ = critical_path(net);
-  sig_ = std::move(sig);
-  return cached_;
-}
-
 }  // namespace hlts::petri

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -165,38 +164,5 @@ struct CriticalPathResult {
 };
 
 [[nodiscard]] CriticalPathResult critical_path(const PetriNet& net);
-
-/// Caching wrapper around critical_path for the incremental synthesis loop.
-///
-/// The control part of an ETPN is regenerated after every committed merger,
-/// but its *structure* only changes when the rescheduled design's length
-/// changes -- most commits keep the chain identical.  recompute() compares a
-/// full structural signature of the net (place delays and markings,
-/// transition arcs and guards) against the previous call and reruns the
-/// reachability-based analysis only on a mismatch, so the cached result is
-/// exactly what critical_path would return.
-class IncrementalCriticalPath {
- public:
-  const CriticalPathResult& recompute(const PetriNet& net);
-
-  [[nodiscard]] std::int64_t hits() const { return hits_; }
-  [[nodiscard]] std::int64_t misses() const { return misses_; }
-
- private:
-  struct Signature {
-    std::vector<int> place_delays;
-    std::vector<bool> place_marked;
-    std::vector<std::vector<std::uint32_t>> trans_inputs;
-    std::vector<std::vector<std::uint32_t>> trans_outputs;
-    std::vector<std::pair<int, bool>> trans_guards;
-    friend bool operator==(const Signature&, const Signature&) = default;
-  };
-  [[nodiscard]] static Signature signature_of(const PetriNet& net);
-
-  std::optional<Signature> sig_;
-  CriticalPathResult cached_;
-  std::int64_t hits_ = 0;
-  std::int64_t misses_ = 0;
-};
 
 }  // namespace hlts::petri

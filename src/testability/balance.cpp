@@ -84,11 +84,6 @@ std::string MergeCandidate::description(const dfg::Dfg& g,
          b.reg_label(g, reg_b) + "]";
 }
 
-std::string MergeCandidate::merged_label(const dfg::Dfg& g,
-                                         const etpn::Binding& b) const {
-  return is_modules() ? b.module_label(g, module_a) : b.reg_label(g, reg_a);
-}
-
 struct RegMergeOracle::Impl {
   const dfg::Dfg& g;
   const etpn::Binding& b;

@@ -52,10 +52,6 @@ struct MergeCandidate {
   /// "merge modules [(+): N1 | (+): N2]" -- the trajectory notation.
   [[nodiscard]] std::string description(const dfg::Dfg& g,
                                         const etpn::Binding& b) const;
-  /// Post-merge label of the surviving group (what a fresh build would name
-  /// the merged data-path node); `b` must already reflect the merger.
-  [[nodiscard]] std::string merged_label(const dfg::Dfg& g,
-                                         const etpn::Binding& b) const;
 };
 
 struct BalanceOptions {

@@ -26,12 +26,9 @@ namespace {
 /// `better_than` alone is eps-tolerant, so inside an eps-plateau (values
 /// equal to within kEps, e.g. two loop unrollings whose rounded products
 /// differ in the last ulp) the stored value would be whichever candidate
-/// happened to arrive first -- a *history-dependent* fixpoint.  The
-/// incremental update (TestabilityAnalysis::update) replays a different
-/// history than the from-scratch propagation, so plateau ties must be
-/// broken deterministically: within a plateau the exact lexicographic
-/// maximum (bitwise larger comb, then bitwise smaller seq) wins, making
-/// the converged value a canonical function of the graph alone.
+/// happened to arrive first.  Plateau ties are instead broken on the exact
+/// values: within a plateau the lexicographic maximum (bitwise larger comb,
+/// then bitwise smaller seq) wins.
 bool should_replace(const Measure& v, const Measure& s) {
   if (v.better_than(s)) return true;
   if (s.better_than(v)) return false;
@@ -104,68 +101,8 @@ double observability_transfer(dfg::OpKind kind) {
 TestabilityAnalysis::TestabilityAnalysis(const etpn::DataPath& dp) : dp_(dp) {
   cc_.assign(dp.num_arcs(), Measure{});
   co_.assign(dp.num_arcs(), Measure{});
-  cc_hist_.assign(dp.num_arcs(), {});
-  co_hist_.assign(dp.num_arcs(), {});
-  hist_pool_.reserve(dp.num_arcs() * 4);
   propagate_controllability();
   propagate_observability();
-}
-
-Measure TestabilityAnalysis::history_at(const HistRef& h, int round) const {
-  Measure v{};
-  for (std::int32_t i = h.head; i >= 0;) {
-    const HistEntry& e = hist_pool_[static_cast<std::size_t>(i)];
-    if (e.round > round) break;
-    v = e.m;
-    i = e.next;
-  }
-  return v;
-}
-
-void TestabilityAnalysis::hist_push(HistRef& h, int round, const Measure& m) {
-  const std::int32_t idx = static_cast<std::int32_t>(hist_pool_.size());
-  hist_pool_.push_back(HistEntry{round, m, -1});
-  if (h.tail >= 0) {
-    hist_pool_[static_cast<std::size_t>(h.tail)].next = idx;
-  } else {
-    h.head = idx;
-  }
-  h.tail = idx;
-  ++h.len;
-}
-
-void TestabilityAnalysis::hist_clear(HistRef& h) {
-  hist_dead_ += h.len;
-  h = HistRef{};
-}
-
-void TestabilityAnalysis::maybe_compact_histories() {
-  if (hist_dead_ * 2 <= static_cast<std::int64_t>(hist_pool_.size())) return;
-  hist_scratch_.clear();
-  hist_scratch_.reserve(hist_pool_.size());
-  auto rebuild = [&](HistRef& h) {
-    HistRef out;
-    for (std::int32_t i = h.head; i >= 0;) {
-      const HistEntry& e = hist_pool_[static_cast<std::size_t>(i)];
-      const std::int32_t idx = static_cast<std::int32_t>(hist_scratch_.size());
-      hist_scratch_.push_back(HistEntry{e.round, e.m, -1});
-      if (out.tail >= 0) {
-        hist_scratch_[static_cast<std::size_t>(out.tail)].next = idx;
-      } else {
-        out.head = idx;
-      }
-      out.tail = idx;
-      ++out.len;
-      i = e.next;
-    }
-    h = out;
-  };
-  for (etpn::DpArcId a : dp_.arc_ids()) {
-    rebuild(cc_hist_[a]);
-    rebuild(co_hist_[a]);
-  }
-  hist_pool_.swap(hist_scratch_);
-  hist_dead_ = 0;
 }
 
 namespace {
@@ -285,7 +222,6 @@ void TestabilityAnalysis::propagate_controllability() {
         // below and loops cannot oscillate.
         if (should_replace(out, cc_[a])) {
           cc_[a] = out;
-          hist_push(cc_hist_[a], round, out);
           changed = true;
         }
       }
@@ -313,7 +249,6 @@ void TestabilityAnalysis::propagate_observability() {
         const Measure val = observability_of(n, in);
         if (should_replace(val, co_[in])) {
           co_[in] = val;
-          hist_push(co_hist_[in], round, val);
           changed = true;
         }
       }
@@ -321,176 +256,6 @@ void TestabilityAnalysis::propagate_observability() {
     if (!changed) break;
   }
   util::count("testability.node_visits", visits);
-}
-
-TestabilityAnalysis::UpdateStats TestabilityAnalysis::update(
-    const std::vector<etpn::DpNodeId>& changed_nodes) {
-  using etpn::DpArcId;
-  using etpn::DpNodeId;
-  using etpn::DpNodeKind;
-
-  UpdateStats stats;
-  maybe_compact_histories();
-  cc_dirty_.assign(dp_.num_arcs(), 0);
-  in_cone_.assign(dp_.num_nodes(), 0);
-
-  // Forward cone: every out-arc of a changed node is dirty; a node with a
-  // dirty in-arc has dirty out-arcs, transitively (loops close the cone).
-  worklist_.clear();
-  auto enqueue = [&](DpNodeId n, std::vector<std::uint8_t>& seen) {
-    if (seen[n.index()]) return;
-    seen[n.index()] = 1;
-    worklist_.push_back(n);
-  };
-  for (DpNodeId n : changed_nodes) {
-    if (dp_.alive(n)) enqueue(n, in_cone_);
-  }
-  cc_nodes_.clear();
-  while (!worklist_.empty()) {
-    DpNodeId n = worklist_.back();
-    worklist_.pop_back();
-    cc_nodes_.push_back(n);
-    for (DpArcId a : dp_.out_arcs(n)) {
-      if (!cc_dirty_[a.index()]) {
-        cc_dirty_[a.index()] = 1;
-        ++stats.cc_dirty_arcs;
-      }
-      enqueue(dp_.arc(a).to, in_cone_);
-    }
-  }
-  std::sort(cc_nodes_.begin(), cc_nodes_.end());
-  for (DpArcId a : dp_.arc_ids()) {
-    if (cc_dirty_[a.index()]) {
-      cc_[a] = Measure{};
-      hist_clear(cc_hist_[a]);
-    }
-  }
-  // Exact replay of the from-scratch iteration, restricted to the cone:
-  // cone nodes are visited in the same ascending-id order as the full
-  // propagation, and every frontier (non-dirty) operand is read at the
-  // value the scratch run would show at this exact (round, node) position
-  // -- its recorded history entry, shifted by one round when the writer
-  // node comes later in the visit order.  Frontier trajectories are
-  // unchanged by the patch (they form a closed subsystem), so every
-  // transfer evaluation sees bit-identical operands and the cone converges
-  // to the bit-identical fixpoint.
-  int cc_frontier_rounds = 0;
-  for (DpNodeId n : cc_nodes_) {
-    for (DpArcId a : dp_.in_arcs(n)) {
-      if (!cc_dirty_[a.index()] && !hist_empty(cc_hist_[a])) {
-        cc_frontier_rounds =
-            std::max(cc_frontier_rounds, hist_last_round(cc_hist_[a]));
-      }
-    }
-  }
-  for (int round = 0; round < kMaxRounds; ++round) {
-    bool changed = false;
-    for (DpNodeId n : cc_nodes_) {
-      const etpn::DpNode& node = dp_.node(n);
-      if (node.kind == DpNodeKind::OutPort) continue;
-      ++stats.node_visits;
-      for (DpArcId a : dp_.in_arcs(n)) {
-        if (cc_dirty_[a.index()]) continue;  // live Gauss-Seidel value
-        const int eff = dp_.arc(a).from < n ? round : round - 1;
-        cc_[a] = history_at(cc_hist_[a], eff);
-      }
-      const Measure out = controllability_of(n);
-      for (DpArcId a : dp_.out_arcs(n)) {
-        if (should_replace(out, cc_[a])) {
-          cc_[a] = out;
-          hist_push(cc_hist_[a], round, out);
-          changed = true;
-        }
-      }
-    }
-    // A frontier arc written at round r by a later-id node only becomes
-    // visible to earlier-id cone readers at round r + 1 (the writer shift),
-    // so quiescence can only be trusted strictly past the frontier bound.
-    if (!changed && round > cc_frontier_rounds) break;
-  }
-  // Restore the materialized frontier arcs to their converged values.
-  for (DpNodeId n : cc_nodes_) {
-    for (DpArcId a : dp_.in_arcs(n)) {
-      if (!cc_dirty_[a.index()]) cc_[a] = history_at(cc_hist_[a], kMaxRounds);
-    }
-  }
-
-  // Backward cone: seeded from the changed nodes and from the destination of
-  // every cc-dirty arc (module input-line observability reads sibling-port
-  // controllability).  Every in-arc of a cone node is dirty; its source
-  // joins the cone, transitively.
-  co_dirty_.assign(dp_.num_arcs(), 0);
-  in_bcone_.assign(dp_.num_nodes(), 0);
-  for (DpNodeId n : changed_nodes) {
-    if (dp_.alive(n)) enqueue(n, in_bcone_);
-  }
-  for (DpArcId a : dp_.arc_ids()) {
-    if (cc_dirty_[a.index()] && dp_.alive(a)) enqueue(dp_.arc(a).to, in_bcone_);
-  }
-  co_nodes_.clear();
-  while (!worklist_.empty()) {
-    DpNodeId n = worklist_.back();
-    worklist_.pop_back();
-    co_nodes_.push_back(n);
-    for (DpArcId a : dp_.in_arcs(n)) {
-      if (!co_dirty_[a.index()]) {
-        co_dirty_[a.index()] = 1;
-        ++stats.co_dirty_arcs;
-      }
-      enqueue(dp_.arc(a).from, in_bcone_);
-    }
-  }
-  std::sort(co_nodes_.begin(), co_nodes_.end());
-  for (DpArcId a : dp_.arc_ids()) {
-    if (co_dirty_[a.index()]) {
-      co_[a] = Measure{};
-      hist_clear(co_hist_[a]);
-    }
-  }
-  // Exact replay, as above.  A co arc is written when its *destination*
-  // node is visited, so the frontier shift keys on arc.to; sibling-port cc
-  // reads see final controllability in the scratch run too (observability
-  // propagates only after controllability has fully converged).
-  int co_frontier_rounds = 0;
-  for (DpNodeId n : co_nodes_) {
-    for (DpArcId a : dp_.out_arcs(n)) {
-      if (!co_dirty_[a.index()] && !hist_empty(co_hist_[a])) {
-        co_frontier_rounds =
-            std::max(co_frontier_rounds, hist_last_round(co_hist_[a]));
-      }
-    }
-  }
-  for (int round = 0; round < kMaxRounds; ++round) {
-    bool changed = false;
-    for (DpNodeId n : co_nodes_) {
-      const etpn::DpNode& node = dp_.node(n);
-      if (node.kind == DpNodeKind::InPort) continue;
-      ++stats.node_visits;
-      for (DpArcId a : dp_.out_arcs(n)) {
-        if (co_dirty_[a.index()]) continue;  // live Gauss-Seidel value
-        const int eff = dp_.arc(a).to < n ? round : round - 1;
-        co_[a] = history_at(co_hist_[a], eff);
-      }
-      for (DpArcId in : dp_.in_arcs(n)) {
-        const Measure val = observability_of(n, in);
-        if (should_replace(val, co_[in])) {
-          co_[in] = val;
-          hist_push(co_hist_[in], round, val);
-          changed = true;
-        }
-      }
-    }
-    if (!changed && round > co_frontier_rounds) break;
-  }
-  for (DpNodeId n : co_nodes_) {
-    for (DpArcId a : dp_.out_arcs(n)) {
-      if (!co_dirty_[a.index()]) co_[a] = history_at(co_hist_[a], kMaxRounds);
-    }
-  }
-
-  util::count("testability.node_visits", stats.node_visits);
-  util::count("testability.incremental_updates");
-  return stats;
 }
 
 Measure TestabilityAnalysis::node_controllability(etpn::DpNodeId n) const {

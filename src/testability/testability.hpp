@@ -16,9 +16,6 @@
 // bounded, so Kleene iteration converges.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "etpn/etpn.hpp"
 #include "util/ids.hpp"
 
@@ -45,41 +42,14 @@ struct Measure {
 /// propagates through the module to its output.
 [[nodiscard]] double observability_transfer(dfg::OpKind kind);
 
-/// Per-line and per-node testability of a data path.
+/// Per-line and per-node testability of a data path.  Algorithm 1 runs
+/// one full analysis per committed design (analysis::IncrementalContext);
+/// there is no incremental update.
 class TestabilityAnalysis {
  public:
   /// Runs the forward (controllability) and backward (observability)
   /// propagations to fixpoint.
   explicit TestabilityAnalysis(const etpn::DataPath& dp);
-
-  /// Work done by one update() call, for bench accounting.
-  struct UpdateStats {
-    std::int64_t cc_dirty_arcs = 0;
-    std::int64_t co_dirty_arcs = 0;
-    std::int64_t node_visits = 0;
-  };
-
-  /// Incrementally re-runs the fixed point after an in-place merge patch
-  /// (etpn::apply_merge_patch) changed the structure around `changed_nodes`.
-  ///
-  /// Dirty-set semantics: controllability can only change on the *forward
-  /// cone* of a changed node (its out-arcs, then the out-arcs of any node
-  /// with a dirty in-arc, transitively -- loops close the cone).
-  /// Observability can change on the *backward cone* seeded from the
-  /// changed nodes and from the destination of every dirty-controllability
-  /// arc (a module's input-line observability reads the sibling port's
-  /// controllability, so cc dirt leaks into co).  Dirty arcs are reset to
-  /// bottom and re-converged by an *exact replay* of the full propagation
-  /// restricted to the cone: cone nodes are visited in the same ascending
-  /// node-id order, and frontier (non-dirty) operands are read at their
-  /// recorded per-round trajectory values rather than their converged
-  /// values -- eps-tolerant plateau ties on data-path cycles are history
-  /// dependent, so reading the frontier mid-flight is what makes the
-  /// result *bit-identical* to a from-scratch analysis of the patched
-  /// graph.  Arcs outside the cones keep values (and trajectories) that
-  /// are already at the from-scratch fixpoint (their inputs are
-  /// untouched).
-  UpdateStats update(const std::vector<etpn::DpNodeId>& changed_nodes);
 
   /// Line measures (lines are identified with data path arcs).
   [[nodiscard]] Measure line_controllability(etpn::DpArcId a) const {
@@ -103,43 +73,6 @@ class TestabilityAnalysis {
   [[nodiscard]] const etpn::DataPath& data_path() const { return dp_; }
 
  private:
-  /// The (round, value) assignments the canonical from-scratch propagation
-  /// makes to one arc, in round order.  The incremental update replays the
-  /// scratch iteration over the dirty cone, and a cone node must read each
-  /// frontier (non-dirty) operand at the value the scratch run would show
-  /// at that exact (round, node) position -- not at its converged value --
-  /// or eps-plateau ties on data-path cycles resolve differently and the
-  /// fixpoints drift apart in the last ulp.  Histories are tiny (an arc
-  /// typically improves one to three times before converging).
-  ///
-  /// Storage: linked entries in one shared pool (hist_pool_) headed by a
-  /// per-arc HistRef instead of one heap vector per arc.  Appends are pool
-  /// push_backs, clears are O(1) dead-marking, and the pool compacts itself
-  /// once mostly dead, so a steady-state update() call performs no heap
-  /// allocations (bench/micro_perf counts this).
-  struct HistEntry {
-    int round;
-    Measure m;
-    std::int32_t next;  ///< pool index of the next entry; -1 terminates
-  };
-  struct HistRef {
-    std::int32_t head = -1;
-    std::int32_t tail = -1;
-    std::int32_t len = 0;
-  };
-  /// Value an arc with history `h` holds at the end of `round` (bottom
-  /// before its first assignment; negative rounds yield bottom).
-  [[nodiscard]] Measure history_at(const HistRef& h, int round) const;
-  void hist_push(HistRef& h, int round, const Measure& m);
-  void hist_clear(HistRef& h);
-  [[nodiscard]] bool hist_empty(const HistRef& h) const { return h.head < 0; }
-  /// Round of the last entry; `h` must be non-empty.
-  [[nodiscard]] int hist_last_round(const HistRef& h) const {
-    return hist_pool_[static_cast<std::size_t>(h.tail)].round;
-  }
-  /// Rebuilds the pool dense (dropping dead entries) when they dominate.
-  void maybe_compact_histories();
-
   void propagate_controllability();
   void propagate_observability();
   /// One controllability evaluation of `n` (reads in-arc cc); returns the
@@ -152,21 +85,6 @@ class TestabilityAnalysis {
   const etpn::DataPath& dp_;
   IndexVec<etpn::DpArcId, Measure> cc_;
   IndexVec<etpn::DpArcId, Measure> co_;
-  IndexVec<etpn::DpArcId, HistRef> cc_hist_;
-  IndexVec<etpn::DpArcId, HistRef> co_hist_;
-  std::vector<HistEntry> hist_pool_;
-  std::vector<HistEntry> hist_scratch_;  ///< compaction buffer, reused
-  std::int64_t hist_dead_ = 0;           ///< dead entries in hist_pool_
-
-  // update() scratch, reused across calls so the steady state allocates
-  // nothing (uint8_t, not vector<bool>, for memset-able assigns).
-  std::vector<std::uint8_t> cc_dirty_;
-  std::vector<std::uint8_t> co_dirty_;
-  std::vector<std::uint8_t> in_cone_;
-  std::vector<std::uint8_t> in_bcone_;
-  std::vector<etpn::DpNodeId> worklist_;
-  std::vector<etpn::DpNodeId> cc_nodes_;
-  std::vector<etpn::DpNodeId> co_nodes_;
 };
 
 }  // namespace hlts::testability

@@ -1,12 +1,13 @@
 // Test oracle for Algorithm 1: one merger iteration computed from scratch.
 //
 // core::integrated_synthesis evaluates trials as merge patches over
-// persistent workspaces and updates the committed design's ETPN,
-// testability fixpoint and cost over the merger's dirty cone (see
-// analysis/incremental.hpp).  The functions here compute the same
-// iteration the plain way -- a fresh build_etpn and TestabilityAnalysis of
-// the committed design, a binding copy + reschedule + build_etpn +
-// estimate_cost per trial, a serial walk of the ranking -- and
+// persistent workspaces, reschedules them by editing a per-iteration base
+// constraint graph, and takes the committed cost over from the winning
+// trial (see analysis/incremental.hpp).  The functions here compute the
+// same iteration the plain way -- a fresh build_etpn and
+// TestabilityAnalysis of the committed design, a binding copy + reschedule
+// + build_etpn + estimate_cost per trial, a serial walk of the ranking --
+// and
 // replay_against_reference() checks every iteration of a real run against
 // it bit for bit.  The rescheduler and cost estimate it calls are the
 // frozen copies in reference_layers.hpp, not the production ones, so a

@@ -1,12 +1,13 @@
-// Tests of the incremental analysis layer (src/analysis + etpn/patch +
-// testability cone updates), ctest label `incremental`:
+// Tests of the incremental analysis layer (src/analysis + etpn/patch),
+// ctest label `incremental`:
 //
 //  - etpn::apply_merge_patch / revert_merge_patch round-trip the data path
 //    exactly (arcs, adjacency lists, aliveness, names);
-//  - a merge-patched + step-refreshed graph is equal, up to the tombstone
-//    id projection, to a fresh build_etpn of the merged binding;
-//  - TestabilityAnalysis::update(dirty) reproduces a from-scratch analysis
-//    of the patched graph bit-for-bit;
+//  - a merge-patched graph has, up to the tombstone id projection, the node
+//    kinds and arcs of a fresh build_etpn of the merged binding;
+//  - the state IncrementalContext::commit derives (ETPN, testability
+//    fixpoint, balance index, critical path, cost) equals that of a context
+//    freshly attached to the committed design, bit for bit;
 //  - analysis::DesignDelta leaves a workspace untouched after destruction;
 //  - an incremental trial produces bit-identical numbers to the
 //    from-scratch reference trial;
@@ -25,6 +26,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -57,6 +59,15 @@ using test_support::random_dfg;
 using test_support::reference_trial;
 using test_support::replay_against_reference;
 using test_support::replay_flow_against_reference;
+
+/// Bitwise equality of two doubles (EXPECT_EQ on doubles compares values,
+/// which would let -0.0 match 0.0).
+::testing::AssertionResult same_bits(double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << a << " vs " << b;
+}
 
 /// Complete observable state of a data path, for exact round-trip checks.
 struct DpSnapshot {
@@ -162,12 +173,10 @@ TEST_P(OnBenchmark, MergePatchRoundTrips) {
     if (tried >= 8) break;
     ++tried;
     const auto [into, from] = cand.nodes(d.e);
-    const std::string label = "merged";
     util::Arena arena;
     etpn::MergePatch patch =
-        etpn::apply_merge_patch(d.e.data_path, arena, into, from, &label);
+        etpn::apply_merge_patch(d.e.data_path, arena, into, from);
     EXPECT_FALSE(d.e.data_path.alive(from));
-    EXPECT_EQ(d.e.data_path.node(into).name, "merged");
     EXPECT_GT(patch.approx_bytes(), 0u);
     etpn::revert_merge_patch(d.e.data_path, patch);
     EXPECT_EQ(dp_snapshot(d.e.data_path), before) << cand.description(g, d.b);
@@ -175,10 +184,12 @@ TEST_P(OnBenchmark, MergePatchRoundTrips) {
 }
 
 /// Checks that the alive projection of `patched` equals the compact graph
-/// `fresh`: same nodes in the same order (kind + name), same arcs in the
-/// same order (mapped endpoints, port, steps).
+/// `fresh`: same nodes in the same order (kind, and name when
+/// `names_and_steps`), same arcs in the same order (mapped endpoints, port,
+/// and steps when `names_and_steps`).
 void expect_alive_projection_equal(const etpn::DataPath& patched,
-                                   const etpn::DataPath& fresh) {
+                                   const etpn::DataPath& fresh,
+                                   bool names_and_steps) {
   std::vector<int> node_rank(patched.num_nodes(), -1);
   std::vector<etpn::DpNodeId> alive_nodes;
   for (etpn::DpNodeId n : patched.node_ids()) {
@@ -192,7 +203,9 @@ void expect_alive_projection_equal(const etpn::DataPath& patched,
     const etpn::DpNode& fn =
         fresh.node(etpn::DpNodeId{static_cast<std::uint32_t>(i)});
     EXPECT_EQ(pn.kind, fn.kind) << "node " << i;
-    EXPECT_EQ(pn.name, fn.name) << "node " << i;
+    if (names_and_steps) {
+      EXPECT_EQ(pn.name, fn.name) << "node " << i;
+    }
   }
   std::vector<etpn::DpArcId> alive_arcs;
   for (etpn::DpArcId a : patched.arc_ids()) {
@@ -208,6 +221,7 @@ void expect_alive_projection_equal(const etpn::DataPath& patched,
     EXPECT_EQ(node_rank[pa.to.index()], static_cast<int>(fa.to.value()))
         << "arc " << i;
     EXPECT_EQ(pa.to_port, fa.to_port) << "arc " << i;
+    if (!names_and_steps) continue;
     const util::Span<int> psteps = patched.steps(alive_arcs[i]);
     const util::Span<int> fsteps =
         fresh.steps(etpn::DpArcId{static_cast<std::uint32_t>(i)});
@@ -233,58 +247,103 @@ TEST_P(OnBenchmark, PatchedGraphMatchesFreshBuild) {
     if (!r.feasible) continue;
     ++checked;
 
+    // A trial patch leaves names and steps stale (no trial consumer reads
+    // them); the structure must match the fresh build.
     etpn::Etpn patched = d.e;
     const auto [into, from] = cand.nodes(patched);
-    const std::string label = cand.merged_label(g, merged);
     util::Arena arena;
-    etpn::apply_merge_patch(patched.data_path, arena, into, from, &label);
-    etpn::refresh_etpn_steps(patched, g, r.schedule, merged);
+    etpn::apply_merge_patch(patched.data_path, arena, into, from);
 
     etpn::Etpn fresh = etpn::build_etpn(g, r.schedule, merged);
-    expect_alive_projection_equal(patched.data_path, fresh.data_path);
-    EXPECT_EQ(petri::critical_path(patched.control).length,
-              petri::critical_path(fresh.control).length);
+    expect_alive_projection_equal(patched.data_path, fresh.data_path,
+                                  /*names_and_steps=*/false);
   }
   EXPECT_GT(checked, 0) << "no feasible candidate on " << GetParam();
 }
 
-TEST_P(OnBenchmark, TestabilityUpdateEqualsFromScratch) {
-  dfg::Dfg g = benchmarks::make_benchmark(GetParam());
-  Design d = make_design(g);
-  std::vector<testability::MergeCandidate> cands = all_candidates(g, d);
-  ASSERT_FALSE(cands.empty());
+/// A run of Algorithm 1 under `p` and, for each of its first `limit`
+/// commits, a run resumed from the checkpoint before it and stopped right
+/// after it -- so that run's cost is the one the commit took over from its
+/// winning trial.
+struct CommitRuns {
+  core::SynthesisResult full;
+  std::vector<core::SynthesisResult> commits;  ///< [i]: stopped after i + 1
+};
 
-  int checked = 0;
-  for (const testability::MergeCandidate& cand : cands) {
-    if (checked >= 5) break;
-    ++checked;
-    etpn::Etpn patched = d.e;  // private copy; the patch is not reverted
-    testability::TestabilityAnalysis incremental(patched.data_path);
-    const auto [into, from] = cand.nodes(patched);
-    util::Arena arena;
-    etpn::apply_merge_patch(patched.data_path, arena, into, from);
-    const testability::TestabilityAnalysis::UpdateStats stats =
-        incremental.update({into});
-    EXPECT_GT(stats.node_visits, 0);
-
-    const testability::TestabilityAnalysis scratch(patched.data_path);
-    for (etpn::DpArcId a : patched.data_path.arc_ids()) {
-      if (!patched.data_path.alive(a)) continue;
-      EXPECT_EQ(incremental.line_controllability(a).comb,
-                scratch.line_controllability(a).comb)
-          << "cc arc " << a.value();
-      EXPECT_EQ(incremental.line_controllability(a).seq,
-                scratch.line_controllability(a).seq)
-          << "cc arc " << a.value();
-      EXPECT_EQ(incremental.line_observability(a).comb,
-                scratch.line_observability(a).comb)
-          << "co arc " << a.value();
-      EXPECT_EQ(incremental.line_observability(a).seq,
-                scratch.line_observability(a).seq)
-          << "co arc " << a.value();
-    }
-    EXPECT_EQ(incremental.balance_index(), scratch.balance_index());
+void run_per_commit(const dfg::Dfg& g, core::SynthesisParams p,
+                    std::size_t limit, CommitRuns& out) {
+  std::vector<core::Checkpoint> checkpoints{
+      {0, sched::asap(g), etpn::Binding::default_binding(g, p.compat)}};
+  p.checkpoint_every = 1;
+  p.on_checkpoint = [&](const core::Checkpoint& c) {
+    checkpoints.push_back(c);
+  };
+  out.full = core::integrated_synthesis(g, p);
+  p.on_checkpoint = nullptr;
+  out.commits.clear();
+  for (std::size_t i = 0; i < out.full.trajectory.size() && i < limit; ++i) {
+    SCOPED_TRACE(g.name() + " commit " + std::to_string(i));
+    core::SynthesisParams one = p;
+    one.resume_from = &checkpoints[i];
+    one.max_iterations = static_cast<int>(i) + 1;
+    out.commits.push_back(core::integrated_synthesis(g, one));
+    ASSERT_EQ(out.commits.back().iterations, static_cast<int>(i) + 1);
   }
+}
+
+// Walks the first commits of real Algorithm-1 runs through one
+// IncrementalContext, each with its winning trial's schedule and cost, and
+// checks that the state commit() derives equals that of a context freshly
+// attached to the committed design.
+TEST_P(OnBenchmark, TestabilityUpdateEqualsFromScratch) {
+  const dfg::Dfg g = benchmarks::make_benchmark(GetParam());
+  std::size_t walked = 0;
+  for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
+    SCOPED_TRACE(core::flow_name(kind));
+    const core::SynthesisParams p = core::synthesis_params(kind, {});
+    CommitRuns runs;
+    ASSERT_NO_FATAL_FAILURE(run_per_commit(g, p, 5, runs));
+    walked += runs.commits.size();
+
+    analysis::IncrementalContext ctx(g, p.library, p.bits);
+    ctx.attach(sched::asap(g), etpn::Binding::default_binding(g, p.compat));
+    for (std::size_t i = 0; i < runs.commits.size(); ++i) {
+      SCOPED_TRACE("commit " + std::to_string(i + 1));
+      const core::SynthesisResult& r = runs.commits[i];
+      ctx.commit(r.binding, r.schedule, r.cost);
+      analysis::IncrementalContext fresh(g, p.library, p.bits);
+      fresh.attach(r.schedule, r.binding);
+
+      const etpn::DataPath& dp = ctx.etpn().data_path;
+      expect_alive_projection_equal(dp, fresh.etpn().data_path,
+                                    /*names_and_steps=*/true);
+      std::uint32_t rank = 0;
+      for (etpn::DpArcId a : dp.arc_ids()) {
+        if (!dp.alive(a)) continue;
+        const etpn::DpArcId fa{rank++};
+        const testability::Measure cc = ctx.analysis().line_controllability(a);
+        const testability::Measure co = ctx.analysis().line_observability(a);
+        const testability::Measure fcc =
+            fresh.analysis().line_controllability(fa);
+        const testability::Measure fco =
+            fresh.analysis().line_observability(fa);
+        EXPECT_TRUE(same_bits(cc.comb, fcc.comb)) << "CC arc " << a.value();
+        EXPECT_TRUE(same_bits(cc.seq, fcc.seq)) << "SC arc " << a.value();
+        EXPECT_TRUE(same_bits(co.comb, fco.comb)) << "CO arc " << a.value();
+        EXPECT_TRUE(same_bits(co.seq, fco.seq)) << "SO arc " << a.value();
+      }
+      EXPECT_TRUE(same_bits(ctx.analysis().balance_index(),
+                            fresh.analysis().balance_index()));
+      EXPECT_EQ(petri::critical_path(ctx.etpn().control).length,
+                petri::critical_path(fresh.etpn().control).length);
+      EXPECT_TRUE(same_bits(ctx.cost().module_area, fresh.cost().module_area));
+      EXPECT_TRUE(
+          same_bits(ctx.cost().register_area, fresh.cost().register_area));
+      EXPECT_TRUE(same_bits(ctx.cost().mux_area, fresh.cost().mux_area));
+      EXPECT_TRUE(same_bits(ctx.cost().wire_area, fresh.cost().wire_area));
+    }
+  }
+  EXPECT_GT(walked, 0u);
 }
 
 TEST_P(OnBenchmark, DesignDeltaRestoresWorkspace) {
@@ -548,15 +607,6 @@ TEST(ReschedDifferential, RandomMergeWalksMatchFrozenRescheduler) {
   }
 }
 
-/// Bitwise equality of two doubles (EXPECT_EQ on doubles compares values,
-/// which would let -0.0 match 0.0).
-::testing::AssertionResult same_bits(double a, double b) {
-  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
-    return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure() << a << " vs " << b;
-}
-
 /// Floorplan and cost of `dp` by the production code (through a reused
 /// scratch) against the frozen floorplanner.
 void expect_floorplan_matches_frozen(const etpn::DataPath& dp,
@@ -749,26 +799,14 @@ TEST(FloorplanDifferential, LargeGridMatchesFrozenFloorplanner) {
 /// estimate, taken over at commit -- equals a frozen estimate of a fresh
 /// build of the committed design, field by field.
 void expect_commit_costs_match_frozen(const dfg::Dfg& g,
-                                      core::SynthesisParams p) {
-  std::vector<core::Checkpoint> checkpoints{
-      {0, sched::asap(g), etpn::Binding::default_binding(g, p.compat)}};
-  p.checkpoint_every = 1;
-  p.on_checkpoint = [&](const core::Checkpoint& c) {
-    checkpoints.push_back(c);
-  };
-  const core::SynthesisResult full = core::integrated_synthesis(g, p);
-  p.on_checkpoint = nullptr;
-  for (std::size_t i = 0; i <= full.trajectory.size(); ++i) {
+                                      const core::SynthesisParams& p) {
+  CommitRuns runs;
+  ASSERT_NO_FATAL_FAILURE(
+      run_per_commit(g, p, std::numeric_limits<std::size_t>::max(), runs));
+  for (std::size_t i = 0; i <= runs.commits.size(); ++i) {
     SCOPED_TRACE(g.name() + " commit " + std::to_string(i));
-    core::SynthesisResult r = full;
-    if (i < full.trajectory.size()) {
-      // The run stopped right after commit i + 1.
-      core::SynthesisParams one = p;
-      one.resume_from = &checkpoints[i];
-      one.max_iterations = static_cast<int>(i) + 1;
-      r = core::integrated_synthesis(g, one);
-      ASSERT_EQ(r.iterations, static_cast<int>(i) + 1);
-    }
+    const core::SynthesisResult& r =
+        i < runs.commits.size() ? runs.commits[i] : runs.full;
     const etpn::Etpn e = etpn::build_etpn(g, r.schedule, r.binding);
     const cost::HardwareCost frozen =
         test_support::reference_estimate_cost(e.data_path, p.library, p.bits);
@@ -799,7 +837,9 @@ TEST_P(FlowGrid, CommittedCostEqualsFrozenEstimate) {
   expect_commit_costs_match_frozen(g, core::synthesis_params(kind, {}));
 }
 
-TEST(CommitCost, WorkloadShapesEqualFrozenEstimate) {
+/// Three 24-op generated designs: plain, with loop-carried state, and with
+/// memory-port token chains.
+std::vector<dfg::Dfg> workload_shape_designs() {
   workload::DfgShape plain;
   plain.ops = 24;
   plain.depth = 6;
@@ -809,12 +849,31 @@ TEST(CommitCost, WorkloadShapesEqualFrozenEstimate) {
   workload::DfgShape memory = plain;
   memory.memories = 2;
   memory.memory_access_density = 0.2;
+  std::vector<dfg::Dfg> designs;
   std::uint64_t seed = 11;
   for (const workload::DfgShape& shape : {plain, loopy, memory}) {
-    const dfg::Dfg g = workload::generate(seed++, shape);
+    designs.push_back(workload::generate(seed++, shape));
+  }
+  return designs;
+}
+
+TEST(CommitCost, WorkloadShapesEqualFrozenEstimate) {
+  for (const dfg::Dfg& g : workload_shape_designs()) {
     for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
       SCOPED_TRACE(core::flow_name(kind));
       expect_commit_costs_match_frozen(g, core::synthesis_params(kind, {}));
+    }
+  }
+}
+
+// Loop-carried state and memory tokens, which the benchmark and random_dfg
+// replays do not cover.
+TEST(IncrementalRandomDesigns, WorkloadShapesReplayAgainstReference) {
+  for (const dfg::Dfg& g : workload_shape_designs()) {
+    SCOPED_TRACE(g.name());
+    for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
+      SCOPED_TRACE(core::flow_name(kind));
+      replay_flow_against_reference(kind, g, {});
     }
   }
 }
@@ -913,7 +972,7 @@ TEST(ReschedDifferential, BaseGraphTrialsMatchFrozenRescheduler) {
         etpn::Binding next = b;
         cands[pick].apply(g, next);
         const etpn::Etpn e = etpn::build_etpn(g, serial[pick].schedule, next);
-        ctx.commit(cands[pick], next, serial[pick].schedule,
+        ctx.commit(next, serial[pick].schedule,
                    cost::estimate_cost(e.data_path, lib, 8));
         b = std::move(next);
         s = serial[pick].schedule;
