@@ -9,8 +9,8 @@
 
 namespace hlts::analysis {
 
-DesignDelta::DesignDelta(const dfg::Dfg& g, TrialWorkspace& ws,
-                         const testability::MergeCandidate& cand)
+BindingMerge::BindingMerge(const dfg::Dfg& g, TrialWorkspace& ws,
+                           const testability::MergeCandidate& cand)
     : ws_(ws), cand_(cand) {
   into_old_size_ = cand.is_modules()
                        ? ws.binding.module_ops(cand.module_a).size()
@@ -18,37 +18,39 @@ DesignDelta::DesignDelta(const dfg::Dfg& g, TrialWorkspace& ws,
   // The binding merge's failpoint fires before any mutation, so a throw
   // here leaves the workspace untouched.
   cand.apply(g, ws.binding);
+}
+
+BindingMerge::~BindingMerge() {
+  // If the undo fails the copy is inconsistent: mark it stale so the next
+  // checkout re-syncs instead of reusing it.
+  try {
+    if (cand_.is_modules()) {
+      ws_.binding.undo_merge_modules(cand_.module_a, cand_.module_b,
+                                     into_old_size_);
+    } else {
+      ws_.binding.undo_merge_regs(cand_.reg_a, cand_.reg_b, into_old_size_);
+    }
+  } catch (...) {
+    ws_.epoch = 0;
+  }
+}
+
+DataPathMerge::DataPathMerge(TrialWorkspace& ws,
+                             const testability::MergeCandidate& cand)
+    : ws_(ws) {
   const auto [into, from] = cand.nodes(ws.etpn);
   try {
     patch_ = etpn::apply_merge_patch(ws.etpn.data_path, ws.arena, into, from);
   } catch (...) {
-    // The failed patch's arena carves are orphaned; rewind them.
+    // apply_merge_patch rolled the data path back (strong guarantee); the
+    // failed patch's arena carves are orphaned, so rewind them.
     ws_.arena.reset();
-    // apply_merge_patch rolled the data path back (strong guarantee); undo
-    // the binding half too.  If *that* also fails, the copy is inconsistent:
-    // mark it stale so the next checkout re-syncs instead of reusing it.
-    try {
-      if (cand_.is_modules()) {
-        ws_.binding.undo_merge_modules(cand_.module_a, cand_.module_b,
-                                       into_old_size_);
-      } else {
-        ws_.binding.undo_merge_regs(cand_.reg_a, cand_.reg_b, into_old_size_);
-      }
-    } catch (...) {
-      ws_.epoch = 0;
-    }
     throw;
   }
 }
 
-DesignDelta::~DesignDelta() {
+DataPathMerge::~DataPathMerge() {
   etpn::revert_merge_patch(ws_.etpn.data_path, patch_);
-  if (cand_.is_modules()) {
-    ws_.binding.undo_merge_modules(cand_.module_a, cand_.module_b,
-                                   into_old_size_);
-  } else {
-    ws_.binding.undo_merge_regs(cand_.reg_a, cand_.reg_b, into_old_size_);
-  }
   // The undo log lived in the workspace arena and the patch is now fully
   // reverted; rewind the arena for the next trial (blocks retained).
   ws_.arena.reset();
@@ -71,6 +73,7 @@ void IncrementalContext::derive(const sched::Schedule& s,
   HLTS_REQUIRE(petri::critical_path(e_->control).length == s_.length(),
                "critical path diverged from schedule length");
   analysis_.emplace(e_->data_path);
+  reach_ = etpn::RegisterReach(e_->data_path);
 }
 
 void IncrementalContext::attach(const sched::Schedule& s,

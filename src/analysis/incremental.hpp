@@ -6,8 +6,11 @@
 //
 //   - TrialWorkspace: a per-worker binding + ETPN copy of the committed
 //     design that candidate mergers are applied to in place;
-//   - DesignDelta: RAII application of one candidate (copy-on-write
-//     binding merge + etpn::apply_merge_patch), undone on destruction;
+//   - BindingMerge / DataPathMerge: RAII application of one candidate's
+//     binding merge and data-path merge patch (etpn::apply_merge_patch),
+//     undone on destruction.  A trial merges the binding, reschedules,
+//     and patches the data path only if it gets as far as the cost
+//     estimate; DesignDelta applies both halves at once;
 //   - IncrementalContext: owner of the committed design's ETPN and
 //     testability fixpoint, derived from scratch once per commit, and of its
 //     hardware cost, which is the winning trial's own estimate.
@@ -52,10 +55,14 @@ struct TrialWorkspace {
   sched::ConstraintGraph resched;
   /// Committed-design epoch the base in `resched` was built for; 0 = none.
   std::uint64_t resched_epoch = 0;
+  /// The trial merger's register distances and their update's worklist
+  /// (core::MergerDistances).
+  std::vector<int> d_in;
+  std::vector<std::uint32_t> d_queue;
   cost::CostScratch cost;
   /// Backs the trial's merge-patch undo log and worklists; reset (not
-  /// freed) when the DesignDelta comes off, so a steady-state trial carves
-  /// from retained blocks and performs zero heap allocations.
+  /// freed) when the DataPathMerge comes off, so a steady-state trial
+  /// carves from retained blocks and performs zero heap allocations.
   util::Arena arena;
   /// Committed-design epoch this copy mirrors; 0 = never synchronized
   /// (also the stale sentinel set when a failed trial may have left the
@@ -63,36 +70,62 @@ struct TrialWorkspace {
   std::uint64_t epoch = 0;
 };
 
-/// RAII application of one candidate merger onto a workspace: the binding
-/// merge and the data-path merge patch go on in the constructor and come
-/// off, in reverse order, in the destructor.  While alive, ws.binding and
-/// ws.etpn *are* the merged design -- with stale step annotations, which
-/// no structural consumer (rescheduling, cost, testability) reads; see
-/// etpn/patch.hpp.
-class DesignDelta {
+/// RAII binding merge of one candidate on a workspace: ws.binding is the
+/// merged binding while alive.  Strong guarantee on construction (the
+/// merge's failpoint fires before any mutation); a destructor whose undo
+/// fails marks the workspace stale for re-sync instead of throwing.
+class BindingMerge {
  public:
-  /// Strong guarantee: on throw the workspace is unchanged (or marked
-  /// stale for re-sync when the underlying merge could not roll back).
-  DesignDelta(const dfg::Dfg& g, TrialWorkspace& ws,
-              const testability::MergeCandidate& cand);
-  ~DesignDelta();
-  DesignDelta(const DesignDelta&) = delete;
-  DesignDelta& operator=(const DesignDelta&) = delete;
-
-  [[nodiscard]] const etpn::MergePatch& patch() const { return patch_; }
+  BindingMerge(const dfg::Dfg& g, TrialWorkspace& ws,
+               const testability::MergeCandidate& cand);
+  ~BindingMerge();
+  BindingMerge(const BindingMerge&) = delete;
+  BindingMerge& operator=(const BindingMerge&) = delete;
 
  private:
   TrialWorkspace& ws_;
   testability::MergeCandidate cand_;
   std::size_t into_old_size_ = 0;
+};
+
+/// RAII data-path merge patch of one candidate on a workspace: ws.etpn's
+/// data path is the merged one while alive -- with stale step annotations,
+/// which no structural consumer (cost, testability) reads; see
+/// etpn/patch.hpp.  Strong guarantee on construction.
+class DataPathMerge {
+ public:
+  DataPathMerge(TrialWorkspace& ws, const testability::MergeCandidate& cand);
+  ~DataPathMerge();
+  DataPathMerge(const DataPathMerge&) = delete;
+  DataPathMerge& operator=(const DataPathMerge&) = delete;
+
+ private:
+  TrialWorkspace& ws_;
   etpn::MergePatch patch_;
+};
+
+/// Both halves of one candidate merger on a workspace: the binding merge
+/// and the data-path merge patch go on in the constructor and come off, in
+/// reverse order, in the destructor.  While alive, ws.binding and ws.etpn
+/// *are* the merged design (with stale step annotations).  On a throw the
+/// workspace is unchanged, or marked stale for re-sync.
+class DesignDelta {
+ public:
+  DesignDelta(const dfg::Dfg& g, TrialWorkspace& ws,
+              const testability::MergeCandidate& cand)
+      : binding_(g, ws, cand), data_path_(ws, cand) {}
+
+ private:
+  BindingMerge binding_;
+  DataPathMerge data_path_;
 };
 
 /// Owner of the committed design's analysis state.
 ///
 /// attach() and commit() derive it the same way: a fresh build_etpn of the
-/// committed (schedule, binding), a full testability fixpoint of it, and a
-/// check that the Petri-net critical path equals the schedule length.
+/// committed (schedule, binding), a full testability fixpoint of it, its
+/// register distances, and a check that the Petri-net critical path equals
+/// the schedule length.
 /// attach() then estimates the hardware cost; commit() takes over the cost
 /// the winning trial measured on the same merged data path.  The
 /// constraint-graph tables of the DFG are built once, at construction, and
@@ -118,6 +151,9 @@ class IncrementalContext {
     return *analysis_;
   }
   [[nodiscard]] const etpn::Binding& binding() const { return b_; }
+  /// The committed data path's register distances and hop graph, which a
+  /// trial's rescheduler updates for its merger.
+  [[nodiscard]] const etpn::RegisterReach& reach() const { return reach_; }
   /// Hardware cost of the committed design.
   [[nodiscard]] const cost::HardwareCost& cost() const { return cost_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
@@ -158,6 +194,7 @@ class IncrementalContext {
   cost::HardwareCost cost_;
   std::unique_ptr<etpn::Etpn> e_;  ///< stable address for analysis_'s ref
   std::optional<testability::TestabilityAnalysis> analysis_;
+  etpn::RegisterReach reach_;
   sched::ConstraintTables tables_;
   std::mutex pool_mutex_;
   std::vector<std::unique_ptr<TrialWorkspace>> pool_;

@@ -70,9 +70,11 @@ void add_chains(const dfg::Dfg& g, const etpn::Binding& b,
 bool schedule_respects_binding(const dfg::Dfg& g, const etpn::Binding& b,
                                const sched::Schedule& s) {
   if (!s.respects_data_deps(g)) return false;
+  // Every feasible trial reschedule is checked, so the buffers live on.
+  thread_local std::vector<int> steps;
+  thread_local std::vector<sched::Lifetime> held;
   // No two ops of one module share a step: sorted, no two neighbours are
   // equal.  (Tombstoned groups are empty.)
-  std::vector<int> steps;
   for (etpn::ModuleId m : id_range<etpn::ModuleId>(b.num_module_slots())) {
     const std::vector<dfg::OpId>& ops = b.module_ops(m);
     if (ops.size() < 2) continue;
@@ -86,14 +88,13 @@ bool schedule_respects_binding(const dfg::Dfg& g, const etpn::Binding& b,
   // Pairwise disjoint lifetimes: sorted by birth, each non-empty lifetime
   // ends no later than the next one is born (empty ones are disjoint from
   // everything).
-  const sched::LifetimeTable lifetimes = sched::LifetimeTable::compute(g, s);
-  std::vector<sched::Lifetime> held;
+  const int length = s.length();
   for (etpn::RegId r : id_range<etpn::RegId>(b.num_reg_slots())) {
     const std::vector<dfg::VarId>& vars = b.reg_vars(r);
     if (vars.size() < 2) continue;
     held.clear();
     for (dfg::VarId v : vars) {
-      const sched::Lifetime lt = lifetimes.lifetime(v);
+      const sched::Lifetime lt = sched::lifetime_of(g, s, length, v);
       if (!lt.empty()) held.push_back(lt);
     }
     std::sort(held.begin(), held.end(),
@@ -110,11 +111,13 @@ bool schedule_respects_binding(const dfg::Dfg& g, const etpn::Binding& b,
 namespace {
 
 /// The SR1/SR2 order search over `graph`'s chains, from its solved
-/// incumbent of length `len`; the result of reschedule().
+/// incumbent of length `len`; the result of reschedule().  `reg_distance(r)`
+/// is register r's d_in in `b`'s data path (see
+/// etpn::DataPath::register_distances).
+template <typename RegDistance>
 ReschedOutcome search_orders(const dfg::Dfg& g, const etpn::Binding& b,
                              const sched::Schedule& hint,
-                             OrderStrategy strategy,
-                             const etpn::Etpn* premerged,
+                             OrderStrategy strategy, RegDistance&& reg_distance,
                              sched::ConstraintGraph& graph,
                              std::optional<int> len) {
   ReschedOutcome out;
@@ -132,27 +135,13 @@ ReschedOutcome search_orders(const dfg::Dfg& g, const etpn::Binding& b,
   // and its result heads toward an observable register one step sooner),
   // falling back to the smallest critical-path increase.  The plain
   // strategy swaps only when forced or when it shortens the schedule.
-  // Register distances are a pure BFS over the alive data-path topology --
-  // step annotations never enter -- so a caller-supplied merge-patched graph
-  // (structurally identical, stale steps) yields the same distances as the
-  // fresh build and therefore the identical schedule.  They are derived on
-  // first use: most reschedules never compare two feasible tied orders.
-  std::optional<etpn::Etpn> local_e;
-  std::optional<etpn::DataPath::RegisterDistances> dist;
   auto op_controllability_key = [&](dfg::OpId op) {
-    if (!dist) {
-      if (premerged == nullptr) {
-        local_e.emplace(etpn::build_etpn(g, hint, b));
-        premerged = &*local_e;
-      }
-      dist = premerged->data_path.register_distances();
-    }
     // Smaller = operands closer to primary inputs.
     int best = INT_MAX;
     for (dfg::VarId in : g.op(op).inputs) {
       etpn::RegId r = b.reg_of(in);
       if (!r.valid()) continue;
-      const int d = dist->d_in[premerged->reg_node[r].index()];
+      const int d = reg_distance(r);
       if (d >= 0) best = std::min(best, d);
     }
     return best;
@@ -244,7 +233,24 @@ ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
   sched::ConstraintGraph graph(g);
   add_chains(g, b, hint, graph);
   if (graph.contradicted()) return {};
-  return search_orders(g, b, hint, strategy, premerged, graph,
+  // Register distances are a pure BFS over the alive data-path topology --
+  // step annotations never enter -- so a caller-supplied merge-patched graph
+  // (structurally identical, stale steps) yields the same distances as the
+  // fresh build and therefore the identical schedule.  They are derived on
+  // first use: most reschedules never compare two feasible tied orders.
+  std::optional<etpn::Etpn> local_e;
+  std::optional<etpn::DataPath::RegisterDistances> dist;
+  auto reg_distance = [&](etpn::RegId r) {
+    if (!dist) {
+      if (premerged == nullptr) {
+        local_e.emplace(etpn::build_etpn(g, hint, b));
+        premerged = &*local_e;
+      }
+      dist = premerged->data_path.register_distances();
+    }
+    return dist->d_in[premerged->reg_node[r].index()];
+  };
+  return search_orders(g, b, hint, strategy, reg_distance, graph,
                        graph.schedule_length());
 }
 
@@ -260,7 +266,7 @@ void build_trial_base(const dfg::Dfg& g, const sched::ConstraintTables& tables,
 ReschedOutcome reschedule_merger(const dfg::Dfg& g, const etpn::Binding& b,
                                  const sched::Schedule& hint,
                                  OrderStrategy strategy,
-                                 const etpn::Etpn* premerged,
+                                 const MergerDistances& dist,
                                  const testability::MergeCandidate& cand,
                                  sched::ConstraintGraph& graph) {
   HLTS_FAILPOINT("sched.reschedule");
@@ -282,7 +288,20 @@ ReschedOutcome reschedule_merger(const dfg::Dfg& g, const etpn::Binding& b,
     ~Restore() { graph.restore_base(); }
   } restore{graph};
   if (graph.contradicted()) return {};
-  return search_orders(g, b, hint, strategy, premerged, graph,
+  // The merged design's distances: the committed ones, lowered where the
+  // merger's new register hops shorten a path, on first use.  The survivor
+  // keeps the committed node ids, so the committed node maps stay valid.
+  bool merged = false;
+  auto reg_distance = [&](etpn::RegId r) {
+    if (!merged) {
+      const auto [into, from] = cand.nodes(dist.committed);
+      dist.reach.merged_d_in(dist.committed.data_path, into, from, dist.d_in,
+                             dist.queue);
+      merged = true;
+    }
+    return dist.d_in[dist.committed.reg_node[r].index()];
+  };
+  return search_orders(g, b, hint, strategy, reg_distance, graph,
                        graph.solve_merge());
 }
 

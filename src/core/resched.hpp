@@ -24,11 +24,14 @@
 // swap is solved as a local arc edit over its forward cone.  The result is
 // bit-identical to re-solving the whole graph for every order compared.
 // Algorithm-1 trials go further (reschedule_merger): the committed design's
-// chains and solve are kept as a base, and a trial edits only the chain its
-// merger changes.
+// chains and solve are kept as a base, a trial edits only the chain its
+// merger changes, and its register distances are the committed design's,
+// updated for the merger.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "etpn/binding.hpp"
 #include "etpn/etpn.hpp"
@@ -79,20 +82,32 @@ void build_trial_base(const dfg::Dfg& g, const sched::ConstraintTables& tables,
                       const etpn::Binding& b, const sched::Schedule& hint,
                       sched::ConstraintGraph& graph);
 
-/// reschedule(g, b, hint, strategy, premerged) for `b` = the base's binding
-/// with `cand` applied, computed by editing the base in `graph` (see
+/// Where a trial merger's SR1/SR2 keys read register distances: the
+/// committed design's ETPN and its RegisterReach, updated for the merger
+/// (etpn::RegisterReach::merged_d_in) into the caller's buffers on first
+/// use.  The merged data path itself is never needed.
+struct MergerDistances {
+  const etpn::Etpn& committed;
+  const etpn::RegisterReach& reach;
+  std::vector<int>& d_in;
+  std::vector<std::uint32_t>& queue;
+};
+
+/// reschedule(g, b, hint, strategy) for `b` = the base's binding with
+/// `cand` applied, computed by editing the base in `graph` (see
 /// build_trial_base): only the merged chain changes, only the forward cone
 /// of its changed links is re-solved, and `graph` is restored to the base
-/// on return.  Bit-identical to the stand-alone overload.
+/// on return.  `dist` must describe the base's committed design.
+/// Bit-identical to the stand-alone overload.
 [[nodiscard]] ReschedOutcome reschedule_merger(
     const dfg::Dfg& g, const etpn::Binding& b, const sched::Schedule& hint,
-    OrderStrategy strategy, const etpn::Etpn* premerged,
+    OrderStrategy strategy, const MergerDistances& dist,
     const testability::MergeCandidate& cand, sched::ConstraintGraph& graph);
 
 /// Validation helper: true when `s` is consistent with `b` -- no two ops of
 /// one module share a step, and all variables of one register have pairwise
 /// disjoint lifetimes.  Sorts each group's steps (lifetimes) and compares
-/// neighbours.
+/// neighbours, in buffers each thread reuses across calls.
 [[nodiscard]] bool schedule_respects_binding(const dfg::Dfg& g,
                                              const etpn::Binding& b,
                                              const sched::Schedule& s);

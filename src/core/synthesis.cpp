@@ -20,66 +20,81 @@ namespace hlts::core {
 
 namespace {
 
-/// Sorted, deduplicated source/destination node ids of a data-path node
-/// (ignoring ports' step labels).  Sorted vectors instead of std::set: the
-/// closeness score runs O(modules^2 + regs^2) times per iteration, and a
-/// linear merge over two small sorted vectors beats four heap-allocated
-/// sets per pair.
-struct NeighbourLists {
-  std::vector<std::uint32_t> sources, dests;
-};
-
-NeighbourLists neighbour_lists(const etpn::DataPath& dp, etpn::DpNodeId n) {
-  NeighbourLists out;
-  out.sources.reserve(dp.in_degree(n));
-  out.dests.reserve(dp.out_degree(n));
-  for (etpn::DpArcId a : dp.in_arcs(n)) {
-    out.sources.push_back(dp.arc(a).from.value());
+/// Closeness of every pair of `nodes` (one kind: all modules or all
+/// registers): the number of shared sources plus the number of shared
+/// destinations (distinct data-path nodes either way), plus one when an arc
+/// joins the two.  Shared sources/destinations save multiplexer inputs and
+/// wires; a direct connection is "closeness" as well.  Calls
+/// `visit(i, j, score)` for every pair i < j scoring above 0, in (i, j)
+/// order.
+///
+/// Scored through an inverted index: each candidate's distinct neighbours
+/// and each neighbour's users (candidates, ascending), so row i counts its
+/// shared neighbours with every later candidate in one pass over its
+/// neighbours' users instead of one list merge per pair.
+template <typename Visit>
+void close_pairs(const etpn::DataPath& dp,
+                 const std::vector<etpn::DpNodeId>& nodes, Visit&& visit) {
+  const std::size_t c = nodes.size();
+  std::vector<int> index(dp.num_nodes(), -1);
+  for (std::size_t i = 0; i < c; ++i) {
+    index[nodes[i].index()] = static_cast<int>(i);
   }
-  for (etpn::DpArcId a : dp.out_arcs(n)) {
-    out.dests.push_back(dp.arc(a).to.value());
-  }
-  for (auto* v : {&out.sources, &out.dests}) {
-    std::sort(v->begin(), v->end());
-    v->erase(std::unique(v->begin(), v->end()), v->end());
-  }
-  return out;
-}
-
-int shared_count(const std::vector<std::uint32_t>& a,
-                 const std::vector<std::uint32_t>& b) {
-  int n = 0;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      ++n;
-      ++ia;
-      ++ib;
+  // Per side (0: sources, 1: destinations), as CSR: every candidate's
+  // distinct neighbours, and every data-path node's users.
+  std::vector<std::uint32_t> nb_begin[2], nb[2], user_begin[2], users[2];
+  for (int side = 0; side < 2; ++side) {
+    nb_begin[side].assign(c + 1, 0);
+    for (std::size_t i = 0; i < c; ++i) {
+      const std::size_t from = nb[side].size();
+      for (etpn::DpArcId a : side == 0 ? dp.in_arcs(nodes[i])
+                                       : dp.out_arcs(nodes[i])) {
+        const etpn::DpArc& arc = dp.arc(a);
+        nb[side].push_back((side == 0 ? arc.from : arc.to).value());
+      }
+      const auto first = nb[side].begin() + static_cast<std::ptrdiff_t>(from);
+      std::sort(first, nb[side].end());
+      nb[side].erase(std::unique(first, nb[side].end()), nb[side].end());
+      nb_begin[side][i + 1] = static_cast<std::uint32_t>(nb[side].size());
+    }
+    user_begin[side].assign(dp.num_nodes() + 1, 0);
+    for (std::uint32_t x : nb[side]) ++user_begin[side][x + 1];
+    for (std::size_t x = 0; x < dp.num_nodes(); ++x) {
+      user_begin[side][x + 1] += user_begin[side][x];
+    }
+    users[side].resize(nb[side].size());
+    std::vector<std::uint32_t> fill(user_begin[side].begin(),
+                                    user_begin[side].end() - 1);
+    for (std::size_t i = 0; i < c; ++i) {
+      for (std::uint32_t k = nb_begin[side][i]; k < nb_begin[side][i + 1];
+           ++k) {
+        users[side][fill[nb[side][k]]++] = static_cast<std::uint32_t>(i);
+      }
     }
   }
-  return n;
-}
 
-bool sorted_contains(const std::vector<std::uint32_t>& v, std::uint32_t x) {
-  return std::binary_search(v.begin(), v.end(), x);
-}
-
-int closeness(const NeighbourLists& n1, etpn::DpNodeId id1,
-              const NeighbourLists& n2, etpn::DpNodeId id2) {
-  // Shared sources/destinations save multiplexer inputs and wires; a
-  // direct connection between the two nodes is "closeness" as well.
-  int score = shared_count(n1.sources, n2.sources) +
-              shared_count(n1.dests, n2.dests);
-  if (sorted_contains(n1.dests, id2.value()) ||
-      sorted_contains(n2.dests, id1.value())) {
-    ++score;
+  std::vector<int> score(c, 0);
+  std::vector<std::uint8_t> joined(c, 0);
+  for (std::size_t i = 0; i < c; ++i) {
+    for (int side = 0; side < 2; ++side) {
+      for (std::uint32_t k = nb_begin[side][i]; k < nb_begin[side][i + 1];
+           ++k) {
+        const std::uint32_t x = nb[side][k];
+        for (std::uint32_t u = user_begin[side][x];
+             u < user_begin[side][x + 1]; ++u) {
+          if (users[side][u] > i) ++score[users[side][u]];
+        }
+        // An arc from or to a later candidate joins the pair.
+        if (index[x] > static_cast<int>(i)) joined[index[x]] = 1;
+      }
+    }
+    for (std::size_t j = i + 1; j < c; ++j) {
+      const int sj = score[j] + joined[j];
+      score[j] = 0;
+      joined[j] = 0;
+      if (sj > 0) visit(i, j, sj);
+    }
   }
-  return score;
 }
 
 /// Canonical cache key of one candidate pair: kind plus the two binding
@@ -135,14 +150,16 @@ struct TrialEval {
   cost::HardwareCost cost;  ///< committed as is when the trial wins
 };
 
-/// One trial: a DesignDelta patches a checked-out workspace in place (merge
-/// patch, no rebuild), the rescheduler reuses the patched graph for its
-/// register distances and edits the workspace's base constraint graph --
-/// the committed design's chains, built at the workspace's first trial of
-/// the iteration -- for its order search, and the cost estimate runs over
-/// the tombstoned data path.  The numbers are bit-identical to a binding
-/// copy -> reschedule -> build_etpn -> estimate_cost pipeline, which the
-/// tests keep as the reference (tests/support/reference_synthesis.hpp).
+/// One trial on a checked-out workspace, in the order that lets a rejected
+/// trial stop early: the binding merge goes on in place, the rescheduler
+/// edits the workspace's base constraint graph -- the committed design's
+/// chains, built at the workspace's first trial of the iteration -- and
+/// reads register distances updated from the committed design's, and only
+/// a trial that is feasible within the latency bound merge-patches the
+/// data path for its cost estimate.  The numbers are bit-identical to a
+/// binding copy -> reschedule -> build_etpn -> estimate_cost pipeline,
+/// which the tests keep as the reference
+/// (tests/support/reference_synthesis.hpp).
 TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
                          analysis::IncrementalContext& ctx,
                          const sched::Schedule& hint,
@@ -155,13 +172,16 @@ TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
     ws->resched_epoch = ctx.epoch();
   }
   {
-    analysis::DesignDelta delta(g, *ws, cand);
-    ReschedOutcome r = reschedule_merger(g, ws->binding, hint, p.order,
-                                         &ws->etpn, cand, ws->resched);
+    const analysis::BindingMerge merge(g, *ws, cand);
+    ReschedOutcome r = reschedule_merger(
+        g, ws->binding, hint, p.order,
+        MergerDistances{ctx.etpn(), ctx.reach(), ws->d_in, ws->d_queue}, cand,
+        ws->resched);
     if (r.feasible && r.schedule.length() <= max_latency) {
       t.feasible = true;
       t.schedule = std::move(r.schedule);
       t.exec_time = t.schedule.length();
+      const analysis::DataPathMerge patch(*ws, cand);
       t.cost =
           cost::estimate_cost(ws->etpn.data_path, p.library, p.bits, ws->cost);
     }
@@ -197,57 +217,52 @@ std::size_t approx_trial_bytes(const dfg::Dfg& g) {
   return schedule_bytes + 2 * degree * 96 + 256;
 }
 
+/// The connectivity ranking as a stream: pairs sharing many
+/// sources/destinations score high (merging them minimizes interconnect),
+/// ignoring testability entirely; pairs sharing nothing are left out.
+testability::CandidateStream connectivity_candidates(
+    const dfg::Dfg& g, const etpn::Binding& b, const etpn::Etpn& e,
+    const testability::OpReachability& reach) {
+  testability::CandidateStream stream(g, b, reach);
+  const etpn::DataPath& dp = e.data_path;
+
+  // A closeness-driven allocator only considers pairs that actually share
+  // interconnect; merging unrelated nodes brings it no wiring benefit, so
+  // pairs scoring 0 are never enumerated.
+  const std::vector<etpn::ModuleId> modules = b.alive_modules();
+  std::vector<etpn::DpNodeId> nodes;
+  for (etpn::ModuleId m : modules) nodes.push_back(e.module_node[m]);
+  close_pairs(dp, nodes, [&](std::size_t i, std::size_t j, int score) {
+    if (!b.can_merge_modules(g, modules[i], modules[j])) return;
+    testability::MergeCandidate c;
+    c.kind = testability::MergeCandidate::Kind::Modules;
+    c.module_a = modules[i];
+    c.module_b = modules[j];
+    c.score = score;
+    stream.add(c);
+  });
+  const std::vector<etpn::RegId> regs = b.alive_regs();
+  nodes.clear();
+  for (etpn::RegId r : regs) nodes.push_back(e.reg_node[r]);
+  close_pairs(dp, nodes, [&](std::size_t i, std::size_t j, int score) {
+    if (!b.can_merge_regs(regs[i], regs[j])) return;
+    testability::MergeCandidate c;
+    c.kind = testability::MergeCandidate::Kind::Registers;
+    c.reg_a = regs[i];
+    c.reg_b = regs[j];
+    c.score = score;
+    stream.add(c);
+  });
+  return stream;
+}
+
 }  // namespace
 
 std::vector<testability::MergeCandidate> select_connectivity_candidates(
     const dfg::Dfg& g, const etpn::Binding& b, const etpn::Etpn& e, int k) {
-  std::vector<testability::MergeCandidate> candidates;
-  const etpn::DataPath& dp = e.data_path;
-
-  std::vector<etpn::ModuleId> modules = b.alive_modules();
-  std::vector<NeighbourLists> mod_nb(modules.size());
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    mod_nb[i] = neighbour_lists(dp, e.module_node[modules[i]]);
-  }
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    for (std::size_t j = i + 1; j < modules.size(); ++j) {
-      if (!b.can_merge_modules(g, modules[i], modules[j])) continue;
-      testability::MergeCandidate c;
-      c.kind = testability::MergeCandidate::Kind::Modules;
-      c.module_a = modules[i];
-      c.module_b = modules[j];
-      c.score = closeness(mod_nb[i], e.module_node[modules[i]], mod_nb[j],
-                          e.module_node[modules[j]]);
-      candidates.push_back(c);
-    }
-  }
-  std::vector<etpn::RegId> regs = b.alive_regs();
-  std::vector<NeighbourLists> reg_nb(regs.size());
-  for (std::size_t i = 0; i < regs.size(); ++i) {
-    reg_nb[i] = neighbour_lists(dp, e.reg_node[regs[i]]);
-  }
-  const testability::RegMergeOracle oracle(g, b);
-  for (std::size_t i = 0; i < regs.size(); ++i) {
-    for (std::size_t j = i + 1; j < regs.size(); ++j) {
-      if (!b.can_merge_regs(regs[i], regs[j])) continue;
-      if (oracle.impossible(regs[i], regs[j])) continue;
-      testability::MergeCandidate c;
-      c.kind = testability::MergeCandidate::Kind::Registers;
-      c.reg_a = regs[i];
-      c.reg_b = regs[j];
-      c.score = closeness(reg_nb[i], e.reg_node[regs[i]], reg_nb[j],
-                          e.reg_node[regs[j]]);
-      candidates.push_back(c);
-    }
-  }
-  // A closeness-driven allocator only considers pairs that actually share
-  // interconnect; merging unrelated nodes brings it no wiring benefit.
-  std::erase_if(candidates,
-                [](const testability::MergeCandidate& c) { return c.score <= 0; });
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const auto& a, const auto& c) { return a.score > c.score; });
-  if (static_cast<int>(candidates.size()) > k) candidates.resize(k);
-  return candidates;
+  const testability::OpReachability reach(g);
+  return connectivity_candidates(g, b, e, reach)
+      .take(static_cast<std::size_t>(std::max(k, 0)));
 }
 
 SynthesisResult integrated_synthesis(const dfg::Dfg& g,
@@ -316,6 +331,9 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
   // caller's thread-local trace; counters go through this captured pointer
   // (Trace is thread-safe) so worker-side work is still accounted.
   util::Trace* trace = util::Trace::current();
+  // Register-merge feasibility reads op reachability, which depends on the
+  // DFG alone: every ranking of the run borrows this one.
+  const testability::OpReachability reach(g);
 
   if (p.audit) {
     enforce_audit(audit_design(g, result.schedule, result.binding),
@@ -349,24 +367,35 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     // a small k concentrates the choice on the testability-best mergers
     // (the paper: "a small value of k means that more emphasis is placed on
     // improving the testability measure").
-    std::vector<testability::MergeCandidate> ranking;
-    {
+    // The ranking is a stream: `ranking` and `outcomes` hold the prefix
+    // pulled so far, which grows only in the serial scans below -- never
+    // while a wave of trials reads them.
+    testability::CandidateStream stream = [&] {
       HLTS_SPAN("synth.candidates");
-      // The candidate cap exceeds the pair count, so it never truncates
-      // the ranking.
-      const etpn::Etpn& ce = ctx.etpn();
-      const int all = static_cast<int>(ce.data_path.num_alive_nodes() *
-                                       ce.data_path.num_alive_nodes());
-      ranking = p.policy == SelectionPolicy::BalanceTestability
-                    ? testability::select_balance_candidates(
-                          g, result.binding, ce, ctx.analysis(), all,
-                          p.balance)
-                    : select_connectivity_candidates(g, result.binding, ce,
-                                                     all);
-    }
-    if (ranking.empty()) {
+      return p.policy == SelectionPolicy::BalanceTestability
+                 ? testability::balance_candidates(g, result.binding,
+                                                   ctx.etpn(), ctx.analysis(),
+                                                   reach, p.balance)
+                 : connectivity_candidates(g, result.binding, ctx.etpn(),
+                                           reach);
+    }();
+    std::vector<testability::MergeCandidate> ranking;
+    std::vector<Outcome> outcomes;
+    auto pull = [&] {
+      std::optional<testability::MergeCandidate> c = stream.next();
+      if (!c) return false;
+      ranking.push_back(*c);
+      outcomes.emplace_back();
+      return true;
+    };
+    if (!pull()) {
       converged = true;
       break;
+    }
+    // The memory budget and the trial cache read the whole ranking.
+    if (p.memory_budget_bytes != 0 || p.trial_cache) {
+      while (pull()) {
+      }
     }
 
     // Memory budget: the coming wave may hold one evaluated trial (merge
@@ -383,7 +412,6 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     const double base_exec = static_cast<double>(result.exec_time);
     const double base_hw = result.cost.total();
 
-    std::vector<Outcome> outcomes(ranking.size());
     if (p.trial_cache) {
       for (std::size_t i = 0; i < ranking.size(); ++i) {
         auto it = cache.find(make_key(ranking[i]));
@@ -429,9 +457,9 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     for (;;) {
       std::vector<std::size_t> chosen;
       std::vector<std::size_t> wave;
-      for (std::size_t i = 0;
-           i < ranking.size() && chosen.size() < static_cast<std::size_t>(p.k);
+      for (std::size_t i = 0; chosen.size() < static_cast<std::size_t>(p.k);
            ++i) {
+        if (i == ranking.size() && !pull()) break;
         const Outcome& o = outcomes[i];
         if (o.state == Outcome::State::Unknown) {
           wave.push_back(i);

@@ -97,7 +97,8 @@ struct SynthesisResult {
 
 /// Connectivity-based candidate ranking used by the CAMAD baseline: pairs
 /// sharing many sources/destinations score high (merging them minimizes
-/// interconnect), ignoring testability entirely.
+/// interconnect), ignoring testability entirely; pairs sharing nothing are
+/// left out.  Returns the first `k`.
 [[nodiscard]] std::vector<testability::MergeCandidate>
 select_connectivity_candidates(const dfg::Dfg& g, const etpn::Binding& b,
                                const etpn::Etpn& e, int k);

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <numeric>
 
 namespace hlts::cost {
@@ -49,24 +52,32 @@ std::uint32_t spiral_index(int x, int y) {
   return static_cast<std::uint32_t>(before + offset);
 }
 
-/// Grows the cached (|x| + |y|, spiral index) cell order to cover
-/// [-radius, radius]^2; a smaller square's order is the cached one with
-/// the cells outside it skipped.
-void cache_nearest(FloorplanScratch& s, int radius) {
-  if (s.radius >= radius) return;
-  s.nearest.clear();
-  for (int x = -radius; x <= radius; ++x) {
-    for (int y = -radius; y <= radius; ++y) s.nearest.push_back({x, y});
+/// The cells of [-radius, radius]^2 in (|x| + |y|, spiral index) order.
+/// Each radius's table is built once per process, under a lock, and never
+/// changes after; every floorplan scratch of every thread shares it.
+const std::vector<std::pair<int, int>>& nearest_cells(int radius) {
+  static std::mutex mutex;
+  static std::map<int, std::unique_ptr<const std::vector<std::pair<int, int>>>>
+      tables;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& table = tables[radius];
+  if (!table) {
+    std::vector<std::pair<int, int>> cells;
+    for (int x = -radius; x <= radius; ++x) {
+      for (int y = -radius; y <= radius; ++y) cells.push_back({x, y});
+    }
+    std::sort(cells.begin(), cells.end(),
+              [](const std::pair<int, int>& a, const std::pair<int, int>& b) {
+                const int pa = std::abs(a.first) + std::abs(a.second);
+                const int pb = std::abs(b.first) + std::abs(b.second);
+                return pa != pb ? pa < pb
+                                : spiral_index(a.first, a.second) <
+                                      spiral_index(b.first, b.second);
+              });
+    table = std::make_unique<const std::vector<std::pair<int, int>>>(
+        std::move(cells));
   }
-  std::sort(s.nearest.begin(), s.nearest.end(),
-            [](const std::pair<int, int>& a, const std::pair<int, int>& b) {
-              const int pa = std::abs(a.first) + std::abs(a.second);
-              const int pb = std::abs(b.first) + std::abs(b.second);
-              return pa != pb ? pa < pb
-                              : spiral_index(a.first, a.second) <
-                                    spiral_index(b.first, b.second);
-            });
-  s.radius = radius;
+  return *table;
 }
 
 /// Smallest set bit position >= `from` in a line of `words` words; -1 if
@@ -232,7 +243,11 @@ void floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib, int bits,
   // The spiral's square, [-radius, radius]^2, enough cells for all nodes.
   const int radius =
       static_cast<int>(std::ceil(std::sqrt(static_cast<double>(alive)))) + 2;
-  cache_nearest(s, radius);
+  if (s.radius != radius) {
+    s.nearest = &nearest_cells(radius);
+    s.radius = radius;
+  }
+  const std::vector<std::pair<int, int>>& cells = *s.nearest;
   const int side = 2 * radius + 1;
   const std::size_t words = (static_cast<std::size_t>(side) + 63) / 64;
   s.free.assign(static_cast<std::size_t>(side) * words, ~std::uint64_t{0});
@@ -242,7 +257,7 @@ void floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib, int bits,
   }
   auto line = [&](int x) { return &s.free[(x + radius) * words]; };
   s.placed.assign(n, 0);
-  std::size_t nearest = 0;  // cells before it in s.nearest are all taken
+  std::size_t nearest = 0;  // cells before it are all taken
 
   for (std::uint32_t idx : s.order) {
     s.anchor_x.clear();
@@ -261,11 +276,10 @@ void floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib, int bits,
       // Only the pull: the first free cell in (|x| + |y|, spiral) order.
       auto usable = [&](const std::pair<int, int>& c) {
         const auto [x, y] = c;
-        return std::abs(x) <= radius && std::abs(y) <= radius &&
-               ((line(x)[(y + radius) / 64] >> ((y + radius) % 64)) & 1) != 0;
+        return ((line(x)[(y + radius) / 64] >> ((y + radius) % 64)) & 1) != 0;
       };
-      while (!usable(s.nearest[nearest])) ++nearest;
-      best_pos = s.nearest[nearest];
+      while (!usable(cells[nearest])) ++nearest;
+      best_pos = cells[nearest];
     } else {
       best_pos = place_near(s.anchor_x.data(), s.anchor_y.data(),
                             s.anchor_x.size(),

@@ -26,7 +26,8 @@
 // integers plus the pull, far below 2^40, so steps of 0.01 survive
 // rounding and every comparison is made on the same double the full scan
 // computes.  A node with no placed neighbour pays the pull only: it takes
-// the first free cell in a cached (|x| + |y|, spiral index) order.
+// the first free cell in (|x| + |y|, spiral index) order, a table built
+// once per radius and process.
 //
 // Tombstoned (dead) nodes and arcs are skipped throughout, so a patched
 // graph floorplans exactly like a freshly built compact one: the same alive
@@ -68,10 +69,10 @@ struct FloorplanScratch {
   /// The node being placed's anchors (placed neighbours' coordinates).
   std::vector<int> anchor_x, anchor_y, median;
 
-  /// The cells of [-radius, radius]^2 in (|x| + |y|, spiral index) order,
-  /// for the largest radius seen so far.
+  /// The cells of [-radius, radius]^2 in (|x| + |y|, spiral index) order:
+  /// the process-wide table of the last radius used.
   int radius = -1;
-  std::vector<std::pair<int, int>> nearest;
+  const std::vector<std::pair<int, int>>* nearest = nullptr;
 };
 
 [[nodiscard]] Floorplan floorplan(const etpn::DataPath& dp,

@@ -255,73 +255,171 @@ DataPath::SeqDepthStats DataPath::sequential_depth() const {
   return stats;
 }
 
+namespace {
+
+using Hop = std::pair<std::uint32_t, std::uint32_t>;
+
+/// The register hop graph of `dp`: r1 -> r2 when r1 reaches r2 through at
+/// most one module (one clocked stage), as an arc list.  Sets the
+/// controllable seeds' d_in (loaded directly from an input port) and, when
+/// `d_out` is given, the observable seeds' d_out (feeding an output port
+/// directly or through one module) to 0.
+void register_hops(const DataPath& dp, std::vector<Hop>& hops,
+                   std::vector<int>& d_in, std::vector<int>* d_out) {
+  auto is = [&](DpNodeId n, DpNodeKind kind) {
+    return dp.node(n).kind == kind;
+  };
+  for (DpNodeId n : dp.node_ids()) {
+    if (!dp.alive(n) || !is(n, DpNodeKind::Register)) continue;
+    for (DpArcId a : dp.out_arcs(n)) {
+      const DpNodeId to = dp.arc(a).to;
+      if (is(to, DpNodeKind::Register)) hops.push_back({n.value(), to.value()});
+      if (!is(to, DpNodeKind::Module)) continue;
+      for (DpArcId b : dp.out_arcs(to)) {
+        if (is(dp.arc(b).to, DpNodeKind::Register)) {
+          hops.push_back({n.value(), dp.arc(b).to.value()});
+        }
+      }
+    }
+    for (DpArcId a : dp.in_arcs(n)) {
+      if (is(dp.arc(a).from, DpNodeKind::InPort)) d_in[n.index()] = 0;
+    }
+    if (d_out == nullptr) continue;
+    for (DpArcId a : dp.out_arcs(n)) {
+      const DpNodeId to = dp.arc(a).to;
+      if (is(to, DpNodeKind::OutPort)) (*d_out)[n.index()] = 0;
+      if (!is(to, DpNodeKind::Module)) continue;
+      for (DpArcId b : dp.out_arcs(to)) {
+        if (is(dp.arc(b).to, DpNodeKind::OutPort)) (*d_out)[n.index()] = 0;
+      }
+    }
+  }
+}
+
+/// `hops` as CSR over `nodes` nodes, along the hops (`forward`) or against
+/// them.
+void hop_csr(const std::vector<Hop>& hops, std::size_t nodes, bool forward,
+             std::vector<std::uint32_t>& begin,
+             std::vector<std::uint32_t>& adj) {
+  begin.assign(nodes + 1, 0);
+  adj.resize(hops.size());
+  for (const auto& [from, to] : hops) ++begin[(forward ? from : to) + 1];
+  for (std::size_t k = 1; k < begin.size(); ++k) begin[k] += begin[k - 1];
+  for (const auto& [from, to] : hops) {
+    adj[begin[forward ? from : to]++] = forward ? to : from;
+  }
+  for (std::size_t k = begin.size() - 1; k > 0; --k) begin[k] = begin[k - 1];
+  begin[0] = 0;
+}
+
+/// Breadth-first hop counts over a CSR from the nodes at distance 0.
+/// Shortest hop counts do not depend on the order arcs are followed.
+void hop_bfs(const std::vector<std::uint32_t>& begin,
+             const std::vector<std::uint32_t>& adj, std::vector<int>& d) {
+  std::vector<std::uint32_t> queue;
+  for (std::size_t n = 0; n < d.size(); ++n) {
+    if (d[n] == 0) queue.push_back(static_cast<std::uint32_t>(n));
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t u = queue[head];
+    for (std::uint32_t k = begin[u]; k < begin[u + 1]; ++k) {
+      if (d[adj[k]] < 0) {
+        d[adj[k]] = d[u] + 1;
+        queue.push_back(adj[k]);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 DataPath::RegisterDistances DataPath::register_distances() const {
   RegisterDistances dist;
   dist.d_in.assign(nodes_.size(), -1);
   dist.d_out.assign(nodes_.size(), -1);
-  auto is = [&](DpNodeId n, DpNodeKind kind) { return nodes_[n].kind == kind; };
+  std::vector<Hop> hops;
+  register_hops(*this, hops, dist.d_in, &dist.d_out);
+  std::vector<std::uint32_t> begin, adj;
+  hop_csr(hops, nodes_.size(), true, begin, adj);
+  hop_bfs(begin, adj, dist.d_in);
+  hop_csr(hops, nodes_.size(), false, begin, adj);
+  hop_bfs(begin, adj, dist.d_out);
+  return dist;
+}
 
-  // Register hop graph: r1 -> r2 when r1 reaches r2 through at most one
-  // module (one clocked stage), as an arc list.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> hops;
-  std::vector<std::uint32_t> queue_in, queue_out;  // the BFS seeds
-  for (DpNodeId n : node_ids()) {
-    if (!node_alive_[n] || !is(n, DpNodeKind::Register)) continue;
-    for (DpArcId a : out_arcs(n)) {
-      const DpNodeId to = arcs_[a].to;
-      if (is(to, DpNodeKind::Register)) hops.push_back({n.value(), to.value()});
-      if (!is(to, DpNodeKind::Module)) continue;
-      for (DpArcId b : out_arcs(to)) {
-        if (is(arcs_[b].to, DpNodeKind::Register)) {
-          hops.push_back({n.value(), arcs_[b].to.value()});
-        }
-      }
-    }
-    // Controllable seed: loaded directly from an input port.
-    for (DpArcId a : in_arcs(n)) {
-      if (is(arcs_[a].from, DpNodeKind::InPort)) dist.d_in[n.index()] = 0;
-    }
-    // Observable seed: feeds an output port directly or through one module.
-    for (DpArcId a : out_arcs(n)) {
-      const DpNodeId to = arcs_[a].to;
-      if (is(to, DpNodeKind::OutPort)) dist.d_out[n.index()] = 0;
-      if (!is(to, DpNodeKind::Module)) continue;
-      for (DpArcId b : out_arcs(to)) {
-        if (is(arcs_[b].to, DpNodeKind::OutPort)) dist.d_out[n.index()] = 0;
-      }
-    }
-    if (dist.d_in[n.index()] == 0) queue_in.push_back(n.value());
-    if (dist.d_out[n.index()] == 0) queue_out.push_back(n.value());
-  }
+RegisterReach::RegisterReach(const DataPath& dp) {
+  d_in_.assign(dp.num_nodes(), -1);
+  std::vector<Hop> hops;
+  register_hops(dp, hops, d_in_, nullptr);
+  hop_csr(hops, dp.num_nodes(), true, begin_, succ_);
+  hop_bfs(begin_, succ_, d_in_);
+}
 
-  // Breadth-first hop counts from the seeds, along the hops (d_in) or
-  // against them (d_out), over the hops as CSR.  Shortest hop counts do not
-  // depend on the order arcs are followed.
-  std::vector<std::uint32_t> begin(nodes_.size() + 1);
-  std::vector<std::uint32_t> adj(hops.size());
-  auto bfs = [&](std::vector<int>& d, std::vector<std::uint32_t>& queue,
-                 bool forward) {
-    std::fill(begin.begin(), begin.end(), 0);
-    for (const auto& [from, to] : hops) ++begin[(forward ? from : to) + 1];
-    for (std::size_t k = 1; k < begin.size(); ++k) begin[k] += begin[k - 1];
-    for (const auto& [from, to] : hops) {
-      adj[begin[forward ? from : to]++] = forward ? to : from;
-    }
-    for (std::size_t k = begin.size() - 1; k > 0; --k) begin[k] = begin[k - 1];
-    begin[0] = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const std::uint32_t u = queue[head];
-      for (std::uint32_t k = begin[u]; k < begin[u + 1]; ++k) {
-        if (d[adj[k]] < 0) {
-          d[adj[k]] = d[u] + 1;
-          queue.push_back(adj[k]);
-        }
-      }
+void RegisterReach::merged_d_in(const DataPath& dp, DpNodeId into,
+                                DpNodeId from, std::vector<int>& d,
+                                std::vector<std::uint32_t>& queue) const {
+  d = d_in_;
+  queue.clear();
+  // Lowers v to d[u] + 1 when that is shorter; v is then settled and
+  // queued.  A pruned breadth-first pass from the merger's new hops is
+  // exact: a shortest path takes at most one of them, and a node whose
+  // distance did not drop cannot lower its successors either.
+  auto relax = [&](std::uint32_t u, std::uint32_t v) {
+    if (d[v] < 0 || d[u] + 1 < d[v]) {
+      d[v] = d[u] + 1;
+      queue.push_back(v);
     }
   };
-  bfs(dist.d_in, queue_in, true);
-  bfs(dist.d_out, queue_out, false);
-  return dist;
+  const std::uint32_t a = into.value();
+  const std::uint32_t b = from.value();
+  if (dp.node(into).kind == DpNodeKind::Register) {
+    // The merged graph identifies b with a: a's distance is the nearer of
+    // the two, and a leads on to both nodes' successors.
+    const int da = d[a];
+    const int db = d[b];
+    d[b] = -1;
+    d[a] = da < 0 ? db : (db < 0 ? da : std::min(da, db));
+    if (d[a] < 0) return;
+    for (const std::uint32_t u : {a, b}) {
+      for (std::uint32_t k = begin_[u]; k < begin_[u + 1]; ++k) {
+        if (succ_[k] != a && succ_[k] != b) relax(a, succ_[k]);
+      }
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::uint32_t u = queue[head];
+      for (std::uint32_t k = begin_[u]; k < begin_[u + 1]; ++k) {
+        if (succ_[k] != a && succ_[k] != b) relax(u, succ_[k]);
+      }
+    }
+    return;
+  }
+  // Two modules: every register either one reads now reaches every
+  // register either one writes, one hop on from the nearest reader.
+  int nearest = -1;
+  for (const DpNodeId m : {into, from}) {
+    for (DpArcId arc : dp.in_arcs(m)) {
+      const DpNodeId r = dp.arc(arc).from;
+      if (dp.node(r).kind != DpNodeKind::Register || d[r.index()] < 0) continue;
+      if (nearest < 0 || d[r.index()] < nearest) nearest = d[r.index()];
+    }
+  }
+  if (nearest < 0) return;
+  for (const DpNodeId m : {into, from}) {
+    for (DpArcId arc : dp.out_arcs(m)) {
+      const DpNodeId w = dp.arc(arc).to;
+      if (dp.node(w).kind != DpNodeKind::Register) continue;
+      if (d[w.index()] < 0 || nearest + 1 < d[w.index()]) {
+        d[w.index()] = nearest + 1;
+        queue.push_back(w.value());
+      }
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t u = queue[head];
+    for (std::uint32_t k = begin_[u]; k < begin_[u + 1]; ++k) {
+      relax(u, succ_[k]);
+    }
+  }
 }
 
 std::string DataPath::to_dot() const {

@@ -231,4 +231,31 @@ class DataPath {
   std::size_t alive_arcs_ = 0;
 };
 
+/// register_distances().d_in of one graph, kept with the register hop
+/// graph it came from, so that d_in after one merger is an exact update
+/// instead of a breadth-first pass over the merged graph.  A merger only
+/// adds hops -- fusing two modules lets every register either one reads
+/// reach every register either one writes; fusing two registers identifies
+/// them, which renames hops and removes none -- so distances only decrease.
+class RegisterReach {
+ public:
+  RegisterReach() = default;
+  explicit RegisterReach(const DataPath& dp);
+
+  [[nodiscard]] const std::vector<int>& d_in() const { return d_in_; }
+
+  /// Writes to `d` the d_in that register_distances() yields once
+  /// apply_merge_patch has fused `from` into `into` (two modules or two
+  /// registers) in `dp`, the graph this was built from: `from` reads -1,
+  /// every other node its distance in the merged graph.  `queue` is
+  /// scratch.
+  void merged_d_in(const DataPath& dp, DpNodeId into, DpNodeId from,
+                   std::vector<int>& d,
+                   std::vector<std::uint32_t>& queue) const;
+
+ private:
+  std::vector<std::uint32_t> begin_, succ_;  ///< forward hops as CSR
+  std::vector<int> d_in_;
+};
+
 }  // namespace hlts::etpn

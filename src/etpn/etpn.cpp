@@ -1,6 +1,7 @@
 #include "etpn/etpn.hpp"
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace hlts::etpn {
 
@@ -16,12 +17,12 @@ void build_control(Etpn& e, const dfg::Dfg& g, int length,
   e.step_place[0] = e.control.add_place("S0", /*delay=*/0, /*marked=*/true);
   for (int step = 1; step <= length; ++step) {
     e.step_place[step] =
-        e.control.add_place("S" + std::to_string(step), /*delay=*/1);
+        e.control.add_place(cat("S", std::to_string(step)), /*delay=*/1);
   }
   for (int step = 0; step < length; ++step) {
-    e.control.add_transition("t" + std::to_string(step) + "_" +
-                                 std::to_string(step + 1),
-                             {e.step_place[step]}, {e.step_place[step + 1]});
+    e.control.add_transition(
+        cat("t", std::to_string(step), "_", std::to_string(step + 1)),
+        {e.step_place[step]}, {e.step_place[step + 1]});
   }
 
   // Condition output: a port-direct comparison result.

@@ -33,19 +33,6 @@ void union_steps(util::Span<int> a, util::Span<int> b,
 
 }  // namespace
 
-std::size_t MergePatch::approx_bytes() const {
-  std::size_t bytes = sizeof(MergePatch);
-  bytes += saved_arcs.size() * sizeof(ArcState);
-  bytes += saved_nodes.size() * sizeof(NodeState);
-  // The saved spans pin their pool windows (and the rewritten tail mirrors
-  // them), so count the spanned payload too.
-  for (const ArcState& st : saved_arcs) bytes += st.steps.len * sizeof(int);
-  for (const NodeState& st : saved_nodes) {
-    bytes += (st.in.len + st.out.len) * sizeof(DpArcId);
-  }
-  return bytes;
-}
-
 MergePatch apply_merge_patch(DataPath& dp, util::Arena& arena, DpNodeId into,
                              DpNodeId from) {
   HLTS_REQUIRE(into != from, "merge patch: self-merge");

@@ -73,10 +73,6 @@ struct MergePatch {
   /// Number of arcs killed by duplicate-collapse (the mux savings of the
   /// merger); alive arc count drops by exactly this much.
   int arcs_deduped = 0;
-
-  /// Rough transient footprint of this patch (saved descriptors + the pool
-  /// tail it grew), used by the memory-budget accounting in core/synthesis.
-  [[nodiscard]] std::size_t approx_bytes() const;
 };
 
 /// Fuses data-path node `from` into `into` in place (both must be alive and

@@ -7,6 +7,7 @@
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/trace.hpp"
+#include "util/strings.hpp"
 
 namespace hlts::frontend {
 
@@ -115,7 +116,7 @@ class Parser {
     } else {
       // Bare alias ("out = in;") or reuse of an already-named value:
       // materialize as an explicit move so the version has a defining op.
-      result = graph_->add_variable("$m" + std::to_string(++move_counter_));
+      result = graph_->add_variable(cat("$m", std::to_string(++move_counter_)));
       graph_->add_op(fresh_op_name(), dfg::OpKind::Move, {value}, result);
     }
     base_of_[graph_->var(result).name] = target.text;
@@ -182,8 +183,8 @@ class Parser {
     // -- a crash, not a ParseError.  512 is far beyond any real design
     // (the paper's benchmarks nest < 10 deep).
     if (depth_ >= kMaxNesting) {
-      fail("expression nested deeper than " + std::to_string(kMaxNesting) +
-           " levels");
+      fail(cat("expression nested deeper than ", std::to_string(kMaxNesting),
+               " levels"));
     }
     const DepthGuard guard(depth_);
     if (accept(TokenKind::Tilde)) {
@@ -210,12 +211,14 @@ class Parser {
   }
 
   dfg::VarId emit(dfg::OpKind kind, const std::vector<dfg::VarId>& inputs) {
-    const std::string tmp = "$t" + std::to_string(++temp_counter_);
+    const std::string tmp = cat("$t", std::to_string(++temp_counter_));
     dfg::OpId op = graph_->add_op_new_var(fresh_op_name(), kind, inputs, tmp);
     return graph_->op(op).output;
   }
 
-  std::string fresh_op_name() { return "N" + std::to_string(++op_counter_); }
+  std::string fresh_op_name() {
+    return cat("N", std::to_string(++op_counter_));
+  }
 
   /// Rebuilds the graph with final names (the Dfg API has no rename) and
   /// applies the output declarations.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace hlts::gates {
 
@@ -438,7 +439,7 @@ std::string TimeFrameCnf::describe(const VarNote& note) const {
     s = "fault:" + gate_name(site) + (stuck_at_one ? ":sa1:" : ":sa0:");
     if (note.role == Role::Act) return s + "act";
   }
-  s += "f" + std::to_string(note.frame) + ":";
+  s += cat("f", std::to_string(note.frame), ":");
   switch (note.role) {
     case Role::Input:
       return s + "pi:" + gate_name(note.gate) + ":value";

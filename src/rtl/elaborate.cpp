@@ -6,6 +6,7 @@
 #include "gates/simplify.hpp"
 #include "gates/wordlib.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace hlts::rtl {
 
@@ -149,7 +150,7 @@ Elaboration elaborate(const RtlDesign& design, const ElaborateOptions& options) 
   GateId not_reset = nl.add_gate(GateKind::Not, {e.reset}, "not_reset");
   std::vector<GateId> state_dffs;
   for (int i = 0; i <= steps; ++i) {
-    state_dffs.push_back(nl.add_dff("state" + std::to_string(i)));
+    state_dffs.push_back(nl.add_dff(cat("state", std::to_string(i))));
     e.state.push_back(state_dffs.back());
   }
   for (int i = 0; i <= steps; ++i) {
@@ -171,8 +172,8 @@ Elaboration elaborate(const RtlDesign& design, const ElaborateOptions& options) 
   for (RtlRegId r : id_range<RtlRegId>(design.regs().size())) {
     Word w(bits);
     for (int i = 0; i < bits; ++i) {
-      w[i] = nl.add_dff("r" + std::to_string(r.value()) + "[" +
-                        std::to_string(i) + "]");
+      w[i] = nl.add_dff(
+          cat("r", std::to_string(r.value()), "[", std::to_string(i), "]"));
     }
     e.reg_words[r] = w;
   }
@@ -252,7 +253,7 @@ Elaboration elaborate(const RtlDesign& design, const ElaborateOptions& options) 
     const RtlTestPoint& tp = options.test_points[i];
     if (tp.control) continue;
     gates::add_output_word(nl, e.reg_words[tp.reg],
-                           "tp_obs" + std::to_string(i));
+                           cat("tp_obs", std::to_string(i)));
   }
 
   // --- primary outputs ---------------------------------------------------------
@@ -289,7 +290,7 @@ Elaboration elaborate(const RtlDesign& design, const ElaborateOptions& options) 
     }
     Word misr(bits);
     for (int i = 0; i < bits; ++i) {
-      misr[i] = nl.add_dff("misr[" + std::to_string(i) + "]");
+      misr[i] = nl.add_dff(cat("misr[", std::to_string(i), "]"));
     }
     std::vector<GateId> tap_bits;
     for (int t : lfsr_taps(bits)) tap_bits.push_back(misr[t]);

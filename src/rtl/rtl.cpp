@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace hlts::rtl {
 
@@ -132,7 +133,7 @@ std::string operand_verilog(const RtlDesign& d, const Operand& o) {
   if (o.kind == Operand::Kind::Port) {
     return "in_" + d.inports()[o.port_index].name;
   }
-  return "r" + std::to_string(o.reg.value());
+  return cat("r", std::to_string(o.reg.value()));
 }
 
 const char* verilog_op(dfg::OpKind kind) {

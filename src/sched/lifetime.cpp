@@ -4,24 +4,27 @@
 
 namespace hlts::sched {
 
+Lifetime lifetime_of(const dfg::Dfg& g, const Schedule& s, int length,
+                     dfg::VarId v) {
+  if (!g.needs_register(v)) return {};
+  const dfg::Variable& var = g.var(v);
+  Lifetime lt;
+  lt.birth = var.is_primary_input ? 0 : s.step(var.def);
+  lt.death = lt.birth;
+  for (dfg::OpId use : var.uses) {
+    lt.death = std::max(lt.death, s.step(use));
+  }
+  if (var.is_primary_output && var.po_registered) {
+    lt.death = std::max(lt.death, length + 1);
+  }
+  return lt;
+}
+
 LifetimeTable LifetimeTable::compute(const dfg::Dfg& g, const Schedule& s) {
   LifetimeTable t;
   t.table_.assign(g.num_vars(), Lifetime{});
   const int length = s.length();
-  for (dfg::VarId v : g.var_ids()) {
-    if (!g.needs_register(v)) continue;
-    const dfg::Variable& var = g.var(v);
-    Lifetime lt;
-    lt.birth = var.is_primary_input ? 0 : s.step(var.def);
-    lt.death = lt.birth;
-    for (dfg::OpId use : var.uses) {
-      lt.death = std::max(lt.death, s.step(use));
-    }
-    if (var.is_primary_output && var.po_registered) {
-      lt.death = std::max(lt.death, length + 1);
-    }
-    t.table_[v] = lt;
-  }
+  for (dfg::VarId v : g.var_ids()) t.table_[v] = lifetime_of(g, s, length, v);
   return t;
 }
 

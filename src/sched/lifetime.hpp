@@ -22,6 +22,11 @@ struct Lifetime {
   [[nodiscard]] bool empty() const { return death <= birth; }
 };
 
+/// Lifetime of `v` under `s`, whose length() is `length`; empty when
+/// !g.needs_register(v).
+[[nodiscard]] Lifetime lifetime_of(const dfg::Dfg& g, const Schedule& s,
+                                   int length, dfg::VarId v);
+
 /// Lifetimes of every register-resident variable under a schedule.
 class LifetimeTable {
  public:

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace hlts::serve::proto {
 
@@ -92,7 +93,7 @@ std::string error_line(const std::string& message) {
 }
 
 std::string embed_tag(std::uint64_t tag, const std::string& name) {
-  return "t" + std::to_string(tag) + "|" + name;
+  return cat("t", std::to_string(tag), "|", name);
 }
 
 std::optional<TaggedName> split_tag(const std::string& name) {

@@ -6,12 +6,12 @@
 // old nodes and the good observability from the other."
 //
 // This file ranks all feasible merger pairs (module-module and
-// register-register) by a balance score and returns the best k candidates
-// for Algorithm 1's cost evaluation.
+// register-register) by a balance score and streams them, best first, to
+// Algorithm 1's cost evaluation.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,21 +65,22 @@ struct BalanceOptions {
   double lambda = 0.3;
 };
 
-/// Ranks every feasible merger pair and returns the top `k` by score.
-///
-/// Feasibility filters applied here (cheap, structural):
-///  - module pairs must host compatible operation kinds;
-///  - register pairs are rejected when some operation reads both registers'
-///    variables (the paper's case (2): lifetimes can never be disjoint);
-///  - register pairs are rejected when one register holds a variable
-///    defined by an op whose output feeds the other and vice versa (the
-///    paper's case (1): ordering arcs in both directions).
-/// Schedulability (no constraint cycle) is checked later by the trial
-/// rescheduling in Algorithm 1.
-[[nodiscard]] std::vector<MergeCandidate> select_balance_candidates(
-    const dfg::Dfg& g, const etpn::Binding& b, const etpn::Etpn& e,
-    const TestabilityAnalysis& analysis, int k,
-    const BalanceOptions& options = {});
+/// Op-level reachability over data dependences: reaches(a, b) when a path
+/// of >= 1 arc leads from op a to op b.  It depends on the DFG alone, so
+/// Algorithm 1 builds it once per run and every ranking borrows it.
+class OpReachability {
+ public:
+  explicit OpReachability(const dfg::Dfg& g);
+
+  [[nodiscard]] bool reaches(dfg::OpId a, dfg::OpId b) const {
+    return (bits_[a.index() * words_ + b.index() / 64] >> (b.index() % 64)) &
+           1u;
+  }
+
+ private:
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;  ///< one row of words_ words per op
+};
 
 /// Answers "is merging registers ra/rb structurally impossible" for many
 /// pairs against one (graph, binding) snapshot.
@@ -88,27 +89,27 @@ struct BalanceOptions {
 /// (O(ops^2/64 * arcs)) and scans every operation for each query; across the
 /// O(regs^2) pairs of one candidate-selection pass that dominated synthesis
 /// on large graphs.  The oracle hoists both invariants out: reachability is
-/// computed once, and the paper's case (2) -- some op reads variables of
-/// both registers -- is precomputed into a forbidden-pair set in one O(ops)
-/// sweep.  Queries then cost only the case-(1) lifetime test.  Answers are
-/// identical to register_merge_impossible.
+/// borrowed, and the paper's case (2) -- some op reads variables of both
+/// registers -- is precomputed into a forbidden-pair set in one O(ops)
+/// sweep.  Queries then cost only the case-(1) lifetime test.
 ///
-/// The oracle borrows `g` and `b`; it must not outlive them, and `b`'s
-/// register assignment must not change between construction and the last
-/// query.
+/// The oracle borrows `g`, `b` and `reach` (which must be g's); it must not
+/// outlive them, and `b`'s register assignment must not change between
+/// construction and the last query.
 class RegMergeOracle {
  public:
-  RegMergeOracle(const dfg::Dfg& g, const etpn::Binding& b);
-  ~RegMergeOracle();
-  RegMergeOracle(const RegMergeOracle&) = delete;
-  RegMergeOracle& operator=(const RegMergeOracle&) = delete;
+  RegMergeOracle(const dfg::Dfg& g, const etpn::Binding& b,
+                 const OpReachability& reach);
 
   /// Same answer as register_merge_impossible(g, b, ra, rb).
   [[nodiscard]] bool impossible(etpn::RegId ra, etpn::RegId rb) const;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  const dfg::Dfg* g_;
+  const etpn::Binding* b_;
+  const OpReachability* reach_;
+  /// Case (2) pairs, keyed (min_reg << 32) | max_reg; sorted, unique.
+  std::vector<std::uint64_t> op_conflicts_;
 };
 
 /// True when merging the two registers is structurally impossible: an
@@ -119,5 +120,63 @@ class RegMergeOracle {
 [[nodiscard]] bool register_merge_impossible(const dfg::Dfg& g,
                                              const etpn::Binding& b,
                                              etpn::RegId ra, etpn::RegId rb);
+
+/// A ranking pulled one candidate at a time.
+///
+/// The order is score descending, ties in enumeration order (the order of
+/// add()) -- exactly what a stable sort of the enumeration by score gives.
+/// Candidates arrive scored; the stream orders them with a binary heap, so
+/// pulling the first few of n costs O(n) rather than a full sort.  Register
+/// pairs pass RegMergeOracle's lifetime test, the costly filter, only when
+/// they are pulled; an impossible pair is skipped there, which leaves the
+/// relative order of the rest unchanged.
+///
+/// The stream borrows the graph, binding and reachability its oracle does.
+class CandidateStream {
+ public:
+  CandidateStream(const dfg::Dfg& g, const etpn::Binding& b,
+                  const OpReachability& reach);
+
+  /// Enumerates one scored candidate.  All adds precede the first next().
+  void add(const MergeCandidate& c);
+  /// The next candidate in rank order, or nullopt once none is left.
+  [[nodiscard]] std::optional<MergeCandidate> next();
+  /// Pulls up to `k` candidates, in rank order.
+  [[nodiscard]] std::vector<MergeCandidate> take(std::size_t k);
+
+ private:
+  struct Entry {
+    double score;
+    std::uint32_t index;  ///< enumeration index into pool_
+  };
+  RegMergeOracle oracle_;
+  std::vector<MergeCandidate> pool_;
+  std::vector<Entry> heap_;
+  bool ordered_ = false;
+};
+
+/// The balance ranking of every feasible merger pair, as a stream.
+///
+/// Feasibility filters applied here (cheap, structural):
+///  - module pairs must host compatible operation kinds;
+///  - register pairs are rejected when some operation reads both registers'
+///    variables (the paper's case (2): lifetimes can never be disjoint);
+///  - register pairs are rejected when one register holds a variable
+///    defined by an op whose output feeds the other and vice versa (the
+///    paper's case (1): ordering arcs in both directions).
+/// Schedulability (no constraint cycle) is checked later by the trial
+/// rescheduling in Algorithm 1.  Each pair is scored from per-node
+/// measures computed once per call.
+[[nodiscard]] CandidateStream balance_candidates(
+    const dfg::Dfg& g, const etpn::Binding& b, const etpn::Etpn& e,
+    const TestabilityAnalysis& analysis, const OpReachability& reach,
+    const BalanceOptions& options = {});
+
+/// The first `k` candidates of balance_candidates(), over a reachability
+/// built for this call.
+[[nodiscard]] std::vector<MergeCandidate> select_balance_candidates(
+    const dfg::Dfg& g, const etpn::Binding& b, const etpn::Etpn& e,
+    const TestabilityAnalysis& analysis, int k,
+    const BalanceOptions& options = {});
 
 }  // namespace hlts::testability

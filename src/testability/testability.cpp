@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/trace.hpp"
@@ -203,18 +205,28 @@ Measure TestabilityAnalysis::observability_of(etpn::DpNodeId n,
   return {};
 }
 
+// Both propagations sweep the nodes round-robin until a round changes
+// nothing, but skip a node none of whose inputs changed since its last
+// visit.  Each line's measure is written by one node only (CC by its
+// source, CO by its destination), so such a node would recompute the
+// value it already holds and change nothing: the rounds, the values and
+// the stopping round are those of the plain sweep.  Every node starts
+// dirty, so each is visited at least once.
+
 void TestabilityAnalysis::propagate_controllability() {
   using etpn::DpArcId;
   using etpn::DpNodeId;
   using etpn::DpNodeKind;
 
   std::int64_t visits = 0;
+  std::vector<std::uint8_t> dirty(dp_.num_nodes(), 1);  // an in-arc changed
   for (int round = 0; round < kMaxRounds; ++round) {
     bool changed = false;
     for (DpNodeId n : dp_.node_ids()) {
-      if (!dp_.alive(n)) continue;
+      if (!dirty[n.index()] || !dp_.alive(n)) continue;
       const etpn::DpNode& node = dp_.node(n);
       if (node.kind == DpNodeKind::OutPort) continue;  // no output lines
+      dirty[n.index()] = 0;
       ++visits;
       const Measure out = controllability_of(n);
       for (DpArcId a : dp_.out_arcs(n)) {
@@ -222,6 +234,7 @@ void TestabilityAnalysis::propagate_controllability() {
         // below and loops cannot oscillate.
         if (should_replace(out, cc_[a])) {
           cc_[a] = out;
+          dirty[dp_.arc(a).to.index()] = 1;
           changed = true;
         }
       }
@@ -237,18 +250,22 @@ void TestabilityAnalysis::propagate_observability() {
   using etpn::DpNodeKind;
 
   std::int64_t visits = 0;
+  std::vector<std::uint8_t> dirty(dp_.num_nodes(), 1);  // an out-arc changed
   for (int round = 0; round < kMaxRounds; ++round) {
     bool changed = false;
     for (DpNodeId n : dp_.node_ids()) {
-      if (!dp_.alive(n)) continue;
+      if (!dirty[n.index()] || !dp_.alive(n)) continue;
       const etpn::DpNode& node = dp_.node(n);
       if (node.kind == DpNodeKind::InPort) continue;  // no input lines
+      dirty[n.index()] = 0;
       ++visits;
-      // Compute the observability each *input line* of `n` inherits.
+      // Compute the observability each *input line* of `n` inherits (the
+      // sibling ports' CC it also reads is final by now).
       for (DpArcId in : dp_.in_arcs(n)) {
         const Measure val = observability_of(n, in);
         if (should_replace(val, co_[in])) {
           co_[in] = val;
+          dirty[dp_.arc(in).from.index()] = 1;
           changed = true;
         }
       }

@@ -229,7 +229,7 @@ std::string sanitize_filename(const std::string& name) {
                       (c >= '0' && c <= '9') || c == '-' || c == '.' || c == '_';
     out.push_back(safe ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -2,9 +2,22 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hlts {
+
+/// Concatenates `parts` by appending them to one string:
+/// cat("N", std::to_string(3)) == "N3".  Prefer it to `"literal" +
+/// std::string`, which inserts the literal at the front of the right-hand
+/// string and trips GCC 12's -Wrestrict false positive in optimized builds.
+template <typename... Parts>
+[[nodiscard]] std::string cat(const Parts&... parts) {
+  std::string out;
+  out.reserve((std::string_view(parts).size() + ...));
+  (out.append(std::string_view(parts)), ...);
+  return out;
+}
 
 /// Joins `parts` with `sep`: join({"a","b"}, ", ") == "a, b".
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,

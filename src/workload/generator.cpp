@@ -8,6 +8,7 @@
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace hlts::workload {
 
@@ -56,7 +57,7 @@ dfg::Dfg generate(std::uint64_t seed, const DfgShape& shape) {
                      "workload shape: memory_ports must be >= 1");
 
   Rng rng(seed);
-  Dfg g("gen-" + std::to_string(seed) + "-" + std::to_string(shape.ops));
+  Dfg g(cat("gen-", std::to_string(seed), "-", std::to_string(shape.ops)));
 
   // Loop-state updates are carved out of the op budget; the rest is the
   // layered body.
@@ -69,12 +70,12 @@ dfg::Dfg generate(std::uint64_t seed, const DfgShape& shape) {
   std::vector<VarId> data_inputs;
   data_inputs.reserve(static_cast<std::size_t>(shape.inputs));
   for (int i = 0; i < shape.inputs; ++i) {
-    data_inputs.push_back(g.add_input("in" + std::to_string(i)));
+    data_inputs.push_back(g.add_input(cat("in", std::to_string(i))));
   }
   std::vector<VarId> state_inputs;
   state_inputs.reserve(static_cast<std::size_t>(num_states));
   for (int k = 0; k < num_states; ++k) {
-    state_inputs.push_back(g.add_input("s" + std::to_string(k)));
+    state_inputs.push_back(g.add_input(cat("s", std::to_string(k))));
   }
   // port_token[m][p]: the variable the *next* access to memory m, port p
   // must consume -- initially the memory's port input, afterwards the
@@ -84,7 +85,7 @@ dfg::Dfg generate(std::uint64_t seed, const DfgShape& shape) {
   for (int m = 0; m < shape.memories; ++m) {
     for (int p = 0; p < shape.memory_ports; ++p) {
       port_token[static_cast<std::size_t>(m)].push_back(g.add_input(
-          "m" + std::to_string(m) + "p" + std::to_string(p)));
+          cat("m", std::to_string(m), "p", std::to_string(p))));
     }
   }
 
@@ -200,8 +201,8 @@ dfg::Dfg generate(std::uint64_t seed, const DfgShape& shape) {
       ins.push_back(pick_operand(shape.depth));
     }
     ins.push_back(pick_operand(shape.depth));
-    const std::string name = "s" + std::to_string(k) + "_n";
-    g.add_op_new_var("u" + std::to_string(k), kind, ins, name);
+    const std::string name = cat("s", std::to_string(k), "_n");
+    g.add_op_new_var(cat("u", std::to_string(k)), kind, ins, name);
     g.mark_output(*g.find_var(name), /*registered=*/true);
   }
 

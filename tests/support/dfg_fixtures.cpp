@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace hlts::test_support {
 
@@ -12,7 +13,7 @@ dfg::Dfg random_dfg(std::uint64_t seed, int num_inputs, int num_ops) {
   dfg::Dfg g("rand" + std::to_string(seed));
   std::vector<dfg::VarId> pool;
   for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(g.add_input("i" + std::to_string(i)));
+    pool.push_back(g.add_input(hlts::cat("i", std::to_string(i))));
   }
   const dfg::OpKind kinds[] = {
       dfg::OpKind::Add, dfg::OpKind::Add, dfg::OpKind::Sub, dfg::OpKind::Sub,
@@ -25,8 +26,8 @@ dfg::Dfg random_dfg(std::uint64_t seed, int num_inputs, int num_ops) {
     for (int j = 0; j < dfg::op_arity(kind); ++j) {
       ins.push_back(pool[rng.next_below(pool.size())]);
     }
-    dfg::OpId op = g.add_op_new_var("N" + std::to_string(i), kind, ins,
-                                    "v" + std::to_string(i));
+    dfg::OpId op = g.add_op_new_var(hlts::cat("N", std::to_string(i)), kind,
+                                    ins, hlts::cat("v", std::to_string(i)));
     pool.push_back(g.op(op).output);
     produced.push_back(g.op(op).output);
   }

@@ -1,4 +1,5 @@
 #include "support/netlist_fixtures.hpp"
+#include "util/strings.hpp"
 
 #include <iterator>
 #include <string>
@@ -15,12 +16,13 @@ Netlist random_netlist(Rng& rng, int num_inputs, int num_gates,
   Netlist nl("random");
   std::vector<GateId> pool;
   for (int i = 0; i < num_inputs; ++i) {
-    pool.push_back(nl.add_input(with_reset && i == 0 ? std::string("reset")
-                                                     : "i" + std::to_string(i)));
+    pool.push_back(nl.add_input(with_reset && i == 0
+                                    ? std::string("reset")
+                                    : hlts::cat("i", std::to_string(i))));
   }
   std::vector<GateId> dffs;
   for (int i = 0; i < num_dffs; ++i) {
-    dffs.push_back(nl.add_dff("r" + std::to_string(i)));
+    dffs.push_back(nl.add_dff(hlts::cat("r", std::to_string(i))));
     pool.push_back(dffs.back());
   }
   const GateKind kinds[] = {GateKind::And,  GateKind::Or,  GateKind::Nand,
@@ -39,7 +41,7 @@ Netlist random_netlist(Rng& rng, int num_inputs, int num_gates,
   for (GateId d : dffs) nl.connect_dff(d, pick());
   // Observe the tail of the pool so fault cones reach primary outputs.
   for (int i = 0; i < 3 && i < static_cast<int>(pool.size()); ++i) {
-    nl.add_output(pool[pool.size() - 1 - i], "o" + std::to_string(i));
+    nl.add_output(pool[pool.size() - 1 - i], hlts::cat("o", std::to_string(i)));
   }
   return nl;
 }

@@ -545,4 +545,388 @@ cost::HardwareCost reference_estimate_cost(const etpn::DataPath& dp,
   return cost;
 }
 
+// ---------------------------------------------------------------------------
+// Testability fixpoint and candidate rankings.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using testability::Measure;
+
+constexpr double kFrozenEps = 1e-9;
+constexpr int kFrozenMaxRounds = 256;
+
+bool frozen_better(const Measure& a, const Measure& b) {
+  if (a.comb > b.comb + kFrozenEps) return true;
+  if (a.comb < b.comb - kFrozenEps) return false;
+  return a.seq < b.seq - kFrozenEps;
+}
+
+/// Should `v` replace the stored `s`: better, or within an eps-plateau the
+/// lexicographic maximum (bitwise larger comb, then smaller seq).
+bool frozen_should_replace(const Measure& v, const Measure& s) {
+  if (frozen_better(v, s)) return true;
+  if (frozen_better(s, v)) return false;
+  return v.comb > s.comb || (v.comb == s.comb && v.seq < s.seq);
+}
+
+template <typename Arcs>
+Measure frozen_best_over(const Arcs& arcs, const std::vector<Measure>& table) {
+  bool any = false;
+  Measure best;
+  for (etpn::DpArcId a : arcs) {
+    if (!any || frozen_better(table[a.index()], best)) {
+      best = table[a.index()];
+      any = true;
+    }
+  }
+  return any ? best : Measure{};
+}
+
+/// Best CC among `n`'s in-arcs on input port `port`; `def` when none.
+Measure frozen_port_best(const etpn::DataPath& dp, etpn::DpNodeId n, int port,
+                         const std::vector<Measure>& cc, bool* any_out) {
+  bool any = false;
+  Measure best;
+  for (etpn::DpArcId a : dp.in_arcs(n)) {
+    if (dp.arc(a).to_port != port) continue;
+    if (!any || frozen_better(cc[a.index()], best)) {
+      best = cc[a.index()];
+      any = true;
+    }
+  }
+  if (any_out != nullptr) *any_out = any;
+  return any ? best : Measure{};
+}
+
+}  // namespace
+
+ReferenceTestability::ReferenceTestability(const etpn::DataPath& dp)
+    : dp_(dp), cc_(dp.num_arcs()), co_(dp.num_arcs()) {
+  using etpn::DpNodeKind;
+  for (int round = 0; round < kFrozenMaxRounds; ++round) {
+    bool changed = false;
+    for (etpn::DpNodeId n : dp.node_ids()) {
+      if (!dp.alive(n)) continue;
+      const etpn::DpNode& node = dp.node(n);
+      Measure out;
+      switch (node.kind) {
+        case DpNodeKind::OutPort:
+          continue;
+        case DpNodeKind::InPort:
+          out = {1.0, 0.0};
+          break;
+        case DpNodeKind::Register: {
+          const Measure best = frozen_best_over(dp.in_arcs(n), cc_);
+          out = {best.comb, best.seq + 1.0};
+          break;
+        }
+        case DpNodeKind::Module: {
+          double comb = testability::controllability_transfer(node.op_class);
+          double seq = 0;
+          for (int port = 0; port < dp.num_ports(n); ++port) {
+            const Measure best = frozen_port_best(dp, n, port, cc_, nullptr);
+            comb *= best.comb;
+            seq = std::max(seq, best.seq);
+          }
+          out = {comb, seq};
+          break;
+        }
+      }
+      for (etpn::DpArcId a : dp.out_arcs(n)) {
+        if (frozen_should_replace(out, cc_[a.index()])) {
+          cc_[a.index()] = out;
+          changed = true;
+        }
+      }
+    }
+    if (!changed) break;
+  }
+  for (int round = 0; round < kFrozenMaxRounds; ++round) {
+    bool changed = false;
+    for (etpn::DpNodeId n : dp.node_ids()) {
+      if (!dp.alive(n)) continue;
+      const etpn::DpNode& node = dp.node(n);
+      if (node.kind == DpNodeKind::InPort) continue;
+      for (etpn::DpArcId in : dp.in_arcs(n)) {
+        Measure val;
+        if (node.kind == DpNodeKind::OutPort) {
+          val = {1.0, 0.0};
+        } else if (node.kind == DpNodeKind::Register) {
+          const Measure best = frozen_best_over(dp.out_arcs(n), co_);
+          val = {best.comb, best.seq + 1.0};
+        } else {
+          const Measure out_best = frozen_best_over(dp.out_arcs(n), co_);
+          double side = 1.0;
+          if (dp.num_ports(n) > 1) {
+            bool any = false;
+            const Measure best = frozen_port_best(
+                dp, n, 1 - dp.arc(in).to_port, cc_, &any);
+            side = any ? best.comb : 0.0;
+          }
+          val = {testability::observability_transfer(node.op_class) *
+                     out_best.comb * side,
+                 out_best.seq};
+        }
+        if (frozen_should_replace(val, co_[in.index()])) {
+          co_[in.index()] = val;
+          changed = true;
+        }
+      }
+    }
+    if (!changed) break;
+  }
+}
+
+Measure ReferenceTestability::node_controllability(etpn::DpNodeId n) const {
+  if (dp_.node(n).kind == etpn::DpNodeKind::InPort) return {1.0, 0.0};
+  return frozen_best_over(dp_.in_arcs(n), cc_);
+}
+
+Measure ReferenceTestability::node_observability(etpn::DpNodeId n) const {
+  if (dp_.node(n).kind == etpn::DpNodeKind::OutPort) return {1.0, 0.0};
+  return frozen_best_over(dp_.out_arcs(n), co_);
+}
+
+double ReferenceTestability::balance_index() const {
+  double sum = 0;
+  int count = 0;
+  for (etpn::DpNodeId n : dp_.node_ids()) {
+    if (!dp_.alive(n)) continue;
+    const auto kind = dp_.node(n).kind;
+    if (kind != etpn::DpNodeKind::Register &&
+        kind != etpn::DpNodeKind::Module) {
+      continue;
+    }
+    sum += std::min(node_controllability(n).scalar(),
+                    node_observability(n).scalar());
+    ++count;
+  }
+  return count ? sum / count : 0.0;
+}
+
+namespace {
+
+/// Register-merge feasibility as the rankings first checked it: the
+/// reachability closure and the case-(2) pair set rebuilt per ranking.
+class FrozenRegOracle {
+ public:
+  FrozenRegOracle(const dfg::Dfg& g, const etpn::Binding& b)
+      : g_(g), b_(b), words_((g.num_ops() + 63) / 64),
+        bits_(g.num_ops() * words_, 0) {
+    std::vector<dfg::OpId> order = g.topo_order();
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      std::uint64_t* row = &bits_[it->index() * words_];
+      for (dfg::OpId s : g.succs(*it)) {
+        row[s.index() / 64] |= std::uint64_t{1} << (s.index() % 64);
+        const std::uint64_t* reach = &bits_[s.index() * words_];
+        for (std::size_t w = 0; w < words_; ++w) row[w] |= reach[w];
+      }
+    }
+    for (dfg::OpId op : g.op_ids()) {
+      const auto& ins = g.op(op).inputs;
+      for (std::size_t i = 0; i < ins.size(); ++i) {
+        for (std::size_t j = i + 1; j < ins.size(); ++j) {
+          const etpn::RegId ri = b.reg_of(ins[i]);
+          const etpn::RegId rj = b.reg_of(ins[j]);
+          if (ri != rj) {
+            conflicts_.insert({std::min(ri.value(), rj.value()),
+                               std::max(ri.value(), rj.value())});
+          }
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] bool impossible(etpn::RegId ra, etpn::RegId rb) const {
+    if (conflicts_.count({std::min(ra.value(), rb.value()),
+                          std::max(ra.value(), rb.value())}) != 0) {
+      return true;
+    }
+    auto reaches = [&](dfg::OpId a, dfg::OpId c) {
+      return (bits_[a.index() * words_ + c.index() / 64] >>
+              (c.index() % 64)) & 1u;
+    };
+    auto dir_blocked = [&](dfg::VarId before, dfg::VarId after) {
+      const dfg::Variable& va = g_.var(after);
+      if (!va.def.valid()) return true;
+      const dfg::Variable& vb = g_.var(before);
+      if (vb.def.valid() && reaches(va.def, vb.def)) return true;
+      for (dfg::OpId u : vb.uses) {
+        if (reaches(va.def, u)) return true;
+      }
+      return false;
+    };
+    for (dfg::VarId v1 : b_.reg_vars(ra)) {
+      for (dfg::VarId v2 : b_.reg_vars(rb)) {
+        if (dir_blocked(v1, v2) && dir_blocked(v2, v1)) return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  const dfg::Dfg& g_;
+  const etpn::Binding& b_;
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> conflicts_;
+};
+
+std::vector<testability::MergeCandidate> frozen_rank(
+    std::vector<testability::MergeCandidate> candidates, int k) {
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const testability::MergeCandidate& a,
+                      const testability::MergeCandidate& c) {
+                     return a.score > c.score;
+                   });
+  if (static_cast<int>(candidates.size()) > k) candidates.resize(k);
+  return candidates;
+}
+
+}  // namespace
+
+std::vector<testability::MergeCandidate> reference_select_balance_candidates(
+    const dfg::Dfg& g, const etpn::Binding& b, const etpn::Etpn& e,
+    const ReferenceTestability& analysis, int k,
+    const testability::BalanceOptions& options) {
+  using testability::MergeCandidate;
+  const etpn::DataPath& dp = e.data_path;
+  auto score_pair = [&](etpn::DpNodeId n1, etpn::DpNodeId n2,
+                        bool self_loop) {
+    const double c1 = analysis.node_controllability(n1).scalar(options.lambda);
+    const double o1 = analysis.node_observability(n1).scalar(options.lambda);
+    const double c2 = analysis.node_controllability(n2).scalar(options.lambda);
+    const double o2 = analysis.node_observability(n2).scalar(options.lambda);
+    const double compl_bonus =
+        std::max(0.0, c1 - o1) * std::max(0.0, o2 - c2) +
+        std::max(0.0, c2 - o2) * std::max(0.0, o1 - c1);
+    double score = std::min(std::max(c1, c2), std::max(o1, o2)) +
+                   options.complementarity_weight * compl_bonus;
+    if (self_loop) score -= options.self_loop_penalty;
+    return score;
+  };
+  // Every module's (read register, written register) node pairs.
+  std::set<std::pair<std::uint32_t, std::uint32_t>> rw;
+  auto reads_writes = [&](etpn::DpNodeId m, std::set<std::uint32_t>& reads,
+                          std::set<std::uint32_t>& writes) {
+    for (etpn::DpArcId a : dp.in_arcs(m)) {
+      if (dp.node(dp.arc(a).from).kind == etpn::DpNodeKind::Register) {
+        reads.insert(dp.arc(a).from.value());
+      }
+    }
+    for (etpn::DpArcId a : dp.out_arcs(m)) {
+      if (dp.node(dp.arc(a).to).kind == etpn::DpNodeKind::Register) {
+        writes.insert(dp.arc(a).to.value());
+      }
+    }
+  };
+
+  std::vector<MergeCandidate> candidates;
+  const std::vector<etpn::ModuleId> modules = b.alive_modules();
+  for (etpn::ModuleId m : modules) {
+    std::set<std::uint32_t> reads, writes;
+    reads_writes(e.module_node[m], reads, writes);
+    for (std::uint32_t r : reads) {
+      for (std::uint32_t w : writes) rw.insert({r, w});
+    }
+  }
+  for (std::size_t i = 0; i < modules.size(); ++i) {
+    for (std::size_t j = i + 1; j < modules.size(); ++j) {
+      if (!b.can_merge_modules(g, modules[i], modules[j])) continue;
+      std::set<std::uint32_t> reads, writes;
+      reads_writes(e.module_node[modules[i]], reads, writes);
+      reads_writes(e.module_node[modules[j]], reads, writes);
+      bool self_loop = false;
+      for (std::uint32_t r : reads) self_loop |= writes.count(r) != 0;
+      MergeCandidate c;
+      c.kind = MergeCandidate::Kind::Modules;
+      c.module_a = modules[i];
+      c.module_b = modules[j];
+      c.creates_self_loop = self_loop;
+      c.score = score_pair(e.module_node[modules[i]],
+                           e.module_node[modules[j]], self_loop);
+      candidates.push_back(c);
+    }
+  }
+  const FrozenRegOracle oracle(g, b);
+  const std::vector<etpn::RegId> regs = b.alive_regs();
+  for (std::size_t i = 0; i < regs.size(); ++i) {
+    for (std::size_t j = i + 1; j < regs.size(); ++j) {
+      if (!b.can_merge_regs(regs[i], regs[j])) continue;
+      if (oracle.impossible(regs[i], regs[j])) continue;
+      const std::uint32_t n1 = e.reg_node[regs[i]].value();
+      const std::uint32_t n2 = e.reg_node[regs[j]].value();
+      const bool self_loop = rw.count({n1, n1}) || rw.count({n1, n2}) ||
+                             rw.count({n2, n1}) || rw.count({n2, n2});
+      MergeCandidate c;
+      c.kind = MergeCandidate::Kind::Registers;
+      c.reg_a = regs[i];
+      c.reg_b = regs[j];
+      c.creates_self_loop = self_loop;
+      c.score = score_pair(e.reg_node[regs[i]], e.reg_node[regs[j]],
+                           self_loop);
+      candidates.push_back(c);
+    }
+  }
+  return frozen_rank(std::move(candidates), k);
+}
+
+std::vector<testability::MergeCandidate>
+reference_select_connectivity_candidates(const dfg::Dfg& g,
+                                         const etpn::Binding& b,
+                                         const etpn::Etpn& e, int k) {
+  using testability::MergeCandidate;
+  const etpn::DataPath& dp = e.data_path;
+  auto neighbours = [&](etpn::DpNodeId n, bool sources) {
+    std::set<std::uint32_t> out;
+    for (etpn::DpArcId a : sources ? dp.in_arcs(n) : dp.out_arcs(n)) {
+      out.insert(sources ? dp.arc(a).from.value() : dp.arc(a).to.value());
+    }
+    return out;
+  };
+  auto closeness = [&](etpn::DpNodeId n1, etpn::DpNodeId n2) {
+    int score = 0;
+    for (const bool sources : {true, false}) {
+      const std::set<std::uint32_t> a = neighbours(n1, sources);
+      const std::set<std::uint32_t> c = neighbours(n2, sources);
+      for (std::uint32_t x : a) score += static_cast<int>(c.count(x));
+    }
+    if (neighbours(n1, false).count(n2.value()) ||
+        neighbours(n2, false).count(n1.value())) {
+      ++score;
+    }
+    return score;
+  };
+
+  std::vector<MergeCandidate> candidates;
+  const std::vector<etpn::ModuleId> modules = b.alive_modules();
+  for (std::size_t i = 0; i < modules.size(); ++i) {
+    for (std::size_t j = i + 1; j < modules.size(); ++j) {
+      if (!b.can_merge_modules(g, modules[i], modules[j])) continue;
+      MergeCandidate c;
+      c.kind = MergeCandidate::Kind::Modules;
+      c.module_a = modules[i];
+      c.module_b = modules[j];
+      c.score = closeness(e.module_node[modules[i]], e.module_node[modules[j]]);
+      if (c.score > 0) candidates.push_back(c);
+    }
+  }
+  const FrozenRegOracle oracle(g, b);
+  const std::vector<etpn::RegId> regs = b.alive_regs();
+  for (std::size_t i = 0; i < regs.size(); ++i) {
+    for (std::size_t j = i + 1; j < regs.size(); ++j) {
+      if (!b.can_merge_regs(regs[i], regs[j])) continue;
+      if (oracle.impossible(regs[i], regs[j])) continue;
+      MergeCandidate c;
+      c.kind = MergeCandidate::Kind::Registers;
+      c.reg_a = regs[i];
+      c.reg_b = regs[j];
+      c.score = closeness(e.reg_node[regs[i]], e.reg_node[regs[j]]);
+      if (c.score > 0) candidates.push_back(c);
+    }
+  }
+  return frozen_rank(std::move(candidates), k);
+}
+
 }  // namespace hlts::test_support

@@ -1,7 +1,7 @@
-// Frozen reference implementations of the two layers an Algorithm-1 trial
-// spends its time in: the merge-sort rescheduler (paper §4.3) and the
-// connectivity-driven floorplanner behind the hardware cost estimate
-// (paper §4.2).
+// Frozen reference implementations of the layers Algorithm 1 spends its
+// time in: the merge-sort rescheduler (paper §4.3), the connectivity-driven
+// floorplanner behind the hardware cost estimate (paper §4.2), the two
+// candidate rankings and the testability fixpoint they read (paper §3).
 //
 // These are the straightforward versions the production code was derived
 // from.  The rescheduler rebuilds and re-solves the whole scheduling-
@@ -9,14 +9,19 @@
 // evaluates; the floorplanner probes a std::set of occupied cells at every
 // spiral position; the binding check compares every pair of a group; the
 // register distances behind the SR1/SR2 keys use per-node adjacency
-// vectors and a deque.
+// vectors and a deque; the rankings score every pair and stable-sort the
+// lot; the testability fixpoint revisits every node in every round.
 // Production core::reschedule, core::reschedule_merger,
-// cost::estimate_cost, core::schedule_respects_binding and
-// etpn::DataPath::register_distances must match them
-// bit for bit -- the differential tests and reference_synthesis.hpp's
-// from-scratch Algorithm-1 step compare against these copies, never
-// against the code under test.
+// cost::estimate_cost, core::schedule_respects_binding,
+// etpn::DataPath::register_distances, etpn::RegisterReach,
+// testability::select_balance_candidates,
+// core::select_connectivity_candidates and testability::TestabilityAnalysis
+// must match them bit for bit -- the differential tests and
+// reference_synthesis.hpp's from-scratch Algorithm-1 step compare against
+// these copies, never against the code under test.
 #pragma once
+
+#include <vector>
 
 #include "core/resched.hpp"
 #include "cost/cost.hpp"
@@ -25,6 +30,8 @@
 #include "etpn/binding.hpp"
 #include "etpn/etpn.hpp"
 #include "sched/schedule.hpp"
+#include "testability/balance.hpp"
+#include "testability/testability.hpp"
 
 namespace hlts::test_support {
 
@@ -50,5 +57,46 @@ namespace hlts::test_support {
 /// cost::estimate_cost over reference_floorplan.
 [[nodiscard]] cost::HardwareCost reference_estimate_cost(
     const etpn::DataPath& dp, const cost::ModuleLibrary& lib, int bits);
+
+/// testability::TestabilityAnalysis with the plain round-robin fixpoint:
+/// each round re-evaluates every node, until a round changes nothing.
+class ReferenceTestability {
+ public:
+  explicit ReferenceTestability(const etpn::DataPath& dp);
+
+  [[nodiscard]] testability::Measure line_controllability(
+      etpn::DpArcId a) const {
+    return cc_[a.index()];
+  }
+  [[nodiscard]] testability::Measure line_observability(
+      etpn::DpArcId a) const {
+    return co_[a.index()];
+  }
+  [[nodiscard]] testability::Measure node_controllability(
+      etpn::DpNodeId n) const;
+  [[nodiscard]] testability::Measure node_observability(
+      etpn::DpNodeId n) const;
+  [[nodiscard]] double balance_index() const;
+
+ private:
+  const etpn::DataPath& dp_;
+  std::vector<testability::Measure> cc_, co_;
+};
+
+/// testability::select_balance_candidates over `analysis`: every feasible
+/// pair scored, then a stable sort by score and the first `k`.
+[[nodiscard]] std::vector<testability::MergeCandidate>
+reference_select_balance_candidates(const dfg::Dfg& g, const etpn::Binding& b,
+                                    const etpn::Etpn& e,
+                                    const ReferenceTestability& analysis,
+                                    int k,
+                                    const testability::BalanceOptions& options);
+
+/// core::select_connectivity_candidates: every pair sharing interconnect
+/// scored, then a stable sort by score and the first `k`.
+[[nodiscard]] std::vector<testability::MergeCandidate>
+reference_select_connectivity_candidates(const dfg::Dfg& g,
+                                         const etpn::Binding& b,
+                                         const etpn::Etpn& e, int k);
 
 }  // namespace hlts::test_support

@@ -11,7 +11,6 @@
 #include "core/checkpoint.hpp"
 #include "etpn/etpn.hpp"
 #include "support/reference_layers.hpp"
-#include "testability/testability.hpp"
 #include "util/json.hpp"
 
 namespace hlts::test_support {
@@ -80,11 +79,11 @@ std::optional<ReferenceStep> reference_step(const dfg::Dfg& g,
       static_cast<int>(e.data_path.num_nodes() * e.data_path.num_nodes());
   std::vector<testability::MergeCandidate> ranking;
   if (p.policy == core::SelectionPolicy::BalanceTestability) {
-    const testability::TestabilityAnalysis analysis(e.data_path);
-    ranking = testability::select_balance_candidates(g, binding, e, analysis,
-                                                     all, p.balance);
+    const ReferenceTestability analysis(e.data_path);
+    ranking = reference_select_balance_candidates(g, binding, e, analysis, all,
+                                                  p.balance);
   } else {
-    ranking = core::select_connectivity_candidates(g, binding, e, all);
+    ranking = reference_select_connectivity_candidates(g, binding, e, all);
   }
 
   const double base_exec = static_cast<double>(schedule.length());
@@ -131,8 +130,7 @@ std::optional<ReferenceStep> reference_step(const dfg::Dfg& g,
       reference_estimate_cost(next.data_path, p.library, p.bits).total();
   rec.registers = win.trial.binding.num_alive_regs();
   rec.modules = win.trial.binding.num_alive_modules();
-  rec.balance_index =
-      testability::TestabilityAnalysis(next.data_path).balance_index();
+  rec.balance_index = ReferenceTestability(next.data_path).balance_index();
   step.schedule = std::move(win.trial.schedule);
   step.binding = std::move(win.trial.binding);
   return step;

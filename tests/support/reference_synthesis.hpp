@@ -4,16 +4,16 @@
 // persistent workspaces, reschedules them by editing a per-iteration base
 // constraint graph, and takes the committed cost over from the winning
 // trial (see analysis/incremental.hpp).  The functions here compute the
-// same iteration the plain way -- a fresh build_etpn and
-// TestabilityAnalysis of the committed design, a binding copy + reschedule
-// + build_etpn + estimate_cost per trial, a serial walk of the ranking --
-// and
-// replay_against_reference() checks every iteration of a real run against
-// it bit for bit.  The rescheduler and cost estimate it calls are the
-// frozen copies in reference_layers.hpp, not the production ones, so a
-// divergence in either production layer shows up here.  The oracle covers
-// the exact Algorithm 1 only: the trial cache and the memory budget are
-// out of its scope.
+// same iteration the plain way -- a fresh build_etpn and testability
+// fixpoint of the committed design, a fully sorted ranking, a binding copy
+// + reschedule + build_etpn + estimate_cost per trial, a serial walk of the
+// ranking -- and replay_against_reference() checks every iteration of a
+// real run against it bit for bit.  The rankings, testability fixpoint,
+// rescheduler and cost estimate it calls are the frozen copies in
+// reference_layers.hpp, not the production ones, so a divergence in any of
+// those production layers shows up here.  The oracle covers the exact
+// Algorithm 1 only: the trial cache and the memory budget are out of its
+// scope.
 #pragma once
 
 #include <optional>

@@ -21,7 +21,13 @@
 //    over random merge walks, merge-patched graphs, random data paths and
 //    random schedules;
 //  - every commit's hardware cost, taken over from the winning trial,
-//    equals a frozen estimate of the committed data path.
+//    equals a frozen estimate of the committed data path;
+//  - the ranking streams drained to any depth, the dirty-node testability
+//    fixpoint and the decrease-only register distances match their frozen
+//    copies (full-sort rankings, round-robin fixpoint, BFS of the merged
+//    graph), and a trial's SR2 keys read the updated distances;
+//  - a memory-budget stop is read against the whole ranking and returns
+//    the design of the run capped at that iteration.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -48,9 +54,11 @@
 #include "support/reference_layers.hpp"
 #include "support/reference_synthesis.hpp"
 #include "testability/balance.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
+#include "util/strings.hpp"
 
 namespace hlts {
 namespace {
@@ -177,7 +185,6 @@ TEST_P(OnBenchmark, MergePatchRoundTrips) {
     etpn::MergePatch patch =
         etpn::apply_merge_patch(d.e.data_path, arena, into, from);
     EXPECT_FALSE(d.e.data_path.alive(from));
-    EXPECT_GT(patch.approx_bytes(), 0u);
     etpn::revert_merge_patch(d.e.data_path, patch);
     EXPECT_EQ(dp_snapshot(d.e.data_path), before) << cand.description(g, d.b);
   }
@@ -665,7 +672,7 @@ etpn::DataPath random_data_path(Rng& rng, int nodes, bool kill_nodes) {
     etpn::DpNode node;
     node.kind = kinds[rng.next_below(4)];
     node.op_class = classes[rng.next_below(4)];
-    node.name = "n" + std::to_string(i);
+    node.name = cat("n", std::to_string(i));
     (void)dp.add_node(std::move(node));
   }
   auto any = [&] {
@@ -880,7 +887,8 @@ TEST(IncrementalRandomDesigns, WorkloadShapesReplayAgainstReference) {
 
 /// One trial's rescheduler outcome through the production path: a
 /// checked-out workspace, its per-iteration base (built on first use after
-/// each commit), the merge patch and reschedule_merger.
+/// each commit), the binding merge and reschedule_merger over the committed
+/// design's register distances.
 core::ReschedOutcome base_trial(const dfg::Dfg& g,
                                 analysis::IncrementalContext& ctx,
                                 const sched::Schedule& hint,
@@ -893,9 +901,11 @@ core::ReschedOutcome base_trial(const dfg::Dfg& g,
   }
   core::ReschedOutcome r;
   {
-    analysis::DesignDelta delta(g, *ws, cand);
-    r = core::reschedule_merger(g, ws->binding, hint, strategy, &ws->etpn,
-                                cand, ws->resched);
+    const analysis::BindingMerge merge(g, *ws, cand);
+    r = core::reschedule_merger(
+        g, ws->binding, hint, strategy,
+        core::MergerDistances{ctx.etpn(), ctx.reach(), ws->d_in, ws->d_queue},
+        cand, ws->resched);
   }
   ctx.checkin(std::move(ws));
   return r;
@@ -1024,6 +1034,408 @@ TEST(ReschedDifferential, SortedBindingCheckMatchesAllPairsCheck) {
   }
   EXPECT_GT(holds, 50);
   EXPECT_GT(violated, 50);
+}
+
+// ---------------------------------------------------------------------------
+// The ranking stream, the dirty-node testability fixpoint and the
+// decrease-only register distances against their frozen copies.
+// ---------------------------------------------------------------------------
+
+/// The six benchmarks and the three generated designs of
+/// workload_shape_designs() (plain, loopy, memory-port).
+std::vector<dfg::Dfg> stream_designs() {
+  std::vector<dfg::Dfg> designs;
+  for (const std::string& name : benchmarks::benchmark_names()) {
+    designs.push_back(benchmarks::make_benchmark(name));
+  }
+  for (dfg::Dfg& g : workload_shape_designs()) designs.push_back(std::move(g));
+  return designs;
+}
+
+/// The committed designs of the first `limit` iterations of `kind`'s
+/// Algorithm-1 run on `g`, starting with the ASAP design.
+std::vector<core::Checkpoint> run_states(const dfg::Dfg& g,
+                                         core::FlowKind kind,
+                                         int limit) {
+  core::SynthesisParams p = core::synthesis_params(kind, {});
+  std::vector<core::Checkpoint> states{
+      {0, sched::asap(g), etpn::Binding::default_binding(g, p.compat)}};
+  p.max_iterations = limit;
+  p.checkpoint_every = 1;
+  p.on_checkpoint = [&](const core::Checkpoint& c) { states.push_back(c); };
+  (void)core::integrated_synthesis(g, p);
+  return states;
+}
+
+void expect_same_ranking(
+    const std::vector<testability::MergeCandidate>& ours,
+    const std::vector<testability::MergeCandidate>& frozen) {
+  ASSERT_EQ(ours.size(), frozen.size());
+  for (std::size_t i = 0; i < ours.size(); ++i) {
+    SCOPED_TRACE("rank " + std::to_string(i));
+    EXPECT_EQ(ours[i].kind, frozen[i].kind);
+    EXPECT_EQ(ours[i].group_ids(), frozen[i].group_ids());
+    EXPECT_TRUE(same_bits(ours[i].score, frozen[i].score));
+    EXPECT_EQ(ours[i].creates_self_loop, frozen[i].creates_self_loop);
+  }
+}
+
+TEST(StreamDifferential, DrainedStreamsMatchFrozenRankings) {
+  int ranked = 0;
+  for (const dfg::Dfg& g : stream_designs()) {
+    for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
+      SCOPED_TRACE(g.name() + " " + core::flow_name(kind));
+      const testability::BalanceOptions options;
+      for (const core::Checkpoint& c : run_states(g, kind, 6)) {
+        SCOPED_TRACE("iteration " + std::to_string(c.iteration));
+        const etpn::Etpn e = etpn::build_etpn(g, c.schedule, c.binding);
+        const testability::TestabilityAnalysis analysis(e.data_path);
+        const test_support::ReferenceTestability frozen(e.data_path);
+        const int all =
+            static_cast<int>(e.data_path.num_nodes() * e.data_path.num_nodes());
+        // Partial pulls (the first few) and full drains.
+        for (int k : {1, 3, 8, all}) {
+          expect_same_ranking(
+              testability::select_balance_candidates(g, c.binding, e,
+                                                     analysis, k, options),
+              test_support::reference_select_balance_candidates(
+                  g, c.binding, e, frozen, k, options));
+          expect_same_ranking(
+              core::select_connectivity_candidates(g, c.binding, e, k),
+              test_support::reference_select_connectivity_candidates(
+                  g, c.binding, e, k));
+        }
+        ++ranked;
+      }
+    }
+  }
+  EXPECT_GT(ranked, 60);
+}
+
+// Closeness also counts an arc joining the two nodes of a pair, which no
+// ETPN build emits between two registers or two modules; add some.
+TEST(StreamDifferential, JoinedPairsMatchFrozenConnectivityRanking) {
+  Rng rng(9700);
+  int joined = 0;
+  for (const dfg::Dfg& g : stream_designs()) {
+    SCOPED_TRACE(g.name());
+    Design d = make_design(g);
+    const std::vector<etpn::RegId> regs = d.b.alive_regs();
+    const std::vector<etpn::ModuleId> modules = d.b.alive_modules();
+    for (int k = 0; k < 6; ++k) {
+      const etpn::DpNodeId r1 = d.e.reg_node[regs[rng.next_below(regs.size())]];
+      const etpn::DpNodeId r2 = d.e.reg_node[regs[rng.next_below(regs.size())]];
+      const etpn::DpNodeId m1 =
+          d.e.module_node[modules[rng.next_below(modules.size())]];
+      const etpn::DpNodeId m2 =
+          d.e.module_node[modules[rng.next_below(modules.size())]];
+      (void)d.e.data_path.add_transfer(r1, r2, 0, 1);
+      (void)d.e.data_path.add_transfer(m1, m2, 1, 1);
+      joined += (r1 != r2) + (m1 != m2);
+    }
+    const int all = static_cast<int>(d.e.data_path.num_nodes() *
+                                     d.e.data_path.num_nodes());
+    expect_same_ranking(
+        core::select_connectivity_candidates(g, d.b, d.e, all),
+        test_support::reference_select_connectivity_candidates(g, d.b, d.e,
+                                                               all));
+  }
+  EXPECT_GT(joined, 50);
+}
+
+/// Line measures, node measures and balance index of the production
+/// fixpoint against the round-robin one, bit for bit.
+void expect_fixpoint_matches_frozen(const etpn::DataPath& dp) {
+  const testability::TestabilityAnalysis ours(dp);
+  const test_support::ReferenceTestability frozen(dp);
+  for (etpn::DpArcId a : dp.arc_ids()) {
+    if (!dp.alive(a)) continue;
+    const testability::Measure cc = ours.line_controllability(a);
+    const testability::Measure co = ours.line_observability(a);
+    const testability::Measure fcc = frozen.line_controllability(a);
+    const testability::Measure fco = frozen.line_observability(a);
+    EXPECT_TRUE(same_bits(cc.comb, fcc.comb)) << "CC arc " << a.value();
+    EXPECT_TRUE(same_bits(cc.seq, fcc.seq)) << "SC arc " << a.value();
+    EXPECT_TRUE(same_bits(co.comb, fco.comb)) << "CO arc " << a.value();
+    EXPECT_TRUE(same_bits(co.seq, fco.seq)) << "SO arc " << a.value();
+  }
+  for (etpn::DpNodeId n : dp.node_ids()) {
+    if (!dp.alive(n)) continue;
+    const testability::Measure c = ours.node_controllability(n);
+    const testability::Measure o = ours.node_observability(n);
+    const testability::Measure fc = frozen.node_controllability(n);
+    const testability::Measure fo = frozen.node_observability(n);
+    EXPECT_TRUE(same_bits(c.comb, fc.comb) && same_bits(c.seq, fc.seq))
+        << "C node " << n.value();
+    EXPECT_TRUE(same_bits(o.comb, fo.comb) && same_bits(o.seq, fo.seq))
+        << "O node " << n.value();
+  }
+  EXPECT_TRUE(same_bits(ours.balance_index(), frozen.balance_index()));
+}
+
+TEST(TestabilityDifferential, DirtyFixpointMatchesRoundRobin) {
+  for (const dfg::Dfg& g : stream_designs()) {
+    for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
+      SCOPED_TRACE(g.name() + " " + core::flow_name(kind));
+      for (const core::Checkpoint& c : run_states(g, kind, 4)) {
+        SCOPED_TRACE("iteration " + std::to_string(c.iteration));
+        etpn::Etpn e = etpn::build_etpn(g, c.schedule, c.binding);
+        expect_fixpoint_matches_frozen(e.data_path);
+        // Merge-patched graphs: tombstones, and loops the merges close.
+        util::Arena arena;
+        int patched = 0;
+        for (const testability::MergeCandidate& cand : all_candidates(g, {
+                 c.schedule, c.binding, e})) {
+          if (patched >= 4) break;
+          const auto [into, from] = cand.nodes(e);
+          if (!e.data_path.alive(into) || !e.data_path.alive(from)) continue;
+          (void)etpn::apply_merge_patch(e.data_path, arena, into, from);
+          ++patched;
+          expect_fixpoint_matches_frozen(e.data_path);
+        }
+      }
+    }
+  }
+  // Random graphs: every node kind, self-loops, cycles, tombstones.
+  Rng rng(9500);
+  for (int n = 1; n <= 160; n += 9) {
+    SCOPED_TRACE("nodes " + std::to_string(n));
+    expect_fixpoint_matches_frozen(random_data_path(rng, n, n % 2 == 0));
+  }
+}
+
+TEST(RegisterDistances, DecreaseOnlyUpdateMatchesFrozenCopy) {
+  std::vector<int> d;
+  std::vector<std::uint32_t> queue;
+  int module_mergers = 0;
+  int register_mergers = 0;
+  int lowered = 0;  // mergers that shortened some distance
+  // `fresh` is the graph `reach` was built from and `merged` the graph with
+  // `from` fused into `into`; checks the update against a frozen BFS of
+  // `merged`.
+  auto expect_update = [&](const etpn::DataPath& fresh,
+                           const etpn::RegisterReach& reach,
+                           etpn::DpNodeId into, etpn::DpNodeId from,
+                           const etpn::DataPath& merged) {
+    reach.merged_d_in(fresh, into, from, d, queue);
+    EXPECT_EQ(d, test_support::reference_register_distances(merged).d_in)
+        << "merging node " << from.value() << " into " << into.value();
+    if (fresh.node(into).kind == etpn::DpNodeKind::Module) {
+      ++module_mergers;
+    } else {
+      ++register_mergers;
+    }
+    if (d != reach.d_in()) ++lowered;
+  };
+  for (const dfg::Dfg& g : stream_designs()) {
+    for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
+      SCOPED_TRACE(g.name() + " " + core::flow_name(kind));
+      for (const core::Checkpoint& c : run_states(g, kind, 4)) {
+        SCOPED_TRACE("iteration " + std::to_string(c.iteration));
+        const etpn::Etpn e = etpn::build_etpn(g, c.schedule, c.binding);
+        const etpn::RegisterReach reach(e.data_path);
+        EXPECT_EQ(reach.d_in(),
+                  test_support::reference_register_distances(e.data_path)
+                      .d_in);
+        int modules = 0;
+        int registers = 0;
+        for (const testability::MergeCandidate& cand :
+             all_candidates(g, {c.schedule, c.binding, e})) {
+          int& taken = cand.is_modules() ? modules : registers;
+          if (taken >= 10) continue;
+          ++taken;
+          const auto [into, from] = cand.nodes(e);
+          etpn::DataPath patched = e.data_path;
+          util::Arena arena;
+          (void)etpn::apply_merge_patch(patched, arena, into, from);
+          expect_update(e.data_path, reach, into, from, patched);
+        }
+      }
+    }
+  }
+  // Random graphs: hops through module chains, ports into modules,
+  // tombstones; random same-kind pairs fused.  The merged graph is rebuilt
+  // with `from`'s arcs moved to `into` (the merge patcher assumes ETPN
+  // structure).
+  auto fused = [](const etpn::DataPath& dp, etpn::DpNodeId into,
+                  etpn::DpNodeId from) {
+    etpn::DataPath out;
+    for (etpn::DpNodeId n : dp.node_ids()) (void)out.add_node(dp.node(n));
+    auto image = [&](etpn::DpNodeId n) { return n == from ? into : n; };
+    for (etpn::DpArcId a : dp.arc_ids()) {
+      if (!dp.alive(a)) continue;
+      const etpn::DpArc& arc = dp.arc(a);
+      (void)out.add_transfer(image(arc.from), image(arc.to), arc.to_port, 1);
+    }
+    for (etpn::DpNodeId n : dp.node_ids()) {
+      if (!dp.alive(n) || n == from) out.set_alive(n, false);
+    }
+    return out;
+  };
+  Rng rng(9600);
+  for (int n = 4; n <= 160; n += 6) {
+    SCOPED_TRACE("nodes " + std::to_string(n));
+    const etpn::DataPath dp = random_data_path(rng, n, n % 4 == 0);
+    const etpn::RegisterReach reach(dp);
+    for (int pair = 0; pair < 8; ++pair) {
+      const etpn::DpNodeId a{static_cast<std::uint32_t>(rng.next_below(n))};
+      const etpn::DpNodeId b{static_cast<std::uint32_t>(rng.next_below(n))};
+      const etpn::DpNodeKind kind = dp.node(a).kind;
+      if (a == b || !dp.alive(a) || !dp.alive(b) ||
+          kind != dp.node(b).kind ||
+          (kind != etpn::DpNodeKind::Module &&
+           kind != etpn::DpNodeKind::Register)) {
+        continue;
+      }
+      expect_update(dp, reach, a, b, fused(dp, a, b));
+    }
+  }
+  EXPECT_GT(module_mergers, 200);
+  EXPECT_GT(register_mergers, 200);
+  EXPECT_GT(lowered, 50);
+}
+
+// A trial's SR2 keys read the merged design's distances: whenever the
+// rescheduler derived them into the workspace buffer, they equal a frozen
+// BFS of the merge-patched committed graph.
+TEST(ReschedDifferential, MergerTrialsReadMergedDistances) {
+  const cost::ModuleLibrary lib = cost::ModuleLibrary::standard();
+  int derived = 0;
+  int lowered = 0;  // derived distances that differ from the committed ones
+  for (const dfg::Dfg& g : stream_designs()) {
+    SCOPED_TRACE(g.name());
+    for (const core::Checkpoint& c :
+         run_states(g, core::FlowKind::Ours, 4)) {
+      analysis::IncrementalContext ctx(g, lib, 8);
+      ctx.attach(c.schedule, c.binding);
+      for (const testability::MergeCandidate& cand :
+           all_candidates(g, {c.schedule, c.binding, ctx.etpn()})) {
+        std::unique_ptr<analysis::TrialWorkspace> ws = ctx.checkout();
+        if (ws->resched_epoch != ctx.epoch()) {
+          core::build_trial_base(g, ctx.tables(), ws->binding, c.schedule,
+                                 ws->resched);
+          ws->resched_epoch = ctx.epoch();
+        }
+        ws->d_in.clear();
+        {
+          const analysis::BindingMerge merge(g, *ws, cand);
+          (void)core::reschedule_merger(
+              g, ws->binding, c.schedule, core::OrderStrategy::Testability,
+              core::MergerDistances{ctx.etpn(), ctx.reach(), ws->d_in,
+                                    ws->d_queue},
+              cand, ws->resched);
+        }
+        if (!ws->d_in.empty()) {
+          etpn::DataPath patched = ctx.etpn().data_path;
+          util::Arena arena;
+          const auto [into, from] = cand.nodes(ctx.etpn());
+          (void)etpn::apply_merge_patch(patched, arena, into, from);
+          EXPECT_EQ(ws->d_in,
+                    test_support::reference_register_distances(patched).d_in)
+              << cand.description(g, c.binding);
+          ++derived;
+          if (ws->d_in != ctx.reach().d_in()) ++lowered;
+        }
+        ctx.checkin(std::move(ws));
+      }
+    }
+  }
+  EXPECT_GT(derived, 500);
+  EXPECT_GT(lowered, 100);
+}
+
+// ---------------------------------------------------------------------------
+// The memory budget stop.
+// ---------------------------------------------------------------------------
+
+/// The design a run ends with, serialized: equal strings mean
+/// bit-identical designs.
+std::string dump_design(const core::SynthesisResult& r) {
+  return util::json_dump(
+      core::checkpoint_to_json({r.iterations, r.schedule, r.binding}));
+}
+
+/// Runs Algorithm 1 from `from` (the ASAP design when it is iteration 0)
+/// under `budget` bytes and at most `max_iterations` iterations.
+core::SynthesisResult run_with_budget(const dfg::Dfg& g,
+                                      core::SynthesisParams p,
+                                      const core::Checkpoint& from,
+                                      std::size_t budget, int max_iterations) {
+  p.memory_budget_bytes = budget;
+  p.max_iterations = max_iterations;
+  if (from.iteration > 0) p.resume_from = &from;
+  return core::integrated_synthesis(g, p);
+}
+
+TEST(MemoryBudget, StopIsTheIterationCappedDesign) {
+  const dfg::Dfg g = benchmarks::make_benchmark("diffeq");
+  const core::SynthesisParams p =
+      core::synthesis_params(core::FlowKind::Ours, {});
+  const core::FlowParams defaults;
+  const std::vector<core::Checkpoint> states =
+      run_states(g, core::FlowKind::Ours, defaults.max_iterations);
+  ASSERT_GE(states.size(), 4u);
+  std::uint64_t per_candidate = 0;
+  for (const std::size_t i : {std::size_t{0}, states.size() / 2,
+                              states.size() - 2}) {
+    const core::Checkpoint& state = states[i];
+    const int at = state.iteration;
+    SCOPED_TRACE("iteration " + std::to_string(at));
+    // The largest budget that stops the run at this iteration.
+    std::uint64_t lo = 0;        // stops
+    std::uint64_t hi = 1ull << 40;  // runs the iteration
+    ASSERT_EQ(run_with_budget(g, p, state, hi, at + 1).iterations, at + 1);
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      const core::SynthesisResult r = run_with_budget(g, p, state, mid, at + 1);
+      (r.stop_reason == "memory_budget" ? lo : hi) = mid;
+    }
+    // The budget is read against the whole ranking: every feasible pair.
+    const etpn::Etpn e = etpn::build_etpn(g, state.schedule, state.binding);
+    const std::size_t ranked =
+        test_support::reference_select_balance_candidates(
+            g, state.binding, e,
+            test_support::ReferenceTestability(e.data_path),
+            static_cast<int>(e.data_path.num_nodes() *
+                             e.data_path.num_nodes()),
+            p.balance)
+            .size();
+    ASSERT_GT(ranked, 1u);
+    EXPECT_EQ(hi % ranked, 0u) << "stop threshold " << hi << " for " << ranked;
+    if (per_candidate == 0) per_candidate = hi / ranked;
+    EXPECT_EQ(hi, per_candidate * ranked);
+
+    const core::SynthesisResult stopped =
+        run_with_budget(g, p, state, lo, p.max_iterations);
+    EXPECT_EQ(stopped.completeness, core::Completeness::Partial);
+    EXPECT_EQ(stopped.stop_reason, "memory_budget");
+    EXPECT_EQ(stopped.iterations, at);
+    core::SynthesisParams capped = p;
+    capped.max_iterations = at;
+    const core::SynthesisResult reference =
+        core::integrated_synthesis(g, capped);
+    EXPECT_EQ(dump_design(stopped), dump_design(reference));
+  }
+}
+
+// A 200-op generated design: more nodes, pairs and conflict points than
+// any other replay; capped to keep the label fast.
+constexpr int kTwoHundredOpIterations = 8;
+
+TEST(IncrementalRandomDesigns, TwoHundredOpReplayAgainstReference) {
+  workload::DfgShape shape;
+  shape.ops = 200;
+  shape.depth = 8;
+  shape.loop_density = 0.1;
+  shape.self_loop_density = 0.5;
+  const dfg::Dfg g = workload::generate(42, shape);
+  for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
+    SCOPED_TRACE(core::flow_name(kind));
+    core::SynthesisParams p = core::synthesis_params(kind, {});
+    p.max_iterations = kTwoHundredOpIterations;
+    const core::SynthesisResult r = replay_against_reference(g, p);
+    EXPECT_EQ(r.iterations, p.max_iterations);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "petri/petri.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace hlts {
 namespace {
@@ -121,9 +122,9 @@ TEST(Petri, NodeBoundEnforced) {
   PetriNet net("big");
   std::vector<PlaceId> starts;
   for (int i = 0; i < 12; ++i) {
-    PlaceId p = net.add_place("p" + std::to_string(i), 1, true);
-    PlaceId q = net.add_place("q" + std::to_string(i), 1);
-    net.add_transition("t" + std::to_string(i), {p}, {q});
+    PlaceId p = net.add_place(hlts::cat("p", std::to_string(i)), 1, true);
+    PlaceId q = net.add_place(hlts::cat("q", std::to_string(i)), 1);
+    net.add_transition(hlts::cat("t", std::to_string(i)), {p}, {q});
     starts.push_back(p);
   }
   EXPECT_THROW(petri::ReachabilityTree tree(net, /*max_nodes=*/100), Error);

@@ -16,6 +16,7 @@
 #include "sched/lifetime.hpp"
 #include "support/reference_synthesis.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace hlts {
 namespace {
@@ -126,11 +127,11 @@ TEST(SimulatorCrossCheck, ParallelAgreesWithScalarReference) {
     gates::Netlist nl;
     std::vector<gates::GateId> pool;
     for (int i = 0; i < 4; ++i) {
-      pool.push_back(nl.add_input("i" + std::to_string(i)));
+      pool.push_back(nl.add_input(hlts::cat("i", std::to_string(i))));
     }
     std::vector<gates::GateId> dffs;
     for (int i = 0; i < 3; ++i) {
-      gates::GateId d = nl.add_dff("d" + std::to_string(i));
+      gates::GateId d = nl.add_dff(hlts::cat("d", std::to_string(i)));
       dffs.push_back(d);
       pool.push_back(d);
     }

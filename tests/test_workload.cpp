@@ -22,6 +22,7 @@
 #include "util/error.hpp"
 #include "workload/generator.hpp"
 #include "workload/traffic.hpp"
+#include "util/strings.hpp"
 
 namespace hlts {
 namespace {
@@ -116,10 +117,10 @@ TEST(WorkloadGenerator, LoopDensityCreatesRegisteredStateOutputs) {
   EXPECT_EQ(registered, 20);
   // The self-loop states close directly: update op k reads state input sK.
   for (int k = 0; k < 10; ++k) {
-    const auto op = g.find_op("u" + std::to_string(k));
+    const auto op = g.find_op(hlts::cat("u", std::to_string(k)));
     ASSERT_TRUE(op.has_value()) << k;
     const dfg::Variable& in0 = g.var(g.op(*op).inputs[0]);
-    EXPECT_EQ(in0.name, "s" + std::to_string(k));
+    EXPECT_EQ(in0.name, hlts::cat("s", std::to_string(k)));
     EXPECT_TRUE(in0.is_primary_input);
   }
 }
