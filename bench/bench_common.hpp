@@ -3,7 +3,11 @@
 // paper's three test metrics.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <ctime>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,68 @@
 #include "rtl/rtl.hpp"
 
 namespace hlts::bench {
+
+inline volatile std::uint64_t reference_sink = 0;
+
+/// CPU seconds of the calling thread for one run of a fixed reference loop:
+/// graph searches, map inserts and a sort over about 0.6 MB -- the loop
+/// perfbench's ScaledTimer times (perfbench/common.cpp).  A bench records
+/// it beside its timings, so that timings taken on different days can be
+/// compared at the machine's speed of each day.
+inline double reference_kernel_seconds() {
+  const auto thread_cpu = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+  };
+  const double t0 = thread_cpu();
+  std::uint64_t x = 88172645463325252ULL;  // xorshift64
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  constexpr std::uint64_t kNodes = 1 << 12;
+  std::vector<std::vector<std::uint64_t>> adj(kNodes);
+  for (std::uint64_t i = 0; i < 4 * kNodes; ++i) {
+    adj[next() % kNodes].push_back(next() % kNodes);
+  }
+  std::uint64_t sum = 0;
+  std::vector<int> dist(kNodes);
+  std::vector<std::uint64_t> queue;
+  for (std::uint64_t src = 0; src < 16; ++src) {
+    std::fill(dist.begin(), dist.end(), -1);
+    queue.assign(1, src);
+    dist[src] = 0;
+    for (std::size_t h = 0; h < queue.size(); ++h) {
+      for (const std::uint64_t v : adj[queue[h]]) {
+        if (dist[v] < 0) {
+          dist[v] = dist[queue[h]] + 1;
+          queue.push_back(v);
+          sum += v;
+        }
+      }
+    }
+  }
+  std::map<std::uint64_t, std::uint64_t> counts;
+  for (std::uint64_t i = 0; i < 4000; ++i) counts[next() % 100000] += i;
+  for (const auto& [k, v] : counts) sum += k ^ v;
+  std::vector<std::uint64_t> values(40000);
+  for (std::uint64_t& v : values) v = next();
+  std::sort(values.begin(), values.end());
+  reference_sink = sum + values[values.size() / 2];
+  return thread_cpu() - t0;
+}
+
+/// The median of `runs` runs of reference_kernel_seconds().
+inline double reference_kernel_median(int runs) {
+  std::vector<double> t;
+  for (int i = 0; i < runs; ++i) t.push_back(reference_kernel_seconds());
+  std::sort(t.begin(), t.end());
+  return t[t.size() / 2];
+}
 
 /// The Algorithm-1 parameters used for the paper-table benches.
 ///

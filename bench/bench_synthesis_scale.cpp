@@ -44,7 +44,13 @@
 //                    they are deterministic, so this is an identity check;
 //                    warn (non-gating) when its serial per-trial time or
 //                    its timeframe or hybrid ATPG time (tg_ms) regressed
-//                    >20%
+//                    >20% at the machine's speed of the committed run
+//
+// Every run records "reference_kernel_s", the median time of a fixed
+// reference loop (bench_common.hpp) taken at its start.  --compare scales
+// the committed per-trial and ATPG times by the ratio of this run's
+// reference time to the committed one before it warns, so a slower day of
+// the same machine does not read as a regression.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -61,6 +67,7 @@
 #include "atpg/atpg.hpp"
 #include "atpg/fault_sim.hpp"
 #include "atpg/faults.hpp"
+#include "bench_common.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flows.hpp"
 #include "core/synthesis.hpp"
@@ -437,6 +444,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The machine's speed now, and the factor that takes the committed
+  // timings to it (1 when the committed file predates the record).
+  const double reference_s = hlts::bench::reference_kernel_median(7);
+  double speed_scale = 1.0;
+  if (!committed.empty()) {
+    const std::size_t at = committed.find("\"reference_kernel_s\": ");
+    if (at != std::string::npos) {
+      const double old = std::strtod(
+          committed.c_str() + at + std::strlen("\"reference_kernel_s\": "),
+          nullptr);
+      if (old > 0) speed_scale = reference_s / old;
+    }
+    std::printf("reference kernel: %.2f ms, committed timings scaled %.3fx\n",
+                1e3 * reference_s, speed_scale);
+  }
+
   std::ostringstream json;
   json.precision(17);
   json << "{\n"
@@ -447,6 +470,7 @@ int main(int argc, char** argv) {
        << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"default_threads\": " << hw << ",\n"
        << "  \"reps\": " << reps << ",\n"
+       << "  \"reference_kernel_s\": " << reference_s << ",\n"
        << "  \"params\": {\"bits\": " << common.bits << ", \"k\": " << common.k
        << "},\n"
        << "  \"benchmarks\": [\n";
@@ -595,23 +619,25 @@ int main(int argc, char** argv) {
 
     if (!committed.empty()) {
       const double old_us =
+          speed_scale *
           committed_number(committed, name, "per_trial_us").value_or(0);
       if (old_us > 0 && per_trial_us > old_us * 1.2) {
         ++regressions;
         std::fprintf(stderr,
                      "WARNING: %s per-trial time regressed %.1f -> %.1f us "
-                     "(>20%% vs %s)\n",
+                     "(>20%% vs %s, at today's speed)\n",
                      name, old_us, per_trial_us, compare_path.c_str());
       }
       for (const AtpgBackendSample& s : atpg_samples) {
         const std::string row = "\"backend\": \"" + s.backend + "\"";
         const double old_tg_ms =
+            speed_scale *
             committed_number(committed, name, "tg_ms", row).value_or(0);
         if (old_tg_ms > 0 && s.tg_ms > old_tg_ms * 1.2) {
           ++regressions;
           std::fprintf(stderr,
                        "WARNING: %s %s ATPG time regressed %.1f -> %.1f ms "
-                       "(>20%% vs %s)\n",
+                       "(>20%% vs %s, at today's speed)\n",
                        name, s.backend.c_str(), old_tg_ms, s.tg_ms,
                        compare_path.c_str());
         }

@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks for the analysis/simulation kernels:
 // testability fixpoint, Petri-net reachability + critical path, netlist
-// simplification, parallel fault simulation, and one full Algorithm 1 run.
+// simplification, parallel fault simulation, the trial merge patch, the
+// derivation of a committed design, and one full Algorithm 1 run.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -8,6 +9,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "analysis/incremental.hpp"
 #include "atpg/fault_sim.hpp"
 #include "atpg/faults.hpp"
 #include "benchmarks/benchmarks.hpp"
@@ -20,6 +22,7 @@
 #include "testability/testability.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
+#include "workload/generator.hpp"
 
 // ---------------------------------------------------------------------------
 // Heap-allocation counter (configure with -DHLTS_COUNT_ALLOCS=ON).
@@ -109,7 +112,8 @@ void BM_ReachabilityTree(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_diffeq();
   sched::Schedule s = sched::asap(g);
   etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b, {.loop_on_condition = true});
+  etpn::EtpnWithControl e =
+      etpn::build_etpn(g, s, b, {.loop_on_condition = true});
   for (auto _ : state) {
     petri::ReachabilityTree tree(e.control);
     benchmark::DoNotOptimize(tree.size());
@@ -121,7 +125,7 @@ void BM_CriticalPath(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_ewf();
   sched::Schedule s = sched::asap(g);
   etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::EtpnWithControl e = etpn::build_etpn(g, s, b);
   for (auto _ : state) {
     benchmark::DoNotOptimize(petri::critical_path(e.control).length);
   }
@@ -208,6 +212,32 @@ void BM_MergePatchRevert(benchmark::State& state) {
   report_allocs(state, before);
 }
 BENCHMARK(BM_MergePatchRevert);
+
+/// What an Algorithm-1 commit derives (IncrementalContext::commit): the
+/// data path of the committed design, its testability fixpoint and its
+/// register reach, on a generated design of state.range(0) ops at its ASAP
+/// schedule.  Contract: after warm-up the allocations per iteration do not
+/// depend on the design's size (the counted layout allocates each array
+/// once, where per-arc list growth would allocate more as designs grow).
+void BM_DeriveCommitted(benchmark::State& state) {
+  workload::DfgShape shape;
+  shape.ops = static_cast<int>(state.range(0));
+  const dfg::Dfg g = workload::generate(42, shape);
+  const sched::Schedule s = sched::asap(g);
+  const etpn::Binding b = etpn::Binding::default_binding(g);
+  const cost::ModuleLibrary lib = cost::ModuleLibrary::standard();
+  analysis::IncrementalContext ctx(g, lib, 8, /*register_reach=*/true);
+  ctx.attach(s, b);
+  const cost::HardwareCost cost = ctx.cost();
+  ctx.commit(b, s, cost);  // warm-up: grows the builder's per-thread lists
+  const std::uint64_t before = alloc_count();
+  for (auto _ : state) {
+    ctx.commit(b, s, cost);
+    benchmark::DoNotOptimize(ctx.epoch());
+  }
+  report_allocs(state, before);
+}
+BENCHMARK(BM_DeriveCommitted)->Arg(40)->Arg(160);
 
 void BM_IntegratedSynthesis(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_diffeq();

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   // Show the initial per-node testability of the default allocation.
   sched::Schedule s0 = sched::asap(g);
   etpn::Binding b0 = etpn::Binding::default_binding(g);
-  etpn::Etpn e0 = etpn::build_etpn(g, s0, b0);
+  etpn::Etpn e0 = etpn::build_data_path(g, s0, b0);
   testability::TestabilityAnalysis analysis(e0.data_path);
 
   std::cout << "initial testability of '" << bench << "' (default allocation)\n";
@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
     }
     auto c = analysis.node_controllability(n);
     auto o = analysis.node_observability(n);
-    std::cout << std::left << std::setw(28) << node.name.substr(0, 27)
+    std::cout << std::left << std::setw(28)
+              << etpn::node_label(g, b0, node).substr(0, 27)
               << std::right << std::fixed << std::setprecision(3)
               << std::setw(8) << c.comb << std::setw(6) << std::setprecision(0)
               << c.seq << std::setw(8) << std::setprecision(3) << o.comb

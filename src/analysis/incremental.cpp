@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "petri/petri.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/trace.hpp"
@@ -58,29 +57,28 @@ DataPathMerge::~DataPathMerge() {
 
 IncrementalContext::IncrementalContext(const dfg::Dfg& g,
                                        const cost::ModuleLibrary& lib,
-                                       int bits)
-    : g_(g), lib_(lib), bits_(bits), tables_(g) {}
+                                       int bits, bool register_reach)
+    : g_(g),
+      lib_(lib),
+      bits_(bits),
+      register_reach_(register_reach),
+      tables_(g) {}
 
 void IncrementalContext::derive(const sched::Schedule& s,
                                 const etpn::Binding& b) {
   b_ = b;
   s_ = s;
-  analysis_.reset();  // holds a reference into *e_; drop before replacing
-  e_ = std::make_unique<etpn::Etpn>(etpn::build_etpn(g_, s_, b_));
-  // The control part is a chain of unit-delay step places, so its critical
-  // path must equal the schedule length -- a cheap cross-check that the
-  // control part agrees with the schedule.
-  HLTS_REQUIRE(petri::critical_path(e_->control).length == s_.length(),
-               "critical path diverged from schedule length");
-  analysis_.emplace(e_->data_path);
-  reach_ = etpn::RegisterReach(e_->data_path);
+  analysis_.reset();  // holds a reference into e_; drop before replacing
+  e_ = etpn::build_data_path(g_, s_, b_);
+  analysis_.emplace(e_.data_path);
+  if (register_reach_) reach_ = etpn::RegisterReach(e_.data_path);
 }
 
 void IncrementalContext::attach(const sched::Schedule& s,
                                 const etpn::Binding& b) {
   HLTS_REQUIRE(!poisoned_, "incremental context is poisoned");
   derive(s, b);
-  cost_ = cost::estimate_cost(e_->data_path, lib_, bits_);
+  cost_ = cost::estimate_cost(e_.data_path, lib_, bits_);
   ++epoch_;
 }
 
@@ -88,7 +86,7 @@ void IncrementalContext::commit(const etpn::Binding& b_after,
                                 const sched::Schedule& s_after,
                                 const cost::HardwareCost& cost_after) {
   HLTS_REQUIRE(!poisoned_, "incremental context is poisoned");
-  HLTS_REQUIRE(e_ != nullptr, "commit before attach");
+  HLTS_REQUIRE(epoch_ != 0, "commit before attach");
   HLTS_FAILPOINT("analysis.commit");
   try {
     derive(s_after, b_after);
@@ -104,13 +102,13 @@ void IncrementalContext::commit(const etpn::Binding& b_after,
 void IncrementalContext::refresh(TrialWorkspace& ws) const {
   if (ws.epoch == epoch_) return;
   ws.binding = b_;
-  ws.etpn = *e_;
+  ws.etpn = e_;
   ws.epoch = epoch_;
 }
 
 std::unique_ptr<TrialWorkspace> IncrementalContext::checkout() {
   HLTS_REQUIRE(!poisoned_, "incremental context is poisoned");
-  HLTS_REQUIRE(e_ != nullptr, "checkout before attach");
+  HLTS_REQUIRE(epoch_ != 0, "checkout before attach");
   std::unique_ptr<TrialWorkspace> ws;
   {
     const std::lock_guard<std::mutex> lock(pool_mutex_);

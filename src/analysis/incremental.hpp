@@ -11,7 +11,7 @@
 //     undone on destruction.  A trial merges the binding, reschedules,
 //     and patches the data path only if it gets as far as the cost
 //     estimate; DesignDelta applies both halves at once;
-//   - IncrementalContext: owner of the committed design's ETPN and
+//   - IncrementalContext: owner of the committed design's data path and
 //     testability fixpoint, derived from scratch once per commit, and of its
 //     hardware cost, which is the winning trial's own estimate.
 //
@@ -41,8 +41,9 @@
 
 namespace hlts::analysis {
 
-/// Per-worker trial state: a private copy of the committed design that
-/// merge patches are applied to and undone from, plus reusable
+/// Per-worker trial state: a private copy of the committed design (its
+/// binding and data path) that merge patches are applied to and undone
+/// from, plus reusable
 /// rescheduling and cost buffers.  Copies are refreshed lazily (epoch
 /// check) on checkout, so the steady-state cost of a trial is one merge
 /// patch, not one design copy.
@@ -122,12 +123,13 @@ class DesignDelta {
 
 /// Owner of the committed design's analysis state.
 ///
-/// attach() and commit() derive it the same way: a fresh build_etpn of the
-/// committed (schedule, binding), a full testability fixpoint of it, its
-/// register distances, and a check that the Petri-net critical path equals
-/// the schedule length.
-/// attach() then estimates the hardware cost; commit() takes over the cost
-/// the winning trial measured on the same merged data path.  The
+/// attach() and commit() derive it the same way: a fresh
+/// etpn::build_data_path of the committed (schedule, binding) -- the data
+/// path and node maps, no control part, which nothing in the loop reads --
+/// a full testability fixpoint of it and, when the context was built for
+/// SR2's register distances, its etpn::RegisterReach.  attach() then
+/// estimates the hardware cost; commit() takes over the cost the winning
+/// trial measured on the same merged data path.  The
 /// constraint-graph tables of the DFG are built once, at construction, and
 /// shared by every workspace's rescheduler.  A commit that throws poisons
 /// the context: the design state may be half-replaced, and every subsequent
@@ -135,8 +137,10 @@ class DesignDelta {
 /// never touch the context again.
 class IncrementalContext {
  public:
+  /// `register_reach`: derive the committed register distances, which only
+  /// the SR2 keys of the testability order strategy read.
   IncrementalContext(const dfg::Dfg& g, const cost::ModuleLibrary& lib,
-                     int bits);
+                     int bits, bool register_reach = false);
   IncrementalContext(const IncrementalContext&) = delete;
   IncrementalContext& operator=(const IncrementalContext&) = delete;
 
@@ -144,15 +148,17 @@ class IncrementalContext {
   /// cost.
   void attach(const sched::Schedule& s, const etpn::Binding& b);
 
-  /// The committed design's ETPN, a fresh build_etpn (no tombstones).
-  [[nodiscard]] const etpn::Etpn& etpn() const { return *e_; }
+  /// The committed design's data path, a fresh build_data_path (no
+  /// tombstones).
+  [[nodiscard]] const etpn::Etpn& etpn() const { return e_; }
   /// The committed design's testability fixpoint over etpn().
   [[nodiscard]] const testability::TestabilityAnalysis& analysis() const {
     return *analysis_;
   }
   [[nodiscard]] const etpn::Binding& binding() const { return b_; }
   /// The committed data path's register distances and hop graph, which a
-  /// trial's rescheduler updates for its merger.
+  /// trial's rescheduler updates for its merger.  Unbuilt (reading it
+  /// fails) unless the context was constructed with `register_reach`.
   [[nodiscard]] const etpn::RegisterReach& reach() const { return reach_; }
   /// Hardware cost of the committed design.
   [[nodiscard]] const cost::HardwareCost& cost() const { return cost_; }
@@ -179,20 +185,22 @@ class IncrementalContext {
   void checkin(std::unique_ptr<TrialWorkspace> ws);
 
  private:
-  /// The derivation attach() and commit() share: stores (s, b), builds
-  /// their ETPN and testability fixpoint, and checks the critical path.
+  /// The derivation attach() and commit() share: stores (s, b) and builds
+  /// their data path, testability fixpoint and, if asked for, register
+  /// reach.
   void derive(const sched::Schedule& s, const etpn::Binding& b);
   void refresh(TrialWorkspace& ws) const;
 
   const dfg::Dfg& g_;
   const cost::ModuleLibrary& lib_;
   int bits_;
+  bool register_reach_;
   std::uint64_t epoch_ = 0;  ///< bumped by attach() and every commit()
   bool poisoned_ = false;
   etpn::Binding b_;
   sched::Schedule s_;
   cost::HardwareCost cost_;
-  std::unique_ptr<etpn::Etpn> e_;  ///< stable address for analysis_'s ref
+  etpn::Etpn e_;  ///< analysis_ refers to it; the context never moves
   std::optional<testability::TestabilityAnalysis> analysis_;
   etpn::RegisterReach reach_;
   sched::ConstraintTables tables_;

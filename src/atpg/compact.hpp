@@ -25,8 +25,10 @@ struct CompactionResult {
 };
 
 /// Compacts `sequences` against `faults` (typically the full collapsed
-/// universe).  Coverage is preserved by construction: a sequence is dropped
-/// only if every fault it detects is also detected by a kept sequence.
+/// universe) in one reverse-order fault-simulation pass.  Coverage is
+/// preserved by construction: a sequence is dropped only if every fault it
+/// detects is also detected by a kept sequence, so faults_covered_after
+/// equals faults_covered_before.
 [[nodiscard]] CompactionResult compact_test_set(
     const gates::Netlist& nl, const std::vector<TestSequence>& sequences,
     const std::vector<Fault>& faults);

@@ -243,7 +243,7 @@ ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
   auto reg_distance = [&](etpn::RegId r) {
     if (!dist) {
       if (premerged == nullptr) {
-        local_e.emplace(etpn::build_etpn(g, hint, b));
+        local_e.emplace(etpn::build_data_path(g, hint, b));
         premerged = &*local_e;
       }
       dist = premerged->data_path.register_distances();

@@ -307,10 +307,11 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
   const int max_latency =
       p.max_latency > 0 ? p.max_latency : g.critical_path_ops() + 1;
 
-  // The committed design's analysis state (ETPN, testability fixpoint and
-  // cost, derived at attach and at each commit) and the trial workspace
-  // pool.
-  analysis::IncrementalContext ctx(g, p.library, p.bits);
+  // The committed design's analysis state (data path, testability fixpoint,
+  // register reach for SR2 and cost, derived at attach and at each commit)
+  // and the trial workspace pool.
+  analysis::IncrementalContext ctx(g, p.library, p.bits,
+                                  p.order == OrderStrategy::Testability);
   ctx.attach(result.schedule, result.binding);
   result.exec_time = result.schedule.length();
   result.cost = ctx.cost();

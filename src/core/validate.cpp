@@ -138,12 +138,12 @@ AuditReport audit_etpn(const dfg::Dfg& g, const etpn::Etpn& e,
     if (!in_outs) {
       add(report, "etpn: arc " + std::to_string(a.value()) +
                       " missing from its source's out_arcs (" +
-                      dp.node(arc.from).name + ")");
+                      etpn::node_label(g, b, dp.node(arc.from)) + ")");
     }
     if (!in_ins) {
       add(report, "etpn: arc " + std::to_string(a.value()) +
                       " missing from its destination's in_arcs (" +
-                      dp.node(arc.to).name + ")");
+                      etpn::node_label(g, b, dp.node(arc.to)) + ")");
     }
     const util::Span<int> steps = dp.steps(a);
     if (!std::is_sorted(steps.begin(), steps.end()) ||
@@ -160,21 +160,21 @@ AuditReport audit_etpn(const dfg::Dfg& g, const etpn::Etpn& e,
   // Every node's arc lists must reference real, alive arcs anchored at that
   // node; dead nodes must be fully detached.
   for (etpn::DpNodeId n : dp.node_ids()) {
-    const etpn::DpNode& node = dp.node(n);
+    const auto label = [&] { return etpn::node_label(g, b, dp.node(n)); };
     if (!dp.alive(n) && !(dp.in_arcs(n).empty() && dp.out_arcs(n).empty())) {
-      add(report, "etpn: dead node " + node.name + " still lists arcs");
+      add(report, "etpn: dead node " + label() + " still lists arcs");
       continue;
     }
     for (etpn::DpArcId a : dp.out_arcs(n)) {
       if (!a.valid() || a.index() >= dp.num_arcs() || dp.arc(a).from != n ||
           !dp.alive(a)) {
-        add(report, "etpn: node " + node.name + " lists a bad out-arc");
+        add(report, "etpn: node " + label() + " lists a bad out-arc");
       }
     }
     for (etpn::DpArcId a : dp.in_arcs(n)) {
       if (!a.valid() || a.index() >= dp.num_arcs() || dp.arc(a).to != n ||
           !dp.alive(a)) {
-        add(report, "etpn: node " + node.name + " lists a bad in-arc");
+        add(report, "etpn: node " + label() + " lists a bad in-arc");
       }
     }
   }

@@ -2,11 +2,50 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 
 #include "util/error.hpp"
 
 namespace hlts::etpn {
+
+DataPath DataPath::dense(IndexVec<DpNodeId, DpNode> nodes,
+                         IndexVec<DpArcId, DpArc> arcs,
+                         IndexVec<DpArcId, PoolSpan> step_spans,
+                         std::vector<int> step_pool) {
+  DataPath dp;
+  const std::size_t n = nodes.size();
+  const std::size_t m = arcs.size();
+  dp.node_alive_.assign(n, true);
+  dp.arc_alive_.assign(m, true);
+  dp.alive_nodes_ = n;
+  dp.alive_arcs_ = m;
+  // Count the degrees into the spans' lengths, turn them into offsets, and
+  // place every arc by bumping its endpoints' lengths back up.
+  dp.in_span_.assign(n, PoolSpan{});
+  dp.out_span_.assign(n, PoolSpan{});
+  for (const DpArc& arc : arcs) {
+    ++dp.out_span_[arc.from].cap;
+    ++dp.in_span_[arc.to].cap;
+  }
+  std::uint32_t off = 0;
+  for (DpNodeId v : id_range<DpNodeId>(n)) {
+    dp.in_span_[v].off = off;
+    off += dp.in_span_[v].cap;
+    dp.out_span_[v].off = off;
+    off += dp.out_span_[v].cap;
+  }
+  dp.arc_pool_.resize(off);
+  for (DpArcId a : id_range<DpArcId>(m)) {
+    PoolSpan& out = dp.out_span_[arcs[a].from];
+    dp.arc_pool_[out.off + out.len++] = a;
+    PoolSpan& in = dp.in_span_[arcs[a].to];
+    dp.arc_pool_[in.off + in.len++] = a;
+  }
+  dp.nodes_ = std::move(nodes);
+  dp.arcs_ = std::move(arcs);
+  dp.step_span_ = std::move(step_spans);
+  dp.step_pool_ = std::move(step_pool);
+  return dp;
+}
 
 DpNodeId DataPath::add_node(DpNode node) {
   node_alive_.push_back(true);
@@ -129,35 +168,6 @@ DpArcId DataPath::add_transfer(DpNodeId from, DpNodeId to, int to_port,
   return id;
 }
 
-void DataPath::compact_pools() {
-  std::vector<DpArcId> arcs;
-  arcs.reserve(arc_pool_.size());
-  for (DpNodeId n : node_ids()) {
-    PoolSpan s = in_span_[n];
-    const std::uint32_t off = static_cast<std::uint32_t>(arcs.size());
-    arcs.insert(arcs.end(), arc_pool_.begin() + s.off,
-                arc_pool_.begin() + s.off + s.len);
-    in_span_[n] = PoolSpan{off, s.len, s.len};
-    s = out_span_[n];
-    const std::uint32_t off2 = static_cast<std::uint32_t>(arcs.size());
-    arcs.insert(arcs.end(), arc_pool_.begin() + s.off,
-                arc_pool_.begin() + s.off + s.len);
-    out_span_[n] = PoolSpan{off2, s.len, s.len};
-  }
-  arc_pool_ = std::move(arcs);
-
-  std::vector<int> steps;
-  steps.reserve(step_pool_.size());
-  for (DpArcId a : arc_ids()) {
-    const PoolSpan s = step_span_[a];
-    const std::uint32_t off = static_cast<std::uint32_t>(steps.size());
-    steps.insert(steps.end(), step_pool_.begin() + s.off,
-                 step_pool_.begin() + s.off + s.len);
-    step_span_[a] = PoolSpan{off, s.len, s.len};
-  }
-  step_pool_ = std::move(steps);
-}
-
 std::vector<DpNodeId> DataPath::port_sources(DpNodeId n, int port) const {
   std::vector<DpNodeId> out;
   for (DpArcId a : in_arcs(n)) {
@@ -259,38 +269,50 @@ namespace {
 
 using Hop = std::pair<std::uint32_t, std::uint32_t>;
 
-/// The register hop graph of `dp`: r1 -> r2 when r1 reaches r2 through at
-/// most one module (one clocked stage), as an arc list.  Sets the
-/// controllable seeds' d_in (loaded directly from an input port) and, when
-/// `d_out` is given, the observable seeds' d_out (feeding an output port
-/// directly or through one module) to 0.
+bool is(const DataPath& dp, DpNodeId n, DpNodeKind kind) {
+  return dp.node(n).kind == kind;
+}
+
+/// Calls `hop(r2)` for every register hop r -> r2 of register `r`: r
+/// reaches r2 directly or through one module (one clocked stage).
+template <typename Visit>
+void each_register_hop(const DataPath& dp, DpNodeId r, Visit&& hop) {
+  for (DpArcId a : dp.out_arcs(r)) {
+    const DpNodeId to = dp.arc(a).to;
+    if (is(dp, to, DpNodeKind::Register)) hop(to);
+    if (!is(dp, to, DpNodeKind::Module)) continue;
+    for (DpArcId b : dp.out_arcs(to)) {
+      if (is(dp, dp.arc(b).to, DpNodeKind::Register)) hop(dp.arc(b).to);
+    }
+  }
+}
+
+/// Whether register `r` is loaded directly from an input port.
+bool loaded_from_port(const DataPath& dp, DpNodeId r) {
+  for (DpArcId a : dp.in_arcs(r)) {
+    if (is(dp, dp.arc(a).from, DpNodeKind::InPort)) return true;
+  }
+  return false;
+}
+
+/// The register hop graph of `dp` as an arc list.  Sets the controllable
+/// seeds' d_in (loaded directly from an input port) and the observable
+/// seeds' d_out (feeding an output port directly or through one module) to
+/// 0.
 void register_hops(const DataPath& dp, std::vector<Hop>& hops,
-                   std::vector<int>& d_in, std::vector<int>* d_out) {
-  auto is = [&](DpNodeId n, DpNodeKind kind) {
-    return dp.node(n).kind == kind;
-  };
+                   std::vector<int>& d_in, std::vector<int>& d_out) {
   for (DpNodeId n : dp.node_ids()) {
-    if (!dp.alive(n) || !is(n, DpNodeKind::Register)) continue;
+    if (!dp.alive(n) || !is(dp, n, DpNodeKind::Register)) continue;
+    each_register_hop(dp, n, [&](DpNodeId to) {
+      hops.push_back({n.value(), to.value()});
+    });
+    if (loaded_from_port(dp, n)) d_in[n.index()] = 0;
     for (DpArcId a : dp.out_arcs(n)) {
       const DpNodeId to = dp.arc(a).to;
-      if (is(to, DpNodeKind::Register)) hops.push_back({n.value(), to.value()});
-      if (!is(to, DpNodeKind::Module)) continue;
+      if (is(dp, to, DpNodeKind::OutPort)) d_out[n.index()] = 0;
+      if (!is(dp, to, DpNodeKind::Module)) continue;
       for (DpArcId b : dp.out_arcs(to)) {
-        if (is(dp.arc(b).to, DpNodeKind::Register)) {
-          hops.push_back({n.value(), dp.arc(b).to.value()});
-        }
-      }
-    }
-    for (DpArcId a : dp.in_arcs(n)) {
-      if (is(dp.arc(a).from, DpNodeKind::InPort)) d_in[n.index()] = 0;
-    }
-    if (d_out == nullptr) continue;
-    for (DpArcId a : dp.out_arcs(n)) {
-      const DpNodeId to = dp.arc(a).to;
-      if (is(to, DpNodeKind::OutPort)) (*d_out)[n.index()] = 0;
-      if (!is(to, DpNodeKind::Module)) continue;
-      for (DpArcId b : dp.out_arcs(to)) {
-        if (is(dp.arc(b).to, DpNodeKind::OutPort)) (*d_out)[n.index()] = 0;
+        if (is(dp, dp.arc(b).to, DpNodeKind::OutPort)) d_out[n.index()] = 0;
       }
     }
   }
@@ -317,6 +339,7 @@ void hop_csr(const std::vector<Hop>& hops, std::size_t nodes, bool forward,
 void hop_bfs(const std::vector<std::uint32_t>& begin,
              const std::vector<std::uint32_t>& adj, std::vector<int>& d) {
   std::vector<std::uint32_t> queue;
+  queue.reserve(d.size());  // every node is queued at most once
   for (std::size_t n = 0; n < d.size(); ++n) {
     if (d[n] == 0) queue.push_back(static_cast<std::uint32_t>(n));
   }
@@ -338,7 +361,7 @@ DataPath::RegisterDistances DataPath::register_distances() const {
   dist.d_in.assign(nodes_.size(), -1);
   dist.d_out.assign(nodes_.size(), -1);
   std::vector<Hop> hops;
-  register_hops(*this, hops, dist.d_in, &dist.d_out);
+  register_hops(*this, hops, dist.d_in, dist.d_out);
   std::vector<std::uint32_t> begin, adj;
   hop_csr(hops, nodes_.size(), true, begin, adj);
   hop_bfs(begin, adj, dist.d_in);
@@ -348,17 +371,38 @@ DataPath::RegisterDistances DataPath::register_distances() const {
 }
 
 RegisterReach::RegisterReach(const DataPath& dp) {
+  // Hops leave the registers in node order, so the forward CSR fills in
+  // one pass once its size is counted: the allocations do not depend on
+  // the size of the graph.
+  auto is_register = [&](DpNodeId n) {
+    return dp.alive(n) && is(dp, n, DpNodeKind::Register);
+  };
+  std::size_t hops = 0;
+  for (DpNodeId n : dp.node_ids()) {
+    if (is_register(n)) each_register_hop(dp, n, [&](DpNodeId) { ++hops; });
+  }
+  succ_.reserve(hops);
+  begin_.assign(dp.num_nodes() + 1, 0);
   d_in_.assign(dp.num_nodes(), -1);
-  std::vector<Hop> hops;
-  register_hops(dp, hops, d_in_, nullptr);
-  hop_csr(hops, dp.num_nodes(), true, begin_, succ_);
+  for (DpNodeId n : dp.node_ids()) {
+    begin_[n.index()] = static_cast<std::uint32_t>(succ_.size());
+    if (!is_register(n)) continue;
+    each_register_hop(dp, n, [&](DpNodeId to) { succ_.push_back(to.value()); });
+    if (loaded_from_port(dp, n)) d_in_[n.index()] = 0;
+  }
+  begin_.back() = static_cast<std::uint32_t>(succ_.size());
   hop_bfs(begin_, succ_, d_in_);
+}
+
+const std::vector<int>& RegisterReach::d_in() const {
+  HLTS_REQUIRE(built(), "register reach read before it was built");
+  return d_in_;
 }
 
 void RegisterReach::merged_d_in(const DataPath& dp, DpNodeId into,
                                 DpNodeId from, std::vector<int>& d,
                                 std::vector<std::uint32_t>& queue) const {
-  d = d_in_;
+  d = d_in();
   queue.clear();
   // Lowers v to d[u] + 1 when that is shorter; v is then settled and
   // queued.  A pruned breadth-first pass from the merger's new hops is
@@ -420,37 +464,6 @@ void RegisterReach::merged_d_in(const DataPath& dp, DpNodeId into,
       relax(u, succ_[k]);
     }
   }
-}
-
-std::string DataPath::to_dot() const {
-  std::ostringstream os;
-  os << "digraph datapath {\n  rankdir=TB;\n";
-  for (DpNodeId n : node_ids()) {
-    if (!node_alive_[n]) continue;
-    const DpNode& node = nodes_[n];
-    const char* shape = "box";
-    switch (node.kind) {
-      case DpNodeKind::InPort: shape = "invtriangle"; break;
-      case DpNodeKind::OutPort: shape = "triangle"; break;
-      case DpNodeKind::Register: shape = "box"; break;
-      case DpNodeKind::Module: shape = "oval"; break;
-    }
-    os << "  n" << n.value() << " [label=\"" << node.name << "\" shape=" << shape
-       << "];\n";
-  }
-  for (DpArcId a : arc_ids()) {
-    if (!arc_alive_[a]) continue;
-    const DpArc& arc = arcs_[a];
-    os << "  n" << arc.from.value() << " -> n" << arc.to.value() << " [label=\"";
-    const util::Span<int> st = steps(a);
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      if (i) os << ",";
-      os << "S" << st[i];
-    }
-    os << "\"];\n";
-  }
-  os << "}\n";
-  return os.str();
 }
 
 }  // namespace hlts::etpn

@@ -13,10 +13,12 @@
 // patcher rewrites lists by appending fresh spans at the pool tail and
 // truncating back on revert -- the pool tail acts as the trial arena, so a
 // steady-state apply/revert cycle performs zero heap allocations.
+//
+// Nodes carry no label: etpn::node_label derives one on demand from the
+// binding and the DFG.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "dfg/dfg.hpp"
@@ -40,7 +42,6 @@ enum class DpNodeKind {
 
 struct DpNode {
   DpNodeKind kind = DpNodeKind::Register;
-  std::string name;
   /// Valid when kind == Module.
   ModuleId module;
   /// Valid when kind == Register.
@@ -49,6 +50,8 @@ struct DpNode {
   dfg::VarId port_var;
   /// Valid when kind == Module: the operation class implemented.
   dfg::OpKind op_class = dfg::OpKind::Add;
+
+  friend bool operator==(const DpNode&, const DpNode&) = default;
 };
 
 struct DpArc {
@@ -72,6 +75,16 @@ struct PoolSpan {
 
 class DataPath {
  public:
+  /// A graph of alive nodes and arcs laid out in one counted pass, in the
+  /// canonical dense layout: each node's in-list and then its out-list in
+  /// node-id order, each list in arc-id order, and every span with
+  /// cap == len.  `step_pool` holds every arc's sorted, unique step set,
+  /// densely in arc-id order, at `step_spans[a]`.
+  [[nodiscard]] static DataPath dense(IndexVec<DpNodeId, DpNode> nodes,
+                                      IndexVec<DpArcId, DpArc> arcs,
+                                      IndexVec<DpArcId, PoolSpan> step_spans,
+                                      std::vector<int> step_pool);
+
   DpNodeId add_node(DpNode node);
   /// Adds an arc, or extends the step set of an existing identical arc.
   DpArcId add_transfer(DpNodeId from, DpNodeId to, int to_port, int step);
@@ -160,12 +173,6 @@ class DataPath {
   /// growing in place when slack allows, else relocating to the tail.
   void insert_step(DpArcId a, int step);
 
-  /// Squeezes relocation slack out of the pools and re-lays lists in id
-  /// order (fresh-build layout).  build_etpn calls it once; never call it
-  /// with an outstanding un-reverted MergePatch, whose saved spans would be
-  /// invalidated.
-  void compact_pools();
-
   /// Distinct sources feeding input port `port` of `n`.
   [[nodiscard]] std::vector<DpNodeId> port_sources(DpNodeId n, int port) const;
   /// Number of distinct sources feeding input port `port` of `n`, without
@@ -206,8 +213,6 @@ class DataPath {
   };
   [[nodiscard]] RegisterDistances register_distances() const;
 
-  [[nodiscard]] std::string to_dot() const;
-
  private:
   template <typename T>
   [[nodiscard]] static util::Span<T> view(const std::vector<T>& pool,
@@ -237,12 +242,16 @@ class DataPath {
 /// adds hops -- fusing two modules lets every register either one reads
 /// reach every register either one writes; fusing two registers identifies
 /// them, which renames hops and removes none -- so distances only decrease.
+///
+/// A default-constructed RegisterReach is unbuilt: reading it fails an
+/// HLTS_REQUIRE.
 class RegisterReach {
  public:
   RegisterReach() = default;
   explicit RegisterReach(const DataPath& dp);
 
-  [[nodiscard]] const std::vector<int>& d_in() const { return d_in_; }
+  [[nodiscard]] bool built() const { return !begin_.empty(); }
+  [[nodiscard]] const std::vector<int>& d_in() const;
 
   /// Writes to `d` the d_in that register_distances() yields once
   /// apply_merge_patch has fused `from` into `into` (two modules or two

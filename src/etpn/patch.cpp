@@ -9,7 +9,7 @@ namespace hlts::etpn {
 namespace {
 
 /// Sorted-unique union of two sorted-unique step sets -- exactly the result
-/// a fresh build's repeated add_transfer insertions would accumulate.
+/// a fresh build gives an arc that collects the steps of several transfers.
 /// Writes into an arena-backed buffer (cleared first).
 void union_steps(util::Span<int> a, util::Span<int> b,
                  util::PodVec<int>& out) {

@@ -21,10 +21,10 @@
 //
 // Bit-identity contract (relied on by a trial's cost estimate and register
 // distances): a patched graph is *indistinguishable by iteration order*
-// from a graph freshly built for the merged binding, up to node names and
-// step sets, which the patch leaves stale (the merged design is not yet
+// from a graph freshly built for the merged binding, up to step sets,
+// which the patch leaves stale (the merged design is not yet
 // rescheduled).  The committed design is never patched: it is rebuilt with
-// build_etpn.  Three invariants make this hold:
+// build_data_path.  Three invariants make this hold:
 //
 //  1. Fresh builds assign arc ids in emission order, and every node's arc
 //     lists are ascending in arc id.  The patcher preserves the sorted-list

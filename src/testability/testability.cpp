@@ -164,40 +164,58 @@ Measure TestabilityAnalysis::controllability_of(etpn::DpNodeId n) const {
   return {};
 }
 
-Measure TestabilityAnalysis::observability_of(etpn::DpNodeId n,
-                                              etpn::DpArcId in) const {
+/// What the input lines of one node read in an observability visit: its
+/// best output line and, per operand port, the best combinational
+/// controllability of the lines into that port (0 when none).
+struct TestabilityAnalysis::VisitInputs {
+  Measure out_best;
+  double port_comb[2] = {0.0, 0.0};
+};
+
+TestabilityAnalysis::VisitInputs TestabilityAnalysis::visit_inputs(
+    etpn::DpNodeId n) const {
   using etpn::DpArcId;
+  VisitInputs in;
+  in.out_best = best_over(dp_.out_arcs(n), co_, Measure{});
+  if (dp_.node(n).kind != etpn::DpNodeKind::Module || dp_.num_ports(n) < 2) {
+    return in;
+  }
+  for (int port = 0; port < 2; ++port) {
+    Measure best{};
+    bool any = false;
+    for (DpArcId a : dp_.in_arcs(n)) {
+      if (dp_.arc(a).to_port != port) continue;
+      if (!any || cc_[a].better_than(best)) {
+        best = cc_[a];
+        any = true;
+      }
+    }
+    in.port_comb[port] = any ? best.comb : 0.0;
+  }
+  return in;
+}
+
+Measure TestabilityAnalysis::observability_of(etpn::DpNodeId n,
+                                              etpn::DpArcId in,
+                                              const VisitInputs& v) const {
   using etpn::DpNodeKind;
   const etpn::DpNode& node = dp_.node(n);
   switch (node.kind) {
     case DpNodeKind::OutPort:
       return {1.0, 0.0};
-    case DpNodeKind::Register: {
-      Measure best = best_over(dp_.out_arcs(n), co_, Measure{});
-      return {best.comb, best.seq + 1.0};
-    }
+    case DpNodeKind::Register:
+      return {v.out_best.comb, v.out_best.seq + 1.0};
     case DpNodeKind::Module: {
       // Observe through the best output line; the other operand must
       // be set to a non-masking value, so its controllability scales
       // the result.
-      Measure out_best = best_over(dp_.out_arcs(n), co_, Measure{});
       double side = 1.0;
-      const int arity = dp_.num_ports(n);
-      if (arity > 1) {
+      if (dp_.num_ports(n) > 1) {
         const int other = 1 - dp_.arc(in).to_port;
-        Measure best{};
-        bool any = false;
-        for (DpArcId a : dp_.in_arcs(n)) {
-          if (dp_.arc(a).to_port != other) continue;
-          if (!any || cc_[a].better_than(best)) {
-            best = cc_[a];
-            any = true;
-          }
-        }
-        side = any ? best.comb : 0.0;
+        side = other == 0 || other == 1 ? v.port_comb[other] : 0.0;
       }
-      return {observability_transfer(node.op_class) * out_best.comb * side,
-              out_best.seq};
+      return {observability_transfer(node.op_class) * v.out_best.comb * side,
+              v.out_best.seq};
     }
     case DpNodeKind::InPort:
       break;  // no input lines; value unused
@@ -259,14 +277,20 @@ void TestabilityAnalysis::propagate_observability() {
       if (node.kind == DpNodeKind::InPort) continue;  // no input lines
       dirty[n.index()] = 0;
       ++visits;
-      // Compute the observability each *input line* of `n` inherits (the
-      // sibling ports' CC it also reads is final by now).
+      // Compute the observability each *input line* of `n` inherits.  What
+      // the lines read is gathered once per visit: the sibling ports' CC is
+      // final by now, and the best output line changes only when a line
+      // written here is also an output line of `n` (an arc to itself).
+      VisitInputs inputs = visit_inputs(n);
       for (DpArcId in : dp_.in_arcs(n)) {
-        const Measure val = observability_of(n, in);
+        const Measure val = observability_of(n, in, inputs);
         if (should_replace(val, co_[in])) {
           co_[in] = val;
           dirty[dp_.arc(in).from.index()] = 1;
           changed = true;
+          if (dp_.arc(in).from == n) {
+            inputs.out_best = best_over(dp_.out_arcs(n), co_, Measure{});
+          }
         }
       }
     }

@@ -78,9 +78,13 @@ class TestabilityAnalysis {
   /// One controllability evaluation of `n` (reads in-arc cc); returns the
   /// measure its output lines carry.
   [[nodiscard]] Measure controllability_of(etpn::DpNodeId n) const;
-  /// One observability evaluation of input line `in` of `n` (reads out-arc
-  /// co and, for modules, sibling-port cc).
-  [[nodiscard]] Measure observability_of(etpn::DpNodeId n, etpn::DpArcId in) const;
+  struct VisitInputs;
+  /// What every input line of `n` reads in one observability visit.
+  [[nodiscard]] VisitInputs visit_inputs(etpn::DpNodeId n) const;
+  /// One observability evaluation of input line `in` of `n`, given what
+  /// the visit gathered.
+  [[nodiscard]] Measure observability_of(etpn::DpNodeId n, etpn::DpArcId in,
+                                         const VisitInputs& v) const;
 
   const etpn::DataPath& dp_;
   IndexVec<etpn::DpArcId, Measure> cc_;

@@ -15,6 +15,7 @@
 
 #include "sched/lifetime.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace hlts::test_support {
 
@@ -927,6 +928,168 @@ reference_select_connectivity_candidates(const dfg::Dfg& g,
     }
   }
   return frozen_rank(std::move(candidates), k);
+}
+
+namespace {
+
+/// The growable pools of the frozen build.
+struct GrowingDataPath {
+  ReferenceDataPath& out;
+
+  void list_append(etpn::PoolSpan& s, etpn::DpArcId v) {
+    std::vector<etpn::DpArcId>& pool = out.arc_pool;
+    if (s.len < s.cap) {
+      pool[s.off + s.len++] = v;
+      return;
+    }
+    const std::uint32_t cap = s.cap == 0 ? 2 : s.cap * 2;
+    const auto off = static_cast<std::uint32_t>(pool.size());
+    pool.resize(pool.size() + cap);
+    for (std::uint32_t i = 0; i < s.len; ++i) pool[off + i] = pool[s.off + i];
+    s.off = off;
+    s.cap = cap;
+    pool[s.off + s.len++] = v;
+  }
+
+  void insert_step(etpn::PoolSpan& s, int step) {
+    std::vector<int>& pool = out.step_pool;
+    std::uint32_t lo = 0;
+    while (lo < s.len && pool[s.off + lo] < step) ++lo;
+    if (lo < s.len && pool[s.off + lo] == step) return;
+    if (s.len == s.cap) {
+      const std::uint32_t cap = s.cap == 0 ? 2 : s.cap * 2;
+      const auto off = static_cast<std::uint32_t>(pool.size());
+      pool.resize(pool.size() + cap);
+      for (std::uint32_t i = 0; i < s.len; ++i) pool[off + i] = pool[s.off + i];
+      s.off = off;
+      s.cap = cap;
+    }
+    for (std::uint32_t i = s.len; i > lo; --i) {
+      pool[s.off + i] = pool[s.off + i - 1];
+    }
+    pool[s.off + lo] = step;
+    ++s.len;
+  }
+
+  etpn::DpNodeId add_node(etpn::DpNode fields, std::string name) {
+    out.nodes.push_back({fields, std::move(name)});
+    out.in_span.emplace_back();
+    out.out_span.emplace_back();
+    return etpn::DpNodeId{static_cast<std::uint32_t>(out.nodes.size() - 1)};
+  }
+
+  void add_transfer(etpn::DpNodeId from, etpn::DpNodeId to, int to_port,
+                    int step) {
+    HLTS_REQUIRE(step >= 0, "reference build: negative step");
+    const etpn::PoolSpan fs = out.out_span[from.index()];
+    for (std::uint32_t i = 0; i < fs.len; ++i) {
+      const etpn::DpArcId a = out.arc_pool[fs.off + i];
+      const etpn::DpArc& arc = out.arcs[a.index()];
+      if (arc.to == to && arc.to_port == to_port) {
+        insert_step(out.step_span[a.index()], step);
+        return;
+      }
+    }
+    const etpn::DpArcId id{static_cast<std::uint32_t>(out.arcs.size())};
+    out.arcs.push_back(etpn::DpArc{from, to, to_port});
+    out.step_span.emplace_back();
+    insert_step(out.step_span.back(), step);
+    list_append(out.out_span[from.index()], id);
+    list_append(out.in_span[to.index()], id);
+  }
+
+  void compact_pools() {
+    std::vector<etpn::DpArcId> arcs;
+    for (std::size_t n = 0; n < out.nodes.size(); ++n) {
+      for (etpn::PoolSpan* span : {&out.in_span[n], &out.out_span[n]}) {
+        const auto off = static_cast<std::uint32_t>(arcs.size());
+        arcs.insert(arcs.end(), out.arc_pool.begin() + span->off,
+                    out.arc_pool.begin() + span->off + span->len);
+        *span = etpn::PoolSpan{off, span->len, span->len};
+      }
+    }
+    out.arc_pool = std::move(arcs);
+    std::vector<int> steps;
+    for (etpn::PoolSpan& span : out.step_span) {
+      const auto off = static_cast<std::uint32_t>(steps.size());
+      steps.insert(steps.end(), out.step_pool.begin() + span.off,
+                   out.step_pool.begin() + span.off + span.len);
+      span = etpn::PoolSpan{off, span.len, span.len};
+    }
+    out.step_pool = std::move(steps);
+  }
+};
+
+}  // namespace
+
+ReferenceDataPath reference_build_data_path(const dfg::Dfg& g,
+                                            const sched::Schedule& s,
+                                            const etpn::Binding& b) {
+  HLTS_REQUIRE(s.num_ops() == g.num_ops(), "schedule does not match DFG");
+  b.validate(g);
+  ReferenceDataPath e;
+  GrowingDataPath dp{e};
+  e.module_node.resize(b.num_module_slots());
+  e.reg_node.resize(b.num_reg_slots());
+  e.inport_node.resize(g.num_vars());
+  e.outport_node.resize(g.num_vars());
+
+  for (etpn::RegId r : b.alive_regs()) {
+    etpn::DpNode node;
+    node.kind = etpn::DpNodeKind::Register;
+    node.reg = r;
+    e.reg_node[r] = dp.add_node(node, b.reg_label(g, r));
+  }
+  for (etpn::ModuleId m : b.alive_modules()) {
+    etpn::DpNode node;
+    node.kind = etpn::DpNodeKind::Module;
+    node.module = m;
+    node.op_class = b.module_kind(g, m);
+    e.module_node[m] = dp.add_node(node, b.module_label(g, m));
+  }
+  for (dfg::VarId v : g.var_ids()) {
+    const dfg::Variable& var = g.var(v);
+    etpn::DpNode node;
+    node.port_var = v;
+    if (var.is_primary_input) {
+      node.kind = etpn::DpNodeKind::InPort;
+      e.inport_node[v] = dp.add_node(node, cat("in:", var.name));
+    }
+    if (var.is_primary_output) {
+      node.kind = etpn::DpNodeKind::OutPort;
+      e.outport_node[v] = dp.add_node(node, cat("out:", var.name));
+    }
+  }
+
+  const int length = s.length();
+  for (dfg::VarId v : g.var_ids()) {
+    if (!g.var(v).is_primary_input) continue;
+    dp.add_transfer(e.inport_node[v], e.reg_node[b.reg_of(v)], 0, 0);
+  }
+  for (dfg::OpId op : g.op_ids()) {
+    const dfg::Operation& o = g.op(op);
+    const int step = s.step(op);
+    const etpn::DpNodeId mod = e.module_node[b.module_of(op)];
+    for (std::size_t i = 0; i < o.inputs.size(); ++i) {
+      const etpn::RegId src = b.reg_of(o.inputs[i]);
+      HLTS_REQUIRE(src.valid(), "operand variable is not register-resident");
+      dp.add_transfer(e.reg_node[src], mod, static_cast<int>(i), step);
+    }
+    const etpn::RegId dst = b.reg_of(o.output);
+    if (dst.valid()) {
+      dp.add_transfer(mod, e.reg_node[dst], 0, step);
+      if (g.var(o.output).is_primary_output) {
+        dp.add_transfer(e.reg_node[dst], e.outport_node[o.output], 0,
+                        length + 1);
+      }
+    } else {
+      HLTS_REQUIRE(g.var(o.output).is_primary_output,
+                   "unregistered variable must be a primary output");
+      dp.add_transfer(mod, e.outport_node[o.output], 0, step);
+    }
+  }
+  dp.compact_pools();
+  return e;
 }
 
 }  // namespace hlts::test_support

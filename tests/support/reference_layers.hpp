@@ -1,7 +1,8 @@
 // Frozen reference implementations of the layers Algorithm 1 spends its
 // time in: the merge-sort rescheduler (paper §4.3), the connectivity-driven
 // floorplanner behind the hardware cost estimate (paper §4.2), the two
-// candidate rankings and the testability fixpoint they read (paper §3).
+// candidate rankings and the testability fixpoint they read (paper §3),
+// and the data-path build every commit derives.
 //
 // These are the straightforward versions the production code was derived
 // from.  The rescheduler rebuilds and re-solves the whole scheduling-
@@ -10,9 +11,12 @@
 // spiral position; the binding check compares every pair of a group; the
 // register distances behind the SR1/SR2 keys use per-node adjacency
 // vectors and a deque; the rankings score every pair and stable-sort the
-// lot; the testability fixpoint revisits every node in every round.
+// lot; the testability fixpoint revisits every node in every round; the
+// data-path build labels every node, grows every list and step set one
+// transfer at a time and compacts the pools afterwards.
 // Production core::reschedule, core::reschedule_merger,
 // cost::estimate_cost, core::schedule_respects_binding,
+// etpn::build_data_path, etpn::node_label,
 // etpn::DataPath::register_distances, etpn::RegisterReach,
 // testability::select_balance_candidates,
 // core::select_connectivity_candidates and testability::TestabilityAnalysis
@@ -21,6 +25,7 @@
 // these copies, never against the code under test.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/resched.hpp"
@@ -98,5 +103,28 @@ reference_select_balance_candidates(const dfg::Dfg& g, const etpn::Binding& b,
 reference_select_connectivity_candidates(const dfg::Dfg& g,
                                          const etpn::Binding& b,
                                          const etpn::Etpn& e, int k);
+
+/// etpn::build_data_path the way it was first written, as plain arrays:
+/// every node stored with its label, every transfer appended to its arc
+/// (lists and step sets grow by doubling at the pool tails), then a
+/// compaction pass that copies each node's in-list and out-list, and each
+/// arc's step set, into fresh pools in id order.
+struct ReferenceDataPath {
+  struct Node {
+    etpn::DpNode fields;
+    std::string name;
+  };
+  std::vector<Node> nodes;
+  std::vector<etpn::DpArc> arcs;
+  std::vector<etpn::PoolSpan> in_span, out_span, step_span;
+  std::vector<etpn::DpArcId> arc_pool;
+  std::vector<int> step_pool;
+  IndexVec<etpn::ModuleId, etpn::DpNodeId> module_node;
+  IndexVec<etpn::RegId, etpn::DpNodeId> reg_node;
+  IndexVec<dfg::VarId, etpn::DpNodeId> inport_node;
+  IndexVec<dfg::VarId, etpn::DpNodeId> outport_node;
+};
+[[nodiscard]] ReferenceDataPath reference_build_data_path(
+    const dfg::Dfg& g, const sched::Schedule& s, const etpn::Binding& b);
 
 }  // namespace hlts::test_support

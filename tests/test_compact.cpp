@@ -46,6 +46,28 @@ TEST(Compact, PreservesCoverageAndNeverGrows) {
   auto r = atpg::compact_test_set(nl, sequences, universe.faults());
   EXPECT_EQ(r.faults_covered_after, r.faults_covered_before);
   EXPECT_LE(r.cycles_after, r.cycles_before);
+
+  // Oracle: the whole set and the kept set, each fault-simulated on its
+  // own from the full universe, leave the same faults undetected, and the
+  // reported coverage and lengths are theirs.
+  atpg::FaultSimulator fsim(nl);
+  auto undetected = [&](const std::vector<std::size_t>& indices) {
+    std::vector<atpg::Fault> remaining = universe.faults();
+    for (std::size_t i : indices) fsim.drop_detected(sequences[i], remaining);
+    return remaining;
+  };
+  auto cycles = [&](const std::vector<std::size_t>& indices) {
+    long sum = 0;
+    for (std::size_t i : indices) sum += static_cast<long>(sequences[i].size());
+    return sum;
+  };
+  std::vector<std::size_t> all(sequences.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const std::vector<atpg::Fault> left_by_all = undetected(all);
+  EXPECT_EQ(undetected(r.kept), left_by_all);
+  EXPECT_EQ(r.faults_covered_before, universe.size() - left_by_all.size());
+  EXPECT_EQ(r.cycles_before, cycles(all));
+  EXPECT_EQ(r.cycles_after, cycles(r.kept));
   EXPECT_LE(r.kept.size(), sequences.size());
   EXPECT_LT(r.kept.size(), sequences.size())
       << "20 random sequences are never all essential on this design";

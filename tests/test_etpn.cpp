@@ -85,7 +85,7 @@ TEST(Etpn, BuildProducesConsistentStructure) {
   dfg::Dfg g = benchmarks::make_ex();
   sched::Schedule s = sched::asap(g);
   Binding b = Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::EtpnWithControl e = etpn::build_etpn(g, s, b);
 
   // Node census: 6 in-ports, 2 out-ports, 12 registers, 8 modules.
   int inports = 0, outports = 0, regs = 0, mods = 0;
@@ -143,8 +143,9 @@ TEST(Etpn, LoopOnConditionAddsGuardedTransitions) {
   dfg::Dfg g = benchmarks::make_diffeq();
   sched::Schedule s = sched::asap(g);
   Binding b = Binding::default_binding(g);
-  etpn::Etpn plain = etpn::build_etpn(g, s, b);
-  etpn::Etpn looped = etpn::build_etpn(g, s, b, {.loop_on_condition = true});
+  etpn::EtpnWithControl plain = etpn::build_etpn(g, s, b);
+  etpn::EtpnWithControl looped =
+      etpn::build_etpn(g, s, b, {.loop_on_condition = true});
   EXPECT_EQ(looped.control.num_transitions(), plain.control.num_transitions() + 2);
   // Critical path unchanged: the loop back-arc is traversed once.
   EXPECT_EQ(looped.execution_time(), plain.execution_time());

@@ -2,12 +2,12 @@
 // ctest label `incremental`:
 //
 //  - etpn::apply_merge_patch / revert_merge_patch round-trip the data path
-//    exactly (arcs, adjacency lists, aliveness, names);
+//    exactly (arcs, adjacency lists, aliveness, node fields);
 //  - a merge-patched graph has, up to the tombstone id projection, the node
 //    kinds and arcs of a fresh build_etpn of the merged binding;
-//  - the state IncrementalContext::commit derives (ETPN, testability
-//    fixpoint, balance index, critical path, cost) equals that of a context
-//    freshly attached to the committed design, bit for bit;
+//  - the state IncrementalContext::commit derives (data path, testability
+//    fixpoint, balance index, cost) equals that of a context freshly
+//    attached to the committed design, bit for bit;
 //  - analysis::DesignDelta leaves a workspace untouched after destruction;
 //  - an incremental trial produces bit-identical numbers to the
 //    from-scratch reference trial;
@@ -80,8 +80,7 @@ using test_support::replay_flow_against_reference;
 /// Complete observable state of a data path, for exact round-trip checks.
 struct DpSnapshot {
   struct Node {
-    etpn::DpNodeKind kind;
-    std::string name;
+    etpn::DpNode fields;
     bool alive;
     std::vector<etpn::DpArcId> in_arcs, out_arcs;
     bool operator==(const Node&) const = default;
@@ -105,7 +104,7 @@ DpSnapshot dp_snapshot(const etpn::DataPath& dp) {
     const etpn::DpNode& node = dp.node(n);
     const util::Span<etpn::DpArcId> in = dp.in_arcs(n);
     const util::Span<etpn::DpArcId> out = dp.out_arcs(n);
-    s.nodes.push_back({node.kind, node.name, dp.alive(n),
+    s.nodes.push_back({node, dp.alive(n),
                        std::vector<etpn::DpArcId>(in.begin(), in.end()),
                        std::vector<etpn::DpArcId>(out.begin(), out.end())});
   }
@@ -191,12 +190,12 @@ TEST_P(OnBenchmark, MergePatchRoundTrips) {
 }
 
 /// Checks that the alive projection of `patched` equals the compact graph
-/// `fresh`: same nodes in the same order (kind, and name when
-/// `names_and_steps`), same arcs in the same order (mapped endpoints, port,
-/// and steps when `names_and_steps`).
+/// `fresh`: same nodes in the same order (kind, and every field when
+/// `fields_and_steps`), same arcs in the same order (mapped endpoints, port,
+/// and steps when `fields_and_steps`).
 void expect_alive_projection_equal(const etpn::DataPath& patched,
                                    const etpn::DataPath& fresh,
-                                   bool names_and_steps) {
+                                   bool fields_and_steps) {
   std::vector<int> node_rank(patched.num_nodes(), -1);
   std::vector<etpn::DpNodeId> alive_nodes;
   for (etpn::DpNodeId n : patched.node_ids()) {
@@ -210,8 +209,8 @@ void expect_alive_projection_equal(const etpn::DataPath& patched,
     const etpn::DpNode& fn =
         fresh.node(etpn::DpNodeId{static_cast<std::uint32_t>(i)});
     EXPECT_EQ(pn.kind, fn.kind) << "node " << i;
-    if (names_and_steps) {
-      EXPECT_EQ(pn.name, fn.name) << "node " << i;
+    if (fields_and_steps) {
+      EXPECT_EQ(pn, fn) << "node " << i;
     }
   }
   std::vector<etpn::DpArcId> alive_arcs;
@@ -228,7 +227,7 @@ void expect_alive_projection_equal(const etpn::DataPath& patched,
     EXPECT_EQ(node_rank[pa.to.index()], static_cast<int>(fa.to.value()))
         << "arc " << i;
     EXPECT_EQ(pa.to_port, fa.to_port) << "arc " << i;
-    if (!names_and_steps) continue;
+    if (!fields_and_steps) continue;
     const util::Span<int> psteps = patched.steps(alive_arcs[i]);
     const util::Span<int> fsteps =
         fresh.steps(etpn::DpArcId{static_cast<std::uint32_t>(i)});
@@ -254,7 +253,7 @@ TEST_P(OnBenchmark, PatchedGraphMatchesFreshBuild) {
     if (!r.feasible) continue;
     ++checked;
 
-    // A trial patch leaves names and steps stale (no trial consumer reads
+    // A trial patch leaves steps stale (no trial consumer reads
     // them); the structure must match the fresh build.
     etpn::Etpn patched = d.e;
     const auto [into, from] = cand.nodes(patched);
@@ -263,7 +262,7 @@ TEST_P(OnBenchmark, PatchedGraphMatchesFreshBuild) {
 
     etpn::Etpn fresh = etpn::build_etpn(g, r.schedule, merged);
     expect_alive_projection_equal(patched.data_path, fresh.data_path,
-                                  /*names_and_steps=*/false);
+                                  /*fields_and_steps=*/false);
   }
   EXPECT_GT(checked, 0) << "no feasible candidate on " << GetParam();
 }
@@ -323,7 +322,7 @@ TEST_P(OnBenchmark, TestabilityUpdateEqualsFromScratch) {
 
       const etpn::DataPath& dp = ctx.etpn().data_path;
       expect_alive_projection_equal(dp, fresh.etpn().data_path,
-                                    /*names_and_steps=*/true);
+                                    /*fields_and_steps=*/true);
       std::uint32_t rank = 0;
       for (etpn::DpArcId a : dp.arc_ids()) {
         if (!dp.alive(a)) continue;
@@ -341,8 +340,10 @@ TEST_P(OnBenchmark, TestabilityUpdateEqualsFromScratch) {
       }
       EXPECT_TRUE(same_bits(ctx.analysis().balance_index(),
                             fresh.analysis().balance_index()));
-      EXPECT_EQ(petri::critical_path(ctx.etpn().control).length,
-                petri::critical_path(fresh.etpn().control).length);
+      // The context derives no control part; the committed design's full
+      // ETPN (whose build checks the same) has the schedule's length.
+      EXPECT_EQ(etpn::build_etpn(g, r.schedule, r.binding).execution_time(),
+                r.schedule.length());
       EXPECT_TRUE(same_bits(ctx.cost().module_area, fresh.cost().module_area));
       EXPECT_TRUE(
           same_bits(ctx.cost().register_area, fresh.cost().register_area));
@@ -672,8 +673,7 @@ etpn::DataPath random_data_path(Rng& rng, int nodes, bool kill_nodes) {
     etpn::DpNode node;
     node.kind = kinds[rng.next_below(4)];
     node.op_class = classes[rng.next_below(4)];
-    node.name = cat("n", std::to_string(i));
-    (void)dp.add_node(std::move(node));
+    (void)dp.add_node(node);
   }
   auto any = [&] {
     return etpn::DpNodeId{static_cast<std::uint32_t>(rng.next_below(nodes))};
@@ -933,7 +933,10 @@ TEST(ReschedDifferential, BaseGraphTrialsMatchFrozenRescheduler) {
                    std::to_string(static_cast<int>(strategy)));
       Rng rng(8100 + 17 * d + static_cast<std::uint64_t>(strategy));
       const cost::ModuleLibrary& lib = cost::ModuleLibrary::standard();
-      analysis::IncrementalContext ctx(g, lib, 8);
+      // Only the testability strategy reads register distances: a Plain
+      // trial that did would fail on the unbuilt reach.
+      analysis::IncrementalContext ctx(
+          g, lib, 8, strategy == core::OrderStrategy::Testability);
       sched::Schedule s = sched::asap(g);
       etpn::Binding b =
           etpn::Binding::default_binding(g, etpn::ModuleCompat::ExactKind);
@@ -1202,6 +1205,123 @@ TEST(TestabilityDifferential, DirtyFixpointMatchesRoundRobin) {
     SCOPED_TRACE("nodes " + std::to_string(n));
     expect_fixpoint_matches_frozen(random_data_path(rng, n, n % 2 == 0));
   }
+  // Random graphs in which every alive register and module also reads its
+  // own output on each port: an observability visit then writes lines
+  // that are output lines of the node it visits.
+  for (int n = 2; n <= 120; n += 7) {
+    SCOPED_TRACE("self-arcs, nodes " + std::to_string(n));
+    etpn::DataPath dp = random_data_path(rng, n, n % 3 == 0);
+    for (etpn::DpNodeId v : dp.node_ids()) {
+      const etpn::DpNodeKind kind = dp.node(v).kind;
+      if (!dp.alive(v) || (kind != etpn::DpNodeKind::Register &&
+                           kind != etpn::DpNodeKind::Module)) {
+        continue;
+      }
+      for (int port = 0; port < dp.num_ports(v); ++port) {
+        (void)dp.add_transfer(v, v, port, 1 + port);
+      }
+    }
+    expect_fixpoint_matches_frozen(dp);
+  }
+  // A self-arc that changes the best out-line within a visit.  Module m
+  // (a Not) lists m -> m before m -> l[0] among its out-lines and before
+  // r -> m among its in-lines.  The comparison chain l[0..14] to the output
+  // port leaves m -> l[0] an observability of 0.3^15, and m -> m's value,
+  // 0.95 times that, ties with it within kEps: listed first, m -> m
+  // becomes m's best out-line, and r -> m must read it.
+  {
+    etpn::DataPath dp;
+    auto add = [&](etpn::DpNodeKind kind, dfg::OpKind op) {
+      etpn::DpNode node;
+      node.kind = kind;
+      node.op_class = op;
+      return dp.add_node(node);
+    };
+    const etpn::DpNodeId load = add(etpn::DpNodeKind::InPort, dfg::OpKind::Add);
+    const etpn::DpNodeId r = add(etpn::DpNodeKind::Register, dfg::OpKind::Add);
+    const etpn::DpNodeId m = add(etpn::DpNodeKind::Module, dfg::OpKind::Not);
+    (void)dp.add_transfer(load, r, 0, 0);
+    (void)dp.add_transfer(m, m, 0, 1);
+    (void)dp.add_transfer(r, m, 0, 1);
+    etpn::DpNodeId prev = m;
+    for (int k = 0; k < 15; ++k) {
+      const etpn::DpNodeId l =
+          add(etpn::DpNodeKind::Module, dfg::OpKind::Less);
+      const etpn::DpNodeId side =
+          add(etpn::DpNodeKind::InPort, dfg::OpKind::Add);
+      (void)dp.add_transfer(prev, l, 0, 2 + k);
+      (void)dp.add_transfer(side, l, 1, 2 + k);
+      prev = l;
+    }
+    const etpn::DpNodeId out = add(etpn::DpNodeKind::OutPort, dfg::OpKind::Add);
+    (void)dp.add_transfer(prev, out, 0, 17);
+    expect_fixpoint_matches_frozen(dp);
+  }
+}
+
+// The committed design's data path, laid out in one counted pass, equals
+// the frozen build (labels, per-transfer growth, compaction) field for
+// field and span for span, and each node's derived label is the name the
+// frozen build stored.  The full ETPN of every committed state has a
+// control part whose critical path is the schedule's length.
+TEST(BuildDifferential, CountedLayoutMatchesFrozenBuild) {
+  int states = 0;
+  for (const dfg::Dfg& g : stream_designs()) {
+    for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
+      SCOPED_TRACE(g.name() + " " + core::flow_name(kind));
+      for (const core::Checkpoint& c : run_states(g, kind, 6)) {
+        SCOPED_TRACE("iteration " + std::to_string(c.iteration));
+        ++states;
+        const etpn::Etpn e = etpn::build_data_path(g, c.schedule, c.binding);
+        const test_support::ReferenceDataPath ref =
+            test_support::reference_build_data_path(g, c.schedule, c.binding);
+        EXPECT_EQ(e.module_node, ref.module_node);
+        EXPECT_EQ(e.reg_node, ref.reg_node);
+        EXPECT_EQ(e.inport_node, ref.inport_node);
+        EXPECT_EQ(e.outport_node, ref.outport_node);
+
+        const etpn::DataPath& dp = e.data_path;
+        ASSERT_EQ(dp.num_nodes(), ref.nodes.size());
+        ASSERT_EQ(dp.num_arcs(), ref.arcs.size());
+        EXPECT_EQ(dp.num_alive_nodes(), dp.num_nodes());
+        EXPECT_EQ(dp.num_alive_arcs(), dp.num_arcs());
+        EXPECT_EQ(dp.arc_pool_size(), ref.arc_pool.size());
+        EXPECT_EQ(dp.step_pool_size(), ref.step_pool.size());
+        auto same_list = [&](util::Span<etpn::DpArcId> list,
+                             etpn::PoolSpan span) {
+          return std::equal(list.begin(), list.end(),
+                            ref.arc_pool.begin() + span.off,
+                            ref.arc_pool.begin() + span.off + span.len);
+        };
+        for (etpn::DpNodeId n : dp.node_ids()) {
+          const test_support::ReferenceDataPath::Node& rn = ref.nodes[n.index()];
+          EXPECT_EQ(dp.node(n), rn.fields) << "node " << n.value();
+          EXPECT_EQ(etpn::node_label(g, c.binding, dp.node(n)), rn.name);
+          EXPECT_EQ(dp.in_list_span(n), ref.in_span[n.index()]);
+          EXPECT_EQ(dp.out_list_span(n), ref.out_span[n.index()]);
+          EXPECT_TRUE(same_list(dp.in_arcs(n), ref.in_span[n.index()]));
+          EXPECT_TRUE(same_list(dp.out_arcs(n), ref.out_span[n.index()]));
+        }
+        for (etpn::DpArcId a : dp.arc_ids()) {
+          const etpn::DpArc& arc = dp.arc(a);
+          const etpn::DpArc& ra = ref.arcs[a.index()];
+          EXPECT_EQ(arc.from, ra.from) << "arc " << a.value();
+          EXPECT_EQ(arc.to, ra.to) << "arc " << a.value();
+          EXPECT_EQ(arc.to_port, ra.to_port) << "arc " << a.value();
+          const etpn::PoolSpan rs = ref.step_span[a.index()];
+          EXPECT_EQ(dp.step_list_span(a), rs) << "arc " << a.value();
+          const util::Span<int> steps = dp.steps(a);
+          EXPECT_TRUE(std::equal(steps.begin(), steps.end(),
+                                 ref.step_pool.begin() + rs.off,
+                                 ref.step_pool.begin() + rs.off + rs.len))
+              << "arc " << a.value();
+        }
+        EXPECT_EQ(etpn::build_etpn(g, c.schedule, c.binding).execution_time(),
+                  c.schedule.length());
+      }
+    }
+  }
+  EXPECT_GT(states, 100);
 }
 
 TEST(RegisterDistances, DecreaseOnlyUpdateMatchesFrozenCopy) {
@@ -1306,7 +1426,7 @@ TEST(ReschedDifferential, MergerTrialsReadMergedDistances) {
     SCOPED_TRACE(g.name());
     for (const core::Checkpoint& c :
          run_states(g, core::FlowKind::Ours, 4)) {
-      analysis::IncrementalContext ctx(g, lib, 8);
+      analysis::IncrementalContext ctx(g, lib, 8, /*register_reach=*/true);
       ctx.attach(c.schedule, c.binding);
       for (const testability::MergeCandidate& cand :
            all_candidates(g, {c.schedule, c.binding, ctx.etpn()})) {

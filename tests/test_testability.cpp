@@ -29,6 +29,7 @@ dfg::Dfg chain_dfg() {
 
 struct Built {
   dfg::Dfg g;
+  Binding b;
   etpn::Etpn e;
 };
 
@@ -36,7 +37,7 @@ Built build(dfg::Dfg g) {
   sched::Schedule s = sched::asap(g);
   Binding b = Binding::default_binding(g);
   etpn::Etpn e = etpn::build_etpn(g, s, b);
-  return {std::move(g), std::move(e)};
+  return {std::move(g), std::move(b), std::move(e)};
 }
 
 TEST(Measure, OrderingAndScalar) {
@@ -68,7 +69,7 @@ TEST(Testability, ControllabilityDecaysAlongChain) {
     for (etpn::DpNodeId n : built.e.data_path.node_ids()) {
       const auto& node = built.e.data_path.node(n);
       if (node.kind == etpn::DpNodeKind::Register &&
-          node.name == std::string("R: ") + var) {
+          etpn::node_label(built.g, built.b, node) == std::string("R: ") + var) {
         return n;
       }
     }
