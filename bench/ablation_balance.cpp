@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
         p.order = order;
         core::SynthesisResult s = core::integrated_synthesis(g, p);
 
-        etpn::Etpn e = etpn::build_etpn(g, s.schedule, s.binding);
+        etpn::Etpn e = etpn::build_data_path(g, s.schedule, s.binding);
         testability::TestabilityAnalysis analysis(e.data_path);
 
         core::FlowResult flow;

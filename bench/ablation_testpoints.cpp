@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
       // Rank registers; map etpn::RegId to RtlRegId positionally (both
       // follow Binding::alive_regs order).
-      etpn::Etpn e = etpn::build_etpn(g, flow.schedule, flow.binding);
+      etpn::Etpn e = etpn::build_data_path(g, flow.schedule, flow.binding);
       testability::TestabilityAnalysis analysis(e.data_path);
       auto suggestions = testability::suggest_test_points(e, analysis, 4);
       std::vector<etpn::RegId> alive = flow.binding.alive_regs();

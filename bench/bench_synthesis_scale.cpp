@@ -27,13 +27,15 @@
 // The sweep configs run with the cache on (that is the production-scale
 // configuration); the baseline row is the seed-equivalent exact path
 // (serial, no cache), so the JSON records both the caching and the
-// threading contribution.  Per-trial time is wall-clock divided by the
-// synth.trials_evaluated counter of the same configuration.  Usage:
+// threading contribution.  Per-trial time is the median wall-clock of a
+// timed loop of at least 5 runs and 200 ms (also under --quick) divided by
+// the synth.trials_evaluated counter of the same configuration.  Usage:
 //
 //   bench_synthesis_scale [output.json] [reps] [--quick] [--verify-serial]
 //                         [--compare committed.json]
 //
-//   --quick          one rep per configuration (CI smoke)
+//   --quick          one rep per configuration (CI smoke); the per-trial
+//                    times keep their timed loop
 //   --verify-serial  also check the 4-thread fault-sim detected set, and
 //                    the 4-thread generated-design trajectories, are
 //                    bit-identical to the serial ones
@@ -53,6 +55,7 @@
 // the same machine does not read as a regression.
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -123,10 +126,29 @@ double best_of(int reps, const hlts::dfg::Dfg& g, const SynthesisParams& p,
   return best;
 }
 
-/// One configuration's best wall-clock over `reps`, plus the trial count
-/// of a single traced run.
+/// The median wall-clock of one run over a timed loop of at least 5 runs
+/// and 200 ms.  A benchmark's run takes 1-3 ms, so one run's time is mostly
+/// noise; the per-trial times --compare warns on are taken from this.
+double median_run_ms(const hlts::dfg::Dfg& g, const SynthesisParams& p) {
+  std::vector<double> runs;
+  double total_ms = 0;
+  while (runs.size() < 5 || total_ms < 200) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)hlts::core::integrated_synthesis(g, p);
+    const auto t1 = std::chrono::steady_clock::now();
+    runs.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    total_ms += runs.back();
+  }
+  const auto mid = runs.begin() + static_cast<std::ptrdiff_t>(runs.size() / 2);
+  std::nth_element(runs.begin(), mid, runs.end());
+  return *mid;
+}
+
+/// One configuration's best wall-clock over `reps`, its median run time
+/// (median_run_ms), and the trial count of a single traced run.
 struct ConfigSample {
   double ms = 0;
+  double median_ms = 0;
   std::string sig;
   std::int64_t trials = 0;  ///< synth.trials_evaluated
 };
@@ -135,6 +157,7 @@ ConfigSample sample_config(int reps, const hlts::dfg::Dfg& g,
                            const SynthesisParams& p) {
   ConfigSample s;
   s.ms = best_of(reps, g, p, &s.sig);
+  s.median_ms = median_run_ms(g, p);
   hlts::util::Trace trace;
   {
     hlts::util::Trace::Scope scope(&trace);
@@ -508,9 +531,10 @@ int main(int argc, char** argv) {
     const ConfigSample serial_s = sample_config(reps, g, serial);
 
     const double baseline_per_trial_us =
-        baseline_s.trials > 0 ? baseline_s.ms * 1e3 / baseline_s.trials : 0;
+        baseline_s.trials > 0 ? baseline_s.median_ms * 1e3 / baseline_s.trials
+                              : 0;
     const double per_trial_us =
-        serial_s.trials > 0 ? serial_s.ms * 1e3 / serial_s.trials : 0;
+        serial_s.trials > 0 ? serial_s.median_ms * 1e3 / serial_s.trials : 0;
 
     SynthesisResult shape = hlts::core::integrated_synthesis(g, baseline);
     std::printf(

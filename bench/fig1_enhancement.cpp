@@ -36,7 +36,7 @@ int main() {
 
   sched::Schedule before = sched::asap(g);
   etpn::Binding binding = etpn::Binding::default_binding(g);
-  etpn::Etpn before_etpn = etpn::build_etpn(g, before, binding);
+  etpn::Etpn before_etpn = etpn::build_data_path(g, before, binding);
   const auto depth_before = before_etpn.data_path.sequential_depth();
 
   // The paper's Figure 1 quantity: the sequential depth from a controllable
@@ -65,7 +65,7 @@ int main() {
       std::cout << "infeasible\n";
       continue;
     }
-    etpn::Etpn e = etpn::build_etpn(g, out.schedule, binding);
+    etpn::Etpn e = etpn::build_data_path(g, out.schedule, binding);
     const auto depth = e.data_path.sequential_depth();
     std::cout << "(b) after merging N1 and N2, "
               << (strategy == core::OrderStrategy::Testability

@@ -1,7 +1,7 @@
 // google-benchmark micro-benchmarks for the analysis/simulation kernels:
-// testability fixpoint, Petri-net reachability + critical path, netlist
-// simplification, parallel fault simulation, the trial merge patch, the
-// derivation of a committed design, and one full Algorithm 1 run.
+// testability fixpoint, netlist simplification, parallel fault simulation,
+// the trial merge patch, the derivation of a committed design, and one full
+// Algorithm 1 run.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 #include "core/flows.hpp"
 #include "etpn/patch.hpp"
 #include "gates/simplify.hpp"
-#include "petri/petri.hpp"
 #include "rtl/elaborate.hpp"
 #include "sched/schedule.hpp"
 #include "testability/testability.hpp"
@@ -100,37 +99,13 @@ void BM_TestabilityFixpoint(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_ewf();
   sched::Schedule s = sched::asap(g);
   etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   for (auto _ : state) {
     testability::TestabilityAnalysis analysis(e.data_path);
     benchmark::DoNotOptimize(analysis.balance_index());
   }
 }
 BENCHMARK(BM_TestabilityFixpoint);
-
-void BM_ReachabilityTree(benchmark::State& state) {
-  dfg::Dfg g = benchmarks::make_diffeq();
-  sched::Schedule s = sched::asap(g);
-  etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::EtpnWithControl e =
-      etpn::build_etpn(g, s, b, {.loop_on_condition = true});
-  for (auto _ : state) {
-    petri::ReachabilityTree tree(e.control);
-    benchmark::DoNotOptimize(tree.size());
-  }
-}
-BENCHMARK(BM_ReachabilityTree);
-
-void BM_CriticalPath(benchmark::State& state) {
-  dfg::Dfg g = benchmarks::make_ewf();
-  sched::Schedule s = sched::asap(g);
-  etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::EtpnWithControl e = etpn::build_etpn(g, s, b);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(petri::critical_path(e.control).length);
-  }
-}
-BENCHMARK(BM_CriticalPath);
 
 void BM_Simplify(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_diffeq();
@@ -178,7 +153,7 @@ void BM_MergePatchRevert(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_ewf();
   sched::Schedule s = sched::asap(g);
   etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   etpn::DataPath& dp = e.data_path;
 
   // Merge the first two alive module nodes -- structurally representative

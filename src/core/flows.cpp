@@ -58,7 +58,7 @@ FlowResult finalize(FlowKind kind, const dfg::Dfg& g, sched::Schedule schedule,
                     etpn::Binding binding, const FlowParams& params,
                     Completeness completeness = Completeness::Full,
                     int iterations = 0, std::string stop_reason = "complete") {
-  HLTS_SPAN("flow.finalize");  // ETPN rebuild + cost + testability metrics
+  HLTS_SPAN("flow.finalize");  // data path + cost + testability metrics
   FlowResult r;
   r.kind = kind;
   r.name = flow_name(kind);
@@ -71,7 +71,7 @@ FlowResult finalize(FlowKind kind, const dfg::Dfg& g, sched::Schedule schedule,
   r.registers = r.binding.num_alive_regs();
   r.modules = r.binding.num_alive_modules();
 
-  etpn::Etpn e = etpn::build_etpn(g, r.schedule, r.binding);
+  etpn::Etpn e = etpn::build_data_path(g, r.schedule, r.binding);
   r.muxes = e.data_path.mux_count();
   r.self_loops = e.data_path.self_loop_count();
   r.cost = cost::estimate_cost(e.data_path, params.library, params.bits);

@@ -157,7 +157,7 @@ struct TrialEval {
 /// reads register distances updated from the committed design's, and only
 /// a trial that is feasible within the latency bound merge-patches the
 /// data path for its cost estimate.  The numbers are bit-identical to a
-/// binding copy -> reschedule -> build_etpn -> estimate_cost pipeline,
+/// binding copy -> reschedule -> build_data_path -> estimate_cost pipeline,
 /// which the tests keep as the reference
 /// (tests/support/reference_synthesis.hpp).
 TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,

@@ -3,8 +3,9 @@
 // (input/output ports), and whose arcs represent guarded data transfers.
 //
 // Each arc records the control steps in which its transfer is active -- the
-// link between the data path and the control Petri net ("control states in
-// the control part controlling the data transfers in the data path").
+// link between the data path and the ETPN's control part ("control states
+// in the control part controlling the data transfers in the data path"),
+// whose places are the schedule's steps.
 //
 // Storage layout (structure-of-arrays): adjacency lists and step sets are
 // *spans into two shared pools* (arc_pool_ / step_pool_) instead of one

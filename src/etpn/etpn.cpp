@@ -9,50 +9,7 @@
 
 namespace hlts::etpn {
 
-int EtpnWithControl::execution_time() const {
-  return petri::critical_path(control).length;
-}
-
 namespace {
-
-/// Builds the control part: a chain of control places S0 (load) .. SL, plus
-/// optionally a guarded loop back to S1 and a guarded exit to a final place.
-void build_control(EtpnWithControl& e, const dfg::Dfg& g, int length,
-                   const EtpnOptions& options) {
-  e.step_place.assign(length + 1, petri::PlaceId::invalid());
-  e.step_place[0] = e.control.add_place("S0", /*delay=*/0, /*marked=*/true);
-  for (int step = 1; step <= length; ++step) {
-    e.step_place[step] =
-        e.control.add_place(cat("S", std::to_string(step)), /*delay=*/1);
-  }
-  for (int step = 0; step < length; ++step) {
-    e.control.add_transition(
-        cat("t", std::to_string(step), "_", std::to_string(step + 1)),
-        {e.step_place[step]}, {e.step_place[step + 1]});
-  }
-
-  // Condition output: a port-direct comparison result.
-  dfg::VarId cond = dfg::VarId::invalid();
-  for (dfg::VarId v : g.var_ids()) {
-    const dfg::Variable& var = g.var(v);
-    if (var.is_primary_output && !g.needs_register(v) && var.def.valid() &&
-        dfg::op_is_comparison(g.op(var.def).kind)) {
-      cond = v;
-      break;
-    }
-  }
-
-  if (options.loop_on_condition && cond.valid() && length >= 1) {
-    petri::PlaceId done = e.control.add_place("done", /*delay=*/0);
-    e.control.add_transition("t_loop", {e.step_place[length]},
-                             {e.step_place[1]}, /*guard_group=*/1,
-                             /*polarity=*/true);
-    e.control.add_transition("t_exit", {e.step_place[length]}, {done},
-                             /*guard_group=*/1, /*polarity=*/false);
-  }
-
-  e.control.validate();
-}
 
 constexpr std::uint32_t kNone = UINT32_MAX;
 
@@ -218,19 +175,6 @@ Etpn build_data_path(const dfg::Dfg& g, const sched::Schedule& s,
 
   e.data_path = DataPath::dense(std::move(nodes), std::move(arcs),
                                 std::move(step_spans), std::move(steps));
-  return e;
-}
-
-EtpnWithControl build_etpn(const dfg::Dfg& g, const sched::Schedule& s,
-                           const Binding& b, const EtpnOptions& options) {
-  EtpnWithControl e;
-  static_cast<Etpn&>(e) = build_data_path(g, s, b);
-  build_control(e, g, s.length(), options);
-  // The control part is a chain of unit-delay step places, so its critical
-  // path must equal the schedule length -- a cheap cross-check that the
-  // control part agrees with the schedule.
-  HLTS_REQUIRE(e.execution_time() == s.length(),
-               "critical path diverged from schedule length");
   return e;
 }
 

@@ -35,7 +35,6 @@
 #include "etpn/binding.hpp"
 #include "etpn/datapath.hpp"
 #include "etpn/etpn.hpp"
-#include "petri/petri.hpp"
 #include "testability/balance.hpp"
 #include "testability/test_points.hpp"
 #include "testability/testability.hpp"

@@ -1,9 +1,9 @@
 // Strong identifier types and typed index containers.
 //
-// Every graph in this project (DFG, ETPN data path, Petri net, RTL netlist,
-// gate netlist) is stored as vectors indexed by dense integer ids.  Using a
+// Every graph in this project (DFG, ETPN data path, RTL netlist, gate
+// netlist) is stored as vectors indexed by dense integer ids.  Using a
 // distinct C++ type per id family turns the classic EDA bug -- indexing a
-// place table with a transition id -- into a compile error.
+// register table with a module id -- into a compile error.
 #pragma once
 
 #include <compare>

@@ -210,7 +210,7 @@ core::ReschedOutcome reference_reschedule(const dfg::Dfg& g,
   // fresh build and therefore the identical schedule.
   std::optional<etpn::Etpn> local_e;
   if (premerged == nullptr) {
-    local_e.emplace(etpn::build_etpn(g, hint, b));
+    local_e.emplace(etpn::build_data_path(g, hint, b));
     premerged = &*local_e;
   }
   const etpn::Etpn& e = *premerged;

@@ -11,6 +11,7 @@
 #include "core/checkpoint.hpp"
 #include "etpn/etpn.hpp"
 #include "support/reference_layers.hpp"
+#include "support/reference_petri.hpp"
 #include "util/json.hpp"
 
 namespace hlts::test_support {
@@ -63,7 +64,7 @@ ReferenceTrial reference_trial(const dfg::Dfg& g,
   t.feasible = true;
   t.schedule = std::move(r.schedule);
   t.exec_time = t.schedule.length();
-  const etpn::Etpn e = etpn::build_etpn(g, t.schedule, t.binding);
+  const etpn::Etpn e = etpn::build_data_path(g, t.schedule, t.binding);
   t.hw_cost = reference_estimate_cost(e.data_path, p.library, p.bits).total();
   return t;
 }
@@ -74,7 +75,7 @@ std::optional<ReferenceStep> reference_step(const dfg::Dfg& g,
                                             const etpn::Binding& binding) {
   const int max_latency =
       p.max_latency > 0 ? p.max_latency : g.critical_path_ops() + 1;
-  const etpn::Etpn e = etpn::build_etpn(g, schedule, binding);
+  const etpn::Etpn e = etpn::build_data_path(g, schedule, binding);
   const int all =
       static_cast<int>(e.data_path.num_nodes() * e.data_path.num_nodes());
   std::vector<testability::MergeCandidate> ranking;
@@ -117,8 +118,9 @@ std::optional<ReferenceStep> reference_step(const dfg::Dfg& g,
   Feasible& win = chosen[best];
   if (p.require_improvement && win.delta_c >= -1e-12) return std::nullopt;
 
-  const etpn::Etpn next = etpn::build_etpn(g, win.trial.schedule,
-                                           win.trial.binding);
+  const etpn::Etpn next = etpn::build_data_path(g, win.trial.schedule,
+                                                win.trial.binding);
+  EXPECT_TRUE(control_matches_schedule(g, win.trial.schedule));
   ReferenceStep step;
   core::IterationRecord& rec = step.record;
   rec.description = ranking[win.rank].description(g, binding);

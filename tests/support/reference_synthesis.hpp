@@ -4,10 +4,10 @@
 // persistent workspaces, reschedules them by editing a per-iteration base
 // constraint graph, and takes the committed cost over from the winning
 // trial (see analysis/incremental.hpp).  The functions here compute the
-// same iteration the plain way -- a fresh build_etpn and testability
+// same iteration the plain way -- a fresh build_data_path and testability
 // fixpoint of the committed design, a fully sorted ranking, a binding copy
-// + reschedule + build_etpn + estimate_cost per trial, a serial walk of the
-// ranking -- and replay_against_reference() checks every iteration of a
+// + reschedule + build_data_path + estimate_cost per trial, a serial walk of
+// the ranking -- and replay_against_reference() checks every iteration of a
 // real run against it bit for bit.  The rankings, testability fixpoint,
 // rescheduler and cost estimate it calls are the frozen copies in
 // reference_layers.hpp, not the production ones, so a divergence in any of
@@ -29,7 +29,7 @@ namespace hlts::test_support {
 
 /// One trial evaluated from scratch: the candidate applied to a copy of
 /// `base`, rescheduled from `hint` (no premerged graph), and costed over a
-/// fresh build_etpn of the merged design.
+/// fresh build_data_path of the merged design.
 struct ReferenceTrial {
   bool feasible = false;  ///< reschedulable within `max_latency`
   etpn::Binding binding;  ///< the merged binding (set even when infeasible)
@@ -53,9 +53,11 @@ struct ReferenceStep {
 /// One iteration of Algorithm 1 from (schedule, binding), computed from
 /// scratch: rank the candidates, walk the ranking serially until k trials
 /// are feasible, and take the smallest dC (ties within 1e-12 keep the
-/// better-ranked candidate).  Returns nullopt where the loop converges: no
-/// candidate, no feasible merger, or -- under require_improvement -- no
-/// merger that lowers the cost.
+/// better-ranked candidate); a gtest failure is recorded unless the
+/// committed design's control net has its schedule's length as critical
+/// path (control_matches_schedule).  Returns nullopt where the loop
+/// converges: no candidate, no feasible merger, or -- under
+/// require_improvement -- no merger that lowers the cost.
 [[nodiscard]] std::optional<ReferenceStep> reference_step(
     const dfg::Dfg& g, const core::SynthesisParams& p,
     const sched::Schedule& schedule, const etpn::Binding& binding);

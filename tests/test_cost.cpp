@@ -36,7 +36,7 @@ TEST(Floorplan, PlacesAllNodesDistinctly) {
   dfg::Dfg g = benchmarks::make_ex();
   sched::Schedule s = sched::asap(g);
   etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   cost::Floorplan plan =
       cost::floorplan(e.data_path, ModuleLibrary::standard(), 8);
   EXPECT_GT(plan.pitch, 0.0);
@@ -50,7 +50,7 @@ TEST(Floorplan, ConnectedNodesPlacedClose) {
   dfg::Dfg g = benchmarks::make_ex();
   sched::Schedule s = sched::asap(g);
   etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   const auto& dp = e.data_path;
   cost::Floorplan plan = cost::floorplan(dp, ModuleLibrary::standard(), 8);
   // Average arc length must beat the average all-pairs distance (the whole
@@ -78,7 +78,7 @@ TEST(Cost, ComponentsAddUp) {
   dfg::Dfg g = benchmarks::make_diffeq();
   sched::Schedule s = sched::asap(g);
   etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   cost::HardwareCost h =
       cost::estimate_cost(e.data_path, ModuleLibrary::standard(), 8);
   EXPECT_GT(h.module_area, 0);
@@ -94,7 +94,7 @@ TEST(Cost, WidthScalesTotal) {
   dfg::Dfg g = benchmarks::make_dct();
   sched::Schedule s = sched::asap(g);
   etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   ModuleLibrary lib = ModuleLibrary::standard();
   const double h4 = cost::estimate_cost(e.data_path, lib, 4).total();
   const double h8 = cost::estimate_cost(e.data_path, lib, 8).total();
@@ -107,14 +107,14 @@ TEST(Cost, MergingModulesReducesModuleArea) {
   dfg::Dfg g = benchmarks::make_ex();
   sched::Schedule s = sched::asap(g);
   etpn::Binding before = etpn::Binding::default_binding(g);
-  etpn::Etpn e1 = etpn::build_etpn(g, s, before);
+  etpn::Etpn e1 = etpn::build_data_path(g, s, before);
   ModuleLibrary lib = ModuleLibrary::standard();
   const double m1 = cost::estimate_cost(e1.data_path, lib, 8).module_area;
 
   etpn::Binding after = before;
   after.merge_modules(g, after.module_of(*g.find_op("N21")),
                       after.module_of(*g.find_op("N22")));
-  etpn::Etpn e2 = etpn::build_etpn(g, s, after);
+  etpn::Etpn e2 = etpn::build_data_path(g, s, after);
   const double m2 = cost::estimate_cost(e2.data_path, lib, 8).module_area;
   EXPECT_LT(m2, m1);
 }

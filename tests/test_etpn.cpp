@@ -1,11 +1,12 @@
 // Unit tests for the ETPN layer: bindings, merger transformations, the
-// data-path graph (mux count, self-loops, sequential depth) and the ETPN
-// builder.
+// data-path graph (mux count, self-loops, sequential depth), the data-path
+// builder, and the control part the test oracle derives from a schedule.
 #include <gtest/gtest.h>
 
 #include "benchmarks/benchmarks.hpp"
 #include "etpn/etpn.hpp"
 #include "sched/schedule.hpp"
+#include "support/reference_petri.hpp"
 
 namespace hlts {
 namespace {
@@ -85,7 +86,7 @@ TEST(Etpn, BuildProducesConsistentStructure) {
   dfg::Dfg g = benchmarks::make_ex();
   sched::Schedule s = sched::asap(g);
   Binding b = Binding::default_binding(g);
-  etpn::EtpnWithControl e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
 
   // Node census: 6 in-ports, 2 out-ports, 12 registers, 8 modules.
   int inports = 0, outports = 0, regs = 0, mods = 0;
@@ -102,9 +103,12 @@ TEST(Etpn, BuildProducesConsistentStructure) {
   EXPECT_EQ(regs, 12);
   EXPECT_EQ(mods, 8);
 
-  // Control: chain S0..S3, execution time = schedule length.
-  EXPECT_EQ(e.control.num_places(), 4u);
-  EXPECT_EQ(e.execution_time(), s.length());
+  // Control: chain S0..S3, critical path = schedule length.
+  const test_support::ControlNet control =
+      test_support::build_control(g, s.length());
+  EXPECT_EQ(control.net.num_places(), 4u);
+  EXPECT_EQ(test_support::petri::critical_path(control.net).length,
+            s.length());
 
   // Default allocation has no multiplexers and no self-loops.
   EXPECT_EQ(e.data_path.mux_count(), 0);
@@ -118,7 +122,7 @@ TEST(Etpn, MergingRegistersCreatesMuxes) {
   // a (from in-port) and u (from module N21) share one register: its input
   // port now has two sources.
   b.merge_regs(b.reg_of(*g.find_var("a")), b.reg_of(*g.find_var("u")));
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   EXPECT_GE(e.data_path.mux_count(), 1);
 }
 
@@ -135,21 +139,24 @@ TEST(Etpn, SelfLoopDetected) {
   sched::Schedule s = sched::asap(g);
   Binding bind = Binding::default_binding(g);
   bind.merge_regs(bind.reg_of(*g.find_var("u")), bind.reg_of(*g.find_var("v")));
-  etpn::Etpn e = etpn::build_etpn(g, s, bind);
+  etpn::Etpn e = etpn::build_data_path(g, s, bind);
   EXPECT_GE(e.data_path.self_loop_count(), 1);
 }
 
 TEST(Etpn, LoopOnConditionAddsGuardedTransitions) {
   dfg::Dfg g = benchmarks::make_diffeq();
   sched::Schedule s = sched::asap(g);
-  Binding b = Binding::default_binding(g);
-  etpn::EtpnWithControl plain = etpn::build_etpn(g, s, b);
-  etpn::EtpnWithControl looped =
-      etpn::build_etpn(g, s, b, {.loop_on_condition = true});
-  EXPECT_EQ(looped.control.num_transitions(), plain.control.num_transitions() + 2);
+  const test_support::ControlNet plain =
+      test_support::build_control(g, s.length());
+  const test_support::ControlNet looped =
+      test_support::build_control(g, s.length(), /*loop_on_condition=*/true);
+  EXPECT_FALSE(plain.looped);
+  EXPECT_TRUE(looped.looped);
+  EXPECT_EQ(looped.net.num_transitions(), plain.net.num_transitions() + 2);
   // Critical path unchanged: the loop back-arc is traversed once.
-  EXPECT_EQ(looped.execution_time(), plain.execution_time());
-  petri::ReachabilityTree tree(looped.control);
+  EXPECT_EQ(test_support::petri::critical_path(looped.net).length,
+            test_support::petri::critical_path(plain.net).length);
+  test_support::petri::ReachabilityTree tree(looped.net);
   EXPECT_FALSE(tree.has_deadlock());
 }
 
@@ -157,7 +164,7 @@ TEST(Etpn, SequentialDepthOnDefaultAllocation) {
   dfg::Dfg g = benchmarks::make_ex();
   sched::Schedule s = sched::asap(g);
   Binding b = Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   auto depth = e.data_path.sequential_depth();
   // PI registers: d_in 0; register u: d_in 1 (a -> N21 -> u), d_out:
   // u -> N25 -> y -> N29 -> out: 1 hop to y which feeds the out port via
@@ -171,7 +178,7 @@ TEST(Etpn, ScheduleMismatchRejected) {
   dfg::Dfg dct = benchmarks::make_dct();
   sched::Schedule s = sched::asap(dct);
   Binding b = Binding::default_binding(ex);
-  EXPECT_THROW(etpn::build_etpn(ex, s, b), Error);
+  EXPECT_THROW(etpn::build_data_path(ex, s, b), Error);
 }
 
 }  // namespace

@@ -323,7 +323,7 @@ TEST(Auditor, CleanDesignPasses) {
   core::SynthesisResult r = integrated_synthesis(g, p);
   EXPECT_EQ(r.completeness, core::Completeness::Full);
   EXPECT_TRUE(core::audit_design(g, r.schedule, r.binding).ok());
-  etpn::Etpn e = etpn::build_etpn(g, r.schedule, r.binding);
+  etpn::Etpn e = etpn::build_data_path(g, r.schedule, r.binding);
   EXPECT_TRUE(core::audit_etpn(g, e, r.binding).ok());
 }
 
@@ -398,7 +398,7 @@ TEST(Auditor, CatchesPrecedenceViolation) {
 TEST(Auditor, CatchesDanglingEtpnArc) {
   dfg::Dfg g = benchmarks::make_benchmark("ex");
   core::SynthesisResult r = integrated_synthesis(g, serial_params());
-  etpn::Etpn e = etpn::build_etpn(g, r.schedule, r.binding);
+  etpn::Etpn e = etpn::build_data_path(g, r.schedule, r.binding);
   ASSERT_TRUE(core::audit_etpn(g, e, r.binding).ok());
 
   // Detach one arc from its destination's in-arc list: the back-link check

@@ -4,7 +4,7 @@
 //  - etpn::apply_merge_patch / revert_merge_patch round-trip the data path
 //    exactly (arcs, adjacency lists, aliveness, node fields);
 //  - a merge-patched graph has, up to the tombstone id projection, the node
-//    kinds and arcs of a fresh build_etpn of the merged binding;
+//    kinds and arcs of a fresh build_data_path of the merged binding;
 //  - the state IncrementalContext::commit derives (data path, testability
 //    fixpoint, balance index, cost) equals that of a context freshly
 //    attached to the committed design, bit for bit;
@@ -27,7 +27,9 @@
 //    copies (full-sort rankings, round-robin fixpoint, BFS of the merged
 //    graph), and a trial's SR2 keys read the updated distances;
 //  - a memory-budget stop is read against the whole ranking and returns
-//    the design of the run capped at that iteration.
+//    the design of the run capped at that iteration;
+//  - the control net of every committed and finalized design has the
+//    schedule's length as its critical path (support/reference_petri.hpp).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -48,10 +50,10 @@
 #include "core/synthesis.hpp"
 #include "cost/cost.hpp"
 #include "etpn/patch.hpp"
-#include "petri/petri.hpp"
 #include "sched/schedule.hpp"
 #include "support/dfg_fixtures.hpp"
 #include "support/reference_layers.hpp"
+#include "support/reference_petri.hpp"
 #include "support/reference_synthesis.hpp"
 #include "testability/balance.hpp"
 #include "util/json.hpp"
@@ -149,7 +151,7 @@ Design make_design(const dfg::Dfg& g) {
   Design d;
   d.s = sched::asap(g);
   d.b = etpn::Binding::default_binding(g, etpn::ModuleCompat::ExactKind);
-  d.e = etpn::build_etpn(g, d.s, d.b);
+  d.e = etpn::build_data_path(g, d.s, d.b);
   return d;
 }
 
@@ -260,7 +262,7 @@ TEST_P(OnBenchmark, PatchedGraphMatchesFreshBuild) {
     util::Arena arena;
     etpn::apply_merge_patch(patched.data_path, arena, into, from);
 
-    etpn::Etpn fresh = etpn::build_etpn(g, r.schedule, merged);
+    etpn::Etpn fresh = etpn::build_data_path(g, r.schedule, merged);
     expect_alive_projection_equal(patched.data_path, fresh.data_path,
                                   /*fields_and_steps=*/false);
   }
@@ -340,10 +342,9 @@ TEST_P(OnBenchmark, TestabilityUpdateEqualsFromScratch) {
       }
       EXPECT_TRUE(same_bits(ctx.analysis().balance_index(),
                             fresh.analysis().balance_index()));
-      // The context derives no control part; the committed design's full
-      // ETPN (whose build checks the same) has the schedule's length.
-      EXPECT_EQ(etpn::build_etpn(g, r.schedule, r.binding).execution_time(),
-                r.schedule.length());
+      // The context derives no control part; the committed design's one
+      // has the schedule's length as its critical path.
+      EXPECT_TRUE(test_support::control_matches_schedule(g, r.schedule));
       EXPECT_TRUE(same_bits(ctx.cost().module_area, fresh.cost().module_area));
       EXPECT_TRUE(
           same_bits(ctx.cost().register_area, fresh.cost().register_area));
@@ -568,7 +569,7 @@ void walk_merges(const dfg::Dfg& g, core::OrderStrategy strategy,
     etpn::Binding merged = b;
     if (!merge_random_pair(g, merged, rng)) return;
     std::optional<etpn::Etpn> premerged;
-    if (step % 2 == 1) premerged.emplace(etpn::build_etpn(g, s, merged));
+    if (step % 2 == 1) premerged.emplace(etpn::build_data_path(g, s, merged));
     const core::ReschedOutcome ours = core::reschedule(
         g, merged, s, strategy, premerged ? &*premerged : nullptr);
     const core::ReschedOutcome ref =
@@ -814,7 +815,7 @@ void expect_commit_costs_match_frozen(const dfg::Dfg& g,
     SCOPED_TRACE(g.name() + " commit " + std::to_string(i));
     const core::SynthesisResult& r =
         i < runs.commits.size() ? runs.commits[i] : runs.full;
-    const etpn::Etpn e = etpn::build_etpn(g, r.schedule, r.binding);
+    const etpn::Etpn e = etpn::build_data_path(g, r.schedule, r.binding);
     const cost::HardwareCost frozen =
         test_support::reference_estimate_cost(e.data_path, p.library, p.bits);
     EXPECT_TRUE(same_bits(r.cost.module_area, frozen.module_area));
@@ -832,7 +833,7 @@ TEST_P(FlowGrid, CommittedCostEqualsFrozenEstimate) {
     const core::FlowParams params;
     const core::FlowResult r = core::run_flow(kind, g, params);
     ASSERT_EQ(r.iterations, 0);
-    const etpn::Etpn e = etpn::build_etpn(g, r.schedule, r.binding);
+    const etpn::Etpn e = etpn::build_data_path(g, r.schedule, r.binding);
     const cost::HardwareCost frozen = test_support::reference_estimate_cost(
         e.data_path, params.library, params.bits);
     EXPECT_TRUE(same_bits(r.cost.module_area, frozen.module_area));
@@ -984,7 +985,8 @@ TEST(ReschedDifferential, BaseGraphTrialsMatchFrozenRescheduler) {
             feasible_now[rng.next_below(feasible_now.size())];
         etpn::Binding next = b;
         cands[pick].apply(g, next);
-        const etpn::Etpn e = etpn::build_etpn(g, serial[pick].schedule, next);
+        const etpn::Etpn e =
+            etpn::build_data_path(g, serial[pick].schedule, next);
         ctx.commit(next, serial[pick].schedule,
                    cost::estimate_cost(e.data_path, lib, 8));
         b = std::move(next);
@@ -1091,7 +1093,7 @@ TEST(StreamDifferential, DrainedStreamsMatchFrozenRankings) {
       const testability::BalanceOptions options;
       for (const core::Checkpoint& c : run_states(g, kind, 6)) {
         SCOPED_TRACE("iteration " + std::to_string(c.iteration));
-        const etpn::Etpn e = etpn::build_etpn(g, c.schedule, c.binding);
+        const etpn::Etpn e = etpn::build_data_path(g, c.schedule, c.binding);
         const testability::TestabilityAnalysis analysis(e.data_path);
         const test_support::ReferenceTestability frozen(e.data_path);
         const int all =
@@ -1182,7 +1184,7 @@ TEST(TestabilityDifferential, DirtyFixpointMatchesRoundRobin) {
       SCOPED_TRACE(g.name() + " " + core::flow_name(kind));
       for (const core::Checkpoint& c : run_states(g, kind, 4)) {
         SCOPED_TRACE("iteration " + std::to_string(c.iteration));
-        etpn::Etpn e = etpn::build_etpn(g, c.schedule, c.binding);
+        etpn::Etpn e = etpn::build_data_path(g, c.schedule, c.binding);
         expect_fixpoint_matches_frozen(e.data_path);
         // Merge-patched graphs: tombstones, and loops the merges close.
         util::Arena arena;
@@ -1316,12 +1318,40 @@ TEST(BuildDifferential, CountedLayoutMatchesFrozenBuild) {
                                  ref.step_pool.begin() + rs.off + rs.len))
               << "arc " << a.value();
         }
-        EXPECT_EQ(etpn::build_etpn(g, c.schedule, c.binding).execution_time(),
-                  c.schedule.length());
+        EXPECT_TRUE(test_support::control_matches_schedule(g, c.schedule));
       }
     }
   }
   EXPECT_GT(states, 100);
+}
+
+// The paper takes the execution time from the critical path of the ETPN's
+// control net; the library takes it from Schedule::length().  Every design
+// a flow commits or finalizes must therefore have a control net whose
+// reachability tree runs the L + 1 steps without deadlock and whose
+// critical path is L (support/reference_petri.hpp), looped or not.
+TEST(ControlOracle, CommittedAndFinalizedDesignsMatchScheduleLength) {
+  int committed = 0;
+  int finalized = 0;
+  for (const dfg::Dfg& g : stream_designs()) {
+    for (auto kind : {core::FlowKind::Camad, core::FlowKind::Approach1,
+                      core::FlowKind::Approach2, core::FlowKind::Ours}) {
+      SCOPED_TRACE(g.name() + " " + core::flow_name(kind));
+      core::FlowParams params;
+      params.checkpoint_every = 1;
+      params.on_checkpoint = [&](const core::Checkpoint& c) {
+        ++committed;
+        EXPECT_TRUE(test_support::control_matches_schedule(g, c.schedule))
+            << "iteration " << c.iteration;
+      };
+      const core::FlowResult r = core::run_flow(kind, g, params);
+      ++finalized;
+      EXPECT_EQ(r.exec_time, r.schedule.length());
+      EXPECT_TRUE(test_support::control_matches_schedule(g, r.schedule));
+    }
+  }
+  EXPECT_GT(committed, 100);
+  EXPECT_EQ(finalized, 4 * 9);
 }
 
 TEST(RegisterDistances, DecreaseOnlyUpdateMatchesFrozenCopy) {
@@ -1352,7 +1382,7 @@ TEST(RegisterDistances, DecreaseOnlyUpdateMatchesFrozenCopy) {
       SCOPED_TRACE(g.name() + " " + core::flow_name(kind));
       for (const core::Checkpoint& c : run_states(g, kind, 4)) {
         SCOPED_TRACE("iteration " + std::to_string(c.iteration));
-        const etpn::Etpn e = etpn::build_etpn(g, c.schedule, c.binding);
+        const etpn::Etpn e = etpn::build_data_path(g, c.schedule, c.binding);
         const etpn::RegisterReach reach(e.data_path);
         EXPECT_EQ(reach.d_in(),
                   test_support::reference_register_distances(e.data_path)
@@ -1511,7 +1541,8 @@ TEST(MemoryBudget, StopIsTheIterationCappedDesign) {
       (r.stop_reason == "memory_budget" ? lo : hi) = mid;
     }
     // The budget is read against the whole ranking: every feasible pair.
-    const etpn::Etpn e = etpn::build_etpn(g, state.schedule, state.binding);
+    const etpn::Etpn e =
+        etpn::build_data_path(g, state.schedule, state.binding);
     const std::size_t ranked =
         test_support::reference_select_balance_candidates(
             g, state.binding, e,

@@ -273,7 +273,7 @@ TEST(ArenaLayout, WorkspaceArenaPlateausAcrossTrials) {
   const dfg::Dfg g = benchmarks::make_ewf();
   const sched::Schedule s = sched::asap(g);
   const etpn::Binding b = etpn::Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   etpn::DataPath& dp = e.data_path;
 
   etpn::DpNodeId into = etpn::DpNodeId::invalid();
@@ -337,7 +337,7 @@ TEST(CheckpointLayout, ResumeBitIdenticalUnderSoA) {
   ASSERT_FALSE(ckpts.empty());
 
   // Resume from every boundary: the checkpointed schedule + binding are
-  // re-materialized through build_etpn (compacted pools, SoA spans) and
+  // re-materialized through build_data_path (compacted pools, SoA spans) and
   // must reproduce the uninterrupted run exactly.
   for (const core::Checkpoint& c : ckpts) {
     core::FlowParams resume = params;

@@ -1,14 +1,16 @@
-// Unit tests for the timed Petri net engine: firing semantics, reachability
-// tree, 1-safety, deadlock detection, and critical-path extraction.
+// Unit tests for the timed Petri net test oracle (support/reference_petri):
+// firing semantics, reachability tree, 1-safety, deadlock detection, and
+// critical-path extraction.
 #include <gtest/gtest.h>
 
-#include "petri/petri.hpp"
+#include "support/reference_petri.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace hlts {
 namespace {
 
+namespace petri = test_support::petri;
 using petri::Marking;
 using petri::PetriNet;
 using petri::PlaceId;

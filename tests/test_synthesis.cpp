@@ -133,7 +133,7 @@ TEST(Synthesis, ConnectivityCandidatesOnlyPositiveCloseness) {
   dfg::Dfg g = benchmarks::make_ex();
   sched::Schedule s = sched::asap(g);
   Binding b = Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   auto candidates = core::select_connectivity_candidates(g, b, e, 1000);
   for (const auto& c : candidates) {
     EXPECT_GT(c.score, 0);

@@ -28,7 +28,7 @@ Synthesized synthesize(core::FlowKind kind, int bits) {
 
 TEST(TestPoints, SuggestionsRankedByBalance) {
   Synthesized s = synthesize(core::FlowKind::Camad, 8);
-  etpn::Etpn e = etpn::build_etpn(s.g, s.flow.schedule, s.flow.binding);
+  etpn::Etpn e = etpn::build_data_path(s.g, s.flow.schedule, s.flow.binding);
   testability::TestabilityAnalysis analysis(e.data_path);
   auto suggestions = testability::suggest_test_points(e, analysis, 3);
   ASSERT_GE(suggestions.size(), 2u);
@@ -109,7 +109,7 @@ TEST(TestPoints, ObservationPointImprovesCoverageOnWorstDesign) {
   // suggested test points must not lower coverage -- and with a bounded
   // ATPG budget it typically raises it.
   Synthesized s = synthesize(core::FlowKind::Camad, 8);
-  etpn::Etpn e = etpn::build_etpn(s.g, s.flow.schedule, s.flow.binding);
+  etpn::Etpn e = etpn::build_data_path(s.g, s.flow.schedule, s.flow.binding);
   testability::TestabilityAnalysis analysis(e.data_path);
   auto suggestions = testability::suggest_test_points(e, analysis, 2);
   ASSERT_FALSE(suggestions.empty());

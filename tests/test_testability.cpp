@@ -36,7 +36,7 @@ struct Built {
 Built build(dfg::Dfg g) {
   sched::Schedule s = sched::asap(g);
   Binding b = Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   return {std::move(g), std::move(b), std::move(e)};
 }
 
@@ -105,7 +105,7 @@ TEST(Testability, FixpointTerminatesOnLoopyDataPath) {
   sched::Schedule s = sched::asap(g);
   Binding bind = Binding::default_binding(g);
   bind.merge_regs(bind.reg_of(*g.find_var("u")), bind.reg_of(*g.find_var("v")));
-  etpn::Etpn e = etpn::build_etpn(g, s, bind);
+  etpn::Etpn e = etpn::build_data_path(g, s, bind);
   TestabilityAnalysis analysis(e.data_path);  // must terminate
   EXPECT_GT(analysis.balance_index(), 0.0);
   EXPECT_LE(analysis.balance_index(), 1.0);
@@ -115,7 +115,7 @@ TEST(Balance, SelectsComplementaryPairs) {
   dfg::Dfg g = benchmarks::make_ex();
   sched::Schedule s = sched::asap(g);
   Binding b = Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, b);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
   TestabilityAnalysis analysis(e.data_path);
   auto candidates =
       testability::select_balance_candidates(g, b, e, analysis, 10);
@@ -147,7 +147,7 @@ TEST(Balance, SelfLoopPenaltyLowersScore) {
   g.mark_output(*g.find_var("v"), true);
   sched::Schedule s = sched::asap(g);
   Binding bind = Binding::default_binding(g);
-  etpn::Etpn e = etpn::build_etpn(g, s, bind);
+  etpn::Etpn e = etpn::build_data_path(g, s, bind);
   TestabilityAnalysis analysis(e.data_path);
 
   testability::BalanceOptions no_penalty;
