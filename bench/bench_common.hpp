@@ -74,12 +74,15 @@ inline double reference_kernel_seconds() {
   return thread_cpu() - t0;
 }
 
-/// The median of `runs` runs of reference_kernel_seconds().
-inline double reference_kernel_median(int runs) {
-  std::vector<double> t;
-  for (int i = 0; i < runs; ++i) t.push_back(reference_kernel_seconds());
-  std::sort(t.begin(), t.end());
-  return t[t.size() / 2];
+/// The fastest of `runs` runs of reference_kernel_seconds(): interference
+/// only ever slows a run down, so the minimum is the steadiest reading of
+/// the machine's speed.
+inline double reference_kernel_min(int runs) {
+  double best = reference_kernel_seconds();
+  for (int i = 1; i < runs; ++i) {
+    best = std::min(best, reference_kernel_seconds());
+  }
+  return best;
 }
 
 /// The Algorithm-1 parameters used for the paper-table benches.

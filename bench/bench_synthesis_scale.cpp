@@ -4,11 +4,10 @@
 // synthesis loop has data.
 //
 // Knobs exercised:
-//   - SynthesisParams::num_threads -- the k candidate trials of each
-//     iteration fan out across a reusable pool (bit-identical results for
-//     every thread count, verified here on every run);
-//   - SynthesisParams::trial_cache -- candidates untouched by the committed
-//     merger reuse their dE/dH across iterations;
+//   - SynthesisParams::num_threads -- each iteration's trials fan out in
+//     waves across a reusable pool, padded with later candidates in rank
+//     order (bit-identical results for every thread count, verified here
+//     on every run);
 //   - fault simulation of the synthesized design's full collapsed fault
 //     universe (FaultSimulator's 256-lane packets), reported as one
 //     Mgate-lane-evals/s figure per benchmark;
@@ -24,18 +23,17 @@
 // bitwise cost numbers), so a change that alters any trajectory shows up
 // against the committed file.
 //
-// The sweep configs run with the cache on (that is the production-scale
-// configuration); the baseline row is the seed-equivalent exact path
-// (serial, no cache), so the JSON records both the caching and the
-// threading contribution.  Per-trial time is the median wall-clock of a
-// timed loop of at least 5 runs and 200 ms (also under --quick) divided by
-// the synth.trials_evaluated counter of the same configuration.  Usage:
+// Every config runs the exact path; the thread sweep's speedups are against
+// its serial run.  Per-trial time is the serial run's median wall-clock over
+// a timed loop of at least 5 runs and 200 ms (also under --quick) divided by
+// its synth.trials_evaluated counter; each ATPG backend's tg_ms is the
+// median of the same kind of timed loop.  Usage:
 //
 //   bench_synthesis_scale [output.json] [reps] [--quick] [--verify-serial]
 //                         [--compare committed.json]
 //
 //   --quick          one rep per configuration (CI smoke); the per-trial
-//                    times keep their timed loop
+//                    and ATPG times keep their timed loop
 //   --verify-serial  also check the 4-thread fault-sim detected set, and
 //                    the 4-thread generated-design trajectories, are
 //                    bit-identical to the serial ones
@@ -48,11 +46,11 @@
 //                    its timeframe or hybrid ATPG time (tg_ms) regressed
 //                    >20% at the machine's speed of the committed run
 //
-// Every run records "reference_kernel_s", the median time of a fixed
-// reference loop (bench_common.hpp) taken at its start.  --compare scales
-// the committed per-trial and ATPG times by the ratio of this run's
-// reference time to the committed one before it warns, so a slower day of
-// the same machine does not read as a regression.
+// Every run records "reference_kernel_s", the fastest of 15 runs of a fixed
+// reference loop (bench_common.hpp) before the benchmarks and 15 after
+// them.  --compare scales the committed per-trial and ATPG times by the
+// ratio of this run's reference time to the committed one before it warns,
+// so a slower day of the same machine does not read as a regression.
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -126,15 +124,18 @@ double best_of(int reps, const hlts::dfg::Dfg& g, const SynthesisParams& p,
   return best;
 }
 
-/// The median wall-clock of one run over a timed loop of at least 5 runs
-/// and 200 ms.  A benchmark's run takes 1-3 ms, so one run's time is mostly
-/// noise; the per-trial times --compare warns on are taken from this.
-double median_run_ms(const hlts::dfg::Dfg& g, const SynthesisParams& p) {
+/// The median wall-clock of one call of `run` over a timed loop of at least
+/// 5 calls and 200 ms.  A benchmark's synthesis takes 1-3 ms and its ATPG
+/// run varies by a third from one run to the next, so one run's time is
+/// mostly noise; the per-trial and ATPG times --compare warns on are taken
+/// from this.
+template <typename Run>
+double median_run_ms(Run&& run) {
   std::vector<double> runs;
   double total_ms = 0;
   while (runs.size() < 5 || total_ms < 200) {
     const auto t0 = std::chrono::steady_clock::now();
-    (void)hlts::core::integrated_synthesis(g, p);
+    run();
     const auto t1 = std::chrono::steady_clock::now();
     runs.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
     total_ms += runs.back();
@@ -157,7 +158,8 @@ ConfigSample sample_config(int reps, const hlts::dfg::Dfg& g,
                            const SynthesisParams& p) {
   ConfigSample s;
   s.ms = best_of(reps, g, p, &s.sig);
-  s.median_ms = median_run_ms(g, p);
+  s.median_ms =
+      median_run_ms([&] { (void)hlts::core::integrated_synthesis(g, p); });
   hlts::util::Trace trace;
   {
     hlts::util::Trace::Scope scope(&trace);
@@ -241,7 +243,7 @@ struct AtpgBackendSample {
   std::string backend;
   double coverage = 0;
   double efficiency = 0;
-  double tg_ms = 0;
+  double tg_ms = 0;      ///< median_run_ms of run_atpg
   double encode_ms = 0;  ///< summed atpg.sat_encode spans
   double solve_ms = 0;   ///< summed atpg.sat_solve spans
   double rescue_ms = 0;  ///< summed atpg.rescue spans
@@ -275,6 +277,9 @@ std::vector<AtpgBackendSample> atpg_backend_sweep(const hlts::dfg::Dfg& g,
       res = atpg::run_atpg(elab.netlist, design.steps() + 1, options);
     }
     AtpgBackendSample s;
+    s.tg_ms = median_run_ms([&] {
+      (void)atpg::run_atpg(elab.netlist, design.steps() + 1, options);
+    });
     for (const hlts::util::SpanRecord& span : trace.snapshot().spans) {
       const double ms = static_cast<double>(span.dur_us) / 1e3;
       if (span.name == "atpg.sat_encode") s.encode_ms += ms;
@@ -284,7 +289,6 @@ std::vector<AtpgBackendSample> atpg_backend_sweep(const hlts::dfg::Dfg& g,
     s.backend = backend;
     s.coverage = res.fault_coverage;
     s.efficiency = res.fault_efficiency;
-    s.tg_ms = res.tg_time_ms;
     s.detected = res.detected();
     s.untestable = res.untestable_proved;
     s.aborted = res.aborted;
@@ -467,40 +471,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The machine's speed now, and the factor that takes the committed
-  // timings to it (1 when the committed file predates the record).
-  const double reference_s = hlts::bench::reference_kernel_median(7);
-  double speed_scale = 1.0;
-  if (!committed.empty()) {
-    const std::size_t at = committed.find("\"reference_kernel_s\": ");
-    if (at != std::string::npos) {
-      const double old = std::strtod(
-          committed.c_str() + at + std::strlen("\"reference_kernel_s\": "),
-          nullptr);
-      if (old > 0) speed_scale = reference_s / old;
-    }
-    std::printf("reference kernel: %.2f ms, committed timings scaled %.3fx\n",
-                1e3 * reference_s, speed_scale);
-  }
+  // The machine's speed: the first half of the reference sample.
+  double reference_s = hlts::bench::reference_kernel_min(15);
 
   std::ostringstream json;
   json.precision(17);
-  json << "{\n"
-       << "  \"bench\": \"bench_synthesis_scale\",\n"
-       << "  \"commit\": \"" << source_commit() << "\",\n"
-       << "  \"build_type\": \""
-       << (*HLTS_BUILD_TYPE != '\0' ? HLTS_BUILD_TYPE : "none") << "\",\n"
-       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"default_threads\": " << hw << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"reference_kernel_s\": " << reference_s << ",\n"
-       << "  \"params\": {\"bits\": " << common.bits << ", \"k\": " << common.k
-       << "},\n"
-       << "  \"benchmarks\": [\n";
+  json << "  \"benchmarks\": [\n";
 
   bool first_bench = true;
   int not_identical = 0;
-  int regressions = 0;
   /// --compare: ATPG counts or synthesis digests off the committed file.
   int count_mismatches = 0;
   // A digest that differs from (or is missing in) the committed file.
@@ -515,35 +494,32 @@ int main(int argc, char** argv) {
                  what.c_str(), now.c_str(), compare_path.c_str(),
                  old ? old->c_str() : "none");
   };
+  /// The times --compare warns on, checked once the reference sample is
+  /// complete.
+  struct BenchTimes {
+    std::string name;
+    double per_trial_us = 0;
+    std::vector<AtpgBackendSample> atpg;
+  };
+  std::vector<BenchTimes> times;
   for (const char* name : {"ex", "dct", "diffeq", "ewf", "paulin", "tseng"}) {
     hlts::dfg::Dfg g = hlts::benchmarks::make_benchmark(name);
 
-    // Seed-equivalent exact path: serial, no trial cache.
-    SynthesisParams baseline = common;
-    baseline.num_threads = 1;
-    baseline.trial_cache = false;
-    const ConfigSample baseline_s = sample_config(reps, g, baseline);
-
-    // Serial reference for the bit-identity check of the sweep configs.
+    // The serial run: the per-trial time, the digest, and the reference of
+    // the thread sweep's bit-identity check.
     SynthesisParams serial = common;
     serial.num_threads = 1;
-    serial.trial_cache = true;
     const ConfigSample serial_s = sample_config(reps, g, serial);
-
-    const double baseline_per_trial_us =
-        baseline_s.trials > 0 ? baseline_s.median_ms * 1e3 / baseline_s.trials
-                              : 0;
     const double per_trial_us =
         serial_s.trials > 0 ? serial_s.median_ms * 1e3 / serial_s.trials : 0;
 
-    SynthesisResult shape = hlts::core::integrated_synthesis(g, baseline);
+    SynthesisResult shape = hlts::core::integrated_synthesis(g, serial);
     std::printf(
-        "%-7s baseline (serial, no cache): %8.1f ms  (%zu mergers, "
-        "%lld trials, %.1f us/trial)\n",
-        name, baseline_s.ms, shape.trajectory.size(),
-        static_cast<long long>(baseline_s.trials), baseline_per_trial_us);
+        "%-7s serial: %8.1f ms  (%zu mergers, %lld trials, %.1f us/trial)\n",
+        name, serial_s.ms, shape.trajectory.size(),
+        static_cast<long long>(serial_s.trials), per_trial_us);
 
-    const std::string bench_digest = digest(baseline_s.sig);
+    const std::string bench_digest = digest(serial_s.sig);
     check_digest(name, std::string("\"name\": \"") + name + "\"",
                  bench_digest);
     if (!first_bench) json << ",\n";
@@ -552,10 +528,6 @@ int main(int argc, char** argv) {
          << "      \"name\": \"" << name << "\",\n"
          << "      \"digest\": \"" << bench_digest << "\",\n"
          << "      \"mergers\": " << shape.trajectory.size() << ",\n"
-         << "      \"baseline_serial_nocache_ms\": " << baseline_s.ms << ",\n"
-         << "      \"baseline_trials\": " << baseline_s.trials << ",\n"
-         << "      \"baseline_per_trial_us\": " << baseline_per_trial_us
-         << ",\n"
          << "      \"trials\": " << serial_s.trials << ",\n"
          << "      \"per_trial_us\": " << per_trial_us << ",\n"
          << "      \"configs\": [\n";
@@ -564,20 +536,18 @@ int main(int argc, char** argv) {
       const int threads = thread_configs[ci];
       SynthesisParams p = common;
       p.num_threads = threads;
-      p.trial_cache = true;
-      std::string sig;
+      std::string sig = serial_s.sig;
       const double ms =
           threads == 1 ? serial_s.ms : best_of(reps, g, p, &sig);
-      if (threads == 1) sig = serial_s.sig;
       const bool identical = sig == serial_s.sig;
       if (!identical) ++not_identical;
-      const double speedup = ms > 0 ? baseline_s.ms / ms : 0;
+      const double speedup = ms > 0 ? serial_s.ms / ms : 0;
       std::printf(
-          "%-7s threads=%-2d cache=on: %8.1f ms   speedup vs baseline %.2fx"
+          "%-7s threads=%-2d: %8.1f ms   speedup vs serial %.2fx"
           "   identical_to_serial=%s\n",
           name, threads, ms, speedup, identical ? "yes" : "NO");
-      json << "        {\"threads\": " << threads << ", \"trial_cache\": true"
-           << ", \"ms\": " << ms << ", \"speedup_vs_baseline\": " << speedup
+      json << "        {\"threads\": " << threads << ", \"ms\": " << ms
+           << ", \"speedup_vs_serial\": " << speedup
            << ", \"identical_to_serial\": " << (identical ? "true" : "false")
            << "}" << (ci + 1 < thread_configs.size() ? "," : "") << "\n";
     }
@@ -603,7 +573,7 @@ int main(int argc, char** argv) {
     // PODEM) mode covers -- SAT is complete within the shared frame bound
     // where PODEM's bounded backtracking aborts.
     bool hybrid_ge_timeframe = true;
-    const std::vector<AtpgBackendSample> atpg_samples =
+    std::vector<AtpgBackendSample> atpg_samples =
         atpg_backend_sweep(g, &hybrid_ge_timeframe);
     if (!hybrid_ge_timeframe) ++not_identical;
     json << "      \"atpg_backends\": [\n";
@@ -642,29 +612,8 @@ int main(int argc, char** argv) {
     json << "      ]\n    }";
 
     if (!committed.empty()) {
-      const double old_us =
-          speed_scale *
-          committed_number(committed, name, "per_trial_us").value_or(0);
-      if (old_us > 0 && per_trial_us > old_us * 1.2) {
-        ++regressions;
-        std::fprintf(stderr,
-                     "WARNING: %s per-trial time regressed %.1f -> %.1f us "
-                     "(>20%% vs %s, at today's speed)\n",
-                     name, old_us, per_trial_us, compare_path.c_str());
-      }
       for (const AtpgBackendSample& s : atpg_samples) {
         const std::string row = "\"backend\": \"" + s.backend + "\"";
-        const double old_tg_ms =
-            speed_scale *
-            committed_number(committed, name, "tg_ms", row).value_or(0);
-        if (old_tg_ms > 0 && s.tg_ms > old_tg_ms * 1.2) {
-          ++regressions;
-          std::fprintf(stderr,
-                       "WARNING: %s %s ATPG time regressed %.1f -> %.1f ms "
-                       "(>20%% vs %s, at today's speed)\n",
-                       name, s.backend.c_str(), old_tg_ms, s.tg_ms,
-                       compare_path.c_str());
-        }
         const std::pair<const char*, std::size_t> counts[] = {
             {"detected", s.detected},
             {"untestable", s.untestable},
@@ -683,6 +632,7 @@ int main(int argc, char** argv) {
         }
       }
     }
+    times.push_back({name, per_trial_us, std::move(atpg_samples)});
   }
   json << "\n  ],\n";
 
@@ -719,8 +669,65 @@ int main(int argc, char** argv) {
   }
   json << "    ]\n  }\n}\n";
 
+  // The second half of the reference sample, and the factor that takes the
+  // committed timings to the machine's speed now (1 when the committed file
+  // predates the record).
+  reference_s = std::min(reference_s, hlts::bench::reference_kernel_min(15));
+  int regressions = 0;
+  if (!committed.empty()) {
+    double speed_scale = 1.0;
+    const std::size_t at = committed.find("\"reference_kernel_s\": ");
+    if (at != std::string::npos) {
+      const double old = std::strtod(
+          committed.c_str() + at + std::strlen("\"reference_kernel_s\": "),
+          nullptr);
+      if (old > 0) speed_scale = reference_s / old;
+    }
+    std::printf("reference kernel: %.2f ms, committed timings scaled %.3fx\n",
+                1e3 * reference_s, speed_scale);
+    for (const BenchTimes& t : times) {
+      const char* name = t.name.c_str();
+      const double old_us =
+          speed_scale *
+          committed_number(committed, t.name, "per_trial_us").value_or(0);
+      if (old_us > 0 && t.per_trial_us > old_us * 1.2) {
+        ++regressions;
+        std::fprintf(stderr,
+                     "WARNING: %s per-trial time regressed %.1f -> %.1f us "
+                     "(>20%% vs %s, at today's speed)\n",
+                     name, old_us, t.per_trial_us, compare_path.c_str());
+      }
+      for (const AtpgBackendSample& s : t.atpg) {
+        const std::string row = "\"backend\": \"" + s.backend + "\"";
+        const double old_tg_ms =
+            speed_scale *
+            committed_number(committed, t.name, "tg_ms", row).value_or(0);
+        if (old_tg_ms > 0 && s.tg_ms > old_tg_ms * 1.2) {
+          ++regressions;
+          std::fprintf(stderr,
+                       "WARNING: %s %s ATPG time regressed %.1f -> %.1f ms "
+                       "(>20%% vs %s, at today's speed)\n",
+                       name, s.backend.c_str(), old_tg_ms, s.tg_ms,
+                       compare_path.c_str());
+        }
+      }
+    }
+  }
+
   std::ofstream out(out_path);
-  out << json.str();
+  out.precision(17);
+  out << "{\n"
+      << "  \"bench\": \"bench_synthesis_scale\",\n"
+      << "  \"commit\": \"" << source_commit() << "\",\n"
+      << "  \"build_type\": \""
+      << (*HLTS_BUILD_TYPE != '\0' ? HLTS_BUILD_TYPE : "none") << "\",\n"
+      << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"default_threads\": " << hw << ",\n"
+      << "  \"reps\": " << reps << ",\n"
+      << "  \"reference_kernel_s\": " << reference_s << ",\n"
+      << "  \"params\": {\"bits\": " << common.bits << ", \"k\": " << common.k
+      << "},\n"
+      << json.str();
   if (!out) {
     std::cerr << "ERROR: could not write " << out_path << "\n";
     return 1;

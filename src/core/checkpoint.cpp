@@ -170,7 +170,6 @@ util::JsonValue params_to_json(const AlgorithmOptions& p) {
       {"beta", JsonValue::make_number(p.beta)},
       {"max_latency", JsonValue::make_int(p.max_latency)},
       {"num_threads", JsonValue::make_int(p.num_threads)},
-      {"trial_cache", JsonValue::make_bool(p.trial_cache)},
       {"max_iterations", JsonValue::make_int(p.max_iterations)},
       {"memory_budget_bytes",
        JsonValue::make_int(static_cast<std::int64_t>(p.memory_budget_bytes))},
@@ -199,14 +198,13 @@ AlgorithmOptions params_from_json(const util::JsonValue& v) {
   p.num_threads = static_cast<int>(member_int(v, "num_threads"));
   if (p.max_latency < 0) bad("max_latency negative");
   if (p.num_threads < 0) bad("num_threads negative");
-  p.trial_cache = member_bool(v, "trial_cache");
   p.max_iterations = static_cast<int>(max_iter);
   p.memory_budget_bytes = static_cast<std::size_t>(mem);
   p.audit = member_bool(v, "audit");
   // Members this reader does not know are ignored, so documents from older
-  // builds -- e.g. ones carrying the retired "incremental" flag or the
-  // retired ATPG settings, which now live only in atpg::AtpgOptions --
-  // parse.
+  // builds -- e.g. ones carrying the retired "incremental" or "trial_cache"
+  // flags or the retired ATPG settings, which now live only in
+  // atpg::AtpgOptions -- parse.
   return p;
 }
 

@@ -59,8 +59,7 @@ struct Checkpoint {
 /// --- Checkpoint -----------------------------------------------------------
 /// Schedule as one step per op in id order; binding as per-slot member
 /// lists *including* tombstone slots (empty, dead), so group ids -- which
-/// candidate descriptions and the trial cache key on -- survive the
-/// round-trip unchanged.
+/// candidate descriptions key on -- survive the round-trip unchanged.
 [[nodiscard]] util::JsonValue checkpoint_to_json(const Checkpoint& c);
 /// Rebuilds and fully validates the checkpoint against `g` (binding
 /// invariants, schedule/binding consistency, data dependences); throws

@@ -2,7 +2,7 @@
 //
 // `core::FlowParams` (the flow-level API) and `core::SynthesisParams` (the
 // algorithm-level API) used to declare k/alpha/beta/bits/max_latency/
-// num_threads/trial_cache/library twice and copy them by hand in flows.cpp;
+// num_threads/library twice and copy them by hand in flows.cpp;
 // AlgorithmOptions is the one shared struct both now embed.  FlowParams is
 // an alias of it (it carried exactly these fields), which keeps designated
 // initializers like `run_flow(kind, g, {.bits = 4})` working; SynthesisParams
@@ -72,19 +72,14 @@ struct AlgorithmOptions {
   /// reschedule -> cost estimate): 0 means
   /// util::ThreadPool::default_threads() (the HLTS_THREADS environment
   /// variable, else std::thread::hardware_concurrency()); 1 forces the
-  /// serial path.  The result is bit-identical for every value -- trials
-  /// are independent and the reduction is deterministic (smallest dC, ties
-  /// broken by candidate rank).
+  /// serial path.  With more than one thread each wave of trials is padded
+  /// with later candidates in rank order, up to 4 per thread, so the pool
+  /// stays busy when most trials are rejected.  The result is bit-identical
+  /// for every value -- trials are independent and exact, selection reads
+  /// the first k feasible candidates in rank order, and the reduction is
+  /// deterministic (smallest dC, ties broken by candidate rank); only the
+  /// number of evaluated trials (synth.trials_speculative) changes.
   int num_threads = 0;
-  /// Cross-iteration trial cache: candidate pairs untouched by the
-  /// committed merger keep their estimated dE/dH for the next iteration
-  /// instead of paying a fresh reschedule + cost estimate (1.7-2x on EWF).
-  /// Cached values only *rank* candidates; the winning merger is always
-  /// re-evaluated fresh before it is committed, so every committed
-  /// schedule/binding is exact.  Off by default: the stale dE/dH ranking
-  /// can pick a different (near-tie) merger than exact Algorithm 1, and
-  /// the default must reproduce the paper's tables.
-  bool trial_cache = false;
   /// Iteration budget for the merger loop.  A run that exhausts it returns
   /// its current design tagged Completeness::Partial -- the anytime
   /// contract's "capped run", and the reference a cancelled run at the same
@@ -130,9 +125,8 @@ struct AlgorithmOptions {
   /// Because the loop's entire state is (schedule, binding) -- everything
   /// else is deterministically rederived -- the continuation is
   /// bit-identical to the uninterrupted run from iteration
-  /// `resume_from->iteration` on (trial_cache must be off: the cache's
-  /// cross-iteration memory is not part of a checkpoint).  The pointee must
-  /// outlive the run.  Ignored by the non-iterative flows (Approach 1/2).
+  /// `resume_from->iteration` on.  The pointee must outlive the run.
+  /// Ignored by the non-iterative flows (Approach 1/2).
   const Checkpoint* resume_from = nullptr;
 };
 

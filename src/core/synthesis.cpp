@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <tuple>
-#include <unordered_map>
 
 #include "analysis/incremental.hpp"
 #include "core/checkpoint.hpp"
@@ -97,50 +95,6 @@ void close_pairs(const etpn::DataPath& dp,
   }
 }
 
-/// Canonical cache key of one candidate pair: kind plus the two binding
-/// group ids in ascending order.  Group ids are stable across mergers
-/// (merged-away groups become tombstones), so a key keeps naming the same
-/// two groups until one of them is committed into a merger -- which is
-/// exactly when the entry is invalidated.
-struct TrialKey {
-  testability::MergeCandidate::Kind kind =
-      testability::MergeCandidate::Kind::Modules;
-  std::uint32_t a = 0, b = 0;
-
-  friend bool operator==(const TrialKey&, const TrialKey&) = default;
-};
-
-TrialKey make_key(const testability::MergeCandidate& c) {
-  TrialKey key;
-  key.kind = c.kind;
-  std::tie(key.a, key.b) = c.group_ids();
-  if (key.a > key.b) std::swap(key.a, key.b);
-  return key;
-}
-
-struct TrialKeyHash {
-  std::size_t operator()(const TrialKey& k) const noexcept {
-    std::uint64_t h = (std::uint64_t{k.a} << 33) ^ (std::uint64_t{k.b} << 1) ^
-                      static_cast<std::uint64_t>(k.kind);
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return static_cast<std::size_t>(h);
-  }
-};
-
-/// Cached outcome of one trial: feasibility and the dE/dH measured against
-/// the baseline that was current when the trial ran.  dE/dH of a merger are
-/// (to first order) properties of the pair itself, so they stay accurate
-/// for pairs the committed merger did not touch.
-struct CachedTrial {
-  bool feasible = false;
-  double delta_e = 0;
-  double delta_h = 0;
-};
-
-using TrialCache = std::unordered_map<TrialKey, CachedTrial, TrialKeyHash>;
-
 /// One evaluated trial: merged design -> reschedule -> hardware cost of the
 /// merged data path.  The winner's merger is re-applied at commit time.
 struct TrialEval {
@@ -192,11 +146,17 @@ TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
 
 /// Per-candidate knowledge within one iteration.
 struct Outcome {
-  enum class State { Unknown, Cached, Fresh } state = State::Unknown;
-  bool feasible = false;
-  double delta_e = 0, delta_h = 0, delta_c = 0;
-  TrialEval eval;  ///< populated when state == Fresh and feasible
+  bool evaluated = false;
+  double delta_e = 0, delta_h = 0, delta_c = 0;  ///< set when eval.feasible
+  TrialEval eval;
 };
+
+/// Trials per pool thread in one wave.  The wave that fills k is padded with
+/// the next unevaluated candidates in rank order up to this many per thread,
+/// so the pool has work even when most trials are rejected; selection reads
+/// the same rank-order prefix, so padding changes only how many evaluations
+/// go unread.
+constexpr std::size_t kWaveTrialsPerThread = 4;
 
 /// Approximate heap bytes held by one evaluated trial, used to honour
 /// AlgorithmOptions::memory_budget_bytes without instrumenting the
@@ -277,13 +237,9 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
 
   // Crash recovery: a checkpoint is the loop's complete state (see
   // core/checkpoint.hpp), so resuming means seeding schedule + binding from
-  // it and starting the iteration counter where it left off.  trial_cache
-  // must be off -- its cross-iteration memory is not part of a checkpoint,
-  // and resuming without it could rank a near-tie differently.
+  // it and starting the iteration counter where it left off.
   const Checkpoint* resume = p.resume_from;
   if (resume != nullptr) {
-    HLTS_REQUIRE_INPUT(!p.trial_cache,
-                       "synthesis: resume_from requires trial_cache off");
     HLTS_REQUIRE_INPUT(resume->iteration >= 0 &&
                            resume->iteration <= p.max_iterations,
                        "synthesis: resume iteration out of range");
@@ -318,16 +274,17 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
 
   // One pool for the whole run, reused across iterations.  Everything that
   // follows is bit-identical for any thread count: trials are evaluated
-  // independently, wave boundaries depend only on the (deterministic)
-  // ranking and cache state, and the reduction walks candidates in rank
-  // order with the same comparison the serial loop uses.
+  // independently and exactly, and selection reads the same rank-order
+  // prefix of verdicts with the same comparison the serial loop uses; the
+  // thread count only widens waves (kWaveTrialsPerThread).
   const std::size_t threads = p.num_threads > 0
                                   ? static_cast<std::size_t>(p.num_threads)
                                   : util::ThreadPool::default_threads();
   std::optional<util::ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
+  const std::size_t wave_width = pool ? kWaveTrialsPerThread * threads : 0;
+  const auto k = static_cast<std::size_t>(p.k);
 
-  TrialCache cache;
   // Trial evaluation fans out to pool workers, which do not inherit the
   // caller's thread-local trace; counters go through this captured pointer
   // (Trace is thread-safe) so worker-side work is still accounted.
@@ -393,8 +350,8 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
       converged = true;
       break;
     }
-    // The memory budget and the trial cache read the whole ranking.
-    if (p.memory_budget_bytes != 0 || p.trial_cache) {
+    // The memory budget reads the whole ranking.
+    if (p.memory_budget_bytes != 0) {
       while (pull()) {
       }
     }
@@ -413,94 +370,69 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     const double base_exec = static_cast<double>(result.exec_time);
     const double base_hw = result.cost.total();
 
-    if (p.trial_cache) {
-      for (std::size_t i = 0; i < ranking.size(); ++i) {
-        auto it = cache.find(make_key(ranking[i]));
-        if (it == cache.end()) continue;
-        if (trace) trace->add_counter("synth.cache_hits");
-        Outcome& o = outcomes[i];
-        o.state = Outcome::State::Cached;
-        o.feasible = it->second.feasible;
-        o.delta_e = it->second.delta_e;
-        o.delta_h = it->second.delta_h;
-        o.delta_c = p.alpha * o.delta_e + p.beta * o.delta_h;
-      }
-    }
-
-    // Evaluates ranking[i] for real and records it in outcomes + cache.
     auto evaluate_at = [&](std::size_t i) {
       if (trace) trace->add_counter("synth.trials_evaluated");
       Outcome& o = outcomes[i];
       o.eval = evaluate_trial(g, p, ctx, result.schedule, ranking[i],
                               max_latency);
-      o.state = Outcome::State::Fresh;
-      o.feasible = o.eval.feasible;
-      if (o.feasible) {
+      o.evaluated = true;
+      if (o.eval.feasible) {
         o.delta_e = static_cast<double>(o.eval.exec_time) - base_exec;
         o.delta_h = (o.eval.cost.total() - base_hw) / kAreaUnit;
         o.delta_c = p.alpha * o.delta_e + p.beta * o.delta_h;
       }
     };
-    auto remember = [&](std::size_t i) {
-      if (!p.trial_cache) return;
-      const Outcome& o = outcomes[i];
-      cache[make_key(ranking[i])] =
-          CachedTrial{o.feasible, o.delta_e, o.delta_h};
-    };
 
     // Steps 7-11: resolve the first k feasible candidates in rank order,
     // fanning unresolved trials out across the pool, then pick the smallest
-    // dC.  Cached outcomes only rank; a cached winner is re-evaluated fresh
-    // before commitment (and the selection re-run on its exact numbers), so
-    // the committed schedule/binding always reflects the current state.
-    std::optional<std::size_t> winner;
+    // dC.
+    std::vector<std::size_t> chosen;
     const std::uint64_t trials_start = trace ? trace->now_us() : 0;
     for (;;) {
-      std::vector<std::size_t> chosen;
+      chosen.clear();
       std::vector<std::size_t> wave;
-      for (std::size_t i = 0; chosen.size() < static_cast<std::size_t>(p.k);
+      std::size_t i = 0;
+      // Stop at enough unresolved trials that, were they all feasible, the
+      // prefix would fill k: evaluate before scanning further.
+      for (; chosen.size() + wave.size() < k &&
+             (i < ranking.size() || pull());
            ++i) {
-        if (i == ranking.size() && !pull()) break;
-        const Outcome& o = outcomes[i];
-        if (o.state == Outcome::State::Unknown) {
+        if (!outcomes[i].evaluated) {
           wave.push_back(i);
-          // Enough unresolved trials that, were they all feasible, the
-          // prefix would fill k: evaluate before scanning further.
-          if (chosen.size() + wave.size() >= static_cast<std::size_t>(p.k)) {
-            break;
-          }
-        } else if (o.feasible) {
+        } else if (outcomes[i].eval.feasible) {
           chosen.push_back(i);
         }
       }
-      if (!wave.empty()) {
-        if (pool) {
-          pool->parallel_for(wave.size(),
-                             [&](std::size_t w) { evaluate_at(wave[w]); });
-        } else {
-          for (std::size_t w = 0; w < wave.size(); ++w) evaluate_at(wave[w]);
-        }
-        for (std::size_t i : wave) remember(i);
-        continue;  // re-scan with the new knowledge
+      if (wave.empty()) break;
+      // Speculation: pad the wave with the next unevaluated candidates.
+      for (; wave.size() < wave_width && (i < ranking.size() || pull()); ++i) {
+        if (!outcomes[i].evaluated) wave.push_back(i);
       }
-
-      if (chosen.empty()) break;  // no feasible merger at all
-      std::size_t best = chosen.front();
-      for (std::size_t i : chosen) {
-        if (outcomes[i].delta_c < outcomes[best].delta_c - 1e-12) best = i;
+      if (pool) {
+        pool->parallel_for(wave.size(),
+                           [&](std::size_t w) { evaluate_at(wave[w]); });
+      } else {
+        for (std::size_t w : wave) evaluate_at(w);
       }
-      if (outcomes[best].state == Outcome::State::Fresh) {
-        winner = best;
-        break;
-      }
-      // Cached winner: replace the estimate with a fresh evaluation and
-      // re-run the selection on exact numbers.
-      evaluate_at(best);
-      remember(best);
     }
     if (trace) {
       trace->add_span("synth.trials", trials_start,
                       trace->now_us() - trials_start);
+      // Padded trials past the k-th feasible candidate: selection never
+      // read them, and the serial loop never evaluates them.
+      if (chosen.size() == k) {
+        std::int64_t unread = 0;
+        for (std::size_t j = chosen.back() + 1; j < outcomes.size(); ++j) {
+          unread += outcomes[j].evaluated ? 1 : 0;
+        }
+        if (unread > 0) trace->add_counter("synth.trials_speculative", unread);
+      }
+    }
+    std::optional<std::size_t> winner;
+    for (std::size_t i : chosen) {
+      if (!winner || outcomes[i].delta_c < outcomes[*winner].delta_c - 1e-12) {
+        winner = i;
+      }
     }
 
     // Step 15: "until no merger exists".  dC selects *which* merger to
@@ -542,18 +474,6 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     rec.registers = next_b.num_alive_regs();
     rec.modules = next_b.num_alive_modules();
     rec.balance_index = ctx.analysis().balance_index();
-    if (p.trial_cache) {
-      // Drop every cached trial that touches one of the committed pair's
-      // binding groups: the surviving group changed content and the other
-      // became a tombstone.  Disjoint pairs keep their dE/dH.
-      const TrialKey committed = make_key(cand);
-      std::erase_if(cache, [&](const auto& kv) {
-        const TrialKey& k = kv.first;
-        return k.kind == committed.kind &&
-               (k.a == committed.a || k.a == committed.b ||
-                k.b == committed.a || k.b == committed.b);
-      });
-    }
     result.binding = std::move(next_b);
     result.schedule = std::move(win.eval.schedule);
     result.exec_time = rec.exec_time;

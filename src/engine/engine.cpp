@@ -337,14 +337,6 @@ std::vector<JobPtr> Engine::shed_for_space() {
 
 JobPtr Engine::submit(FlowRequest request, JobOptions options) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (journal_) {
-    // The trial cache's cross-iteration memory is not part of a checkpoint;
-    // resuming such a run could rank a near-tie differently.  Journaling
-    // promises bit-identical recovery, so the combination is refused.
-    HLTS_REQUIRE_INPUT(!request.params.trial_cache,
-                       "engine: journaling requires trial_cache off (its "
-                       "cross-iteration state is not checkpointed)");
-  }
   JobPtr job;
   std::vector<JobPtr> shed;
   bool rejected = false;

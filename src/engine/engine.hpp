@@ -252,10 +252,8 @@ struct EngineOptions {
 
   // --- durability ----------------------------------------------------------
   /// Journal directory; empty disables journaling.  When set, submit()
-  /// writes the job ahead (and refuses FlowParams::trial_cache, whose
-  /// cross-iteration state is not checkpointed), workers persist
-  /// checkpoints at the cadence below, and Engine::recover() can replay
-  /// the directory after a crash.
+  /// writes the job ahead, workers persist checkpoints at the cadence
+  /// below, and Engine::recover() can replay the directory after a crash.
   std::string journal_dir{};
   /// Checkpoint cadence in committed Algorithm-1 mergers, applied to
   /// journaled jobs whose FlowParams::checkpoint_every is 0.  Must be >= 1

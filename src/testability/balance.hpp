@@ -32,10 +32,9 @@ struct MergeCandidate {
   /// True when the merger would create a register<->module self-loop.
   bool creates_self_loop = false;
 
-  // Kind dispatch, in one place.  Cache keying, trial evaluation and commit
-  // descriptions all used to switch on `kind` by hand; these helpers are the
-  // single source of truth for "which two binding groups does this candidate
-  // name and how is the merger applied".
+  // Kind dispatch, in one place: these helpers are the single source of
+  // truth for "which two binding groups does this candidate name and how is
+  // the merger applied".
   [[nodiscard]] bool is_modules() const { return kind == Kind::Modules; }
   /// The raw ids of the two binding groups (module or register ids).
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> group_ids() const {

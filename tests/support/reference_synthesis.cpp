@@ -140,7 +140,6 @@ std::optional<ReferenceStep> reference_step(const dfg::Dfg& g,
 
 core::SynthesisResult replay_against_reference(const dfg::Dfg& g,
                                                core::SynthesisParams p) {
-  EXPECT_FALSE(p.trial_cache) << "the reference has no trial cache";
   EXPECT_EQ(p.memory_budget_bytes, 0u) << "the reference has no budget";
   EXPECT_EQ(p.resume_from, nullptr) << "the replay starts from ASAP";
 

@@ -11,9 +11,8 @@
 // real run against it bit for bit.  The rankings, testability fixpoint,
 // rescheduler and cost estimate it calls are the frozen copies in
 // reference_layers.hpp, not the production ones, so a divergence in any of
-// those production layers shows up here.  The oracle covers the exact
-// Algorithm 1 only: the trial cache and the memory budget are out of its
-// scope.
+// those production layers shows up here.  The memory budget is out of the
+// oracle's scope.
 #pragma once
 
 #include <optional>
@@ -65,8 +64,8 @@ struct ReferenceStep {
 /// Runs integrated_synthesis(g, p) with a checkpoint after every commit and
 /// replays reference_step() from each previous checkpoint, recording a
 /// gtest failure unless the run's IterationRecord, next checkpoint and stop
-/// reason are bit-identical to the reference.  `p` must have trial_cache
-/// off, no memory budget and no resume point.  Returns the run's result.
+/// reason are bit-identical to the reference.  `p` must have no memory
+/// budget and no resume point.  Returns the run's result.
 core::SynthesisResult replay_against_reference(const dfg::Dfg& g,
                                                core::SynthesisParams p);
 

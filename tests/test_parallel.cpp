@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "atpg/fault_sim.hpp"
@@ -20,6 +22,8 @@
 #include "rtl/rtl.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
+#include "workload/generator.hpp"
 
 namespace hlts {
 namespace {
@@ -177,33 +181,94 @@ void expect_identical(const core::SynthesisResult& a,
   EXPECT_EQ(a.schedule, b.schedule);
 }
 
-core::SynthesisResult run(const dfg::Dfg& g, int threads, bool cache) {
+core::SynthesisResult run(const dfg::Dfg& g, int threads) {
   core::SynthesisParams p;
   p.bits = 8;
   p.k = 5;
   p.num_threads = threads;
-  p.trial_cache = cache;
   return core::integrated_synthesis(g, p);
 }
 
 TEST(ParallelSynthesis, EwfIdenticalAcrossThreadCounts) {
   dfg::Dfg g = benchmarks::make_ewf();
-  core::SynthesisResult serial = run(g, 1, true);
-  core::SynthesisResult parallel8 = run(g, 8, true);
+  core::SynthesisResult serial = run(g, 1);
+  core::SynthesisResult parallel8 = run(g, 8);
   ASSERT_FALSE(serial.trajectory.empty());
   expect_identical(serial, parallel8);
 }
 
-TEST(ParallelSynthesis, DiffeqIdenticalAcrossThreadCountsAndCache) {
+TEST(ParallelSynthesis, DiffeqIdenticalAcrossThreadCounts) {
   dfg::Dfg g = benchmarks::make_diffeq();
-  for (bool cache : {false, true}) {
-    core::SynthesisResult serial = run(g, 1, cache);
-    core::SynthesisResult parallel3 = run(g, 3, cache);
-    core::SynthesisResult parallel8 = run(g, 8, cache);
-    ASSERT_FALSE(serial.trajectory.empty());
-    expect_identical(serial, parallel3);
-    expect_identical(serial, parallel8);
+  core::SynthesisResult serial = run(g, 1);
+  core::SynthesisResult parallel3 = run(g, 3);
+  core::SynthesisResult parallel8 = run(g, 8);
+  ASSERT_FALSE(serial.trajectory.empty());
+  expect_identical(serial, parallel3);
+  expect_identical(serial, parallel8);
+}
+
+/// A traced run's result with its synth.trials_evaluated and
+/// synth.trials_speculative counters (0 when absent).
+struct TracedRun {
+  core::SynthesisResult result;
+  std::int64_t evaluated = 0;
+  std::int64_t speculative = 0;
+};
+
+TracedRun traced_run(const dfg::Dfg& g, int threads) {
+  util::Trace trace;
+  TracedRun t;
+  {
+    const util::Trace::Scope scope(&trace);
+    t.result = run(g, threads);
   }
+  const auto counters = trace.snapshot().counters;
+  const auto read = [&](const char* name) -> std::int64_t {
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
+  };
+  t.evaluated = read("synth.trials_evaluated");
+  t.speculative = read("synth.trials_speculative");
+  return t;
+}
+
+// With a pool, every wave is padded with later candidates in rank order.
+// Selection still reads the first k feasible candidates, so the run must
+// equal the serial one, and the padded trials selection never read must be
+// exactly the surplus over the serial run's evaluations.
+TEST(ParallelSynthesis, SpeculativeWavesMatchSerialRun) {
+  std::vector<std::pair<std::string, dfg::Dfg>> designs;
+  for (const char* name : {"ex", "diffeq", "ewf"}) {
+    designs.emplace_back(name, benchmarks::make_benchmark(name));
+  }
+  workload::DfgShape plain;
+  plain.ops = 30;
+  plain.depth = 6;
+  workload::DfgShape loopy = plain;
+  loopy.loop_density = 0.3;
+  loopy.self_loop_density = 0.5;
+  workload::DfgShape memory = plain;
+  memory.memories = 2;
+  memory.memory_access_density = 0.2;
+  designs.emplace_back("plain", workload::generate(11, plain));
+  designs.emplace_back("loopy", workload::generate(12, loopy));
+  designs.emplace_back("memory", workload::generate(13, memory));
+
+  std::int64_t speculated = 0;
+  for (const auto& [name, g] : designs) {
+    SCOPED_TRACE(name);
+    const TracedRun serial = traced_run(g, 1);
+    ASSERT_FALSE(serial.result.trajectory.empty());
+    EXPECT_EQ(serial.speculative, 0);
+    for (const int threads : {2, 3, 4, 8}) {
+      SCOPED_TRACE(threads);
+      const TracedRun parallel = traced_run(g, threads);
+      expect_identical(serial.result, parallel.result);
+      EXPECT_EQ(parallel.evaluated - parallel.speculative, serial.evaluated);
+      speculated += parallel.speculative;
+    }
+  }
+  EXPECT_GT(speculated, 0) << "no wave was ever padded";
 }
 
 TEST(ParallelSynthesis, ConnectivityPolicyIdenticalAcrossThreadCounts) {
@@ -214,7 +279,6 @@ TEST(ParallelSynthesis, ConnectivityPolicyIdenticalAcrossThreadCounts) {
   p.order = core::OrderStrategy::Plain;
   p.compat = etpn::ModuleCompat::AluClass;
   p.require_improvement = true;
-  p.trial_cache = true;
   p.num_threads = 1;
   core::SynthesisResult serial = core::integrated_synthesis(g, p);
   p.num_threads = 6;

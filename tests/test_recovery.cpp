@@ -149,6 +149,20 @@ util::JsonValue with_incremental_flag(const util::JsonValue& params,
   return util::JsonValue::make_object(std::move(out));
 }
 
+/// `params` in the form builds with a trial cache wrote: with the retired
+/// "trial_cache" flag right after "num_threads".
+util::JsonValue with_trial_cache_flag(const util::JsonValue& params,
+                                      bool flag) {
+  util::JsonValue::Object out;
+  for (const auto& [key, value] : params.as_object()) {
+    out.emplace_back(key, value);
+    if (key == "num_threads") {
+      out.emplace_back("trial_cache", util::JsonValue::make_bool(flag));
+    }
+  }
+  return util::JsonValue::make_object(std::move(out));
+}
+
 /// `params` in the form the previous build wrote: with the retired ATPG
 /// settings after "audit", the last member.
 util::JsonValue with_atpg_members(const util::JsonValue& params) {
@@ -269,6 +283,39 @@ TEST(CheckpointJson, ParamsWithRetiredIncrementalFlagStillParse) {
     EXPECT_EQ(back.kind, req.kind);
     EXPECT_EQ(util::json_dump(core::params_to_json(back.params)), expected)
         << flag;
+  }
+}
+
+// Builds with a cross-iteration trial cache wrote a "trial_cache" member
+// into every params document; both settings must still parse, to the knob
+// set of a default run, and run the default design.
+TEST(CheckpointJson, ParamsWithRetiredTrialCacheFlagStillParse) {
+  core::FlowParams p;
+  p.num_threads = 2;
+  const std::string expected = util::json_dump(core::params_to_json(p));
+  api::FlowRequestV1 req;
+  req.name = "diffeq/ours";
+  req.kind = core::FlowKind::Ours;
+  req.dfg = benchmarks::make_benchmark("diffeq");
+  req.params = p;
+  const core::FlowResult fresh = core::run_flow(req.kind, *req.dfg, p);
+  for (const bool flag : {true, false}) {
+    const core::FlowParams q = core::params_from_json(
+        reparse(with_trial_cache_flag(core::params_to_json(p), flag)));
+    EXPECT_EQ(util::json_dump(core::params_to_json(q)), expected) << flag;
+
+    const api::FlowRequestV1 back =
+        api::FlowRequestV1::from_json(reparse(with_request_params(
+            req.to_json(), [flag](const util::JsonValue& params) {
+              return with_trial_cache_flag(params, flag);
+            })));
+    EXPECT_EQ(back.name, req.name);
+    EXPECT_EQ(back.kind, req.kind);
+    EXPECT_EQ(util::json_dump(core::params_to_json(back.params)), expected)
+        << flag;
+    ASSERT_TRUE(back.dfg.has_value());
+    expect_identical(fresh,
+                     core::run_flow(back.kind, *back.dfg, back.params));
   }
 }
 
@@ -410,13 +457,6 @@ TEST(Resume, RejectsInvalidResumeState) {
   rec.on_checkpoint = [&](const core::Checkpoint& c) { ckpts.push_back(c); };
   (void)core::integrated_synthesis(g, rec);
   ASSERT_FALSE(ckpts.empty());
-
-  // trial_cache's cross-iteration memory is not part of a checkpoint.
-  core::SynthesisParams bad;
-  bad.num_threads = 1;
-  bad.trial_cache = true;
-  bad.resume_from = &ckpts.front();
-  EXPECT_THROW((void)core::integrated_synthesis(g, bad), Error);
 
   // A checkpoint from a different design cannot seed this graph.
   const dfg::Dfg other = benchmarks::make_benchmark("dct");
@@ -697,14 +737,19 @@ TEST(EngineJournal, MissingDirectoryIsAnEmptyReplay) {
   EXPECT_TRUE(report.errors.empty());
 }
 
-TEST(EngineJournal, SubmitRefusesTrialCacheWhenJournaling) {
-  const TempDir dir;
-  engine::Engine eng({.max_concurrent_jobs = 1,
-                      .journal_dir = dir.path,
-                      .checkpoint_every = 1});
-  engine::FlowRequest r = ours_request("ex", 1);
-  r.params.trial_cache = true;
-  EXPECT_THROW((void)eng.submit(std::move(r)), Error);
+// A version-3 record written by a build with a trial cache, whose params
+// carry the retired "trial_cache" flag (either setting), replays to the same
+// design as a fresh default run.
+TEST(EngineJournal, RecoversV3RecordWithRetiredTrialCacheFlag) {
+  for (const bool flag : {true, false}) {
+    SCOPED_TRACE(flag);
+    const TempDir dir;
+    ASSERT_NO_FATAL_FAILURE(write_v3_record_with_params(
+        dir.path, 6, "diffeq", [flag](const util::JsonValue& params) {
+          return with_trial_cache_flag(params, flag);
+        }));
+    expect_recovers_to_fresh_run(dir.path, "diffeq");
+  }
 }
 
 // --- kill-and-recover soak --------------------------------------------------
