@@ -15,8 +15,10 @@
 //     designs, workload::generate(42, {ops, depth = 8}) at 8 bits and one
 //     thread, for 20/40/80/120/200/500 ops (20/40/80 under --quick),
 //     written to the JSON's own "generated" section with wall time
-//     (median, min and max over the reps), committed iterations and
-//     evaluated trials.
+//     (median, min and max over the reps), committed iterations, evaluated
+//     trials and the trial outcome counters of one serial traced run
+//     (synth.trials_cyclic_multi / _cyclic_rescued / _cyclic_unrescued /
+//     _certified / _over_latency / _costed).
 //
 // Each benchmark's serial exact run and each generated point also records
 // a digest of its result signature (every committed merger with its
@@ -39,9 +41,12 @@
 //                    bit-identical to the serial ones
 //   --compare FILE   fail (exit 1) when a benchmark's ATPG counts
 //                    (detected / untestable / aborted / unconfirmed, both
-//                    backends) or a synthesis digest (a benchmark's or a
-//                    generated point's) differ from the committed JSON --
-//                    they are deterministic, so this is an identity check;
+//                    backends), a synthesis digest (a benchmark's or a
+//                    generated point's) or a generated point's serial
+//                    trials_certified differ from the committed JSON --
+//                    they are deterministic, so this is an identity check
+//                    (the last one stops a change that silently turns the
+//                    cycle certificates off);
 //                    warn (non-gating) when its serial per-trial time or
 //                    its timeframe or hybrid ATPG time (tg_ms) regressed
 //                    >20% at the machine's speed of the committed run
@@ -307,6 +312,9 @@ struct GeneratedSample {
   double ms_median = 0, ms_min = 0, ms_max = 0;
   int iterations = 0;
   std::int64_t trials = 0;  ///< synth.trials_evaluated of one traced run
+  /// The trial outcome counters of that run, by name without "synth.".
+  std::vector<std::pair<std::string, std::int64_t>> outcomes;
+  std::int64_t certified = 0;  ///< synth.trials_certified of that run
   std::string stop_reason;
   std::string digest;  ///< of the serial run's signature
   bool threads4_identical = true;  ///< --verify-serial: 4 threads match
@@ -349,8 +357,18 @@ GeneratedSample generated_sample(int ops, int reps, bool verify_serial) {
     (void)core::integrated_synthesis(g, p);
   }
   const auto counters = trace.snapshot().counters;
-  if (auto it = counters.find("synth.trials_evaluated"); it != counters.end())
-    s.trials = it->second;
+  auto read = [&](const std::string& name) -> std::int64_t {
+    const auto it = counters.find("synth." + name);
+    return it == counters.end() ? 0 : it->second;
+  };
+  s.trials = read("trials_evaluated");
+  for (const char* name :
+       {"trials_cyclic_multi", "trials_cyclic_rescued",
+        "trials_cyclic_unrescued", "trials_certified", "trials_over_latency",
+        "trials_costed"}) {
+    s.outcomes.emplace_back(name, read(name));
+  }
+  s.certified = read("trials_certified");
 
   s.digest = digest(sig);
   if (verify_serial) {
@@ -493,6 +511,29 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ERROR: %s synthesis digest is %s, %s has %s\n",
                  what.c_str(), now.c_str(), compare_path.c_str(),
                  old ? old->c_str() : "none");
+  };
+  // A generated point's serial trials_certified off the committed one (a
+  // committed file that predates the record only warns).
+  auto check_certified = [&](int ops, std::int64_t now) {
+    if (committed.empty()) return;
+    const std::string anchor = "{\"ops\": " + std::to_string(ops) + ",";
+    const std::string needle = "\"trials_certified\": ";
+    std::size_t at = committed.find(anchor);
+    const std::size_t close =
+        at == std::string::npos ? at : committed.find('}', at);
+    if (at != std::string::npos) at = committed.find(needle, at);
+    if (at == std::string::npos || at > close) {
+      std::fprintf(stderr, "WARNING: gen-%d has no trials_certified in %s\n",
+                   ops, compare_path.c_str());
+      return;
+    }
+    const long long old =
+        std::strtoll(committed.c_str() + at + needle.size(), nullptr, 10);
+    if (old == now) return;
+    ++count_mismatches;
+    std::fprintf(stderr,
+                 "ERROR: gen-%d trials_certified is %lld, %s has %lld\n", ops,
+                 static_cast<long long>(now), compare_path.c_str(), old);
   };
   /// The times --compare warns on, checked once the reference sample is
   /// complete.
@@ -648,6 +689,7 @@ int main(int argc, char** argv) {
     if (!gs.threads4_identical) ++not_identical;
     check_digest("gen-" + std::to_string(gs.ops),
                  "{\"ops\": " + std::to_string(gs.ops) + ",", gs.digest);
+    check_certified(gs.ops, gs.certified);
     std::printf(
         "gen-%-4d Ours to convergence: %9.1f ms (min %.1f, max %.1f)  "
         "%d iterations  %lld trials  %s%s\n",
@@ -656,11 +698,20 @@ int main(int argc, char** argv) {
         verify_serial ? (gs.threads4_identical ? "  threads4=yes"
                                                : "  threads4=NO")
                       : "");
+    std::printf("        ");
+    for (const auto& [name, n] : gs.outcomes) {
+      std::printf(" %s %lld", name.c_str(), static_cast<long long>(n));
+    }
+    std::printf("\n");
     json << "      {\"ops\": " << gs.ops << ", \"ms_median\": " << gs.ms_median
          << ", \"ms_min\": " << gs.ms_min << ", \"ms_max\": " << gs.ms_max
          << ", \"iterations\": " << gs.iterations
-         << ", \"trials\": " << gs.trials << ", \"stop_reason\": \""
-         << gs.stop_reason << "\", \"digest\": \"" << gs.digest << "\"";
+         << ", \"trials\": " << gs.trials;
+    for (const auto& [name, n] : gs.outcomes) {
+      json << ", \"" << name << "\": " << n;
+    }
+    json << ", \"stop_reason\": \"" << gs.stop_reason << "\", \"digest\": \""
+         << gs.digest << "\"";
     if (verify_serial) {
       json << ", \"threads4_identical\": "
            << (gs.threads4_identical ? "true" : "false");
@@ -740,7 +791,8 @@ int main(int argc, char** argv) {
   }
   if (count_mismatches > 0) {
     std::cerr << "ERROR: " << count_mismatches
-              << " ATPG count(s) or synthesis digest(s) differ from "
+              << " ATPG count(s), synthesis digest(s) or trials_certified "
+                 "differ from "
               << compare_path << "\n";
   }
   if (not_identical > 0) {

@@ -52,6 +52,70 @@ void sort_register_chain(const dfg::Dfg& g, const sched::Schedule& hint,
   });
 }
 
+/// Whether the order search never reorders register-chain neighbours x, y.
+/// Primary inputs are born at load time and must stay first; registered
+/// primary outputs are held to the end and must stay last.  The constraint
+/// graph cannot express these (they are not op-to-op arcs), so such pairs
+/// are never swapped.
+bool fixed_register_pair(const dfg::Dfg& g, dfg::VarId x, dfg::VarId y) {
+  const dfg::Variable& vy = g.var(y);
+  return g.var(x).is_primary_input ||
+         (vy.is_primary_output && vy.po_registered);
+}
+
+using CycleArc = sched::ConstraintGraph::CycleArc;
+using ArcKind = sched::ConstraintGraph::ArcKind;
+
+/// Whether a cycle certificate needs a cycle for the swap of arc j of
+/// witness C0: every chain link but those fixed_register_pair keeps.
+bool swap_needs_proof(const dfg::Dfg& g, const sched::ConstraintGraph& graph,
+                      std::span<const CycleArc> c0, std::size_t j) {
+  if (c0[j].kind == ArcKind::Module) return true;
+  if (c0[j].kind != ArcKind::Register) return false;
+  const auto [x, y] =
+      graph.register_link_into(c0[j + 1 < c0.size() ? j + 1 : 0].op);
+  return !fixed_register_pair(g, x, y);
+}
+
+/// Whether two cycles share a chain link: a module arc, or register arcs
+/// into one head (all of them stand for one link).
+bool share_a_link(std::span<const CycleArc> a, std::span<const CycleArc> b) {
+  auto head = [](std::span<const CycleArc> c, std::size_t k) {
+    return c[k + 1 < c.size() ? k + 1 : 0].op;
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].kind != ArcKind::Module && a[i].kind != ArcKind::Register) {
+      continue;
+    }
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      if (b[k].kind == a[i].kind && head(b, k) == head(a, i)) return true;
+    }
+  }
+  return false;
+}
+
+/// Checks `cert` against `graph`, whose merge is linked but not solved.
+CertificateCheck check_certificate(const dfg::Dfg& g,
+                                   const CycleCertificate& cert,
+                                   sched::ConstraintGraph& graph) {
+  const std::span<const CycleArc> c0 = cert.cycle(0);
+  if (!graph.has_cycle(c0)) return CertificateCheck::WitnessGone;
+  if (cert.multi) {
+    const std::span<const CycleArc> other = cert.cycle(1);
+    return graph.has_cycle(other) && !share_a_link(c0, other)
+               ? CertificateCheck::Proved
+               : CertificateCheck::WitnessGone;
+  }
+  for (std::size_t j = 0; j < c0.size(); ++j) {
+    if (!swap_needs_proof(g, graph, c0, j)) continue;
+    if (cert.swapped[j] == 0 ||
+        !graph.has_cycle_after_swap(c0, j, cert.cycle(cert.swapped[j]))) {
+      return CertificateCheck::SwapUnproved;
+    }
+  }
+  return CertificateCheck::Proved;
+}
+
 /// Adds `b`'s chains to `graph`, one per group slot in slot order (empty
 /// for tombstones, so chain c belongs to group c), each sorted by `hint`:
 /// module chains by step, register chains by var_order_key.
@@ -67,10 +131,30 @@ void add_chains(const dfg::Dfg& g, const etpn::Binding& b,
 
 }  // namespace
 
+std::span<const CycleCertificate::CycleArc> CycleCertificate::cycle(
+    std::size_t k) const {
+  const std::uint32_t begin = k == 0 ? 0 : ends[k - 1];
+  return {arcs.data() + begin, ends[k] - begin};
+}
+
+std::uint32_t CycleCertificate::add(std::span<const CycleArc> cycle) {
+  arcs.insert(arcs.end(), cycle.begin(), cycle.end());
+  ends.push_back(static_cast<std::uint32_t>(arcs.size()));
+  return static_cast<std::uint32_t>(ends.size() - 1);
+}
+
+void CycleCertificate::clear() {
+  arcs.clear();
+  ends.clear();
+  multi = false;
+  swapped.clear();
+}
+
 bool schedule_respects_binding(const dfg::Dfg& g, const etpn::Binding& b,
                                const sched::Schedule& s) {
   if (!s.respects_data_deps(g)) return false;
-  // Every feasible trial reschedule is checked, so the buffers live on.
+  // Every trial schedule within the latency bound is checked, so the
+  // buffers live on.
   thread_local std::vector<int> steps;
   thread_local std::vector<sched::Lifetime> held;
   // No two ops of one module share a step: sorted, no two neighbours are
@@ -110,20 +194,61 @@ bool schedule_respects_binding(const dfg::Dfg& g, const etpn::Binding& b,
 
 namespace {
 
+/// Scratch for one cycle, reused across the thread's trials.
+std::vector<CycleArc>& cycle_buffer() {
+  thread_local std::vector<CycleArc> buffer;
+  return buffer;
+}
+
 /// The SR1/SR2 order search over `graph`'s chains, from its solved
-/// incumbent of length `len`; the result of reschedule().  `reg_distance(r)`
-/// is register r's d_in in `b`'s data path (see
-/// etpn::DataPath::register_distances).
+/// incumbent of length `len`; the result of reschedule(), before the
+/// binding check.  `reg_distance(r)` is register r's d_in in `b`'s data
+/// path (see etpn::DataPath::register_distances).  With `record`, a search
+/// that ends cyclic leaves its cycle certificate there and in the outcome.
 template <typename RegDistance>
 ReschedOutcome search_orders(const dfg::Dfg& g, const etpn::Binding& b,
                              const sched::Schedule& hint,
                              OrderStrategy strategy, RegDistance&& reg_distance,
                              sched::ConstraintGraph& graph,
-                             std::optional<int> len) {
+                             std::optional<int> len,
+                             CycleCertificate* record = nullptr) {
   ReschedOutcome out;
+  const std::uint32_t cyclic = len ? 0 : graph.cyclic_components();
   // With two or more cyclic components no single swap yields a feasible
   // order, so none is ever kept: the search cannot succeed.
-  if (!len && graph.cyclic_components() >= 2) return out;
+  if (cyclic >= 2) {
+    out.cycles = CycleVerdict::Multi;
+    if (record != nullptr) {
+      record->clear();
+      record->multi = true;
+      for (std::uint32_t c = 0; c < 2; ++c) {
+        graph.component_cycle(c, cycle_buffer());
+        record->add(cycle_buffer());
+      }
+      out.certificate = std::make_shared<const CycleCertificate>(*record);
+    }
+    return out;
+  }
+  // One component: record its witness C0 and, for each swap the search
+  // applies (each reverses a link of C0), a cycle the swap left.
+  const bool recording = record != nullptr && cyclic == 1;
+  if (recording) {
+    record->clear();
+    graph.component_cycle(0, cycle_buffer());
+    record->add(cycle_buffer());
+    record->swapped.assign(cycle_buffer().size(), 0);
+  }
+  // `head` is the head of the link the swap reversed.
+  auto note_rejected_swap = [&](std::uint32_t head) {
+    if (!recording || len || !graph.swap_cycle(cycle_buffer())) return;
+    const std::span<const CycleArc> c0 = record->cycle(0);
+    for (std::size_t k = 0; k < c0.size(); ++k) {
+      if (c0[k].op != head) continue;
+      record->swapped[(k + c0.size() - 1) % c0.size()] =
+          record->add(cycle_buffer());
+      return;
+    }
+  };
 
   // --- SR1/SR2 ordering refinement at conflict points ------------------------
   // Conflict points are adjacent chain elements that previously shared a
@@ -167,6 +292,7 @@ ReschedOutcome search_orders(const dfg::Dfg& g, const etpn::Binding& b,
       // ordering decision).
       const bool tied = hint.step(chain[i]) == hint.step(chain[i + 1]);
       if (!tied && len) continue;  // keep incumbent order
+      const std::uint32_t head = chain[i + 1].value();
       const std::optional<int> len_swap = graph.try_swap_module(c, i);
       // The chain view shows the swapped order now.
       if (keep_swap(len_swap, [&] {
@@ -176,6 +302,7 @@ ReschedOutcome search_orders(const dfg::Dfg& g, const etpn::Binding& b,
         graph.keep();
         len = len_swap;
       } else {
+        note_rejected_swap(head);
         graph.revert();
       }
     }
@@ -190,18 +317,11 @@ ReschedOutcome search_orders(const dfg::Dfg& g, const etpn::Binding& b,
   for (std::size_t c = 0; c < graph.num_register_chains(); ++c) {
     const std::span<const dfg::VarId> chain = graph.register_chain(c);
     for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      // Primary inputs are born at load time and must stay first; registered
-      // primary outputs are held to the end and must stay last.  The
-      // constraint graph cannot express these (they are not op-to-op arcs),
-      // so such pairs are never reordered.
-      const dfg::Variable& vi = g.var(chain[i]);
-      const dfg::Variable& vj = g.var(chain[i + 1]);
-      if (vi.is_primary_input || (vj.is_primary_output && vj.po_registered)) {
-        continue;
-      }
+      if (fixed_register_pair(g, chain[i], chain[i + 1])) continue;
       const bool tied = var_order_key(g, hint, chain[i]) ==
                         var_order_key(g, hint, chain[i + 1]);
       if (!tied && len) continue;
+      const dfg::OpId head = g.var(chain[i + 1]).def;
       const std::optional<int> len_swap = graph.try_swap_register(c, i);
       if (keep_swap(len_swap, [&] {
             return std::pair{var_key(chain[i + 1]), var_key(chain[i])};
@@ -209,16 +329,26 @@ ReschedOutcome search_orders(const dfg::Dfg& g, const etpn::Binding& b,
         graph.keep();
         len = len_swap;
       } else {
+        if (head.valid()) note_rejected_swap(head.value());
         graph.revert();
       }
     }
   }
 
-  if (!len) return out;
+  if (cyclic == 1) {
+    out.cycles = len ? CycleVerdict::Rescued : CycleVerdict::Unrescued;
+  }
+  if (!len) {
+    // A swap the search could not apply (an undefined register order)
+    // left no cycle, and a record without it could never pass.
+    if (recording &&
+        check_certificate(g, *record, graph) == CertificateCheck::Proved) {
+      out.certificate = std::make_shared<const CycleCertificate>(*record);
+    }
+    return out;
+  }
   out.feasible = true;
   out.schedule = *graph.schedule();
-  HLTS_REQUIRE(schedule_respects_binding(g, b, out.schedule),
-               "rescheduler produced a schedule violating the binding");
   return out;
 }
 
@@ -250,8 +380,11 @@ ReschedOutcome reschedule(const dfg::Dfg& g, const etpn::Binding& b,
     }
     return dist->d_in[premerged->reg_node[r].index()];
   };
-  return search_orders(g, b, hint, strategy, reg_distance, graph,
-                       graph.schedule_length());
+  ReschedOutcome out = search_orders(g, b, hint, strategy, reg_distance,
+                                     graph, graph.schedule_length());
+  HLTS_REQUIRE(!out.feasible || schedule_respects_binding(g, b, out.schedule),
+               "rescheduler produced a schedule violating the binding");
+  return out;
 }
 
 void build_trial_base(const dfg::Dfg& g, const sched::ConstraintTables& tables,
@@ -268,7 +401,9 @@ ReschedOutcome reschedule_merger(const dfg::Dfg& g, const etpn::Binding& b,
                                  OrderStrategy strategy,
                                  const MergerDistances& dist,
                                  const testability::MergeCandidate& cand,
-                                 sched::ConstraintGraph& graph) {
+                                 sched::ConstraintGraph& graph,
+                                 const std::shared_ptr<const CycleCertificate>&
+                                     certificate) {
   HLTS_FAILPOINT("sched.reschedule");
   // A merger appends the second group's members to the first's, and a
   // stable sort of that concatenation is the stable merge of the two
@@ -288,6 +423,18 @@ ReschedOutcome reschedule_merger(const dfg::Dfg& g, const etpn::Binding& b,
     ~Restore() { graph.restore_base(); }
   } restore{graph};
   if (graph.contradicted()) return {};
+  CertificateCheck check = CertificateCheck::None;
+  if (certificate != nullptr) {
+    graph.link_merge();
+    check = check_certificate(g, *certificate, graph);
+    if (check == CertificateCheck::Proved) {
+      ReschedOutcome out;
+      out.cycles = CycleVerdict::Certified;
+      out.check = check;
+      out.certificate = certificate;
+      return out;
+    }
+  }
   // The merged design's distances: the committed ones, lowered where the
   // merger's new register hops shorten a path, on first use.  The survivor
   // keeps the committed node ids, so the committed node maps stay valid.
@@ -301,8 +448,12 @@ ReschedOutcome reschedule_merger(const dfg::Dfg& g, const etpn::Binding& b,
     }
     return dist.d_in[dist.committed.reg_node[r].index()];
   };
-  return search_orders(g, b, hint, strategy, reg_distance, graph,
-                       graph.solve_merge());
+  // The record a cyclic trial leaves, reused across the thread's trials.
+  thread_local CycleCertificate record;
+  ReschedOutcome out = search_orders(g, b, hint, strategy, reg_distance,
+                                     graph, graph.solve_merge(), &record);
+  out.check = check;
+  return out;
 }
 
 }  // namespace hlts::core

@@ -27,10 +27,16 @@
 // chains and solve are kept as a base, a trial edits only the chain its
 // merger changes, and its register distances are the committed design's,
 // updated for the merger.
+//
+// A trial whose merged order stays cyclic under every swap records a cycle
+// certificate, which the same merger's trial in the next iteration checks
+// before it solves anything (CycleCertificate).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "etpn/binding.hpp"
@@ -52,9 +58,68 @@ enum class OrderStrategy {
   Plain,
 };
 
+/// How a trial's merged constraint graph fared as far as cycles go.
+enum class CycleVerdict : std::uint8_t {
+  Acyclic,    ///< no cycle (the order may still be infeasible otherwise)
+  Multi,      ///< two or more cyclic components: no single swap helps
+  Rescued,    ///< one cyclic component, and a swap made the order acyclic
+  Unrescued,  ///< one cyclic component, and no swap made it acyclic
+  Certified,  ///< a cycle certificate proved the trial infeasible
+};
+
+/// What checking a trial's cycle certificate found.
+enum class CertificateCheck : std::uint8_t {
+  None,          ///< no certificate was checked
+  Proved,        ///< the trial is infeasible; nothing was solved
+  WitnessGone,   ///< a cycle the proof starts from is not in the graph
+  SwapUnproved,  ///< the witness is there, but not every swap of one of
+                 ///< its links was shown to leave a cycle
+};
+
+/// Proof that a trial merger's constraint graph stays cyclic under every
+/// single chain swap the order search may make, so the trial is
+/// infeasible.  Cycles are lists of (op, arc kind) pairs
+/// (sched::ConstraintGraph::CycleArc).
+///
+/// - Two cyclic components (`multi`): one cycle of each.  A swap reverses
+///   one chain link, which at most one of two cycles sharing no link can
+///   use; the other survives as a closed walk.
+/// - One component: its witness cycle C0 and, for each chain link of C0,
+///   a cycle of the graph with that link swapped.  A swap that reverses no
+///   link of C0 leaves C0 a closed walk (the lemma
+///   sched::ConstraintGraph's swap rejection rests on); one that does
+///   leaves the recorded cycle.  Register links the search never reorders
+///   (a primary input first, a registered output last) need no cycle.
+///
+/// The check (reschedule_merger) confirms every cycle in the merged graph
+/// in O(total cycle length); whatever recorded the certificate, a passing
+/// check proves the trial infeasible.
+struct CycleCertificate {
+  using CycleArc = sched::ConstraintGraph::CycleArc;
+  /// The cycles back to back: cycle k ends at ends[k].  Cycle 0 is C0, or
+  /// a cycle of the first component; cycle 1 is then one of the second.
+  std::vector<CycleArc> arcs;
+  std::vector<std::uint32_t> ends;
+  bool multi = false;
+  /// One component: per arc j of C0, the cycle (>= 1) recorded with that
+  /// link swapped, or 0.
+  std::vector<std::uint32_t> swapped;
+
+  [[nodiscard]] std::span<const CycleArc> cycle(std::size_t k) const;
+  /// Appends a cycle and returns its index.
+  std::uint32_t add(std::span<const CycleArc> cycle);
+  void clear();
+};
+
 struct ReschedOutcome {
   bool feasible = false;
   sched::Schedule schedule;
+  CycleVerdict cycles = CycleVerdict::Acyclic;
+  CertificateCheck check = CertificateCheck::None;
+  /// Set when cycles alone make the trial infeasible (Multi, Unrescued or
+  /// Certified) and a certificate proves it: what the same merger's trial
+  /// checks first in the next iteration.
+  std::shared_ptr<const CycleCertificate> certificate;
 };
 
 /// Derives a feasible schedule for the (possibly just-merged) binding `b`,
@@ -98,11 +163,18 @@ struct MergerDistances {
 /// build_trial_base): only the merged chain changes, only the forward cone
 /// of its changed links is re-solved, and `graph` is restored to the base
 /// on return.  `dist` must describe the base's committed design.
-/// Bit-identical to the stand-alone overload.
+/// Bit-identical to the stand-alone overload, whose binding check it
+/// leaves to the caller (a schedule over the latency bound is never used).
+///
+/// With a `certificate` (of an earlier trial of the same merger), the
+/// merged chain is first only linked and the certificate checked; when it
+/// proves the trial infeasible, that is the outcome (cycles Certified), and
+/// nothing is solved.  The verdict is the same either way.
 [[nodiscard]] ReschedOutcome reschedule_merger(
     const dfg::Dfg& g, const etpn::Binding& b, const sched::Schedule& hint,
     OrderStrategy strategy, const MergerDistances& dist,
-    const testability::MergeCandidate& cand, sched::ConstraintGraph& graph);
+    const testability::MergeCandidate& cand, sched::ConstraintGraph& graph,
+    const std::shared_ptr<const CycleCertificate>& certificate = nullptr);
 
 /// Validation helper: true when `s` is consistent with `b` -- no two ops of
 /// one module share a step, and all variables of one register have pairwise

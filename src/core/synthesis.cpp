@@ -102,6 +102,11 @@ struct TrialEval {
   sched::Schedule schedule;
   int exec_time = 0;
   cost::HardwareCost cost;  ///< committed as is when the trial wins
+  CycleVerdict cycles = CycleVerdict::Acyclic;
+  bool over_latency = false;  ///< rescheduled, but past the latency bound
+  /// The proof that cycles make the trial infeasible, for the next
+  /// iteration's trial of the same merger.
+  std::shared_ptr<const CycleCertificate> certificate;
 };
 
 /// One trial on a checked-out workspace, in the order that lets a rejected
@@ -109,8 +114,11 @@ struct TrialEval {
 /// edits the workspace's base constraint graph -- the committed design's
 /// chains, built at the workspace's first trial of the iteration -- and
 /// reads register distances updated from the committed design's, and only
-/// a trial that is feasible within the latency bound merge-patches the
-/// data path for its cost estimate.  The numbers are bit-identical to a
+/// a trial that is feasible within the latency bound has its schedule
+/// checked against the merged binding and merge-patches the data path for
+/// its cost estimate.  A `certificate` the same merger's trial left in the
+/// previous iteration is checked first (reschedule_merger).  The numbers
+/// are bit-identical to a
 /// binding copy -> reschedule -> build_data_path -> estimate_cost pipeline,
 /// which the tests keep as the reference
 /// (tests/support/reference_synthesis.hpp).
@@ -118,7 +126,9 @@ TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
                          analysis::IncrementalContext& ctx,
                          const sched::Schedule& hint,
                          const testability::MergeCandidate& cand,
-                         int max_latency) {
+                         int max_latency,
+                         const std::shared_ptr<const CycleCertificate>&
+                             certificate) {
   TrialEval t;
   std::unique_ptr<analysis::TrialWorkspace> ws = ctx.checkout();
   if (ws->resched_epoch != ctx.epoch()) {
@@ -130,8 +140,13 @@ TrialEval evaluate_trial(const dfg::Dfg& g, const SynthesisParams& p,
     ReschedOutcome r = reschedule_merger(
         g, ws->binding, hint, p.order,
         MergerDistances{ctx.etpn(), ctx.reach(), ws->d_in, ws->d_queue}, cand,
-        ws->resched);
-    if (r.feasible && r.schedule.length() <= max_latency) {
+        ws->resched, certificate);
+    t.cycles = r.cycles;
+    t.certificate = std::move(r.certificate);
+    t.over_latency = r.feasible && r.schedule.length() > max_latency;
+    if (r.feasible && !t.over_latency) {
+      HLTS_REQUIRE(schedule_respects_binding(g, ws->binding, r.schedule),
+                   "rescheduler produced a schedule violating the binding");
       t.feasible = true;
       t.schedule = std::move(r.schedule);
       t.exec_time = t.schedule.length();
@@ -151,12 +166,66 @@ struct Outcome {
   TrialEval eval;
 };
 
+/// The previous iteration's cycle certificates, sorted by merger: the merge
+/// kind and the two group ids, which survive a commit that does not merge
+/// them away.
+struct MergerKey {
+  bool modules = false;
+  std::uint32_t a = 0, b = 0;
+  auto operator<=>(const MergerKey&) const = default;
+};
+using Certificates =
+    std::vector<std::pair<MergerKey, std::shared_ptr<const CycleCertificate>>>;
+
+MergerKey merger_key(const testability::MergeCandidate& c) {
+  return c.is_modules()
+             ? MergerKey{true, c.module_a.value(), c.module_b.value()}
+             : MergerKey{false, c.reg_a.value(), c.reg_b.value()};
+}
+
+const std::shared_ptr<const CycleCertificate>& find_certificate(
+    const Certificates& certificates, const testability::MergeCandidate& c) {
+  static const std::shared_ptr<const CycleCertificate> none;
+  const MergerKey key = merger_key(c);
+  const auto it = std::lower_bound(
+      certificates.begin(), certificates.end(), key,
+      [](const auto& entry, const MergerKey& k) { return entry.first < k; });
+  return it != certificates.end() && it->first == key ? it->second : none;
+}
+
 /// Trials per pool thread in one wave.  The wave that fills k is padded with
 /// the next unevaluated candidates in rank order up to this many per thread,
 /// so the pool has work even when most trials are rejected; selection reads
 /// the same rank-order prefix, so padding changes only how many evaluations
 /// go unread.
 constexpr std::size_t kWaveTrialsPerThread = 4;
+
+/// Adds an iteration's trial outcome classes to the trace's counters, once
+/// per iteration (speculative trials included).
+void count_trial_outcomes(util::Trace& trace,
+                          const std::vector<Outcome>& outcomes) {
+  std::int64_t multi = 0, rescued = 0, unrescued = 0, certified = 0;
+  std::int64_t over_latency = 0, costed = 0;
+  for (const Outcome& o : outcomes) {
+    if (!o.evaluated) continue;
+    multi += o.eval.cycles == CycleVerdict::Multi ? 1 : 0;
+    rescued += o.eval.cycles == CycleVerdict::Rescued ? 1 : 0;
+    unrescued += o.eval.cycles == CycleVerdict::Unrescued ? 1 : 0;
+    certified += o.eval.cycles == CycleVerdict::Certified ? 1 : 0;
+    over_latency += o.eval.over_latency ? 1 : 0;
+    costed += o.eval.feasible ? 1 : 0;
+  }
+  const std::pair<const char*, std::int64_t> counts[] = {
+      {"synth.trials_cyclic_multi", multi},
+      {"synth.trials_cyclic_rescued", rescued},
+      {"synth.trials_cyclic_unrescued", unrescued},
+      {"synth.trials_certified", certified},
+      {"synth.trials_over_latency", over_latency},
+      {"synth.trials_costed", costed}};
+  for (const auto& [name, n] : counts) {
+    if (n > 0) trace.add_counter(name, n);
+  }
+}
 
 /// Approximate heap bytes held by one evaluated trial, used to honour
 /// AlgorithmOptions::memory_budget_bytes without instrumenting the
@@ -307,6 +376,9 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
   bool converged = false;
   bool memory_stop = false;
   std::string degraded;  // transient fault absorbed at an iteration boundary
+  // Cycle certificates of the previous iteration's trials; each iteration
+  // replaces them with its own, so only one iteration's are kept.
+  Certificates certificates;
 
   for (int iter = start_iteration; iter < p.max_iterations; ++iter) {
     // Cooperative cancellation, checked once per iteration: together with
@@ -374,7 +446,8 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
       if (trace) trace->add_counter("synth.trials_evaluated");
       Outcome& o = outcomes[i];
       o.eval = evaluate_trial(g, p, ctx, result.schedule, ranking[i],
-                              max_latency);
+                              max_latency,
+                              find_certificate(certificates, ranking[i]));
       o.evaluated = true;
       if (o.eval.feasible) {
         o.delta_e = static_cast<double>(o.eval.exec_time) - base_exec;
@@ -418,6 +491,7 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     if (trace) {
       trace->add_span("synth.trials", trials_start,
                       trace->now_us() - trials_start);
+      count_trial_outcomes(*trace, outcomes);
       // Padded trials past the k-th feasible candidate: selection never
       // read them, and the serial loop never evaluates them.
       if (chosen.size() == k) {
@@ -428,6 +502,17 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
         if (unread > 0) trace->add_counter("synth.trials_speculative", unread);
       }
     }
+    // This iteration's certificates replace the previous ones.
+    certificates.clear();
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      if (outcomes[i].eval.certificate != nullptr) {
+        certificates.emplace_back(merger_key(ranking[i]),
+                                  std::move(outcomes[i].eval.certificate));
+      }
+    }
+    std::sort(certificates.begin(), certificates.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+
     std::optional<std::size_t> winner;
     for (std::size_t i : chosen) {
       if (!winner || outcomes[i].delta_c < outcomes[*winner].delta_c - 1e-12) {

@@ -117,6 +117,7 @@ void ConstraintGraph::clear_chains() {
   has_base_ = false;
   kept_.clear();
   merged_ = ArcKind::None;
+  merge_linked_ = false;
   module_chain_begin_.clear();
   module_chain_size_.clear();
   module_chain_ops_.clear();
@@ -231,6 +232,10 @@ void ConstraintGraph::link() {
   value_.resize(ops);
   indegree_.resize(ops);
   local_.resize(ops);
+  label_mark_.assign(ops, 0);
+  label_epoch_ = 1;
+  cycle_of_.resize(ops);
+  witness_in_.resize(ops);
   linked_ = true;
 }
 
@@ -271,9 +276,9 @@ template <typename F>
 void ConstraintGraph::for_each_pred(std::uint32_t v, F&& f) const {
   const ConstraintTables& t = tables();
   for (std::uint32_t k = t.pred_begin_[v]; k < t.pred_begin_[v + 1]; ++k) {
-    f(t.pred_[k].from, t.pred_[k].weight);
+    f(t.pred_[k].from, t.pred_[k].weight, ArcKind::Fixed);
   }
-  if (module_prev_[v] != kNone) f(module_prev_[v], 1);
+  if (module_prev_[v] != kNone) f(module_prev_[v], 1, ArcKind::Module);
   // v writes op_output_[v]: it waits for the last reads of the variable
   // before it in that variable's register.
   const std::uint32_t out = t.op_output_[v];
@@ -282,7 +287,7 @@ void ConstraintGraph::for_each_pred(std::uint32_t v, F&& f) const {
   if (before == kNone) return;
   for (std::uint32_t k = t.release_begin_[before];
        k < t.release_begin_[before + 1]; ++k) {
-    f(t.release_ops_[k], 0);
+    f(t.release_ops_[k], 0, ArcKind::Register);
   }
 }
 
@@ -290,21 +295,23 @@ template <typename F>
 void ConstraintGraph::for_each_succ(std::uint32_t u, F&& f) const {
   const ConstraintTables& t = tables();
   for (std::uint32_t k = t.succ_begin_[u]; k < t.succ_begin_[u + 1]; ++k) {
-    f(t.succ_[k].to, t.succ_[k].weight);
+    f(t.succ_[k].to, t.succ_[k].weight, ArcKind::Fixed);
   }
-  if (module_next_[u] != kNone) f(module_next_[u], 1);
+  if (module_next_[u] != kNone) f(module_next_[u], 1, ArcKind::Module);
   // Every variable whose lifetime u ends lets its register's next variable
   // be written.
   for (std::uint32_t k = t.released_begin_[u]; k < t.released_begin_[u + 1];
        ++k) {
     const std::uint32_t after = register_next_[t.released_vars_[k]];
-    if (after != kNone && t.var_def_[after] != kNone) f(t.var_def_[after], 0);
+    if (after != kNone && t.var_def_[after] != kNone) {
+      f(t.var_def_[after], 0, ArcKind::Register);
+    }
   }
 }
 
 void ConstraintGraph::close_cone() {
   for (std::size_t k = 0; k < cone_.size(); ++k) {
-    for_each_succ(cone_[k], [&](std::uint32_t x, int) {
+    for_each_succ(cone_[k], [&](std::uint32_t x, int, ArcKind) {
       if (mark_[x] == epoch_) return;
       mark_[x] = epoch_;
       cone_.push_back(x);
@@ -328,7 +335,7 @@ std::optional<int> ConstraintGraph::solve_cone() {
   for (std::uint32_t v : cone_) {
     value_[v] = 1;
     indegree_[v] = 0;
-    for_each_pred(v, [&](std::uint32_t u, int w) {
+    for_each_pred(v, [&](std::uint32_t u, int w, ArcKind) {
       if (mark_[u] == epoch_) {
         ++indegree_[v];
       } else {
@@ -347,7 +354,7 @@ std::optional<int> ConstraintGraph::solve_cone() {
     stack_.pop_back();
     ++done;
     cone_top_ = std::max(cone_top_, value_[u]);
-    for_each_succ(u, [&](std::uint32_t x, int w) {
+    for_each_succ(u, [&](std::uint32_t x, int w, ArcKind) {
       value_[x] = std::max(value_[x], value_[u] + w);
       if (--indegree_[x] == 0) stack_.push_back(x);
     });
@@ -370,6 +377,7 @@ std::optional<int> ConstraintGraph::solve_cone() {
 
 void ConstraintGraph::commit_cone() {
   cycles_labelled_ = false;
+  incumbent_is_base_ = false;
   // Every unresolved op is inside the cone (solve_cone checked), so the
   // cone's leftovers are the new unresolved set.
   unresolved_.clear();
@@ -442,17 +450,7 @@ std::optional<Schedule> ConstraintGraph::schedule() const {
 void ConstraintGraph::swap_module(std::size_t c, std::size_t i) {
   const std::span<const dfg::OpId> chain = module_chain(c);
   HLTS_REQUIRE(i + 1 < chain.size(), "module-chain swap out of range");
-  // p -> a -> b -> n  becomes  p -> b -> a -> n.
-  const std::uint32_t a = chain[i].value();
-  const std::uint32_t b = chain[i + 1].value();
-  const std::uint32_t p = i > 0 ? chain[i - 1].value() : kNone;
-  const std::uint32_t n = i + 2 < chain.size() ? chain[i + 2].value() : kNone;
-  if (p != kNone) module_next_[p] = b;
-  module_prev_[b] = p;
-  module_next_[b] = a;
-  module_prev_[a] = b;
-  module_next_[a] = n;
-  if (n != kNone) module_prev_[n] = a;
+  relink_module(chain[i].value(), chain[i + 1].value());
   std::swap(module_chain_ops_[module_chain_begin_[c] + i],
             module_chain_ops_[module_chain_begin_[c] + i + 1]);
 }
@@ -460,18 +458,32 @@ void ConstraintGraph::swap_module(std::size_t c, std::size_t i) {
 void ConstraintGraph::swap_register(std::size_t c, std::size_t i) {
   const std::span<const dfg::VarId> chain = register_chain(c);
   HLTS_REQUIRE(i + 1 < chain.size(), "register-chain swap out of range");
-  const std::uint32_t x = chain[i].value();
-  const std::uint32_t y = chain[i + 1].value();
-  const std::uint32_t p = i > 0 ? chain[i - 1].value() : kNone;
-  const std::uint32_t n = i + 2 < chain.size() ? chain[i + 2].value() : kNone;
+  relink_register(chain[i].value(), chain[i + 1].value());
+  std::swap(register_chain_vars_[register_chain_begin_[c] + i],
+            register_chain_vars_[register_chain_begin_[c] + i + 1]);
+}
+
+void ConstraintGraph::relink_module(std::uint32_t a, std::uint32_t b) {
+  // p -> a -> b -> n  becomes  p -> b -> a -> n.
+  const std::uint32_t p = module_prev_[a];
+  const std::uint32_t n = module_next_[b];
+  if (p != kNone) module_next_[p] = b;
+  module_prev_[b] = p;
+  module_next_[b] = a;
+  module_prev_[a] = b;
+  module_next_[a] = n;
+  if (n != kNone) module_prev_[n] = a;
+}
+
+void ConstraintGraph::relink_register(std::uint32_t x, std::uint32_t y) {
+  const std::uint32_t p = register_prev_[x];
+  const std::uint32_t n = register_next_[y];
   if (p != kNone) register_next_[p] = y;
   register_prev_[y] = p;
   register_next_[y] = x;
   register_prev_[x] = y;
   register_next_[x] = n;
   if (n != kNone) register_prev_[n] = x;
-  std::swap(register_chain_vars_[register_chain_begin_[c] + i],
-            register_chain_vars_[register_chain_begin_[c] + i + 1]);
 }
 
 int ConstraintGraph::undefined_pairs(std::size_t c, std::size_t i) const {
@@ -578,7 +590,7 @@ bool ConstraintGraph::may_break_cycles(std::uint32_t reversed) const {
   // cyclic components the reversed link lies inside at most one of them,
   // and the other keeps its cycles; with one, its witness must use it.
   return num_cycles_ == 1 && reversed != kNone &&
-         witness_in_[reversed] == pending_;
+         witness_in(reversed) == pending_;
 }
 
 std::uint32_t ConstraintGraph::cyclic_components() {
@@ -601,14 +613,18 @@ void ConstraintGraph::label_cycles() {
   sub_adj_.clear();
   for (std::uint32_t k = 0; k < m; ++k) {
     sub_begin_[k] = static_cast<std::uint32_t>(sub_adj_.size());
-    for_each_succ(unresolved_[k], [&](std::uint32_t x, int) {
+    for_each_succ(unresolved_[k], [&](std::uint32_t x, int, ArcKind) {
       if (mark_[x] == epoch_) sub_adj_.push_back(local_[x]);
     });
   }
   sub_begin_[m] = static_cast<std::uint32_t>(sub_adj_.size());
 
-  cycle_of_.assign(num_ops(), kNone);
+  if (++label_epoch_ == 0) {  // wrapped: stale labels could collide
+    std::fill(label_mark_.begin(), label_mark_.end(), 0);
+    label_epoch_ = 1;
+  }
   num_cycles_ = 0;
+  cycle_root_.clear();
   order_.assign(m, kNone);  // DFS discovery index
   low_.assign(m, 0);
   on_stack_.assign(m, 0);
@@ -653,10 +669,15 @@ void ConstraintGraph::label_cycles() {
         w = tarjan_stack_.back();
         tarjan_stack_.pop_back();
         on_stack_[w] = 0;
-        if (cyclic) cycle_of_[unresolved_[w]] = num_cycles_;
+        if (cyclic) {
+          const std::uint32_t op = unresolved_[w];
+          label_mark_[op] = label_epoch_;
+          cycle_of_[op] = num_cycles_;
+          witness_in_[op] = ArcKind::None;
+        }
       } while (w != v);
       if (cyclic) {
-        cycle_root_ = unresolved_[v];
+        cycle_root_.push_back(unresolved_[v]);
         ++num_cycles_;
       }
     }
@@ -664,28 +685,33 @@ void ConstraintGraph::label_cycles() {
 
   // Only a lone cyclic component's witness can decide anything (see
   // may_break_cycles).
-  witness_in_.assign(num_ops(), ArcKind::None);
-  if (num_cycles_ == 1) find_witness();
+  witness_.clear();
+  if (num_cycles_ == 1) {
+    walk_component(0, witness_);
+    for (std::size_t k = 0; k < witness_.size(); ++k) {
+      witness_in_[witness_[(k + 1) % witness_.size()].op] = witness_[k].kind;
+    }
+  }
   cycles_labelled_ = true;
 }
 
-void ConstraintGraph::find_witness() {
+void ConstraintGraph::walk_component(std::uint32_t c,
+                                     std::vector<CycleArc>& out) {
   // Every member of the cyclic component has a successor inside it; fixed
   // arcs are preferred because no swap removes them.
-  const std::uint32_t c = cycle_of_[cycle_root_];
   const ConstraintTables& t = tables();
   auto step = [&](std::uint32_t u) -> std::pair<std::uint32_t, ArcKind> {
     for (std::uint32_t k = t.succ_begin_[u]; k < t.succ_begin_[u + 1]; ++k) {
-      if (cycle_of_[t.succ_[k].to] == c) return {t.succ_[k].to, ArcKind::Fixed};
+      if (cycle_of(t.succ_[k].to) == c) return {t.succ_[k].to, ArcKind::Fixed};
     }
-    if (module_next_[u] != kNone && cycle_of_[module_next_[u]] == c) {
+    if (module_next_[u] != kNone && cycle_of(module_next_[u]) == c) {
       return {module_next_[u], ArcKind::Module};
     }
     for (std::uint32_t k = t.released_begin_[u]; k < t.released_begin_[u + 1];
          ++k) {
       const std::uint32_t after = register_next_[t.released_vars_[k]];
       if (after == kNone || t.var_def_[after] == kNone) continue;
-      if (cycle_of_[t.var_def_[after]] == c) {
+      if (cycle_of(t.var_def_[after]) == c) {
         return {t.var_def_[after], ArcKind::Register};
       }
     }
@@ -693,21 +719,135 @@ void ConstraintGraph::find_witness() {
     return {kNone, ArcKind::None};
   };
   walk_.clear();
-  next_epoch();
-  std::uint32_t u = cycle_root_;
-  while (mark_[u] != epoch_) {
-    mark_[u] = epoch_;
+  std::uint32_t u = cycle_root_[c];
+  while (!walked(u)) {
+    local_[u] = static_cast<std::uint32_t>(walk_.size());
     const auto [next, kind] = step(u);
     walk_.push_back({u, kind});
     u = next;
   }
-  // u closed the cycle: tag the arcs from u's first visit onward.
-  std::size_t at = 0;
-  while (walk_[at].first != u) ++at;
-  for (std::size_t i = at; i < walk_.size(); ++i) {
-    const std::uint32_t head = i + 1 < walk_.size() ? walk_[i + 1].first : u;
-    witness_in_[head] = walk_[i].second;
+  // u closed the cycle: the walk from u's first visit on.
+  out.clear();
+  for (std::size_t i = local_[u]; i < walk_.size(); ++i) {
+    out.push_back({walk_[i].first, walk_[i].second});
   }
+}
+
+void ConstraintGraph::component_cycle(std::uint32_t c,
+                                      std::vector<CycleArc>& out) {
+  HLTS_REQUIRE(c < cyclic_components(), "no such cyclic component");
+  walk_component(c, out);
+}
+
+bool ConstraintGraph::swap_cycle(std::vector<CycleArc>& out) {
+  HLTS_REQUIRE(pending_ != ArcKind::None, "no constraint-graph swap pending");
+  if (!pending_applied_ || !cone_solved_) return false;
+  // Kahn's leftovers: a cone op it could not order still waits for a cone
+  // predecessor it could not order, so walking back over them closes a
+  // cycle.
+  auto leftover = [&](std::uint32_t v) {
+    return mark_[v] == epoch_ && indegree_[v] > 0;
+  };
+  const auto start = std::find_if(cone_.begin(), cone_.end(), leftover);
+  if (start == cone_.end()) return false;
+  // Each entry after the first: an op with the kind of its arc into the
+  // entry before it.
+  walk_.clear();
+  std::uint32_t v = *start;
+  local_[v] = 0;
+  walk_.push_back({v, ArcKind::None});
+  for (;;) {
+    std::uint32_t from = kNone;
+    ArcKind kind = ArcKind::None;
+    for_each_pred(v, [&](std::uint32_t u, int, ArcKind k) {
+      if (from == kNone && leftover(u)) {
+        from = u;
+        kind = k;
+      }
+    });
+    if (walked(from)) {
+      // from -> v closes the cycle from, walk_.back() .. walk_[from + 1].
+      out.clear();
+      out.push_back({from, kind});
+      for (std::size_t i = walk_.size() - 1; i > local_[from]; --i) {
+        out.push_back({walk_[i].first, walk_[i].second});
+      }
+      return true;
+    }
+    local_[from] = static_cast<std::uint32_t>(walk_.size());
+    walk_.push_back({from, kind});
+    v = from;
+  }
+}
+
+bool ConstraintGraph::has_arc(std::uint32_t u, ArcKind kind,
+                              std::uint32_t v) const {
+  const ConstraintTables& t = tables();
+  switch (kind) {
+    case ArcKind::Fixed:
+      for (std::uint32_t k = t.succ_begin_[u]; k < t.succ_begin_[u + 1]; ++k) {
+        if (t.succ_[k].to == v) return true;
+      }
+      return false;
+    case ArcKind::Module:
+      return module_next_[u] == v;
+    case ArcKind::Register: {
+      // v writes its output after the last reads of the variable before it
+      // in that variable's register; u must be one of those reads.
+      const std::uint32_t y = t.op_output_[v];
+      const std::uint32_t x = y == kNone ? kNone : register_prev_[y];
+      if (x == kNone) return false;
+      for (std::uint32_t k = t.release_begin_[x]; k < t.release_begin_[x + 1];
+           ++k) {
+        if (t.release_ops_[k] == u) return true;
+      }
+      return false;
+    }
+    case ArcKind::None:
+      break;
+  }
+  return false;
+}
+
+bool ConstraintGraph::has_cycle(std::span<const CycleArc> cycle) const {
+  HLTS_REQUIRE(linked_, "constraint graph is not linked");
+  for (std::size_t k = 0; k < cycle.size(); ++k) {
+    const std::uint32_t next = cycle[k + 1 < cycle.size() ? k + 1 : 0].op;
+    if (!has_arc(cycle[k].op, cycle[k].kind, next)) return false;
+  }
+  return !cycle.empty();
+}
+
+bool ConstraintGraph::has_cycle_after_swap(std::span<const CycleArc> on,
+                                           std::size_t j,
+                                           std::span<const CycleArc> cycle) {
+  HLTS_REQUIRE(pending_ == ArcKind::None && j < on.size(),
+               "cycle check with a swap pending");
+  const std::uint32_t tail = on[j].op;
+  const std::uint32_t head = on[j + 1 < on.size() ? j + 1 : 0].op;
+  const ArcKind kind = on[j].kind;
+  HLTS_REQUIRE((kind == ArcKind::Module || kind == ArcKind::Register) &&
+                   has_arc(tail, kind, head),
+               "swapped arc is not a chain link of the graph");
+  if (kind == ArcKind::Module) {
+    relink_module(tail, head);
+    const bool found = has_cycle(cycle);
+    relink_module(head, tail);
+    return found;
+  }
+  const auto [x, y] = register_link_into(head);
+  relink_register(x.value(), y.value());
+  const bool found = has_cycle(cycle);
+  relink_register(y.value(), x.value());
+  return found;
+}
+
+std::pair<dfg::VarId, dfg::VarId> ConstraintGraph::register_link_into(
+    std::uint32_t head) const {
+  const std::uint32_t y = tables().op_output_[head];
+  const std::uint32_t x = y == kNone ? kNone : register_prev_[y];
+  HLTS_REQUIRE(x != kNone, "no register-chain link into the operation");
+  return {dfg::VarId{x}, dfg::VarId{y}};
 }
 
 void ConstraintGraph::keep() {
@@ -743,6 +883,7 @@ void ConstraintGraph::save_base() {
                    merged_ == ArcKind::None,
                "constraint-graph base needs a solved, unedited graph");
   has_base_ = true;
+  incumbent_is_base_ = true;
   kept_.clear();
   base_module_ops_ = module_chain_ops_.size();
   base_register_vars_ = register_chain_vars_.size();
@@ -802,10 +943,10 @@ std::span<dfg::VarId> ConstraintGraph::merge_register_chains(
   return merged;
 }
 
-std::optional<int> ConstraintGraph::solve_merge() {
-  HLTS_REQUIRE(merged_ != ArcKind::None && pending_ == ArcKind::None &&
-                   kept_.empty(),
-               "solve_merge needs a fresh chain merge");
+void ConstraintGraph::link_merge() {
+  HLTS_REQUIRE(merged_ != ArcKind::None && !merge_linked_ &&
+                   pending_ == ArcKind::None && kept_.empty(),
+               "link_merge needs a fresh chain merge");
   next_epoch();
   cone_.clear();
   if (merged_ == ArcKind::Module) {
@@ -822,7 +963,16 @@ std::optional<int> ConstraintGraph::solve_merge() {
                   undefined_members(from);
     link_register_chain(merged, true);
   }
+  merge_linked_ = true;
+  solved_ = false;
   cycles_labelled_ = false;
+}
+
+std::optional<int> ConstraintGraph::solve_merge() {
+  if (!merge_linked_) link_merge();
+  HLTS_REQUIRE(!solved_ && pending_ == ArcKind::None,
+               "solve_merge needs a fresh chain merge");
+  solved_ = true;
   // A base cycle outside the cone would block it: solve everything.
   if (!unresolved_.empty()) return solve_all();
   close_cone();
@@ -861,13 +1011,18 @@ void ConstraintGraph::restore_base() {
     link_register_chain(register_chain(merged_from_), false);
   }
   merged_ = ArcKind::None;
+  merge_linked_ = false;
   undefined_ = base_undefined_;
   contradictions_ = base_contradictions_;
-  top_ = base_top_;
-  step_ = base_step_;
-  resolved_ = base_resolved_;
-  step_count_ = base_step_count_;
-  unresolved_ = base_unresolved_;
+  // A merge that was only linked left the base's incumbent in place.
+  if (!incumbent_is_base_) {
+    top_ = base_top_;
+    step_ = base_step_;
+    resolved_ = base_resolved_;
+    step_count_ = base_step_count_;
+    unresolved_ = base_unresolved_;
+    incumbent_is_base_ = true;
+  }
   cycles_labelled_ = false;
   solved_ = true;
 }

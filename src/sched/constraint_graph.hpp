@@ -40,6 +40,12 @@
 // solve_merge() re-solves only the forward cone of the ops whose incoming
 // chain links changed, and restore_base() undoes the merge and every swap
 // kept since, and restores the base's incumbent.
+//
+// Cycles can also be named and checked without solving.  A cycle is a list
+// of (op, kind of the arc leaving it) pairs: component_cycle() reads one
+// off the labelled incumbent, swap_cycle() one off a rejected swap's cone.  After link_merge() -- the merge linked, nothing solved --
+// has_cycle() and has_cycle_after_swap() check that such a cycle is present
+// in O(its length); the rescheduler builds its cycle certificates on them.
 #pragma once
 
 #include <cstdint>
@@ -101,6 +107,16 @@ class ConstraintTables {
 
 class ConstraintGraph {
  public:
+  /// Where an arc comes from: fixed (data dependence or add_arc), a module
+  /// chain link or a register chain link.  Also names a swap or a merge.
+  enum class ArcKind : std::uint8_t { None, Fixed, Module, Register };
+  /// One arc of a cycle: it leaves `op` and enters the op of the next arc
+  /// (the first arc's, after the last).
+  struct CycleArc {
+    std::uint32_t op = 0;
+    ArcKind kind = ArcKind::None;
+  };
+
   ConstraintGraph() = default;
   /// Builds a graph seeded with the data-dependence arcs of `g` (weight 1).
   explicit ConstraintGraph(const dfg::Dfg& g);
@@ -163,6 +179,11 @@ class ConstraintGraph {
   /// when it is acyclic).  When it is two or more, every single swap leaves
   /// a cycle, so try_swap_*() returns nullopt until a swap is kept.
   [[nodiscard]] std::uint32_t cyclic_components();
+  /// A cycle inside cyclic component `c` (< cyclic_components()); replaces
+  /// `out`.  With one component it is the witness: a swap that reverses
+  /// none of its chain links leaves it a closed walk, so try_swap_*()
+  /// applies only swaps that reverse one.
+  void component_cycle(std::uint32_t c, std::vector<CycleArc>& out);
 
   /// Tentatively swaps members `i` and `i + 1` of module chain `c` and
   /// returns the schedule length of the resulting graph (nullopt when it is
@@ -174,6 +195,11 @@ class ConstraintGraph {
   /// As try_swap_module, for register chain `c`.
   [[nodiscard]] std::optional<int> try_swap_register(std::size_t c,
                                                      std::size_t i);
+  /// After a try_swap_*() that applied its swap and left the graph cyclic:
+  /// one cycle of the swapped graph, from the ops its cone solve left
+  /// unresolved, into `out`.  False, `out` untouched, when the swap was
+  /// rejected unapplied or its cone has no cycle.  Before keep()/revert().
+  bool swap_cycle(std::vector<CycleArc>& out);
   /// Makes the tentative swap part of the incumbent.
   void keep();
   /// Restores the order and incumbent from before the tentative swap.
@@ -190,20 +216,36 @@ class ConstraintGraph {
   /// As merge_module_chains, for register chains.
   std::span<dfg::VarId> merge_register_chains(std::size_t into,
                                               std::size_t from);
-  /// Links the merged chain and re-solves the forward cone of the ops whose
-  /// incoming chain arcs changed, the rest of the base incumbent standing;
-  /// the incumbent then equals a from-scratch solve of the merged graph.
-  /// Returns its length (nullopt when infeasible).
+  /// Links the merged chain without solving: the incumbent no longer
+  /// matches the arcs, so only has_cycle*() checks may follow before
+  /// solve_merge() or restore_base().
+  void link_merge();
+  /// Links the merged chain (unless link_merge() did) and re-solves the
+  /// forward cone of the ops whose incoming chain arcs changed, the rest of
+  /// the base incumbent standing; the incumbent then equals a from-scratch
+  /// solve of the merged graph.  Returns its length (nullopt when
+  /// infeasible).
   std::optional<int> solve_merge();
   /// Undoes a pending swap, every swap kept since save_base() and the
   /// merge, and restores the base's incumbent.
   void restore_base();
 
+  /// Whether every arc of `cycle` is in the linked graph (false when empty).
+  [[nodiscard]] bool has_cycle(std::span<const CycleArc> cycle) const;
+  /// Whether `cycle` is in the linked graph once the chain link that arc
+  /// `j` of `on` stands for is swapped -- its two ends exchanged in their
+  /// chain, as try_swap_*() does.  Arc j must be a chain link of the graph.
+  /// The graph is unchanged on return.
+  [[nodiscard]] bool has_cycle_after_swap(std::span<const CycleArc> on,
+                                          std::size_t j,
+                                          std::span<const CycleArc> cycle);
+  /// The register-chain link a Register arc into `head` stands for: the
+  /// earlier variable and the later one, which `head` defines.
+  [[nodiscard]] std::pair<dfg::VarId, dfg::VarId> register_link_into(
+      std::uint32_t head) const;
+
  private:
   static constexpr std::uint32_t kNone = ConstraintTables::kNone;
-  /// Where an arc comes from: fixed (data dependence or add_arc), a module
-  /// chain link or a register chain link.  Also names a swap or a merge.
-  enum class ArcKind : std::uint8_t { None, Fixed, Module, Register };
 
   [[nodiscard]] const ConstraintTables& tables() const {
     return shared_ != nullptr ? *shared_ : own_;
@@ -222,6 +264,13 @@ class ConstraintGraph {
   /// it twice restores both.
   void swap_module(std::size_t c, std::size_t i);
   void swap_register(std::size_t c, std::size_t i);
+  /// Swaps neighbours a -> b of a module (register) chain in the links only;
+  /// swapping b -> a restores them.
+  void relink_module(std::uint32_t a, std::uint32_t b);
+  void relink_register(std::uint32_t x, std::uint32_t y);
+  /// Whether the graph has an arc of `kind` from `u` to `v`.
+  [[nodiscard]] bool has_arc(std::uint32_t u, ArcKind kind,
+                             std::uint32_t v) const;
   /// Applies the pending swap (register swaps also update undefined_).
   void apply_pending();
   /// merge_*_chains for one chain kind: its member storage and per-chain
@@ -265,12 +314,27 @@ class ConstraintGraph {
   /// Labels the incumbent's cyclic strongly connected components and, when
   /// there is exactly one, finds a witness cycle in it.
   void label_cycles();
-  /// Walks from cycle_root_ inside its component until a node repeats and
-  /// records the arc kinds entering the cycle it closed in witness_in_.
-  void find_witness();
-
+  /// Walks from cyclic component c's root inside the component until an op
+  /// repeats; the cycle that closed replaces `out`.
+  void walk_component(std::uint32_t c, std::vector<CycleArc>& out);
+  /// The component label of `op` (kNone off every cyclic component).
+  [[nodiscard]] std::uint32_t cycle_of(std::uint32_t op) const {
+    return label_mark_[op] == label_epoch_ ? cycle_of_[op] : kNone;
+  }
+  /// Kind of the witness-cycle arc entering `op` (None off the cycle).
+  [[nodiscard]] ArcKind witness_in(std::uint32_t op) const {
+    return label_mark_[op] == label_epoch_ ? witness_in_[op] : ArcKind::None;
+  }
+  /// Whether the walk in walk_ has visited `v`: a walk sets local_ of each
+  /// op it visits to the op's index in walk_.
+  [[nodiscard]] bool walked(std::uint32_t v) const {
+    return local_[v] < walk_.size() && walk_[local_[v]].first == v;
+  }
+  /// Calls f(from, weight, kind) for every arc into `v`.
   template <typename F>
   void for_each_pred(std::uint32_t v, F&& f) const;
+  /// Calls f(to, weight, kind) for every arc out of `u`: fixed arcs first,
+  /// then the module link, then the register links.
   template <typename F>
   void for_each_succ(std::uint32_t u, F&& f) const;
 
@@ -305,13 +369,18 @@ class ConstraintGraph {
   std::vector<int> value_, indegree_;
   int cone_top_ = 0;  ///< largest step solve_cone() derived
 
-  // Cyclic strongly connected components of an infeasible incumbent.
+  // Cyclic strongly connected components of an infeasible incumbent.  An
+  // op's labels are valid when its label_mark_ is label_epoch_ (it is on a
+  // cyclic component); the others read kNone / None.
   bool cycles_labelled_ = false;
   std::uint32_t num_cycles_ = 0;
-  std::vector<std::uint32_t> cycle_of_;  ///< per op: component, or kNone
-  std::uint32_t cycle_root_ = kNone;  ///< a member of the last one found
-  /// Per op: kind of the witness-cycle arc entering it (None off-cycle).
+  std::vector<std::uint32_t> label_mark_;  ///< per op
+  std::uint32_t label_epoch_ = 0;
+  std::vector<std::uint32_t> cycle_of_;  ///< per op: component
+  std::vector<std::uint32_t> cycle_root_;  ///< per component: a member
+  /// Per op: kind of the witness-cycle arc entering it.
   std::vector<ArcKind> witness_in_;
+  std::vector<CycleArc> witness_;  ///< the lone component's witness cycle
   // Tarjan scratch over the unresolved ops, indexed locally.
   struct Frame {
     std::uint32_t node = 0;
@@ -322,7 +391,8 @@ class ConstraintGraph {
   std::vector<std::uint32_t> order_, low_, tarjan_stack_;
   std::vector<std::uint8_t> on_stack_;
   std::vector<Frame> frames_;
-  /// find_witness's walk: each node with the kind of arc leaving it.
+  /// A cycle-finding walk: each op with the kind of the arc out of it the
+  /// walk followed (swap_cycle walks backwards: into the entry before).
   std::vector<std::pair<std::uint32_t, ArcKind>> walk_;
 
   // The tentative swap.
@@ -338,8 +408,10 @@ class ConstraintGraph {
     std::uint32_t chain = 0, pos = 0;
   };
   bool has_base_ = false;
+  bool incumbent_is_base_ = false;  ///< no solve since save/restore_base
   std::vector<Swap> kept_;  ///< swaps kept since the base, in order
   ArcKind merged_ = ArcKind::None;  ///< kind of the merge, if any
+  bool merge_linked_ = false;  ///< the merge's links are in place
   std::uint32_t merged_into_ = 0, merged_from_ = 0;
   std::uint32_t into_begin_ = 0, into_size_ = 0, from_size_ = 0;
   std::uint8_t into_contradicted_ = 0, from_contradicted_ = 0;

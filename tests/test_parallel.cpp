@@ -207,12 +207,14 @@ TEST(ParallelSynthesis, DiffeqIdenticalAcrossThreadCounts) {
   expect_identical(serial, parallel8);
 }
 
-/// A traced run's result with its synth.trials_evaluated and
-/// synth.trials_speculative counters (0 when absent).
+/// A traced run's result with its synth.trials_evaluated,
+/// synth.trials_speculative and synth.trials_certified counters (0 when
+/// absent).
 struct TracedRun {
   core::SynthesisResult result;
   std::int64_t evaluated = 0;
   std::int64_t speculative = 0;
+  std::int64_t certified = 0;
 };
 
 TracedRun traced_run(const dfg::Dfg& g, int threads) {
@@ -229,13 +231,16 @@ TracedRun traced_run(const dfg::Dfg& g, int threads) {
   };
   t.evaluated = read("synth.trials_evaluated");
   t.speculative = read("synth.trials_speculative");
+  t.certified = read("synth.trials_certified");
   return t;
 }
 
 // With a pool, every wave is padded with later candidates in rank order.
 // Selection still reads the first k feasible candidates, so the run must
 // equal the serial one, and the padded trials selection never read must be
-// exactly the surplus over the serial run's evaluations.
+// exactly the surplus over the serial run's evaluations.  The serial runs
+// must also prove some trials infeasible from the previous iteration's
+// cycle certificates.
 TEST(ParallelSynthesis, SpeculativeWavesMatchSerialRun) {
   std::vector<std::pair<std::string, dfg::Dfg>> designs;
   for (const char* name : {"ex", "diffeq", "ewf"}) {
@@ -255,11 +260,13 @@ TEST(ParallelSynthesis, SpeculativeWavesMatchSerialRun) {
   designs.emplace_back("memory", workload::generate(13, memory));
 
   std::int64_t speculated = 0;
+  std::int64_t certified = 0;
   for (const auto& [name, g] : designs) {
     SCOPED_TRACE(name);
     const TracedRun serial = traced_run(g, 1);
     ASSERT_FALSE(serial.result.trajectory.empty());
     EXPECT_EQ(serial.speculative, 0);
+    certified += serial.certified;
     for (const int threads : {2, 3, 4, 8}) {
       SCOPED_TRACE(threads);
       const TracedRun parallel = traced_run(g, threads);
@@ -269,6 +276,7 @@ TEST(ParallelSynthesis, SpeculativeWavesMatchSerialRun) {
     }
   }
   EXPECT_GT(speculated, 0) << "no wave was ever padded";
+  EXPECT_GT(certified, 0) << "no serial trial was certified";
 }
 
 TEST(ParallelSynthesis, ConnectivityPolicyIdenticalAcrossThreadCounts) {

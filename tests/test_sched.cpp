@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -258,6 +260,48 @@ TEST(ConstraintGraph, ChainSwapsMatchFreshSolves) {
   EXPECT_GT(infeasible, 50);
 }
 
+/// Merges two random chains of one kind, in `c` and in `graph` (whose base
+/// holds c's chains), each sorted the way a merger's trial sorts it.
+void merge_random_chains(const dfg::Dfg& g, const sched::Schedule& asap,
+                         Rng& rng, RandomChains& c,
+                         sched::ConstraintGraph& graph) {
+  auto var_key = [&](dfg::VarId v) {
+    return g.var(v).def.valid() ? asap.step(g.var(v).def) : -1;
+  };
+  const bool module = rng.next_bool();
+  const std::size_t n = module ? c.modules.size() : c.regs.size();
+  const std::size_t into = rng.next_below(n);
+  const std::size_t from = (into + 1 + rng.next_below(n - 1)) % n;
+  if (module) {
+    auto& a = c.modules[into];
+    a.insert(a.end(), c.modules[from].begin(), c.modules[from].end());
+    std::stable_sort(a.begin(), a.end(), [&](dfg::OpId x, dfg::OpId y) {
+      return asap.step(x) < asap.step(y);
+    });
+    c.modules[from].clear();
+    const std::span<dfg::OpId> merged = graph.merge_module_chains(into, from);
+    std::stable_sort(merged.begin(), merged.end(),
+                     [&](dfg::OpId x, dfg::OpId y) {
+                       return asap.step(x) < asap.step(y);
+                     });
+    ASSERT_TRUE(std::equal(merged.begin(), merged.end(), a.begin(), a.end()));
+  } else {
+    auto& a = c.regs[into];
+    a.insert(a.end(), c.regs[from].begin(), c.regs[from].end());
+    std::stable_sort(a.begin(), a.end(), [&](dfg::VarId x, dfg::VarId y) {
+      return var_key(x) < var_key(y);
+    });
+    c.regs[from].clear();
+    const std::span<dfg::VarId> merged =
+        graph.merge_register_chains(into, from);
+    std::stable_sort(merged.begin(), merged.end(),
+                     [&](dfg::VarId x, dfg::VarId y) {
+                       return var_key(x) < var_key(y);
+                     });
+    ASSERT_TRUE(std::equal(merged.begin(), merged.end(), a.begin(), a.end()));
+  }
+}
+
 TEST(ConstraintGraph, BaseMergesMatchFreshSolves) {
   // A base of random chains over shared tables.  Each trial merges two
   // chains of one kind (re-sorted the way a merger's trial sorts them),
@@ -270,9 +314,6 @@ TEST(ConstraintGraph, BaseMergesMatchFreshSolves) {
     const dfg::Dfg g = benchmarks::make_benchmark(name);
     const sched::Schedule asap = sched::asap(g);
     const sched::ConstraintTables tables(g);
-    auto var_key = [&](dfg::VarId v) {
-      return g.var(v).def.valid() ? asap.step(g.var(v).def) : -1;
-    };
     Rng rng(std::hash<std::string>{}(name) + 1);
     for (int round = 0; round < 4; ++round) {
       SCOPED_TRACE(std::string(name) + " round " + std::to_string(round));
@@ -290,41 +331,7 @@ TEST(ConstraintGraph, BaseMergesMatchFreshSolves) {
       graph.save_base();
       for (int trial = 0; trial < 16; ++trial) {
         RandomChains c = base;
-        const bool module = rng.next_bool();
-        const std::size_t n = module ? c.modules.size() : c.regs.size();
-        const std::size_t into = rng.next_below(n);
-        const std::size_t from = (into + 1 + rng.next_below(n - 1)) % n;
-        if (module) {
-          auto& a = c.modules[into];
-          a.insert(a.end(), c.modules[from].begin(), c.modules[from].end());
-          std::stable_sort(a.begin(), a.end(), [&](dfg::OpId x, dfg::OpId y) {
-            return asap.step(x) < asap.step(y);
-          });
-          c.modules[from].clear();
-          const std::span<dfg::OpId> merged =
-              graph.merge_module_chains(into, from);
-          std::stable_sort(merged.begin(), merged.end(),
-                           [&](dfg::OpId x, dfg::OpId y) {
-                             return asap.step(x) < asap.step(y);
-                           });
-          ASSERT_TRUE(std::equal(merged.begin(), merged.end(), a.begin(),
-                                 a.end()));
-        } else {
-          auto& a = c.regs[into];
-          a.insert(a.end(), c.regs[from].begin(), c.regs[from].end());
-          std::stable_sort(a.begin(), a.end(), [&](dfg::VarId x, dfg::VarId y) {
-            return var_key(x) < var_key(y);
-          });
-          c.regs[from].clear();
-          const std::span<dfg::VarId> merged =
-              graph.merge_register_chains(into, from);
-          std::stable_sort(merged.begin(), merged.end(),
-                           [&](dfg::VarId x, dfg::VarId y) {
-                             return var_key(x) < var_key(y);
-                           });
-          ASSERT_TRUE(std::equal(merged.begin(), merged.end(), a.begin(),
-                                 a.end()));
-        }
+        merge_random_chains(g, asap, rng, c, graph);
         const std::optional<int> len = graph.solve_merge();
         std::optional<sched::Schedule> expected = fresh_solve(g, c);
         ASSERT_EQ(len, expected ? std::optional<int>(expected->length())
@@ -380,6 +387,208 @@ TEST(ConstraintGraph, BaseMergesMatchFreshSolves) {
   }
   EXPECT_GT(feasible, 20);
   EXPECT_GT(infeasible, 20);
+}
+
+using ArcKind = sched::ConstraintGraph::ArcKind;
+using CycleArc = sched::ConstraintGraph::CycleArc;
+using Arc = std::tuple<std::uint32_t, ArcKind, std::uint32_t>;
+
+/// Every arc of the graph of `g` with chains `c`, as (from, kind, to): data
+/// dependences, module-chain neighbours, and register-chain neighbours x, y
+/// as arcs from x's readers (its definition when it has none) to y's
+/// definition.
+std::set<Arc> chain_arcs(const dfg::Dfg& g, const RandomChains& c) {
+  std::set<Arc> arcs;
+  for (dfg::OpId op : g.op_ids()) {
+    for (dfg::VarId in : g.op(op).inputs) {
+      if (g.var(in).def.valid()) {
+        arcs.insert({g.var(in).def.value(), ArcKind::Fixed, op.value()});
+      }
+    }
+  }
+  for (const auto& chain : c.modules) {
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+      arcs.insert({chain[i].value(), ArcKind::Module, chain[i + 1].value()});
+    }
+  }
+  for (const auto& chain : c.regs) {
+    for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+      const dfg::Variable& x = g.var(chain[i]);
+      const dfg::OpId def = g.var(chain[i + 1]).def;
+      if (!def.valid()) continue;
+      for (dfg::OpId r : x.uses) {
+        arcs.insert({r.value(), ArcKind::Register, def.value()});
+      }
+      if (x.uses.empty() && x.def.valid()) {
+        arcs.insert({x.def.value(), ArcKind::Register, def.value()});
+      }
+    }
+  }
+  return arcs;
+}
+
+/// Whether every arc of `cycle` is in `arcs` (false when it is empty).
+bool arcs_hold(std::span<const CycleArc> cycle, const std::set<Arc>& arcs) {
+  for (std::size_t k = 0; k < cycle.size(); ++k) {
+    const std::uint32_t next = cycle[(k + 1) % cycle.size()].op;
+    if (arcs.count({cycle[k].op, cycle[k].kind, next}) == 0) return false;
+  }
+  return !cycle.empty();
+}
+
+/// Whether `cycle` is simple (no op twice) and every arc of it is in `arcs`.
+bool simple_cycle_of(std::span<const CycleArc> cycle,
+                     const std::set<Arc>& arcs) {
+  std::set<std::uint32_t> ops;
+  for (const CycleArc& a : cycle) {
+    if (!ops.insert(a.op).second) return false;
+  }
+  return arcs_hold(cycle, arcs);
+}
+
+/// `c` with the chain link from `tail` to `head` (an arc of `kind`)
+/// reversed: the two chain members swapped.
+RandomChains swap_link(const dfg::Dfg& g, RandomChains c, ArcKind kind,
+                       std::uint32_t tail, std::uint32_t head) {
+  if (kind == ArcKind::Module) {
+    for (auto& chain : c.modules) {
+      for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+        if (chain[i].value() == tail && chain[i + 1].value() == head) {
+          std::swap(chain[i], chain[i + 1]);
+          return c;
+        }
+      }
+    }
+  } else {
+    const dfg::VarId y = g.op(dfg::OpId{head}).output;
+    for (auto& chain : c.regs) {
+      for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+        if (chain[i + 1] == y) {
+          std::swap(chain[i], chain[i + 1]);
+          return c;
+        }
+      }
+    }
+  }
+  ADD_FAILURE() << "no chain link from " << tail << " to " << head;
+  return c;
+}
+
+TEST(ConstraintGraph, CyclesAndCycleChecksMatchArcLists) {
+  // Base merges as above, half of them only linked (link_merge) before
+  // they are solved.  Every cycle the graph reads off -- each cyclic
+  // component's and a rejected swap's -- is a simple cycle of
+  // the arcs the chains imply, and has_cycle / has_cycle_after_swap agree
+  // with those arc lists, kinds included.
+  int component_cycles = 0;
+  int swap_cycles = 0;
+  int swapped_checks = 0;
+  int absent = 0;
+  for (const char* name : {"ewf", "diffeq", "tseng"}) {
+    const dfg::Dfg g = benchmarks::make_benchmark(name);
+    const sched::Schedule asap = sched::asap(g);
+    const sched::ConstraintTables tables(g);
+    Rng rng(std::hash<std::string>{}(name) + 2);
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE(std::string(name) + " round " + std::to_string(round));
+      const RandomChains base = random_chains(g, rng, 3 + round, 4 + round);
+      sched::ConstraintGraph graph;
+      graph.reset(tables);
+      for (const auto& chain : base.modules) {
+        (void)graph.add_module_chain(chain);
+      }
+      for (const auto& chain : base.regs) {
+        (void)graph.add_register_chain(chain);
+      }
+      ASSERT_TRUE(graph.schedule_length().has_value());
+      const std::optional<sched::Schedule> base_schedule = graph.schedule();
+      graph.save_base();
+      for (int trial = 0; trial < 16; ++trial) {
+        RandomChains c = base;
+        merge_random_chains(g, asap, rng, c, graph);
+        const std::set<Arc> arcs = chain_arcs(g, c);
+        if (rng.next_bool()) graph.link_merge();
+        const std::optional<int> len = graph.solve_merge();
+        const std::optional<sched::Schedule> expected = fresh_solve(g, c);
+        ASSERT_EQ(len, expected ? std::optional<int>(expected->length())
+                                : std::nullopt);
+        if (len || graph.cyclic_components() == 0) {
+          graph.restore_base();
+          continue;
+        }
+        std::vector<std::vector<CycleArc>> found(graph.cyclic_components());
+        for (std::uint32_t k = 0; k < found.size(); ++k) {
+          graph.component_cycle(k, found[k]);
+          ASSERT_TRUE(simple_cycle_of(found[k], arcs));
+          ASSERT_TRUE(graph.has_cycle(found[k]));
+          ++component_cycles;
+        }
+        // One arc's kind changed: present exactly when the arc lists say.
+        for (const auto& cycle : found) {
+          for (std::size_t k = 0; k < cycle.size(); ++k) {
+            for (ArcKind kind :
+                 {ArcKind::Fixed, ArcKind::Module, ArcKind::Register}) {
+              std::vector<CycleArc> changed = cycle;
+              changed[k].kind = kind;
+              const bool holds = arcs_hold(changed, arcs);
+              ASSERT_EQ(graph.has_cycle(changed), holds);
+              if (!holds) ++absent;
+            }
+          }
+        }
+        // The found cycles with one chain link of the first swapped.
+        const std::vector<CycleArc>& c0 = found[0];
+        for (std::size_t j = 0; j < c0.size(); ++j) {
+          if (c0[j].kind == ArcKind::Fixed) continue;
+          const std::set<Arc> swapped_arcs = chain_arcs(
+              g, swap_link(g, c, c0[j].kind, c0[j].op,
+                           c0[(j + 1) % c0.size()].op));
+          for (const auto& cycle : found) {
+            ASSERT_EQ(graph.has_cycle_after_swap(c0, j, cycle),
+                      arcs_hold(cycle, swapped_arcs));
+            ++swapped_checks;
+          }
+          ASSERT_TRUE(graph.has_cycle(c0));  // the swap was undone
+        }
+        // Every swap the graph applies and finds cyclic names a cycle of
+        // the swapped chains.
+        for (std::size_t k = 0; k < c.modules.size(); ++k) {
+          for (std::size_t i = 0; i + 1 < c.modules[k].size(); ++i) {
+            const std::optional<int> tried = graph.try_swap_module(k, i);
+            std::vector<CycleArc> cycle;
+            if (graph.swap_cycle(cycle)) {
+              ASSERT_FALSE(tried.has_value());
+              RandomChains swapped = c;
+              std::swap(swapped.modules[k][i], swapped.modules[k][i + 1]);
+              ASSERT_TRUE(simple_cycle_of(cycle, chain_arcs(g, swapped)));
+              ++swap_cycles;
+            }
+            graph.revert();
+          }
+        }
+        for (std::size_t k = 0; k < c.regs.size(); ++k) {
+          for (std::size_t i = 0; i + 1 < c.regs[k].size(); ++i) {
+            const std::optional<int> tried = graph.try_swap_register(k, i);
+            std::vector<CycleArc> cycle;
+            if (graph.swap_cycle(cycle)) {
+              ASSERT_FALSE(tried.has_value());
+              RandomChains swapped = c;
+              std::swap(swapped.regs[k][i], swapped.regs[k][i + 1]);
+              ASSERT_TRUE(simple_cycle_of(cycle, chain_arcs(g, swapped)));
+              ++swap_cycles;
+            }
+            graph.revert();
+          }
+        }
+        graph.restore_base();
+        ASSERT_EQ(graph.schedule(), base_schedule);
+      }
+    }
+  }
+  EXPECT_GT(component_cycles, 10);
+  EXPECT_GT(swap_cycles, 5);
+  EXPECT_GT(swapped_checks, 20);
+  EXPECT_GT(absent, 20);
 }
 
 TEST(ListSched, ResourceLimitLengthensSchedule) {
