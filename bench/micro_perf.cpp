@@ -1,7 +1,7 @@
 // google-benchmark micro-benchmarks for the analysis/simulation kernels:
 // testability fixpoint, netlist simplification, parallel fault simulation,
-// the trial merge patch, the derivation of a committed design, and one full
-// Algorithm 1 run.
+// the trial merge patch, a trial's cost estimate, the balance ranking, the
+// derivation of a committed design, and one full Algorithm 1 run.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -14,10 +14,12 @@
 #include "atpg/faults.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flows.hpp"
+#include "cost/cost.hpp"
 #include "etpn/patch.hpp"
 #include "gates/simplify.hpp"
 #include "rtl/elaborate.hpp"
 #include "sched/schedule.hpp"
+#include "testability/balance.hpp"
 #include "testability/testability.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
@@ -213,6 +215,68 @@ void BM_DeriveCommitted(benchmark::State& state) {
   report_allocs(state, before);
 }
 BENCHMARK(BM_DeriveCommitted)->Arg(40)->Arg(160);
+
+/// A trial's cost estimate (floorplan-based area + wiring, paper §4.2) on
+/// the merge-patched data path of a generated design of state.range(0) ops
+/// at its ASAP schedule, with the scratch a trial worker reuses.  Contract:
+/// zero heap allocations per iteration after warm-up.
+void BM_EstimateCost(benchmark::State& state) {
+  workload::DfgShape shape;
+  shape.ops = static_cast<int>(state.range(0));
+  const dfg::Dfg g = workload::generate(42, shape);
+  const sched::Schedule s = sched::asap(g);
+  const etpn::Binding b = etpn::Binding::default_binding(g);
+  etpn::Etpn e = etpn::build_data_path(g, s, b);
+  etpn::DataPath& dp = e.data_path;
+  // Merge the first two modules of one operation class, as a trial does.
+  etpn::DpNodeId into = etpn::DpNodeId::invalid();
+  etpn::DpNodeId from = etpn::DpNodeId::invalid();
+  for (etpn::DpNodeId n : dp.node_ids()) {
+    if (from.valid()) break;
+    if (!dp.alive(n) || dp.node(n).kind != etpn::DpNodeKind::Module) continue;
+    for (etpn::DpNodeId m : dp.node_ids()) {
+      if (m.value() <= n.value() || !dp.alive(m) ||
+          dp.node(m).kind != etpn::DpNodeKind::Module ||
+          dp.node(m).op_class != dp.node(n).op_class) {
+        continue;
+      }
+      into = n;
+      from = m;
+      break;
+    }
+  }
+  util::Arena arena;
+  (void)etpn::apply_merge_patch(dp, arena, into, from);
+  const cost::ModuleLibrary lib = cost::ModuleLibrary::standard();
+  cost::CostScratch scratch;
+  (void)cost::estimate_cost(dp, lib, 8, scratch);  // warm-up
+  const std::uint64_t before = alloc_count();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cost::estimate_cost(dp, lib, 8, scratch));
+  }
+  report_allocs(state, before);
+}
+BENCHMARK(BM_EstimateCost)->Arg(40)->Arg(160);
+
+/// One balance ranking of a generated design of state.range(0) ops at its
+/// ASAP schedule and default binding: every pair enumerated and scored,
+/// then the first 8 pulled, as an Algorithm-1 iteration with k = 8 does.
+void BM_BalanceCandidates(benchmark::State& state) {
+  workload::DfgShape shape;
+  shape.ops = static_cast<int>(state.range(0));
+  const dfg::Dfg g = workload::generate(42, shape);
+  const sched::Schedule s = sched::asap(g);
+  const etpn::Binding b = etpn::Binding::default_binding(g);
+  const etpn::Etpn e = etpn::build_data_path(g, s, b);
+  const testability::TestabilityAnalysis analysis(e.data_path);
+  const testability::OpReachability reach(g);
+  for (auto _ : state) {
+    testability::CandidateStream stream =
+        testability::balance_candidates(g, b, e, analysis, reach);
+    benchmark::DoNotOptimize(stream.take(8).size());
+  }
+}
+BENCHMARK(BM_BalanceCandidates)->Arg(40)->Arg(160);
 
 void BM_IntegratedSynthesis(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_diffeq();

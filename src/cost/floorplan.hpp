@@ -25,9 +25,11 @@
 // each line's nearest free cells one bit scan.  Costs are sums of small
 // integers plus the pull, far below 2^40, so steps of 0.01 survive
 // rounding and every comparison is made on the same double the full scan
-// computes.  A node with no placed neighbour pays the pull only: it takes
-// the first free cell in (|x| + |y|, spiral index) order, a table built
-// once per radius and process.
+// computes: the best cell so far is one 128-bit key, the cost's bits over
+// the cell's spiral index, taken by a branch-free minimum.  A node with no
+// placed neighbour pays the pull only: it takes the first free cell in
+// (|x| + |y|, spiral index) order.  Spiral indices, that order and the
+// pull come from tables built once per radius and process.
 //
 // Tombstoned (dead) nodes and arcs are skipped throughout, so a patched
 // graph floorplans exactly like a freshly built compact one: the same alive
@@ -54,6 +56,10 @@ struct Floorplan {
   [[nodiscard]] double distance(etpn::DpNodeId a, etpn::DpNodeId b) const;
 };
 
+/// Per radius: each cell's spiral index, the cell at each index, and the
+/// cells in (|x| + |y|, spiral index) order.
+struct SpiralTable;
+
 /// Reusable buffers for repeated floorplan runs.  Trial evaluation calls the
 /// floorplanner once per candidate merger; keeping one scratch per worker
 /// removes the per-trial allocation churn without changing any result (the
@@ -66,13 +72,12 @@ struct FloorplanScratch {
   std::vector<std::uint8_t> placed;
   /// Per line x: one bit per free cell y, lines of words_per_line words.
   std::vector<std::uint64_t> free;
-  /// The node being placed's anchors (placed neighbours' coordinates).
+  /// The node being placed's anchors (placed neighbours' coordinates),
+  /// room for the most connected node's.
   std::vector<int> anchor_x, anchor_y, median;
 
-  /// The cells of [-radius, radius]^2 in (|x| + |y|, spiral index) order:
-  /// the process-wide table of the last radius used.
-  int radius = -1;
-  const std::vector<std::pair<int, int>>* nearest = nullptr;
+  /// The spiral table of the last radius used (process-wide, immutable).
+  const SpiralTable* spiral = nullptr;
 };
 
 [[nodiscard]] Floorplan floorplan(const etpn::DataPath& dp,
@@ -81,5 +86,14 @@ struct FloorplanScratch {
 /// As above, writing into `plan` and reusing `scratch`'s buffers.
 void floorplan(const etpn::DataPath& dp, const ModuleLibrary& lib, int bits,
                Floorplan& plan, FloorplanScratch& scratch);
+
+/// The cell floorplan() gives a node whose placed neighbours sit at
+/// `anchors` (one entry per arc, at least one), on [-radius, radius]^2 with
+/// the `taken` cells occupied (every cell on the grid, one left free).  A full floorplan keeps its cells in a blob
+/// around the origin; this places on any hand-made grid, e.g. next to its
+/// edge, for tests.
+[[nodiscard]] std::pair<int, int> place_on_grid(
+    int radius, const std::vector<std::pair<int, int>>& taken,
+    const std::vector<std::pair<int, int>>& anchors);
 
 }  // namespace hlts::cost

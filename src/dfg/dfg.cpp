@@ -61,35 +61,37 @@ bool op_is_comparison(OpKind kind) {
   return kind == OpKind::Less || kind == OpKind::Greater || kind == OpKind::Equal;
 }
 
+int module_class(OpKind kind) {
+  // Module-library classes: multiplier, divider, logic unit, shifter, and
+  // the arithmetic ALU (add/sub/compare share an adder core, as in the
+  // paper's Ex table where (+) and (-) ALUs absorb comparisons).
+  switch (kind) {
+    case OpKind::Mul:
+      return 0;
+    case OpKind::Div:
+      return 1;
+    case OpKind::Add:
+    case OpKind::Sub:
+    case OpKind::Less:
+    case OpKind::Greater:
+    case OpKind::Equal:
+      return 2;
+    case OpKind::And:
+    case OpKind::Or:
+    case OpKind::Xor:
+    case OpKind::Not:
+      return 3;
+    case OpKind::ShiftLeft:
+    case OpKind::ShiftRight:
+      return 4;
+    case OpKind::Move:
+      return 5;
+  }
+  return -1;
+}
+
 bool ops_module_compatible(OpKind a, OpKind b) {
-  if (a == b) return true;
-  // Classify into module-library classes: multiplier, divider, logic unit,
-  // shifter, and the arithmetic ALU (add/sub/compare share an adder core, as
-  // in the paper's Ex table where (+) and (-) ALUs absorb comparisons).
-  auto cls = [](OpKind k) {
-    switch (k) {
-      case OpKind::Mul: return 0;
-      case OpKind::Div: return 1;
-      case OpKind::Add:
-      case OpKind::Sub:
-      case OpKind::Less:
-      case OpKind::Greater:
-      case OpKind::Equal:
-        return 2;
-      case OpKind::And:
-      case OpKind::Or:
-      case OpKind::Xor:
-      case OpKind::Not:
-        return 3;
-      case OpKind::ShiftLeft:
-      case OpKind::ShiftRight:
-        return 4;
-      case OpKind::Move:
-        return 5;
-    }
-    return -1;
-  };
-  return cls(a) == cls(b);
+  return module_class(a) == module_class(b);
 }
 
 VarId Dfg::add_input(const std::string& name) {

@@ -53,6 +53,9 @@ enum class OpKind {
 /// module library (e.g. Add/Sub share an adder-subtracter ALU; comparisons
 /// share the subtracter as well).  Mul and Div each need a dedicated module.
 [[nodiscard]] bool ops_module_compatible(OpKind a, OpKind b);
+/// The module-library class of a kind: ops_module_compatible(a, b) exactly
+/// when module_class(a) == module_class(b).
+[[nodiscard]] int module_class(OpKind kind);
 /// True for Less/Greater/Equal.
 [[nodiscard]] bool op_is_comparison(OpKind kind);
 

@@ -102,10 +102,13 @@ int Binding::num_alive_modules() const {
 bool Binding::can_merge_modules(const dfg::Dfg& g, ModuleId a, ModuleId b) const {
   if (a == b) return false;
   if (!module_alive_[a] || !module_alive_[b]) return false;
-  const dfg::OpKind ka = module_kind(g, a);
-  const dfg::OpKind kb = module_kind(g, b);
-  if (compat_ == ModuleCompat::ExactKind) return ka == kb;
-  return dfg::ops_module_compatible(ka, kb);
+  return merge_class(g, a) == merge_class(g, b);
+}
+
+int Binding::merge_class(const dfg::Dfg& g, ModuleId m) const {
+  const dfg::OpKind kind = module_kind(g, m);
+  return compat_ == ModuleCompat::ExactKind ? static_cast<int>(kind)
+                                            : dfg::module_class(kind);
 }
 
 void Binding::merge_modules(const dfg::Dfg& g, ModuleId into, ModuleId from) {

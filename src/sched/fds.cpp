@@ -9,28 +9,6 @@
 namespace hlts::sched {
 namespace {
 
-/// Module-class index used for the distribution graphs; mirrors
-/// dfg::ops_module_compatible.
-int module_class(dfg::OpKind k) {
-  using dfg::OpKind;
-  switch (k) {
-    case OpKind::Mul: return 0;
-    case OpKind::Div: return 1;
-    case OpKind::And:
-    case OpKind::Or:
-    case OpKind::Xor:
-    case OpKind::Not:
-      return 3;
-    case OpKind::ShiftLeft:
-    case OpKind::ShiftRight:
-      return 4;
-    case OpKind::Move:
-      return 5;
-    default:
-      return 2;  // add/sub/compare ALU class
-  }
-}
-
 struct Window {
   int lo = 1;
   int hi = 1;
@@ -69,7 +47,7 @@ class FdsState {
   /// Self force of fixing `op` at `step` (standard Paulin-Knight formula).
   [[nodiscard]] double self_force(dfg::OpId op, int step) const {
     const Window& w = windows_[op];
-    const int cls = module_class(g_.op(op).kind);
+    const int cls = dfg::module_class(g_.op(op).kind);
     double force = 0;
     for (int t = w.lo; t <= w.hi; ++t) {
       const double delta = (t == step ? 1.0 : 0.0) - 1.0 / w.width();
@@ -83,7 +61,7 @@ class FdsState {
   [[nodiscard]] double neighbour_force(dfg::OpId op, int lo, int hi) const {
     const Window& w = windows_[op];
     if (lo == w.lo && hi == w.hi) return 0;
-    const int cls = module_class(g_.op(op).kind);
+    const int cls = dfg::module_class(g_.op(op).kind);
     const int new_width = hi - lo + 1;
     double force = 0;
     for (int t = w.lo; t <= w.hi; ++t) {
@@ -146,12 +124,12 @@ class FdsState {
   }
 
   void rebuild_dg() {
-    // 6 module classes (see module_class); steps are 1-based so the rows
+    // 6 module classes (see dfg::module_class); steps are 1-based so the rows
     // span [0, latency] inclusive.
     dg_.assign(6, std::vector<double>(static_cast<std::size_t>(latency_) + 1,
                                       0.0));
     for (dfg::OpId op : g_.op_ids()) {
-      const int cls = module_class(g_.op(op).kind);
+      const int cls = dfg::module_class(g_.op(op).kind);
       const Window& w = windows_[op];
       const double p = 1.0 / w.width();
       for (int t = w.lo; t <= w.hi; ++t) {

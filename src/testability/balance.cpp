@@ -1,51 +1,11 @@
 #include "testability/balance.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.hpp"
 
 namespace hlts::testability {
-
-namespace {
-
-/// Sorted, unique register node ids read (port side) and written (result
-/// side) by a module node.
-void module_reg_sets(const etpn::DataPath& dp, etpn::DpNodeId m,
-                     std::vector<std::uint32_t>& reads,
-                     std::vector<std::uint32_t>& writes) {
-  for (etpn::DpArcId a : dp.in_arcs(m)) {
-    if (dp.node(dp.arc(a).from).kind == etpn::DpNodeKind::Register) {
-      reads.push_back(dp.arc(a).from.value());
-    }
-  }
-  for (etpn::DpArcId a : dp.out_arcs(m)) {
-    if (dp.node(dp.arc(a).to).kind == etpn::DpNodeKind::Register) {
-      writes.push_back(dp.arc(a).to.value());
-    }
-  }
-  for (auto* v : {&reads, &writes}) {
-    std::sort(v->begin(), v->end());
-    v->erase(std::unique(v->begin(), v->end()), v->end());
-  }
-}
-
-bool intersects(const std::vector<std::uint32_t>& a,
-                const std::vector<std::uint32_t>& b) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 void MergeCandidate::apply(const dfg::Dfg& g, etpn::Binding& b) const {
   if (is_modules()) {
@@ -152,30 +112,77 @@ CandidateStream::CandidateStream(const dfg::Dfg& g, const etpn::Binding& b,
                                  const OpReachability& reach)
     : oracle_(g, b, reach) {}
 
+namespace {
+
+/// An unsigned integer above 0 that orders like `score`: the bits of a
+/// double, sign-folded (-0.0 counts as 0.0, as a double compare has it).
+std::uint64_t order_key(double score) {
+  const auto bits = std::bit_cast<std::uint64_t>(score + 0.0);
+  return bits >> 63 != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+}  // namespace
+
+void CandidateStream::reserve(std::size_t n) {
+  slots_.reserve(n);
+  scores_.reserve(n);
+  keys_.reserve(std::bit_ceil(std::max<std::size_t>(n, 1)));
+}
+
 void CandidateStream::add(const MergeCandidate& c) {
   HLTS_REQUIRE(!ordered_, "CandidateStream::add after next");
-  heap_.push_back({c.score, static_cast<std::uint32_t>(pool_.size())});
-  pool_.push_back(c);
+  const auto [a, b] = c.group_ids();
+  slots_.push_back({a, b, c.is_modules(), c.creates_self_loop});
+  scores_.push_back(c.score);
+  keys_.push_back(order_key(c.score));
+}
+
+std::uint32_t CandidateStream::winner(std::uint32_t left,
+                                      std::uint32_t right) const {
+  // Every slot under a left child was enumerated before those under the
+  // right one, so a tie goes left.
+  return keys_[right] > keys_[left] ? right : left;
 }
 
 std::optional<MergeCandidate> CandidateStream::next() {
-  // Heap order: x ranks below y when it scores lower, or scores the same
-  // and was enumerated later.
-  const auto below = [](const Entry& x, const Entry& y) {
-    return x.score < y.score || (x.score == y.score && x.index > y.index);
-  };
   if (!ordered_) {
-    std::make_heap(heap_.begin(), heap_.end(), below);
+    leaves_ = std::bit_ceil(std::max<std::size_t>(slots_.size(), 1));
+    keys_.resize(leaves_, 0);
+    tree_.resize(2 * leaves_);
+    for (std::size_t i = 0; i < leaves_; ++i) {
+      tree_[leaves_ + i] = static_cast<std::uint32_t>(i);
+    }
+    for (std::size_t v = leaves_ - 1; v != 0; --v) {
+      tree_[v] = winner(tree_[2 * v], tree_[2 * v + 1]);
+    }
     ordered_ = true;
   }
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), below);
-    const MergeCandidate& c = pool_[heap_.back().index];
-    heap_.pop_back();
-    if (!c.is_modules() && oracle_.impossible(c.reg_a, c.reg_b)) continue;
+  for (;;) {
+    const std::uint32_t best = tree_[1];
+    if (keys_[best] == 0) return std::nullopt;
+    keys_[best] = 0;
+    for (std::size_t v = (leaves_ + best) / 2; v != 0; v /= 2) {
+      tree_[v] = winner(tree_[2 * v], tree_[2 * v + 1]);
+    }
+    const Slot& slot = slots_[best];
+    if (!slot.modules &&
+        oracle_.impossible(etpn::RegId{slot.a}, etpn::RegId{slot.b})) {
+      continue;
+    }
+    MergeCandidate c;
+    if (slot.modules) {
+      c.kind = MergeCandidate::Kind::Modules;
+      c.module_a = etpn::ModuleId{slot.a};
+      c.module_b = etpn::ModuleId{slot.b};
+    } else {
+      c.kind = MergeCandidate::Kind::Registers;
+      c.reg_a = etpn::RegId{slot.a};
+      c.reg_b = etpn::RegId{slot.b};
+    }
+    c.score = scores_[best];
+    c.creates_self_loop = slot.creates_self_loop;
     return c;
   }
-  return std::nullopt;
 }
 
 std::vector<MergeCandidate> CandidateStream::take(std::size_t k) {
@@ -195,96 +202,148 @@ CandidateStream balance_candidates(const dfg::Dfg& g, const etpn::Binding& b,
                                    const BalanceOptions& options) {
   CandidateStream stream(g, b, reach);
   const etpn::DataPath& dp = e.data_path;
+  const std::vector<etpn::ModuleId> modules = b.alive_modules();
+  const std::vector<etpn::RegId> regs = b.alive_regs();
 
-  // Per-node scalar measures, once per node instead of once per pair.
-  std::vector<double> c_of(dp.num_nodes(), 0.0);
-  std::vector<double> o_of(dp.num_nodes(), 0.0);
-  auto measure = [&](etpn::DpNodeId n) {
-    c_of[n.index()] = analysis.node_controllability(n).scalar(options.lambda);
-    o_of[n.index()] = analysis.node_observability(n).scalar(options.lambda);
+  // Per candidate, by position in `modules` then `regs`: the C/O scalars
+  // and each one's excess over the other, once per node instead of once
+  // per pair.
+  const std::size_t m = modules.size();
+  std::vector<double> c_of(m + regs.size());
+  std::vector<double> o_of(c_of.size());
+  std::vector<double> c_excess(c_of.size());
+  std::vector<double> o_excess(c_of.size());
+  auto measure = [&](std::size_t i, etpn::DpNodeId n) {
+    c_of[i] = analysis.node_controllability(n).scalar(options.lambda);
+    o_of[i] = analysis.node_observability(n).scalar(options.lambda);
+    c_excess[i] = std::max(0.0, c_of[i] - o_of[i]);
+    o_excess[i] = std::max(0.0, o_of[i] - c_of[i]);
   };
-  auto score_pair = [&](etpn::DpNodeId n1, etpn::DpNodeId n2,
-                        bool self_loop) -> double {
-    const double c1 = c_of[n1.index()];
-    const double o1 = o_of[n1.index()];
-    const double c2 = c_of[n2.index()];
-    const double o2 = o_of[n2.index()];
-    const double merged_c = std::max(c1, c2);
-    const double merged_o = std::max(o1, o2);
+  for (std::size_t i = 0; i < m; ++i) measure(i, e.module_node[modules[i]]);
+  for (std::size_t i = 0; i < regs.size(); ++i) {
+    measure(m + i, e.reg_node[regs[i]]);
+  }
+  auto score_pair = [&](std::size_t i, std::size_t j, bool self_loop) {
+    const double merged_c = std::max(c_of[i], c_of[j]);
+    const double merged_o = std::max(o_of[i], o_of[j]);
     // Complementarity: one node contributes controllability it has in
     // excess of its observability, the other the reverse.
     const double compl_bonus =
-        std::max(0.0, c1 - o1) * std::max(0.0, o2 - c2) +
-        std::max(0.0, c2 - o2) * std::max(0.0, o1 - c1);
+        c_excess[i] * o_excess[j] + c_excess[j] * o_excess[i];
     double score = std::min(merged_c, merged_o) +
                    options.complementarity_weight * compl_bonus;
     if (self_loop) score -= options.self_loop_penalty;
     return score;
   };
 
-  // Module pairs.  The read/write register sets of a module are invariant
-  // over the pair loop, so they are built once per module.
-  std::vector<etpn::ModuleId> modules = b.alive_modules();
-  std::vector<std::vector<std::uint32_t>> mod_reads(modules.size());
-  std::vector<std::vector<std::uint32_t>> mod_writes(modules.size());
-  std::vector<std::uint8_t> mod_self(modules.size());
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    const etpn::DpNodeId n = e.module_node[modules[i]];
-    module_reg_sets(dp, n, mod_reads[i], mod_writes[i]);
-    mod_self[i] = intersects(mod_reads[i], mod_writes[i]);
-    measure(n);
+  // The register nodes of the data path by position, and one row of bits
+  // over those positions per module (the registers it reads, the ones it
+  // writes) and per register (the registers some module reads it with and
+  // writes, in either direction; its own bit: one module reads and writes
+  // it).
+  std::vector<std::uint32_t> reg_pos(dp.num_nodes(), 0);
+  std::size_t reg_nodes = 0;
+  for (etpn::DpNodeId n : dp.node_ids()) {
+    if (dp.node(n).kind == etpn::DpNodeKind::Register) {
+      reg_pos[n.index()] = static_cast<std::uint32_t>(reg_nodes++);
+    }
   }
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    for (std::size_t j = i + 1; j < modules.size(); ++j) {
-      if (!b.can_merge_modules(g, modules[i], modules[j])) continue;
-      // (reads_i u reads_j) intersects (writes_i u writes_j)?
-      const bool self_loop = mod_self[i] || mod_self[j] ||
-                             intersects(mod_reads[i], mod_writes[j]) ||
-                             intersects(mod_reads[j], mod_writes[i]);
+  const std::size_t words = (reg_nodes + 63) / 64;
+  std::vector<std::uint64_t> reads(m * words, 0);
+  std::vector<std::uint64_t> writes(m * words, 0);
+  std::vector<std::uint64_t> rw(reg_nodes * words, 0);
+  auto set = [&](std::vector<std::uint64_t>& bits, std::size_t row,
+                 std::uint32_t pos) {
+    bits[row * words + pos / 64] |= std::uint64_t{1} << (pos % 64);
+  };
+  auto test = [&](const std::vector<std::uint64_t>& bits, std::size_t row,
+                  std::uint32_t pos) {
+    return ((bits[row * words + pos / 64] >> (pos % 64)) & 1) != 0;
+  };
+  std::vector<std::uint32_t> read_pos;
+  std::vector<std::uint32_t> write_pos;
+  for (std::size_t i = 0; i < m; ++i) {
+    const etpn::DpNodeId n = e.module_node[modules[i]];
+    read_pos.clear();
+    write_pos.clear();
+    for (etpn::DpArcId a : dp.in_arcs(n)) {
+      const etpn::DpNodeId r = dp.arc(a).from;
+      if (dp.node(r).kind == etpn::DpNodeKind::Register) {
+        read_pos.push_back(reg_pos[r.index()]);
+        set(reads, i, read_pos.back());
+      }
+    }
+    for (etpn::DpArcId a : dp.out_arcs(n)) {
+      const etpn::DpNodeId w = dp.arc(a).to;
+      if (dp.node(w).kind == etpn::DpNodeKind::Register) {
+        write_pos.push_back(reg_pos[w.index()]);
+        set(writes, i, write_pos.back());
+      }
+    }
+    for (const std::uint32_t r : read_pos) {
+      for (const std::uint32_t w : write_pos) {
+        set(rw, r, w);
+        set(rw, w, r);
+      }
+    }
+  }
+  // (reads_i u reads_j) intersects (writes_i u writes_j)?
+  auto module_loop = [&](std::size_t i, std::size_t j) {
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t r = reads[i * words + w] | reads[j * words + w];
+      const std::uint64_t wr = writes[i * words + w] | writes[j * words + w];
+      any |= r & wr;
+    }
+    return any != 0;
+  };
+
+  // Module pairs: a module's merge class, once per module, decides which
+  // pairs Binding::can_merge_modules admits.
+  std::vector<int> merge_class(m);
+  std::vector<std::size_t> class_size;
+  for (std::size_t i = 0; i < m; ++i) {
+    merge_class[i] = b.merge_class(g, modules[i]);
+    const auto c = static_cast<std::size_t>(merge_class[i]);
+    if (c >= class_size.size()) class_size.resize(c + 1, 0);
+    ++class_size[c];
+  }
+  std::size_t pairs = regs.size() * (regs.size() - 1) / 2;
+  for (const std::size_t n : class_size) pairs += n * (n - 1) / 2;
+  stream.reserve(pairs);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i + 1; j < m; ++j) {
+      if (merge_class[i] != merge_class[j]) continue;
+      const bool self_loop = module_loop(i, j);
       MergeCandidate c;
       c.kind = MergeCandidate::Kind::Modules;
       c.module_a = modules[i];
       c.module_b = modules[j];
       c.creates_self_loop = self_loop;
-      c.score = score_pair(e.module_node[modules[i]],
-                           e.module_node[modules[j]], self_loop);
+      c.score = score_pair(i, j, self_loop);
       stream.add(c);
     }
   }
 
-  // Register pairs.  A merged register self-loops when some module reads
-  // one register of the pair and writes the other (or reads and writes the
-  // same one); precompute every module's (read register, written register)
-  // pairs once (sorted) so the per-pair check is four binary searches
-  // instead of a walk over the whole data path.
-  std::vector<std::uint64_t> rw_pairs;
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    for (std::uint32_t r : mod_reads[i]) {
-      for (std::uint32_t w : mod_writes[i]) {
-        rw_pairs.push_back((std::uint64_t{r} << 32) | w);
-      }
-    }
-  }
-  std::sort(rw_pairs.begin(), rw_pairs.end());
-  auto has_rw = [&](etpn::DpNodeId r, etpn::DpNodeId w) {
-    return std::binary_search(rw_pairs.begin(), rw_pairs.end(),
-                              (std::uint64_t{r.value()} << 32) | w.value());
-  };
-  std::vector<etpn::RegId> regs = b.alive_regs();
-  for (etpn::RegId r : regs) measure(e.reg_node[r]);
+  // Register pairs: every two distinct alive registers may merge
+  // (Binding::can_merge_regs).  A merged register self-loops when some
+  // module reads one register of the pair and writes the other, or reads
+  // and writes the same one.
+  std::vector<std::uint32_t> pos(regs.size());
   for (std::size_t i = 0; i < regs.size(); ++i) {
+    pos[i] = reg_pos[e.reg_node[regs[i]].index()];
+  }
+  for (std::size_t i = 0; i < regs.size(); ++i) {
+    const bool self_i = test(rw, pos[i], pos[i]);
     for (std::size_t j = i + 1; j < regs.size(); ++j) {
-      if (!b.can_merge_regs(regs[i], regs[j])) continue;
-      etpn::DpNodeId n1 = e.reg_node[regs[i]];
-      etpn::DpNodeId n2 = e.reg_node[regs[j]];
-      const bool self_loop = has_rw(n1, n1) || has_rw(n1, n2) ||
-                             has_rw(n2, n1) || has_rw(n2, n2);
+      const bool self_loop =
+          self_i || test(rw, pos[j], pos[j]) || test(rw, pos[i], pos[j]);
       MergeCandidate c;
       c.kind = MergeCandidate::Kind::Registers;
       c.reg_a = regs[i];
       c.reg_b = regs[j];
       c.creates_self_loop = self_loop;
-      c.score = score_pair(n1, n2, self_loop);
+      c.score = score_pair(m + i, m + j, self_loop);
       stream.add(c);
     }
   }

@@ -124,11 +124,13 @@ class RegMergeOracle {
 ///
 /// The order is score descending, ties in enumeration order (the order of
 /// add()) -- exactly what a stable sort of the enumeration by score gives.
-/// Candidates arrive scored; the stream orders them with a binary heap, so
-/// pulling the first few of n costs O(n) rather than a full sort.  Register
-/// pairs pass RegMergeOracle's lifetime test, the costly filter, only when
-/// they are pulled; an impossible pair is skipped there, which leaves the
-/// relative order of the rest unchanged.
+/// Candidates arrive scored; the first next() builds a winner tree over
+/// them (each inner node holds the better of its children's winners, the
+/// left one on a tie), and each pull takes the root and replays its path,
+/// so pulling the first few of n costs O(n) branch-free selections rather
+/// than a full sort.  Register pairs pass RegMergeOracle's lifetime test,
+/// the costly filter, only when they are pulled; an impossible pair is
+/// skipped there, which leaves the relative order of the rest unchanged.
 ///
 /// The stream borrows the graph, binding and reachability its oracle does.
 class CandidateStream {
@@ -136,6 +138,8 @@ class CandidateStream {
   CandidateStream(const dfg::Dfg& g, const etpn::Binding& b,
                   const OpReachability& reach);
 
+  /// Room for `n` candidates.
+  void reserve(std::size_t n);
   /// Enumerates one scored candidate.  All adds precede the first next().
   void add(const MergeCandidate& c);
   /// The next candidate in rank order, or nullopt once none is left.
@@ -144,13 +148,26 @@ class CandidateStream {
   [[nodiscard]] std::vector<MergeCandidate> take(std::size_t k);
 
  private:
-  struct Entry {
-    double score;
-    std::uint32_t index;  ///< enumeration index into pool_
+  /// A candidate as enumerated, its score aside.
+  struct Slot {
+    std::uint32_t a, b;  ///< group ids (MergeCandidate::group_ids)
+    bool modules;
+    bool creates_self_loop;
   };
+  /// The better of two slots, `left` enumerated first.
+  [[nodiscard]] std::uint32_t winner(std::uint32_t left,
+                                     std::uint32_t right) const;
+
   RegMergeOracle oracle_;
-  std::vector<MergeCandidate> pool_;
-  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<double> scores_;
+  /// Per slot, a key ordered like its score; 0 once pulled (and for the
+  /// padding up to a power of two).
+  std::vector<std::uint64_t> keys_;
+  /// The winner tree: node v's children are 2v and 2v + 1, leaf i is node
+  /// leaves_ + i.
+  std::vector<std::uint32_t> tree_;
+  std::size_t leaves_ = 0;
   bool ordered_ = false;
 };
 

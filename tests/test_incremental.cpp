@@ -19,7 +19,8 @@
 //    edited by each trial merger -- floorplanner and binding check match
 //    their frozen reference copies (tests/support/reference_layers.hpp)
 //    over random merge walks, merge-patched graphs, random data paths and
-//    random schedules;
+//    random schedules, and the placement step on hand-made grids matches a
+//    full scan;
 //  - every commit's hardware cost, taken over from the winning trial,
 //    equals a frozen estimate of the committed data path;
 //  - the ranking streams drained to any depth, the dirty-node testability
@@ -34,11 +35,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -619,9 +622,9 @@ TEST(ReschedDifferential, RandomMergeWalksMatchFrozenRescheduler) {
 }
 
 /// Floorplan and cost of `dp` by the production code (through a reused
-/// scratch) against the frozen floorplanner.
-void expect_floorplan_matches_frozen(const etpn::DataPath& dp,
-                                     cost::CostScratch& scratch) {
+/// scratch) against the frozen floorplanner; returns the frozen floorplan.
+cost::Floorplan expect_floorplan_matches_frozen(const etpn::DataPath& dp,
+                                                cost::CostScratch& scratch) {
   const cost::ModuleLibrary& lib = cost::ModuleLibrary::standard();
   const cost::Floorplan ref = test_support::reference_floorplan(dp, lib, 8);
   cost::Floorplan plan;
@@ -637,6 +640,7 @@ void expect_floorplan_matches_frozen(const etpn::DataPath& dp,
   EXPECT_TRUE(same_bits(ours.register_area, frozen.register_area));
   EXPECT_TRUE(same_bits(ours.mux_area, frozen.mux_area));
   EXPECT_TRUE(same_bits(ours.wire_area, frozen.wire_area));
+  return ref;
 }
 
 TEST_P(OnBenchmark, FloorplanMatchesFrozenFloorplanner) {
@@ -777,6 +781,51 @@ TEST(RegisterDistances, MatchFrozenCopyOnPatchedAndRandomGraphs) {
   }
 }
 
+/// The spiral radius the floorplanner gives `dp`: [-radius, radius]^2 holds
+/// every alive node.
+int spiral_radius(const etpn::DataPath& dp) {
+  return static_cast<int>(std::ceil(
+             std::sqrt(static_cast<double>(dp.num_alive_nodes())))) +
+         2;
+}
+
+/// The nodes of `plan` (a floorplan of `dp`) that had one anchor -- one arc
+/// to a node placed before them, in the floorplanner's order (connectivity
+/// descending, ids ascending) -- and landed three or more grid steps from
+/// it: the crowded case, where the search walks several lines.
+int far_single_anchor_nodes(const etpn::DataPath& dp,
+                            const cost::Floorplan& plan) {
+  std::vector<std::vector<std::uint32_t>> neighbours(dp.num_nodes());
+  for (etpn::DpArcId a : dp.arc_ids()) {
+    if (!dp.alive(a)) continue;
+    neighbours[dp.arc(a).from.index()].push_back(dp.arc(a).to.value());
+    neighbours[dp.arc(a).to.index()].push_back(dp.arc(a).from.value());
+  }
+  std::vector<std::uint32_t> order;
+  for (etpn::DpNodeId n : dp.node_ids()) {
+    if (dp.alive(n)) order.push_back(n.value());
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return neighbours[a].size() > neighbours[b].size();
+                   });
+  std::vector<bool> placed(dp.num_nodes(), false);
+  int far = 0;
+  for (std::uint32_t idx : order) {
+    std::vector<std::uint32_t> anchors;
+    for (std::uint32_t nb : neighbours[idx]) {
+      if (placed[nb]) anchors.push_back(nb);
+    }
+    if (anchors.size() == 1) {
+      const auto [x, y] = plan.position[etpn::DpNodeId{idx}];
+      const auto [ax, ay] = plan.position[etpn::DpNodeId{anchors[0]}];
+      if (std::abs(x - ax) + std::abs(y - ay) >= 3) ++far;
+    }
+    placed[idx] = true;
+  }
+  return far;
+}
+
 TEST(FloorplanDifferential, RandomDataPathsMatchFrozenFloorplanner) {
   Rng rng(9100);
   cost::CostScratch scratch;  // reused across sizes, as a trial worker's is
@@ -794,14 +843,147 @@ TEST(FloorplanDifferential, RandomDataPathsMatchFrozenFloorplanner) {
   EXPECT_GT(hubs, 10);
 }
 
-TEST(FloorplanDifferential, LargeGridMatchesFrozenFloorplanner) {
-  // At 2304 or more alive nodes the spiral's radius reaches 50, where the
-  // 0.01 pull toward the origin can outweigh one grid step.
-  Rng rng(9200);
-  const etpn::DataPath dp = random_data_path(rng, 2400, false);
-  ASSERT_GE(dp.num_alive_nodes(), 2304u);
+/// Stars: `hubs` hubs in a chain, each with `leaves` leaves of one arc (one
+/// anchor when placed, after their hub), a few leaves joined to a second
+/// leaf, and a few arcs repeated.
+etpn::DataPath hub_data_path(Rng& rng, int hubs, int leaves) {
+  etpn::DataPath dp;
+  etpn::DpNode node;
+  node.kind = etpn::DpNodeKind::Register;
+  for (int i = 0; i < hubs * (leaves + 1); ++i) (void)dp.add_node(node);
+  auto id = [](int i) { return etpn::DpNodeId{static_cast<std::uint32_t>(i)}; };
+  for (int h = 0; h + 1 < hubs; ++h) {
+    (void)dp.add_transfer(id(h), id(h + 1), 0, 1);
+  }
+  for (int h = 0; h < hubs; ++h) {
+    for (int l = 0; l < leaves; ++l) {
+      const int leaf = hubs + h * leaves + l;
+      (void)dp.add_transfer(id(h), id(leaf), 0, 1);
+      if (rng.next_bool(0.1)) (void)dp.add_transfer(id(h), id(leaf), 1, 2);
+      if (rng.next_bool(0.1)) {
+        const int other =
+            hubs + static_cast<int>(rng.next_below(hubs * leaves));
+        (void)dp.add_transfer(id(leaf), id(other), 0, 1);
+      }
+    }
+  }
+  return dp;
+}
+
+TEST(FloorplanDifferential, CrowdedHubsMatchFrozenFloorplanner) {
+  Rng rng(9300);
   cost::CostScratch scratch;
-  expect_floorplan_matches_frozen(dp, scratch);
+  int far = 0;
+  for (int hubs = 1; hubs <= 6; ++hubs) {
+    for (int leaves : {12, 24, 40}) {
+      SCOPED_TRACE(std::to_string(hubs) + " hubs of " +
+                   std::to_string(leaves) + " leaves");
+      const etpn::DataPath dp = hub_data_path(rng, hubs, leaves);
+      far += far_single_anchor_nodes(
+          dp, expect_floorplan_matches_frozen(dp, scratch));
+    }
+  }
+  // Single-anchor nodes three or more rings from their anchor.
+  EXPECT_GT(far, 100);
+}
+
+TEST(FloorplanDifferential, LargeGridMatchesFrozenFloorplanner) {
+  // Spiral radii 49, 50 and 51: from radius 50 on, the 0.01 pull toward the
+  // origin can reach 1 and outweigh a grid step, so costs no longer order
+  // like (distance, pull) pairs.
+  Rng rng(9200);
+  cost::CostScratch scratch;
+  std::vector<int> radii;
+  for (int n : {2200, 2300, 2400}) {
+    SCOPED_TRACE("nodes " + std::to_string(n));
+    const etpn::DataPath dp = random_data_path(rng, n, false);
+    radii.push_back(spiral_radius(dp));
+    expect_floorplan_matches_frozen(dp, scratch);
+  }
+  EXPECT_EQ(radii, (std::vector<int>{49, 50, 51}));
+}
+
+/// The frozen floorplanner's choice for one node, on a grid of `radius`
+/// with the `taken` cells occupied: the first free cell in spiral order of
+/// least cost, the cost summed arc by arc as reference_floorplan sums it.
+std::pair<int, int> full_scan_cell(
+    int radius, const std::set<std::pair<int, int>>& taken,
+    const std::vector<std::pair<int, int>>& anchors) {
+  std::pair<int, int> best{0, 0};
+  double best_cost = 1e300;
+  for (int r = 0; r <= radius; ++r) {
+    for (int x = -r; x <= r; ++x) {
+      for (int y = -r; y <= r; ++y) {
+        if (std::max(std::abs(x), std::abs(y)) != r) continue;
+        if (taken.count({x, y}) != 0) continue;
+        double cost = 0;
+        for (const auto& [ax, ay] : anchors) {
+          cost += std::abs(x - ax) + std::abs(y - ay);
+        }
+        cost += 0.01 * (std::abs(x) + std::abs(y));
+        if (cost < best_cost) {
+          best_cost = cost;
+          best = {x, y};
+        }
+      }
+    }
+  }
+  return best;
+}
+
+// A full floorplan keeps its cells in a blob around the origin, far from
+// the grid's edge; place_on_grid puts anchors on the edge, where the line
+// walk runs out of lines and cells, and, at radius 50 or more, in corners
+// where the pull of a candidate reaches 1.
+TEST(FloorplanDifferential, EdgeAnchorsMatchFullScan) {
+  Rng rng(9500);
+  int edge_anchors = 0;
+  int edge_cells = 0;
+  int heavy_pull = 0;
+  for (int radius : {3, 8, 49, 50, 51}) {
+    for (int trial = 0; trial < 24; ++trial) {
+      SCOPED_TRACE("radius " + std::to_string(radius) + " trial " +
+                   std::to_string(trial));
+      auto coordinate = [&] {
+        return static_cast<int>(rng.next_below(2 * radius + 1)) - radius;
+      };
+      const int side = rng.next_bool() ? radius : -radius;
+      std::pair<int, int> edge = {side, coordinate()};
+      if (trial % 3 == 0) edge.second = rng.next_bool() ? radius : -radius;
+      if (rng.next_bool()) std::swap(edge.first, edge.second);
+      std::vector<std::pair<int, int>> anchors{edge};
+      const int k = 1 + static_cast<int>(rng.next_below(4));
+      for (int i = 1; i < k; ++i) {
+        anchors.push_back(rng.next_bool()
+                              ? edge
+                              : std::pair{coordinate(), coordinate()});
+      }
+      // Anchors are placed nodes; crowd the grid around them.
+      std::set<std::pair<int, int>> taken(anchors.begin(), anchors.end());
+      const double density = 0.2 + 0.1 * static_cast<double>(trial % 8);
+      for (int x = -radius; x <= radius; ++x) {
+        for (int y = -radius; y <= radius; ++y) {
+          const int near = std::abs(x - edge.first) + std::abs(y - edge.second);
+          if (rng.next_bool(near <= 4 ? 0.9 : density)) taken.insert({x, y});
+        }
+      }
+      taken.erase({0, 0});  // at least one free cell
+      const std::vector<std::pair<int, int>> occupied(taken.begin(),
+                                                      taken.end());
+      const std::pair<int, int> ours =
+          cost::place_on_grid(radius, occupied, anchors);
+      EXPECT_EQ(ours, full_scan_cell(radius, taken, anchors));
+      ++edge_anchors;
+      if (std::max(std::abs(ours.first), std::abs(ours.second)) == radius) {
+        ++edge_cells;
+      }
+      if (std::abs(ours.first) + std::abs(ours.second) >= 100) ++heavy_pull;
+    }
+  }
+  EXPECT_EQ(edge_anchors, 5 * 24);
+  // Winners on the edge, and winners whose pull is 1 or more.
+  EXPECT_GT(edge_cells, 10);
+  EXPECT_GT(heavy_pull, 3);
 }
 
 /// Runs Algorithm 1 once per committed merger, resumed from the checkpoint
@@ -1090,11 +1272,15 @@ void expect_same_ranking(
 
 TEST(StreamDifferential, DrainedStreamsMatchFrozenRankings) {
   int ranked = 0;
+  int self_loop_regs = 0;  // register pairs whose merge self-loops
+  int cross_kind = 0;      // module pairs of two kinds (AluClass)
   for (const dfg::Dfg& g : stream_designs()) {
     for (auto kind : {core::FlowKind::Camad, core::FlowKind::Ours}) {
       SCOPED_TRACE(g.name() + " " + core::flow_name(kind));
       const testability::BalanceOptions options;
-      for (const core::Checkpoint& c : run_states(g, kind, 6)) {
+      const int to_convergence =
+          core::synthesis_params(kind, {}).max_iterations;
+      for (const core::Checkpoint& c : run_states(g, kind, to_convergence)) {
         SCOPED_TRACE("iteration " + std::to_string(c.iteration));
         const etpn::Etpn e = etpn::build_data_path(g, c.schedule, c.binding);
         const testability::TestabilityAnalysis analysis(e.data_path);
@@ -1103,21 +1289,33 @@ TEST(StreamDifferential, DrainedStreamsMatchFrozenRankings) {
             static_cast<int>(e.data_path.num_nodes() * e.data_path.num_nodes());
         // Partial pulls (the first few) and full drains.
         for (int k : {1, 3, 8, all}) {
-          expect_same_ranking(
+          const std::vector<testability::MergeCandidate> ours =
               testability::select_balance_candidates(g, c.binding, e,
-                                                     analysis, k, options),
-              test_support::reference_select_balance_candidates(
-                  g, c.binding, e, frozen, k, options));
+                                                     analysis, k, options);
+          expect_same_ranking(
+              ours, test_support::reference_select_balance_candidates(
+                        g, c.binding, e, frozen, k, options));
           expect_same_ranking(
               core::select_connectivity_candidates(g, c.binding, e, k),
               test_support::reference_select_connectivity_candidates(
                   g, c.binding, e, k));
+          if (k != all) continue;
+          for (const testability::MergeCandidate& cand : ours) {
+            if (!cand.is_modules()) {
+              self_loop_regs += cand.creates_self_loop;
+            } else if (c.binding.module_kind(g, cand.module_a) !=
+                       c.binding.module_kind(g, cand.module_b)) {
+              ++cross_kind;
+            }
+          }
         }
         ++ranked;
       }
     }
   }
-  EXPECT_GT(ranked, 60);
+  EXPECT_GT(ranked, 300);
+  EXPECT_GT(self_loop_regs, 100);
+  EXPECT_GT(cross_kind, 100);
 }
 
 // Closeness also counts an arc joining the two nodes of a pair, which no
