@@ -1,15 +1,16 @@
 // google-benchmark micro-benchmarks for the analysis/simulation kernels:
 // testability fixpoint, netlist simplification, parallel fault simulation,
 // the trial merge patch, a trial's cost estimate, the balance ranking, the
-// derivation of a committed design, and one full Algorithm 1 run.
+// derivation of a committed design, a SAT-backend pass over a design's
+// faults, and one full Algorithm 1 run.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <memory>
+#include <vector>
 
 #include "analysis/incremental.hpp"
+#include "atpg/backend.hpp"
 #include "atpg/fault_sim.hpp"
 #include "atpg/faults.hpp"
 #include "benchmarks/benchmarks.hpp"
@@ -25,54 +26,16 @@
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
-// ---------------------------------------------------------------------------
-// Heap-allocation counter (configure with -DHLTS_COUNT_ALLOCS=ON).
-//
-// Replaces the global operator new/delete pair with counting wrappers so the
-// trial-inner-loop benchmark below can assert its zero-allocation contract:
+// Heap-allocation counter (configure with -DHLTS_COUNT_ALLOCS=ON): the
+// counting operator new/delete replacements in alloc_counter.cpp let the
+// trial-inner-loop benchmarks below assert their zero-allocation contract:
 // after warm-up, a merge-patch apply/revert cycle must perform no heap
 // allocations at all (the workspace arena and the pool tails absorb
 // everything).  Reported as the `allocs_per_iter` counter; without the
 // option the counter is absent and the hooks compile away.
-// ---------------------------------------------------------------------------
 #ifdef HLTS_COUNT_ALLOCS
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (n + static_cast<std::size_t>(al) - 1) &
-                                       ~(static_cast<std::size_t>(al) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return ::operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-#endif  // HLTS_COUNT_ALLOCS
+#include "alloc_counter.hpp"
+#endif
 
 namespace {
 
@@ -80,7 +43,7 @@ using namespace hlts;
 
 std::uint64_t alloc_count() {
 #ifdef HLTS_COUNT_ALLOCS
-  return g_alloc_count.load(std::memory_order_relaxed);
+  return hlts::bench::alloc_count();
 #else
   return 0;
 #endif
@@ -277,6 +240,45 @@ void BM_BalanceCandidates(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BalanceCandidates)->Arg(40)->Arg(160);
+
+/// The SAT backend once over every collapsed fault of one paper design
+/// (ex through the Ours flow at 4 bits, frames = two controller
+/// periods, 2000-conflict budget), as the sat mode of run_atpg walks it
+/// but without fault dropping: hundreds of distinct targets per iteration
+/// on one incremental solver, resets included.  The decisions and
+/// propagations per iteration are reported beside the time, so a speed-up
+/// can be read together with the proof that the search did not change.
+void BM_SatTargetStream(benchmark::State& state) {
+  const dfg::Dfg g = benchmarks::make_ex();
+  const core::FlowResult r =
+      core::run_flow(core::FlowKind::Ours, g, {.bits = 4, .num_threads = 1});
+  const rtl::RtlDesign design =
+      rtl::RtlDesign::from_synthesis(g, r.schedule, r.binding, 4);
+  const rtl::Elaboration elab = rtl::elaborate(design);
+  const std::vector<atpg::Fault> faults =
+      atpg::FaultUniverse::collapsed(elab.netlist).faults();
+  atpg::BackendConfig config;
+  config.frames = 2 * (design.steps() + 1);
+  config.conflict_budget = 2000;
+  std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;
+  for (auto _ : state) {
+    const std::unique_ptr<atpg::DeterministicBackend> backend =
+        atpg::make_backend(atpg::BackendKind::Sat, elab.netlist, config);
+    for (const atpg::Fault& f : faults) {
+      benchmark::DoNotOptimize(backend->generate(f).status);
+    }
+    decisions += backend->stats().sat_decisions;
+    propagations += backend->stats().sat_propagations;
+  }
+  state.counters["decisions"] = benchmark::Counter(
+      static_cast<double>(decisions), benchmark::Counter::kAvgIterations);
+  state.counters["propagations"] = benchmark::Counter(
+      static_cast<double>(propagations), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(faults.size()));
+}
+BENCHMARK(BM_SatTargetStream)->Unit(benchmark::kMillisecond);
 
 void BM_IntegratedSynthesis(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_diffeq();

@@ -400,15 +400,15 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
     // The ranking is a stream: `ranking` and `outcomes` hold the prefix
     // pulled so far, which grows only in the serial scans below -- never
     // while a wave of trials reads them.
-    testability::CandidateStream stream = [&] {
-      HLTS_SPAN("synth.candidates");
-      return p.policy == SelectionPolicy::BalanceTestability
-                 ? testability::balance_candidates(g, result.binding,
-                                                   ctx.etpn(), ctx.analysis(),
-                                                   reach, p.balance)
-                 : connectivity_candidates(g, result.binding, ctx.etpn(),
-                                           reach);
-    }();
+    // The synth.candidates span covers the ranking's set-up and its first
+    // pull, which builds the stream's winner tree.
+    const std::uint64_t candidates_start = trace ? trace->now_us() : 0;
+    testability::CandidateStream stream =
+        p.policy == SelectionPolicy::BalanceTestability
+            ? testability::balance_candidates(g, result.binding, ctx.etpn(),
+                                              ctx.analysis(), reach,
+                                              p.balance)
+            : connectivity_candidates(g, result.binding, ctx.etpn(), reach);
     std::vector<testability::MergeCandidate> ranking;
     std::vector<Outcome> outcomes;
     auto pull = [&] {
@@ -418,7 +418,12 @@ SynthesisResult integrated_synthesis(const dfg::Dfg& g,
       outcomes.emplace_back();
       return true;
     };
-    if (!pull()) {
+    const bool any_candidate = pull();
+    if (trace) {
+      trace->add_span("synth.candidates", candidates_start,
+                      trace->now_us() - candidates_start);
+    }
+    if (!any_candidate) {
       converged = true;
       break;
     }

@@ -190,6 +190,7 @@ class TimeFrameCnf {
   std::vector<std::uint32_t> cone_mark_;
   std::uint32_t cone_epoch_ = 0;
   std::vector<std::size_t> cone_;
+  std::vector<std::uint64_t> cone_key_bits_;  ///< collect_cone's key sort
   std::vector<Lit> faulty_one_;
   std::vector<Lit> faulty_zero_;
   std::vector<Lit> path_;

@@ -29,10 +29,32 @@
 //     so a caller can shed accumulated per-query garbage without
 //     re-encoding the shared part of its formula.
 //
+// Decision order: the next free decision is the unassigned queued variable
+// with the highest VSIDS activity, ties toward the smaller index.  The
+// queue has two tiers.  Variables with a positive activity sit in an
+// indexed max-heap under exactly that order; variables with activity 0.0
+// -- on ATPG targets nearly all of them: a fault's fresh cone variables
+// and every good-machine variable no conflict has touched yet -- sit in a
+// bitset and leave it lowest index first.  Activities never go negative,
+// so every heap variable precedes every bitset variable, and equal zeros
+// are ordered by index in both tiers: the two tiers pop exactly the
+// sequence one heap over all queued variables would (while that heap is in
+// order: a rescale that underflows activities can leave a single heap out
+// of order, see DESIGN.md section 15), without sifting thousands of zeros
+// through it.  A bump moves a queued variable from the bitset into the
+// heap, and a rescale that underflows an activity to 0.0 moves it back.
+//
+// Propagation: literal values are read from a per-literal table (one byte
+// per literal, kept by enqueue and backtrack), and a binary clause -- on
+// the paper designs 70% of the good machine's clauses and 45% of a fault
+// cone's -- is settled from its watcher, which carries the clause's other
+// literal, without reading the clause.  It keeps its place in the watch
+// list, so the implication order is the one a clause-by-clause walk gives.
+//
 // Determinism: there is no randomness anywhere (ties in VSIDS break by
-// variable index through the activity heap's ordering), no pointers are
-// compared, and no wall-clock input exists; the solver is a pure function
-// of the clause/assumption/budget history.
+// variable index through the queue's ordering), no pointers are compared,
+// and no wall-clock input exists; the solver is a pure function of the
+// clause/assumption/budget history.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +105,8 @@ struct Stats {
   std::uint64_t learned = 0;
   std::uint64_t learned_literals = 0;
   std::uint64_t minimized_literals = 0;  ///< removed by clause minimization
+
+  friend bool operator==(const Stats&, const Stats&) = default;
 };
 
 class Solver {
@@ -91,7 +115,7 @@ class Solver {
 
   /// Allocates a fresh variable and returns it.
   Var new_var();
-  [[nodiscard]] int num_vars() const { return static_cast<int>(assign_.size()); }
+  [[nodiscard]] int num_vars() const { return static_cast<int>(level_.size()); }
 
   /// Adds a clause over existing variables.  Tautologies are dropped and
   /// duplicate literals merged.  Adding the empty clause (or a unit that
@@ -163,6 +187,14 @@ class Solver {
   // A ClauseRef is the arena offset of its size word; watchers store refs.
   using ClauseRef = std::uint32_t;
   static constexpr ClauseRef kNoClause = 0xFFFFFFFFu;
+  // A binary clause lives in the arena like any other, but propagation
+  // settles it from its watchers alone: a watcher is kBinary | the code of
+  // the clause's other literal, and a reason or conflict it yields is
+  // kBinary | the code of the literal in slot 1 (the literal in slot 0 is
+  // the implied one, or conflict_head_ for a conflict).  Arena offsets stay
+  // below kBinary.  The arena copy of a binary clause keeps the order it
+  // was added in.
+  static constexpr ClauseRef kBinary = 0x80000000u;
 
   [[nodiscard]] int clause_size(ClauseRef c) const { return arena_[c]; }
   [[nodiscard]] bool clause_learnt(ClauseRef c) const {
@@ -178,12 +210,29 @@ class Solver {
     l.x = arena_[c + 2 + i];
     return l;
   }
+  /// Size and literal i of a reason or conflict (an arena clause or a
+  /// binary one); `head` is its literal in slot 0.
+  [[nodiscard]] int reason_size(ClauseRef r) const {
+    return (r & kBinary) != 0 ? 2 : clause_size(r);
+  }
+  [[nodiscard]] Lit reason_lit(ClauseRef r, int i, Lit head) const {
+    if ((r & kBinary) == 0) return clause_lit(r, i);
+    if (i == 0) return head;
+    Lit l;
+    l.x = static_cast<int>(r & ~kBinary);
+    return l;
+  }
 
   ClauseRef alloc_clause(std::span<const Lit> lits, bool learnt);
   void watch_clause(ClauseRef c);
   void rewatch_problem_clauses();
 
-  [[nodiscard]] Value lit_value(Lit l) const;
+  [[nodiscard]] Value lit_value(Lit l) const {
+    return lit_value_[static_cast<std::size_t>(l.x)];
+  }
+  [[nodiscard]] bool unassigned(Var v) const {
+    return lit_value_[2 * static_cast<std::size_t>(v)] == Value::Undef;
+  }
   void enqueue(Lit l, ClauseRef reason);
   /// BCP over the watch lists; returns the conflicting clause or kNoClause.
   ClauseRef propagate();
@@ -193,16 +242,32 @@ class Solver {
   void backtrack(int level);
   void var_bump(Var v);
   void var_decay();
+  /// Scales every activity down by kActivityRescale; heap variables whose
+  /// activity underflows to 0.0 move to the idle tier.
+  void rescale_activities();
   [[nodiscard]] Lit pick_branch();
 
-  // Indexed max-heap over var activity (ties -> smaller index), the
-  // deterministic VSIDS order.
+  // The two-tier decision queue (see the header comment).  A queued
+  // variable is in the heap when its activity is positive, in the idle
+  // bitset when it is 0.0.
+  void queue_insert(Var v);  ///< queues a variable that is not in the heap
+  [[nodiscard]] bool idle(Var v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return ((idle_[i >> 6] >> (i & 63)) & 1u) != 0;
+  }
+  void idle_set(Var v);
+  void idle_clear(Var v) {
+    const auto i = static_cast<std::size_t>(v);
+    idle_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  }
+
+  // Indexed max-heap over positive activities (ties -> smaller index).
   void heap_insert(Var v);
-  void heap_update(Var v);
   Var heap_pop();
   [[nodiscard]] bool heap_less(Var a, Var b) const;
   void heap_sift_up(int i);
   void heap_sift_down(int i);
+  void heap_rebuild();  ///< restores heap order and heap_pos_ over heap_
 
   [[nodiscard]] int level_of(Var v) const { return level_[v]; }
   [[nodiscard]] static std::uint64_t luby(std::uint64_t i);
@@ -213,7 +278,7 @@ class Solver {
   std::vector<ClauseRef> learnts_;          ///< learned clauses
   std::size_t num_problem_clauses_ = 0;
 
-  std::vector<Value> assign_;               ///< per var
+  std::vector<Value> lit_value_;            ///< per literal index (Lit::x)
   std::vector<std::uint8_t> phase_;         ///< saved phase per var
   std::vector<int> level_;                  ///< decision level per var
   std::vector<ClauseRef> reason_;           ///< implying clause per var
@@ -221,25 +286,30 @@ class Solver {
   double activity_inc_ = 1.0;
 
   std::vector<std::vector<ClauseRef>> watches_;  ///< per literal index
+  Lit conflict_head_;  ///< slot 0 of the binary conflict propagate() found
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;              ///< trail index per decision level
   std::size_t qhead_ = 0;
 
-  std::vector<int> heap_;                   ///< heap of vars
+  std::vector<int> heap_;                   ///< queued vars, activity > 0
   std::vector<int> heap_pos_;               ///< var -> heap index, -1 if absent
+  std::vector<std::uint64_t> idle_;         ///< bitset: queued, activity 0
+  std::size_t idle_first_ = 0;              ///< no idle_ word below is nonzero
 
-  std::vector<Lit> assumptions_;
+  std::span<const Lit> assumptions_;  ///< the running solve()'s, not a copy
   std::vector<Lit> conflict_core_;
   std::vector<Value> model_;  ///< snapshot of the last Sat assignment
 
-  // analyze() scratch.
+  // solve() and analyze() scratch.
+  std::vector<Lit> learnt_;
   std::vector<std::uint8_t> seen_;
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> analyze_clear_;
   std::vector<Lit> add_scratch_;  ///< add_clause() normalization buffer
 
   // The mark_baseline() snapshot: sizes plus copies of everything search
-  // permutes in place (clause literal order, activities, phases, heap).
+  // permutes in place (clause literal order, activities, phases, both
+  // queue tiers).
   struct Baseline {
     bool set = false;
     bool ok = true;
@@ -251,6 +321,8 @@ class Solver {
     std::vector<double> activity;
     std::vector<std::uint8_t> phase;
     std::vector<int> heap;
+    std::vector<std::uint64_t> idle;
+    std::size_t idle_first = 0;
   };
   Baseline baseline_;
 

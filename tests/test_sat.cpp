@@ -18,7 +18,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "atpg/atpg.hpp"
 #include "atpg/backend.hpp"
 #include "atpg/fault_sim.hpp"
+#include "atpg/faults.hpp"
 #include "atpg/sat_backend.hpp"
 #include "atpg/wide_sim.hpp"
 #include "benchmarks/benchmarks.hpp"
@@ -34,6 +37,7 @@
 #include "rtl/elaborate.hpp"
 #include "rtl/rtl.hpp"
 #include "support/netlist_fixtures.hpp"
+#include "support/reference_cdcl.hpp"
 #include "util/cdcl.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -610,6 +614,409 @@ TEST(BackendEquivalence, HybridIsDeterministicAcrossRuns) {
   EXPECT_EQ(a.untestable_proved, b.untestable_proved);
   EXPECT_EQ(a.aborted, b.aborted);
   EXPECT_EQ(a.backend_stats.sat_conflicts, b.backend_stats.sat_conflicts);
+}
+
+// ---------------------------------------------------------------------------
+// CdclDifferential: the production solver against the frozen copy
+// ---------------------------------------------------------------------------
+
+using test_support::ReferenceSolver;
+
+std::string stats_text(const util::cdcl::Stats& s) {
+  std::ostringstream os;
+  os << "conflicts " << s.conflicts << " decisions " << s.decisions
+     << " propagations " << s.propagations << " restarts " << s.restarts
+     << " learned " << s.learned << " learned_literals " << s.learned_literals
+     << " minimized_literals " << s.minimized_literals;
+  return os.str();
+}
+
+/// The production solver and the frozen copy, driven by the same calls.
+/// Every solve() compares everything a caller can observe; `mismatches`
+/// counts the solves that differed.
+struct SolverPair {
+  Solver got;
+  ReferenceSolver want;
+  int mismatches = 0;
+
+  Var new_var() {
+    const Var v = got.new_var();
+    EXPECT_EQ(want.new_var(), v);
+    return v;
+  }
+  void add_clause(std::span<const Lit> lits) {
+    const bool ok = got.add_clause(lits);
+    EXPECT_EQ(want.add_clause(lits), ok);
+  }
+  void add_clause(Lit a) { add_clause(std::span<const Lit>(&a, 1)); }
+  void mark_baseline() {
+    got.mark_baseline();
+    want.mark_baseline();
+  }
+  void restore_baseline() {
+    got.restore_baseline();
+    want.restore_baseline();
+  }
+
+  Status solve(const std::vector<Lit>& assumptions, std::int64_t budget,
+               const std::string& what) {
+    const Status st = got.solve(assumptions, budget);
+    const Status ref = want.solve(assumptions, budget);
+    bool same = st == ref && got.stats() == want.stats() &&
+                got.failed_assumptions() == want.failed_assumptions() &&
+                got.num_vars() == want.num_vars() &&
+                got.num_clauses() == want.num_clauses() &&
+                got.inconsistent() == want.inconsistent() &&
+                got.root_literals() == want.root_literals();
+    EXPECT_EQ(st, ref) << what;
+    EXPECT_EQ(stats_text(got.stats()), stats_text(want.stats())) << what;
+    EXPECT_TRUE(got.failed_assumptions() == want.failed_assumptions()) << what;
+    EXPECT_TRUE(got.root_literals() == want.root_literals()) << what;
+    EXPECT_EQ(got.num_clauses(), want.num_clauses()) << what;
+    EXPECT_EQ(got.inconsistent(), want.inconsistent()) << what;
+    if (same && st == Status::Sat) {
+      for (Var v = 0; v < got.num_vars(); ++v) {
+        if (got.value(v) != want.value(v)) {
+          ADD_FAILURE() << what << ": model differs at variable " << v;
+          same = false;
+          break;
+        }
+      }
+    }
+    if (!same) ++mismatches;
+    return st;
+  }
+};
+
+struct VerdictTally {
+  int sat = 0, unsat = 0, unknown = 0;
+  void add(Status s) {
+    if (s == Status::Sat) ++sat;
+    if (s == Status::Unsat) ++unsat;
+    if (s == Status::Unknown) ++unknown;
+  }
+};
+
+TEST(CdclDifferential, RandomCnfsWithAssumptionsBudgetsAndBaselines) {
+  // Random 3-CNFs around the satisfiability threshold, a baseline after
+  // the base formula, then rounds of extra variables and clauses (some
+  // units, binaries and 5-clauses among them), solves under random
+  // assumptions and budgets, and baseline restores.
+  Rng rng(0xCDC1);
+  VerdictTally tally;
+  int with_core = 0;
+  const auto random_lit = [&rng](int vars) {
+    return mk_lit(static_cast<Var>(rng.next_below(static_cast<std::uint64_t>(
+                      vars))),
+                  rng.next_bool());
+  };
+  const auto random_clause = [&](SolverPair& s, bool mixed) {
+    const std::uint64_t r = mixed ? rng.next_below(40) : 10;
+    const std::size_t len = r == 0 ? 1 : r < 4 ? 2 : r < 34 ? 3 : 5;
+    std::vector<Lit> c;
+    for (std::size_t i = 0; i < len; ++i) {
+      c.push_back(random_lit(s.got.num_vars()));
+    }
+    s.add_clause(c);
+  };
+  for (int trial = 0; trial < 120; ++trial) {
+    SolverPair s;
+    const int vars = 40 + static_cast<int>(rng.next_below(120));
+    for (int i = 0; i < vars; ++i) s.new_var();
+    const int clauses = vars * (38 + static_cast<int>(rng.next_below(9))) / 10;
+    for (int i = 0; i < clauses; ++i) random_clause(s, false);
+    s.mark_baseline();
+    for (int round = 0; round < 4; ++round) {
+      if (round > 0) {
+        const int extra = static_cast<int>(rng.next_below(12));
+        for (int i = 0; i < extra; ++i) s.new_var();
+        for (int i = 0; i < 2 * extra; ++i) random_clause(s, true);
+      }
+      for (int q = 0; q < 3; ++q) {
+        std::vector<Lit> assumptions;
+        const auto n = rng.next_below(5);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          assumptions.push_back(random_lit(s.got.num_vars()));
+        }
+        const std::int64_t budgets[] = {0, 8, 60};
+        const std::int64_t budget = budgets[rng.next_below(3)];
+        const Status st = s.solve(
+            assumptions, budget,
+            "trial " + std::to_string(trial) + " round " +
+                std::to_string(round) + " solve " + std::to_string(q));
+        ASSERT_EQ(s.mismatches, 0);
+        tally.add(st);
+        if (!s.got.failed_assumptions().empty()) ++with_core;
+      }
+      if (rng.next_bool()) s.restore_baseline();
+    }
+  }
+  // Every verdict and a nonempty assumption core must occur, or the
+  // comparison would not bite.
+  std::printf("[random-cnf] sat %d unsat %d unknown %d cores %d\n",
+              tally.sat, tally.unsat, tally.unknown, with_core);
+  EXPECT_GT(tally.sat, 100);
+  EXPECT_GT(tally.unsat, 100);
+  EXPECT_GT(tally.unknown, 50);
+  EXPECT_GT(with_core, 50);
+}
+
+/// Replays run_atpg's deterministic SAT walk ("hybrid" or "sat") on one
+/// design.  The walk itself runs exactly as in run_atpg and SatBackend::
+/// generate: the same targets in the same order, the same encoder, solver
+/// calls, resets and PODEM rescues, checked against run_atpg at the end.
+/// Beside it, each target's solver input -- the variables, problem
+/// clauses and root units its encoding added -- goes to a production
+/// solver and to the frozen copy, which then solve it under the same
+/// activation literal and budget and must agree on everything.  (From
+/// outside, a solver shows which clauses and units an encoding added but
+/// not how the units interleaved with the clauses, so the pair's stream
+/// is the walk's up to that order; both members get the same one.)
+VerdictTally replay_sat_targets(const gates::Netlist& nl, int period,
+                                const std::string& mode,
+                                const std::string& where) {
+  constexpr std::int64_t kBudget = 2000;
+  atpg::AtpgOptions options;
+  options.backend = mode;
+  options.seed = 1;
+  options.sat_conflict_budget = kBudget;
+  std::vector<atpg::Fault> worklist;
+  if (mode == "hybrid") {
+    atpg::AtpgOptions random_only = options;
+    random_only.deterministic_phase = false;
+    random_only.compact = false;
+    worklist = atpg::run_atpg(nl, period, random_only).undetected;
+  } else {
+    worklist = atpg::FaultUniverse::collapsed(nl).faults();
+  }
+  int reset_index = -1;
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+    if (nl.gate(nl.inputs()[i]).name == "reset") {
+      reset_index = static_cast<int>(i);
+    }
+  }
+
+  gates::TimeFrameCnf cnf(nl, 2 * period, reset_index);
+  Solver& walk = cnf.solver();
+  const std::size_t base_clauses = walk.num_clauses();
+  SolverPair pair;
+  // Feeds the pair what the encoder added since the given sizes.
+  const auto feed = [&](int vars, std::size_t clauses, std::size_t units) {
+    for (int v = vars; v < walk.num_vars(); ++v) pair.new_var();
+    std::size_t index = 0;
+    walk.for_each_problem_clause([&](const int* codes, int size) {
+      if (index++ < clauses) return;
+      std::vector<Lit> c(static_cast<std::size_t>(size));
+      for (int i = 0; i < size; ++i) {
+        c[static_cast<std::size_t>(i)].x = codes[i];
+      }
+      pair.add_clause(c);
+    });
+    for (std::size_t i = units; i < walk.root_literals().size(); ++i) {
+      pair.add_clause(walk.root_literals()[i]);
+    }
+  };
+  feed(0, 0, 0);
+  pair.mark_baseline();
+  EXPECT_EQ(pair.got.num_clauses(), base_clauses) << where;
+  EXPECT_TRUE(pair.got.root_literals() == walk.root_literals()) << where;
+
+  std::unique_ptr<atpg::DeterministicBackend> rescue;
+  if (mode == "hybrid") {
+    atpg::BackendConfig config;
+    config.backtrack_limit = options.podem_backtrack_limit;
+    config.frames = 2 * period;
+    rescue = atpg::make_backend(atpg::BackendKind::TimeFrame, nl, config);
+  }
+  atpg::FaultSimulator fsim(nl);
+  std::vector<atpg::Fault> remaining = worklist;
+  VerdictTally tally;
+  std::size_t targets = 0;
+  for (const atpg::Fault& target : worklist) {
+    if (static_cast<int>(targets) >= options.podem_max_targets) break;
+    if (!contains(remaining, target)) continue;
+    ++targets;
+    if (walk.num_clauses() > 2 * base_clauses) {
+      cnf.reset();
+      pair.restore_baseline();
+    }
+    const int vars = walk.num_vars();
+    const std::size_t clauses = walk.num_clauses();
+    const std::size_t units = walk.root_literals().size();
+    const Lit act = cnf.add_fault(target.gate, target.stuck_at_one);
+    feed(vars, clauses, units);
+    const std::string what =
+        where + " " + mode + " " + atpg::fault_name(nl, target);
+    tally.add(pair.solve({act}, kBudget, what));
+    if (pair.mismatches > 0) return tally;
+    pair.add_clause(~act);
+
+    const Status st = walk.solve({act}, kBudget);
+    atpg::TestSequence sequence;
+    bool detected = st == Status::Sat;
+    if (detected) sequence = cnf.extract_sequence();
+    cnf.retire_fault(act);
+    if (st == Status::Unknown && rescue) {
+      atpg::BackendResult r = rescue->generate(target);
+      detected = r.status == atpg::BackendStatus::Detected;
+      sequence = std::move(r.sequence);
+    }
+    if (detected) fsim.drop_detected(sequence, remaining);
+  }
+  // The walk is run_atpg's own: as many targets, the same faults left
+  // undetected, the same solver effort.
+  const atpg::AtpgResult full = atpg::run_atpg(nl, period, options);
+  EXPECT_EQ(full.backend_stats.targets, targets) << where << " " << mode;
+  EXPECT_TRUE(full.undetected == remaining) << where << " " << mode;
+  EXPECT_EQ(full.backend_stats.sat_conflicts, walk.stats().conflicts)
+      << where << " " << mode;
+  EXPECT_EQ(full.backend_stats.sat_decisions, walk.stats().decisions)
+      << where << " " << mode;
+  return tally;
+}
+
+class PaperSatTargets : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PaperSatTargets, MatchFrozenSolver) {
+  const dfg::Dfg g = benchmarks::make_benchmark(GetParam());
+  VerdictTally total;
+  for (const core::FlowKind kind :
+       {core::FlowKind::Camad, core::FlowKind::Approach1,
+        core::FlowKind::Approach2, core::FlowKind::Ours}) {
+    const core::FlowResult flow =
+        core::run_flow(kind, g, {.bits = 4, .num_threads = 1});
+    const rtl::RtlDesign design =
+        rtl::RtlDesign::from_synthesis(g, flow.schedule, flow.binding, 4);
+    const rtl::Elaboration elab = rtl::elaborate(design);
+    const std::string where =
+        std::string(GetParam()) + "/" + core::flow_name(kind);
+    for (const char* mode : {"hybrid", "sat"}) {
+      const VerdictTally t =
+          replay_sat_targets(elab.netlist, design.steps() + 1, mode, where);
+      total.sat += t.sat;
+      total.unsat += t.unsat;
+      total.unknown += t.unknown;
+      ASSERT_FALSE(HasFailure()) << where << " " << mode;
+    }
+  }
+  // Both verdicts occur on every benchmark, so each comparison bites.
+  EXPECT_GT(total.sat, 0);
+  EXPECT_GT(total.unsat, 0);
+  std::printf("[sat-targets] %s sat %d unsat %d unknown %d\n", GetParam(),
+              total.sat, total.unsat, total.unknown);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CdclDifferential, PaperSatTargets,
+    ::testing::Values("ex", "dct", "diffeq", "paulin", "tseng"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
+
+/// Adds the underflow instance: `idle` variables no conflict will touch
+/// (indices 0..idle-1), a random 3-CNF over `side` variables after them,
+/// then an activation literal and a pigeonhole core PHP(9, 8) guarded by
+/// it.  Solving under the activation literal settles the side formula
+/// within a few conflicts and then spends tens of thousands refuting the
+/// core, so the side variables' activities decay through several rescales
+/// to 0.0.  Returns the activation literal.
+template <typename S>
+Lit add_underflow_instance(S& s, std::uint64_t seed, int idle, int side) {
+  constexpr int kPigeons = 9;
+  Rng rng(seed);
+  for (int i = 0; i < idle + side; ++i) s.new_var();
+  for (int c = 0; c < side * 41 / 10; ++c) {
+    Lit l[3];
+    for (Lit& x : l) {
+      x = mk_lit(idle + static_cast<Var>(rng.next_below(
+                            static_cast<std::uint64_t>(side))),
+                 rng.next_bool());
+    }
+    s.add_clause(std::span<const Lit>(l));
+  }
+  const Lit act = mk_lit(s.new_var());
+  std::vector<std::vector<Var>> p(kPigeons, std::vector<Var>(kPigeons - 1));
+  for (auto& row : p)
+    for (Var& v : row) v = s.new_var();
+  for (int i = 0; i < kPigeons; ++i) {
+    std::vector<Lit> some{~act};
+    for (const Var v : p[static_cast<std::size_t>(i)]) some.push_back(mk_lit(v));
+    s.add_clause(std::span<const Lit>(some));
+  }
+  for (int h = 0; h < kPigeons - 1; ++h) {
+    for (int i = 0; i < kPigeons; ++i) {
+      for (int j = i + 1; j < kPigeons; ++j) {
+        const Lit c[] = {~act, mk_lit(p[static_cast<std::size_t>(i)]
+                                       [static_cast<std::size_t>(h)], true),
+                         mk_lit(p[static_cast<std::size_t>(j)]
+                                 [static_cast<std::size_t>(h)], true)};
+        s.add_clause(std::span<const Lit>(c));
+      }
+    }
+  }
+  return act;
+}
+
+/// Ties idle variable i to side variable i (mod side) by an XOR, so the
+/// order in which the two tiers hand out those zero-activity variables
+/// decides the model.
+template <typename S>
+void tie_idle_to_side(S& s, int idle, int side) {
+  for (int i = 0; i < idle; ++i) {
+    const Var e = idle + i % side;
+    const Lit a[] = {mk_lit(i), mk_lit(e)};
+    const Lit b[] = {mk_lit(i, true), mk_lit(e, true)};
+    s.add_clause(std::span<const Lit>(a));
+    s.add_clause(std::span<const Lit>(b));
+  }
+}
+
+TEST(CdclDifferential, UnsatCoreRescalesUntilActivitiesUnderflow) {
+  constexpr int kIdle = 20;
+  constexpr int kSide = 40;
+  SolverPair s;
+  const Lit act = add_underflow_instance(s, 3, kIdle, kSide);
+  EXPECT_EQ(s.solve({act}, 0, "core"), Status::Unsat);
+  ASSERT_EQ(s.mismatches, 0);
+  // At least four rescales, and some positive activity fell to 0.0: the
+  // bitset tier got variables back from the heap.
+  EXPECT_GE(s.want.rescales(), 4u);
+  EXPECT_GE(s.want.underflows(), 1u);
+  std::printf("[underflow] %llu conflicts, %llu rescales, %llu underflows\n",
+              static_cast<unsigned long long>(s.want.stats().conflicts),
+              static_cast<unsigned long long>(s.want.rescales()),
+              static_cast<unsigned long long>(s.want.underflows()));
+  // With the core switched off the search reaches the zero-activity
+  // variables -- the idle ones and the underflowed side ones -- and their
+  // order decides the model.
+  tie_idle_to_side(s, kIdle, kSide);
+  EXPECT_EQ(s.solve({~act}, 0, "after the core"), Status::Sat);
+  // Unassumed, the core is back in play under a budget.
+  (void)s.solve({}, 500, "budgeted");
+  // The comparison means something only while the frozen heap kept its
+  // own order (see FrozenHeapCanLeaveItsOrderAfterAnUnderflow).
+  EXPECT_EQ(s.want.out_of_order_picks(), 0u);
+  EXPECT_EQ(s.mismatches, 0);
+}
+
+TEST(CdclDifferential, FrozenHeapCanLeaveItsOrderAfterAnUnderflow) {
+  // Scaling keeps the heap's order while activities stay distinct, but an
+  // underflow makes several of them 0.0 in place: a former positive
+  // variable can then sit above a zero-activity variable of a smaller
+  // index, and the frozen heap pops it first.  The two tiers give the
+  // documented order instead (every 0.0 in index order), so the solvers
+  // part there; the frozen heap makes one such decision on this instance.
+  // The paper designs' SAT targets never get there (PaperSatTargets match
+  // in full).
+  constexpr int kIdle = 20;
+  constexpr int kSide = 40;
+  ReferenceSolver s;
+  const Lit act = add_underflow_instance(s, 7, kIdle, kSide);
+  EXPECT_EQ(s.solve({act}), Status::Unsat);
+  EXPECT_GE(s.underflows(), 1u);
+  tie_idle_to_side(s, kIdle, kSide);
+  EXPECT_EQ(s.solve({~act}), Status::Sat);
+  EXPECT_GT(s.out_of_order_picks(), 0u);
 }
 
 }  // namespace
