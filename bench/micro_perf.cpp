@@ -1,8 +1,8 @@
 // google-benchmark micro-benchmarks for the analysis/simulation kernels:
 // testability fixpoint, netlist simplification, parallel fault simulation,
 // the trial merge patch, a trial's cost estimate, the balance ranking, the
-// derivation of a committed design, a SAT-backend pass over a design's
-// faults, and one full Algorithm 1 run.
+// derivation of a committed design, a SAT-backend and a time-frame PODEM
+// pass over a design's faults, and one full Algorithm 1 run.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include "testability/testability.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 #include "workload/generator.hpp"
 
 // Heap-allocation counter (configure with -DHLTS_COUNT_ALLOCS=ON): the
@@ -279,6 +280,43 @@ void BM_SatTargetStream(benchmark::State& state) {
                           static_cast<std::int64_t>(faults.size()));
 }
 BENCHMARK(BM_SatTargetStream)->Unit(benchmark::kMillisecond);
+
+/// One timeframe-backend pass over every collapsed fault of ex (Ours, 4
+/// bits): each target is a distinct fault cone, so the search's walks see
+/// the branch mix of a real pass.  attempts and backtracks are the PODEM
+/// counters per pass; they must equal a parent build's.
+void BM_PodemTargetStream(benchmark::State& state) {
+  const dfg::Dfg g = benchmarks::make_ex();
+  const core::FlowResult r =
+      core::run_flow(core::FlowKind::Ours, g, {.bits = 4, .num_threads = 1});
+  const rtl::RtlDesign design =
+      rtl::RtlDesign::from_synthesis(g, r.schedule, r.binding, 4);
+  const rtl::Elaboration elab = rtl::elaborate(design);
+  const std::vector<atpg::Fault> faults =
+      atpg::FaultUniverse::collapsed(elab.netlist).faults();
+  atpg::BackendConfig config;
+  config.frames = 2 * (design.steps() + 1);
+  config.backtrack_limit = 64;
+  util::Trace trace;
+  for (auto _ : state) {
+    const util::Trace::Scope scope(&trace);
+    const std::unique_ptr<atpg::DeterministicBackend> backend =
+        atpg::make_backend(atpg::BackendKind::TimeFrame, elab.netlist, config);
+    for (const atpg::Fault& f : faults) {
+      benchmark::DoNotOptimize(backend->generate(f).status);
+    }
+  }
+  const util::TraceSnapshot snap = trace.snapshot();
+  state.counters["attempts"] = benchmark::Counter(
+      static_cast<double>(snap.counters.at("atpg.podem_attempts")),
+      benchmark::Counter::kAvgIterations);
+  state.counters["backtracks"] = benchmark::Counter(
+      static_cast<double>(snap.counters.at("atpg.podem_backtracks")),
+      benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(faults.size()));
+}
+BENCHMARK(BM_PodemTargetStream)->Unit(benchmark::kMillisecond);
 
 void BM_IntegratedSynthesis(benchmark::State& state) {
   dfg::Dfg g = benchmarks::make_diffeq();

@@ -1,7 +1,10 @@
 #include "atpg/podem.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
+#include "gates/gate_table.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
@@ -49,6 +52,9 @@ constexpr std::uint8_t kJustifiable = 1;  ///< see compute_justifiable()
 constexpr std::uint8_t kInCone = 2;       ///< in the current fault cone
 constexpr std::uint8_t kFrontier = 4;     ///< on the D-frontier
 constexpr std::uint8_t kTouched = 8;      ///< in touched_, refresh pending
+constexpr std::uint8_t kWasD = 16;        ///< carried a D at its last refresh
+/// kInCone in each byte of a word of eight flag bytes.
+constexpr std::uint64_t kInConeBytes = 0x0101010101010101ULL * kInCone;
 
 }  // namespace
 
@@ -62,20 +68,30 @@ class TimeFramePodem::Impl {
   bool check_sequence(const Fault& fault, const TestSequence& sequence);
 
  private:
-  /// Unrolled node: frame * num_gates + gate index (checked to fit).
+  /// Unrolled node: frame << shift_ | gate index (checked to fit).  The
+  /// stride 1 << shift_ is the gate count rounded up to a power of two, so
+  /// a node's frame and gate are a shift and a mask away; node ids ascend
+  /// in (frame, gate) order, like frame * num_gates + gate.
   using NodeId = std::uint32_t;
 
-  std::size_t total_nodes() const { return nl_.num_gates() * frames_; }
-  NodeId node(int frame, GateId g) const {
-    return static_cast<NodeId>(static_cast<std::size_t>(frame) *
-                                   nl_.num_gates() +
-                               g.index());
+  NodeId node(int frame, std::uint32_t g) const {
+    return (static_cast<NodeId>(frame) << shift_) | g;
   }
-  int frame_of(NodeId n) const {
-    return static_cast<int>(n / nl_.num_gates());
+  NodeId node(int frame, GateId g) const { return node(frame, g.value()); }
+  std::uint32_t gate_of(NodeId n) const { return n & gate_mask_; }
+  [[nodiscard]] bool in_frame0(NodeId n) const { return n <= gate_mask_; }
+  /// node(f, 0) of the frame f that a node of kind `kind` reads its inputs
+  /// in: the node's own frame, or the one before for a DFF (wrapped for a
+  /// frame-0 DFF, which reads nothing).
+  NodeId input_base(NodeId n, GateKind kind) const {
+    const NodeId base = n & ~gate_mask_;
+    return kind == GateKind::Dff ? base - (gate_mask_ + 1) : base;
   }
-  GateId gate_of(NodeId n) const {
-    return GateId{static_cast<std::uint32_t>(n % nl_.num_gates())};
+  /// The node a fanout entry of `n`'s gate reads into: the same frame, or
+  /// the next one for a DFF.  At or past end_node_ when it leaves the model.
+  NodeId fanout_node(NodeId n, std::uint32_t fanout) const {
+    return (((n >> shift_) + gates::GateTable::crossing(fanout)) << shift_) |
+           gates::GateTable::target(fanout);
   }
 
   /// Queues a fault-cone node for the next frontier refresh.
@@ -154,14 +170,9 @@ class TimeFramePodem::Impl {
   void compute_justifiable();
 
   [[nodiscard]] bool is_assignable_pi(NodeId n) const {
-    const gates::Gate& g = nl_.gate(gate_of(n));
-    if (g.kind != GateKind::Input) return false;
     // The reset input is forced (1 in frame 0, 0 after).
-    if (reset_index_ >= 0 &&
-        gate_of(n) == nl_.inputs()[static_cast<std::size_t>(reset_index_)]) {
-      return false;
-    }
-    return true;
+    return table_.kind(gate_of(n)) == GateKind::Input &&
+           gate_of(n) != reset_gate_;
   }
 
   TestSequence extract_sequence() const;
@@ -170,6 +181,8 @@ class TimeFramePodem::Impl {
   /// where good and faulty values can ever differ.  Restricting the
   /// D-frontier / detection / X-path work to it is the key PODEM speedup
   /// (the cone is typically a small fraction of the unrolled model).
+  /// Every edge of the unrolled model ascends in node id, so one ascending
+  /// pass that closes each cone node's fanouts lists the cone sorted.
   void compute_cone();
 
   struct Change {
@@ -184,8 +197,13 @@ class TimeFramePodem::Impl {
   };
 
   const gates::Netlist& nl_;
+  const gates::GateTable table_;
   int frames_;
   int reset_index_ = -1;  ///< position of the "reset" input, -1 if absent
+  std::uint32_t reset_gate_ = UINT32_MAX;  ///< its gate; none if absent
+  int shift_ = 0;
+  std::uint32_t gate_mask_ = 0;
+  NodeId end_node_ = 0;  ///< node(frames_, 0): one past the last frame
   Rng rng_{1};
   Fault fault_{};  ///< invalid gate while the good base is implied
 
@@ -210,14 +228,19 @@ class TimeFramePodem::Impl {
 };
 
 TimeFramePodem::Impl::Impl(const gates::Netlist& nl, int frames)
-    : nl_(nl), frames_(frames) {
+    : nl_(nl), table_(nl), frames_(frames) {
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
     if (nl.gate(nl.inputs()[i]).name == "reset") {
       reset_index_ = static_cast<int>(i);
+      reset_gate_ = nl.inputs()[i].value();
     }
   }
-  const std::size_t n = total_nodes();
-  HLTS_REQUIRE(n <= UINT32_MAX, "PODEM: unrolled model too large");
+  shift_ = std::bit_width(std::max<std::size_t>(nl.num_gates(), 2) - 1);
+  gate_mask_ = (std::uint32_t{1} << shift_) - 1;
+  const std::size_t n = static_cast<std::size_t>(frames_) << shift_;
+  // A DFF fanout of the last frame lands at most gate_mask_ past n.
+  HLTS_REQUIRE(n + gate_mask_ <= UINT32_MAX, "PODEM: unrolled model too large");
+  end_node_ = static_cast<NodeId>(n);
   good_.assign(n, VX);
   faulty_.assign(n, VX);
   flags_.assign(n, 0);
@@ -240,32 +263,27 @@ TimeFramePodem::Impl::Impl(const gates::Netlist& nl, int frames)
 void TimeFramePodem::Impl::compute_cone() {
   cone_.clear();
   cone_outputs_.clear();
+  const NodeId first = node(0, fault_.gate);
   for (int frame = 0; frame < frames_; ++frame) {
-    const NodeId n = node(frame, fault_.gate);
-    if (!(flags_[n] & kInCone)) {
-      flags_[n] |= kInCone;
-      cone_.push_back(n);
-    }
+    flags_[node(frame, fault_.gate)] |= kInCone;
   }
-  for (std::size_t i = 0; i < cone_.size(); ++i) {
-    const NodeId n = cone_[i];
-    const int frame = frame_of(n);
-    const gates::Gate& g = nl_.gate(gate_of(n));
-    for (GateId fo : g.fanouts) {
-      const bool crosses = nl_.gate(fo).kind == GateKind::Dff;
-      const int tf = frame + (crosses ? 1 : 0);
-      if (tf >= frames_) continue;
-      const NodeId t = node(tf, fo);
-      if (!(flags_[t] & kInCone)) {
-        flags_[t] |= kInCone;
-        cone_.push_back(t);
+  for (NodeId n = first; n < end_node_; ++n) {
+    // Skip eight nodes at a time while none of them is in the cone.
+    if (end_node_ - n >= 8) {
+      std::uint64_t word;
+      std::memcpy(&word, &flags_[n], sizeof word);
+      if ((word & kInConeBytes) == 0) {
+        n += 7;
+        continue;
       }
     }
-  }
-  std::sort(cone_.begin(), cone_.end());
-  for (NodeId n : cone_) {
-    if (nl_.gate(gate_of(n)).kind == GateKind::Output) {
-      cone_outputs_.push_back(n);
+    if (!(flags_[n] & kInCone)) continue;
+    cone_.push_back(n);
+    const std::uint32_t g = gate_of(n);
+    if (table_.kind(g) == GateKind::Output) cone_outputs_.push_back(n);
+    for (const std::uint32_t fo : table_.fanouts(g)) {
+      const NodeId t = fanout_node(n, fo);
+      if (t < end_node_) flags_[t] |= kInCone;
     }
   }
 }
@@ -275,11 +293,10 @@ void TimeFramePodem::Impl::compute_justifiable() {
     return (flags_[n] & kJustifiable) != 0;
   };
   for (int frame = 0; frame < frames_; ++frame) {
-    for (GateId g : nl_.gate_ids()) {
-      const gates::Gate& gate = nl_.gate(g);
+    for (std::uint32_t g = 0; g < table_.num_gates(); ++g) {
       const NodeId n = node(frame, g);
       bool j = false;
-      switch (gate.kind) {
+      switch (table_.kind(g)) {
         case GateKind::Input:
           j = is_assignable_pi(n);
           break;
@@ -287,7 +304,7 @@ void TimeFramePodem::Impl::compute_justifiable() {
         case GateKind::Const1:
           break;
         case GateKind::Dff:
-          j = frame > 0 && justifiable(node(frame - 1, gate.inputs[0]));
+          j = frame > 0 && justifiable(node(frame - 1, table_.inputs(g)[0]));
           break;
         default:
           break;  // combinational: below, in levelized order
@@ -295,9 +312,8 @@ void TimeFramePodem::Impl::compute_justifiable() {
       if (j) flags_[n] |= kJustifiable;
     }
     for (GateId g : nl_.levelized()) {
-      const gates::Gate& gate = nl_.gate(g);
       const NodeId n = node(frame, g);
-      for (GateId in : gate.inputs) {
+      for (const std::uint32_t in : table_.inputs(g.value())) {
         if (justifiable(node(frame, in))) {
           flags_[n] |= kJustifiable;
           break;
@@ -309,14 +325,15 @@ void TimeFramePodem::Impl::compute_justifiable() {
 
 std::pair<std::uint8_t, std::uint8_t> TimeFramePodem::Impl::eval(
     NodeId n) const {
-  const int frame = frame_of(n);
-  const GateId gid = gate_of(n);
-  const gates::Gate& g = nl_.gate(gid);
+  const std::uint32_t gid = gate_of(n);
+  const GateKind kind = table_.kind(gid);
+  const std::span<const std::uint32_t> ins = table_.inputs(gid);
+  const NodeId base = input_base(n, kind);
   std::uint8_t gv = VX;
   std::uint8_t fv = VX;
-  auto in = [&](std::size_t i) { return node(frame, g.inputs[i]); };
+  auto in = [&](std::size_t i) { return base | ins[i]; };
 
-  switch (g.kind) {
+  switch (kind) {
     case GateKind::Input:
       // Assigned externally; keep the current value.
       gv = good_[n];
@@ -329,12 +346,11 @@ std::pair<std::uint8_t, std::uint8_t> TimeFramePodem::Impl::eval(
       gv = fv = V1;
       break;
     case GateKind::Dff:
-      if (frame == 0) {
+      if (in_frame0(n)) {
         gv = fv = VX;  // power-up state is unknown
       } else {
-        const NodeId src = node(frame - 1, g.inputs[0]);
-        gv = good_[src];
-        fv = faulty_[src];
+        gv = good_[in(0)];
+        fv = faulty_[in(0)];
       }
       break;
     case GateKind::Buf:
@@ -350,11 +366,11 @@ std::pair<std::uint8_t, std::uint8_t> TimeFramePodem::Impl::eval(
     case GateKind::Nand: {
       gv = V1;
       fv = V1;
-      for (std::size_t i = 0; i < g.inputs.size(); ++i) {
+      for (std::size_t i = 0; i < ins.size(); ++i) {
         gv = and3(gv, good_[in(i)]);
         fv = and3(fv, faulty_[in(i)]);
       }
-      if (g.kind == GateKind::Nand) {
+      if (kind == GateKind::Nand) {
         gv = not3(gv);
         fv = not3(fv);
       }
@@ -364,11 +380,11 @@ std::pair<std::uint8_t, std::uint8_t> TimeFramePodem::Impl::eval(
     case GateKind::Nor: {
       gv = V0;
       fv = V0;
-      for (std::size_t i = 0; i < g.inputs.size(); ++i) {
+      for (std::size_t i = 0; i < ins.size(); ++i) {
         gv = or3(gv, good_[in(i)]);
         fv = or3(fv, faulty_[in(i)]);
       }
-      if (g.kind == GateKind::Nor) {
+      if (kind == GateKind::Nor) {
         gv = not3(gv);
         fv = not3(fv);
       }
@@ -387,7 +403,7 @@ std::pair<std::uint8_t, std::uint8_t> TimeFramePodem::Impl::eval(
       fv = mux3(faulty_[in(0)], faulty_[in(1)], faulty_[in(2)]);
       break;
   }
-  if (gid == fault_.gate) {
+  if (gid == fault_.gate.value()) {
     fv = fault_.stuck_at_one ? V1 : V0;
   }
   return {gv, fv};
@@ -399,13 +415,9 @@ void TimeFramePodem::Impl::propagate_from(NodeId start) {
   queue_.push_back(start);
   for (std::size_t head = 0; head < queue_.size(); ++head) {
     const NodeId n = queue_[head];
-    const int frame = frame_of(n);
-    const gates::Gate& g = nl_.gate(gate_of(n));
-    for (GateId fo : g.fanouts) {
-      const bool crosses = nl_.gate(fo).kind == GateKind::Dff;
-      const int target_frame = frame + (crosses ? 1 : 0);
-      if (target_frame >= frames_) continue;
-      const NodeId t = node(target_frame, fo);
+    for (const std::uint32_t fo : table_.fanouts(gate_of(n))) {
+      const NodeId t = fanout_node(n, fo);
+      if (t >= end_node_) continue;
       auto [gv, fv] = eval(t);
       if (gv != good_[t] || fv != faulty_[t]) {
         set_value(t, gv, fv);
@@ -418,8 +430,8 @@ void TimeFramePodem::Impl::propagate_from(NodeId start) {
 void TimeFramePodem::Impl::imply_all() {
   for (int frame = 0; frame < frames_; ++frame) {
     // Sources first (DFFs read the previous frame), then levelized comb.
-    for (GateId g : nl_.gate_ids()) {
-      const GateKind kind = nl_.gate(g).kind;
+    for (std::uint32_t g = 0; g < table_.num_gates(); ++g) {
+      const GateKind kind = table_.kind(g);
       if (kind == GateKind::Const0 || kind == GateKind::Const1 ||
           kind == GateKind::Dff || kind == GateKind::Input) {
         const NodeId n = node(frame, g);
@@ -437,8 +449,11 @@ void TimeFramePodem::Impl::imply_all() {
 
 void TimeFramePodem::Impl::prepare(const Fault& fault) {
   // Leave the old cone first (touched and frontier nodes lie in it), so
-  // rewinding to the good base queues nothing.
-  for (NodeId n : cone_) flags_[n] &= ~(kInCone | kFrontier | kTouched);
+  // rewinding to the good base queues nothing.  The good base carries no
+  // D, so a cleared kWasD is true of every node there.
+  for (NodeId n : cone_) {
+    flags_[n] &= ~(kInCone | kFrontier | kTouched | kWasD);
+  }
   touched_.clear();
   frontier_.clear();
   undo_to(0);
@@ -472,27 +487,32 @@ int TimeFramePodem::Impl::excitable_frame() const {
 }
 
 bool TimeFramePodem::Impl::on_frontier(NodeId n) const {
-  const gates::Gate& gate = nl_.gate(gate_of(n));
-  if (gate.inputs.empty()) return false;
+  const std::uint32_t g = gate_of(n);
+  const GateKind kind = table_.kind(g);
+  const std::span<const std::uint32_t> ins = table_.inputs(g);
+  if (ins.empty()) return false;
   // Unresolved output: at least one machine still X (covers the composite
   // 1/X and 0/X cases, where fixing a side input can still turn the output
   // into a definite D).
   if (good_[n] != VX && faulty_[n] != VX) return false;
   // DFFs read the previous frame.
-  const int frame = frame_of(n);
-  const int in_frame = gate.kind == GateKind::Dff ? frame - 1 : frame;
-  if (in_frame < 0) return false;
-  for (GateId in : gate.inputs) {
-    if (is_d(node(in_frame, in))) return true;
+  if (kind == GateKind::Dff && in_frame0(n)) return false;
+  const NodeId base = input_base(n, kind);
+  for (const std::uint32_t in : ins) {
+    if (is_d(base | in)) return true;
   }
   return false;
 }
 
 void TimeFramePodem::Impl::refresh_frontier() {
-  // Membership depends on a node's own value and its inputs' values, and
-  // only cone nodes carry a D, so re-deriving it for each touched node and
-  // its fanouts (closed in the cone) covers every possible change.  A node
-  // re-derived twice gets the same answer, so each flips at most once.
+  // Membership depends on a node's own value and on whether its inputs
+  // carry a D, and only cone nodes carry a D.  So re-deriving it for each
+  // touched node covers the first, and for the fanouts (closed in the
+  // cone) of each touched node whose D status differs from the one
+  // recorded at its last refresh (kWasD) covers the second: a node whose
+  // value changed and changed back, or moved between two non-D values,
+  // leaves its fanouts' membership as it was.  A node re-derived twice
+  // gets the same answer, so each flips at most once.
   bool added = false;
   bool removed = false;
   const auto update = [&](NodeId n) {
@@ -510,11 +530,11 @@ void TimeFramePodem::Impl::refresh_frontier() {
   for (NodeId m : touched_) {
     flags_[m] &= ~kTouched;
     update(m);
-    const int frame = frame_of(m);
-    for (GateId fo : nl_.gate(gate_of(m)).fanouts) {
-      const bool crosses = nl_.gate(fo).kind == GateKind::Dff;
-      const int tf = frame + (crosses ? 1 : 0);
-      if (tf < frames_) update(node(tf, fo));
+    if (is_d(m) == ((flags_[m] & kWasD) != 0)) continue;
+    flags_[m] ^= kWasD;
+    for (const std::uint32_t fo : table_.fanouts(gate_of(m))) {
+      const NodeId t = fanout_node(m, fo);
+      if (t < end_node_) update(t);
     }
   }
   touched_.clear();
@@ -538,14 +558,11 @@ bool TimeFramePodem::Impl::x_path_exists() {
   while (!stack_.empty()) {
     const NodeId n = stack_.back();
     stack_.pop_back();
-    const gates::Gate& g = nl_.gate(gate_of(n));
-    if (g.kind == GateKind::Output) return true;
-    const int frame = frame_of(n);
-    for (GateId fo : g.fanouts) {
-      const bool crosses = nl_.gate(fo).kind == GateKind::Dff;
-      const int tf = frame + (crosses ? 1 : 0);
-      if (tf >= frames_) continue;
-      const NodeId t = node(tf, fo);
+    const std::uint32_t g = gate_of(n);
+    if (table_.kind(g) == GateKind::Output) return true;
+    for (const std::uint32_t fo : table_.fanouts(g)) {
+      const NodeId t = fanout_node(n, fo);
+      if (t >= end_node_) continue;
       if (visit_[t] == visit_epoch_) continue;
       if (good_[t] != VX && faulty_[t] != VX && good_[t] == faulty_[t]) {
         continue;  // fully determined and fault-free: no path through here
@@ -562,28 +579,30 @@ void TimeFramePodem::Impl::collect_objectives() {
   // Propagation objectives: drive each D-frontier gate's X side inputs to
   // non-controlling values.
   for (NodeId n : frontier_) {
-    const gates::Gate& g = nl_.gate(gate_of(n));
-    const int frame = frame_of(n);
-    const int in_frame = g.kind == GateKind::Dff ? frame - 1 : frame;
+    const std::uint32_t g = gate_of(n);
+    const GateKind kind = table_.kind(g);
+    const std::span<const std::uint32_t> ins = table_.inputs(g);
+    // A frontier DFF lies past frame 0.
+    const NodeId base = input_base(n, kind);
     auto add = [&](NodeId m, std::uint8_t v) {
       if (good_[m] != VX || !(flags_[m] & kJustifiable)) return;
       objectives_.push_back({m, v, true});
     };
-    switch (g.kind) {
+    switch (kind) {
       case GateKind::And:
       case GateKind::Nand:
-        for (GateId in : g.inputs) add(node(in_frame, in), V1);
+        for (const std::uint32_t in : ins) add(base | in, V1);
         break;
       case GateKind::Or:
       case GateKind::Nor:
       case GateKind::Xor:
       case GateKind::Xnor:
-        for (GateId in : g.inputs) add(node(in_frame, in), V0);
+        for (const std::uint32_t in : ins) add(base | in, V0);
         break;
       case GateKind::Mux: {
-        const NodeId sel = node(in_frame, g.inputs[0]);
-        const NodeId a = node(in_frame, g.inputs[1]);
-        const NodeId b = node(in_frame, g.inputs[2]);
+        const NodeId sel = base | ins[0];
+        const NodeId a = base | ins[1];
+        const NodeId b = base | ins[2];
         if (good_[sel] == VX) {
           add(sel, is_d(b) ? V1 : V0);
         } else {
@@ -595,7 +614,7 @@ void TimeFramePodem::Impl::collect_objectives() {
         break;
       }
       default:
-        for (GateId in : g.inputs) add(node(in_frame, in), V1);
+        for (const std::uint32_t in : ins) add(base | in, V1);
         break;
     }
   }
@@ -612,24 +631,23 @@ void TimeFramePodem::Impl::collect_objectives() {
 
 TimeFramePodem::Impl::Objective TimeFramePodem::Impl::backtrace(
     Objective obj) {
-  int guard = static_cast<int>(total_nodes()) + 8;
+  int guard = static_cast<int>(table_.num_gates() * frames_) + 8;
   while (obj.valid && guard-- > 0) {
-    const GateId gid = gate_of(obj.node);
-    const gates::Gate& g = nl_.gate(gid);
-    const int frame = frame_of(obj.node);
-    if (g.kind == GateKind::Input) {
+    const std::uint32_t g = gate_of(obj.node);
+    const GateKind kind = table_.kind(g);
+    if (kind == GateKind::Input) {
       if (!is_assignable_pi(obj.node)) {
         obj.valid = false;
       }
       return obj;
     }
-    const int in_frame = g.kind == GateKind::Dff ? frame - 1 : frame;
-    if (in_frame < 0 || g.inputs.empty()) {
+    const std::span<const std::uint32_t> ins = table_.inputs(g);
+    if ((kind == GateKind::Dff && in_frame0(obj.node)) || ins.empty()) {
       obj.valid = false;
       return obj;
     }
     // Inversion parity.
-    switch (g.kind) {
+    switch (kind) {
       case GateKind::Not:
       case GateKind::Nand:
       case GateKind::Nor:
@@ -644,8 +662,9 @@ TimeFramePodem::Impl::Objective TimeFramePodem::Impl::backtrace(
     // together with restarts this diversifies the search tree, the
     // standard remedy for PODEM's myopic backtrace on sequential models.
     eligible_.clear();
-    for (GateId in : g.inputs) {
-      const NodeId m = node(in_frame, in);
+    const NodeId base = input_base(obj.node, kind);
+    for (const std::uint32_t in : ins) {
+      const NodeId m = base | in;
       if (good_[m] == VX && (flags_[m] & kJustifiable)) {
         eligible_.push_back(m);
       }
@@ -684,7 +703,7 @@ PodemResult TimeFramePodem::Impl::run(int backtrack_limit) {
   decisions_.clear();
 
   const auto assign = [&](NodeId pi, std::uint8_t v) {
-    set_value(pi, v, gate_of(pi) == fault_.gate
+    set_value(pi, v, gate_of(pi) == fault_.gate.value()
                          ? (fault_.stuck_at_one ? V1 : V0)
                          : v);
     propagate_from(pi);

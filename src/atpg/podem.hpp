@@ -26,6 +26,28 @@
 // Invariant: once the touched nodes are drained, the frontier flags and
 // list equal a full rescan of the cone -- so an undo_to restores the
 // frontier of the state it returns to, the base mark's included.
+//
+// Flat walks.  Every walk (implication, frontier refresh, X-path search,
+// cone, objectives, backtrace) reads a gates::GateTable built with the
+// model: kind bytes, CSR inputs and CSR fanouts whose DFF entries carry a
+// frame-crossing bit.  A node id is frame << shift | gate, the stride
+// being the gate count rounded up to a power of two, so neither a Gate
+// struct nor a division is needed per node, and ids still ascend in
+// (frame, gate) order.
+//
+// D-change rule.  A fanout's frontier membership reads its own value (a
+// change there touches the fanout itself) and whether its inputs carry a
+// D.  So the refresh re-derives a touched node's fanouts only when the
+// node's D status differs from the one recorded at its last refresh (a
+// flag bit, cleared with the cone when a target is prepared: the good
+// base carries no D).  A value that changed and changed back, or moved
+// between X and a non-D value, leaves the fanouts as they were.
+//
+// Ordered cone.  Every edge of the unrolled model ascends in node id (a
+// combinational input has the smaller gate id, a DFF edge enters the next
+// frame), so one ascending pass over the cone flags from the site's
+// frame-0 node, closing each flagged node's fanouts as it goes, lists the
+// cone sorted without a sort.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@ using util::cdcl::Lit;
 using util::cdcl::Var;
 
 TimeFrameCnf::TimeFrameCnf(const Netlist& nl, int frames, int reset_index)
-    : nl_(nl), frames_(frames) {
+    : nl_(nl), table_(nl), frames_(frames) {
   HLTS_REQUIRE_INPUT(frames >= 1, "cnf: need at least one time frame");
   HLTS_REQUIRE_INPUT(
       reset_index < static_cast<int>(nl.inputs().size()),
@@ -60,10 +60,11 @@ TimeFrameCnf::TimeFrameCnf(const Netlist& nl, int frames, int reset_index)
     for (auto r = by_rank_.rbegin(); r != by_rank_.rend(); ++r) {
       const GateId g = *r;
       bool obs = is_output_[g.index()] != 0;
-      for (const GateId out : nl.gate(g).fanouts) {
+      for (const std::uint32_t fo : table_.fanouts(g.value())) {
         if (obs) break;
-        const int ot = nl.gate(out).kind == GateKind::Dff ? t + 1 : t;
-        obs = ot < frames_ && observable_[slot(out, ot)] != 0;
+        const int ot = t + static_cast<int>(GateTable::crossing(fo));
+        obs = ot < frames_ &&
+              observable_[slot(GateId{GateTable::target(fo)}, ot)] != 0;
       }
       observable_[slot(g, t)] = obs ? 1 : 0;
     }
@@ -255,9 +256,9 @@ void TimeFrameCnf::collect_cone(GateId site) {
   for (std::size_t i = 0; i < cone_.size(); ++i) {
     const auto t = static_cast<int>(cone_[i] / num_gates);
     const GateId g = by_rank_[cone_[i] % num_gates];
-    for (const GateId out : nl_.gate(g).fanouts) {
-      const int ot = nl_.gate(out).kind == GateKind::Dff ? t + 1 : t;
-      if (ot < frames_) visit(out, ot);
+    for (const std::uint32_t fo : table_.fanouts(g.value())) {
+      const int ot = t + static_cast<int>(GateTable::crossing(fo));
+      if (ot < frames_) visit(GateId{GateTable::target(fo)}, ot);
     }
   }
   // Sort the keys by a pass over a bitset of all keys, from the word of
@@ -308,29 +309,30 @@ Lit TimeFrameCnf::add_fault(GateId site, bool stuck_at_one) {
     const int t = frame_of(key);
     const GateId g = gate_of(key);
     const std::size_t s = slot(g, t);
-    const Gate& gate = nl_.gate(g);
+    const GateKind kind = table_.kind(g.value());
+    const std::span<const std::uint32_t> ins = table_.inputs(g.value());
     note_.frame = t;
     note_.gate = g;
     if (g == site) {
       faulty_one_[s] = stuck_at_one ? true_lit_ : false_lit;
       faulty_zero_[s] = stuck_at_one ? false_lit : true_lit_;
-    } else if (gate.kind == GateKind::Dff) {
+    } else if (kind == GateKind::Dff) {
       // A DFF enters the cone only through its data input one frame back.
-      const std::size_t src = slot(gate.inputs[0], t - 1);
+      const std::size_t src = slot(GateId{ins[0]}, t - 1);
       faulty_one_[s] = faulty_one(src);
       faulty_zero_[s] = faulty_zero(src);
     } else {
       in_one_.clear();
       in_zero_.clear();
       bool live = false;
-      for (const GateId in : gate.inputs) {
-        const std::size_t is = slot(in, t);
+      for (const std::uint32_t in : ins) {
+        const std::size_t is = slot(GateId{in}, t);
         live = live || in_cone(is);
         in_one_.push_back(faulty_one(is));
         in_zero_.push_back(faulty_zero(is));
       }
       if (live) {
-        encode_gate(gate.kind, faulty_one_[s], faulty_zero_[s]);
+        encode_gate(kind, faulty_one_[s], faulty_zero_[s]);
       } else {
         faulty_one_[s] = good_one_[s];
         faulty_zero_[s] = good_zero_[s];
@@ -371,8 +373,9 @@ Lit TimeFrameCnf::add_fault(GateId site, bool stuck_at_one) {
     }
     clause_.clear();
     clause_.push_back(~path_[s]);
-    for (const GateId out : nl_.gate(g).fanouts) {
-      const int ot = nl_.gate(out).kind == GateKind::Dff ? t + 1 : t;
+    for (const std::uint32_t fo : table_.fanouts(g.value())) {
+      const GateId out{GateTable::target(fo)};
+      const int ot = t + static_cast<int>(GateTable::crossing(fo));
       if (ot < frames_ && out != site && in_cone(slot(out, ot))) {
         clause_.push_back(path_[slot(out, ot)]);
       }

@@ -65,7 +65,9 @@
 // left it in, without re-encoding the good machine.  Encoding allocates
 // nothing per clause or per gate: clauses go through member buffers, and
 // the per-variable dump notes are compact records formatted only by
-// dump_dimacs.
+// dump_dimacs.  The per-fault cone walk and re-encoding read kinds, inputs
+// and fanouts from a GateTable (gates/gate_table.hpp), whose fanout
+// entries carry the DFF frame-crossing bit.
 //
 // Variable numbering is stable and deterministic: good-machine planes are
 // allocated frame-major in gate-id order, per-fault cone variables in
@@ -80,6 +82,7 @@
 #include <utility>
 #include <vector>
 
+#include "gates/gate_table.hpp"
 #include "gates/netlist.hpp"
 #include "util/cdcl.hpp"
 
@@ -167,6 +170,7 @@ class TimeFrameCnf {
   [[nodiscard]] std::string describe(const VarNote& note) const;
 
   const Netlist& nl_;
+  const GateTable table_;  ///< kinds, inputs and fanouts for the cone walks
   int frames_;
   util::cdcl::Solver solver_;
   Lit true_lit_;  ///< a literal fixed true (its negation is fixed false)

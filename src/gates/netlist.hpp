@@ -9,6 +9,7 @@
 // to-zero, constants, primary inputs and primary outputs.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,7 @@ namespace hlts::gates {
 struct GateTag {};
 using GateId = Id<GateTag>;
 
-enum class GateKind {
+enum class GateKind : std::uint8_t {
   Input,   ///< primary input (no gate inputs)
   Output,  ///< primary output (one input; transparent)
   Const0,

@@ -15,6 +15,8 @@
 //    frame and at two nominal periods, under backtrack limits 1, 8, 64;
 //  - random input sequences, interleaved with generate() on the same
 //    instance so a check never starts from a fresh model.
+// PODEM walks the flat gates::GateTable, not the Netlist; the table itself
+// is checked against the Netlist it was built from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +29,7 @@
 #include "atpg/podem.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/flows.hpp"
+#include "gates/gate_table.hpp"
 #include "rtl/elaborate.hpp"
 #include "rtl/rtl.hpp"
 #include "support/netlist_fixtures.hpp"
@@ -246,6 +249,69 @@ TEST(PodemDifferential, CheckSequenceMatchesFrozenPodemOnPaulin) {
     }
   }
   EXPECT_GT(hits, 20);
+}
+
+/// Fails unless `table` lists `nl`'s kinds, inputs (pin order) and fanouts
+/// (Gate::fanouts order), with the crossing bit set exactly on DFF fanouts.
+void expect_table_matches(const gates::Netlist& nl, const std::string& what) {
+  const gates::GateTable table(nl);
+  ASSERT_EQ(table.num_gates(), nl.num_gates()) << what;
+  for (const gates::GateId g : nl.gate_ids()) {
+    const gates::Gate& gate = nl.gate(g);
+    const std::string at = what + " gate " + std::to_string(g.value());
+    ASSERT_EQ(table.kind(g.value()), gate.kind) << at;
+    std::vector<gates::GateId> inputs;
+    for (const std::uint32_t in : table.inputs(g.value())) {
+      inputs.emplace_back(in);
+    }
+    ASSERT_EQ(inputs, gate.inputs) << at;
+    std::vector<gates::GateId> fanouts;
+    for (const std::uint32_t fo : table.fanouts(g.value())) {
+      const gates::GateId reader{gates::GateTable::target(fo)};
+      ASSERT_LT(reader.index(), nl.num_gates()) << at;
+      const bool dff = nl.gate(reader).kind == gates::GateKind::Dff;
+      ASSERT_EQ(gates::GateTable::crossing(fo), dff ? 1U : 0U) << at;
+      fanouts.push_back(reader);
+    }
+    ASSERT_EQ(fanouts, gate.fanouts) << at;
+  }
+}
+
+TEST(GateTable, MatchesNetlistOnPaperDesigns) {
+  for (const std::string& name : benchmarks::benchmark_names()) {
+    const dfg::Dfg g = benchmarks::make_benchmark(name);
+    for (const int bits : {4, 8}) {
+      for (const core::FlowKind kind :
+           {core::FlowKind::Camad, core::FlowKind::Approach1,
+            core::FlowKind::Approach2, core::FlowKind::Ours}) {
+        const core::FlowResult flow =
+            core::run_flow(kind, g, {.bits = bits, .num_threads = 1});
+        const rtl::RtlDesign design = rtl::RtlDesign::from_synthesis(
+            g, flow.schedule, flow.binding, bits);
+        expect_table_matches(rtl::elaborate(design).netlist,
+                             name + "/" + core::flow_name(kind) + "/" +
+                                 std::to_string(bits));
+      }
+    }
+  }
+}
+
+TEST(GateTable, MatchesNetlistOnRandomNetlists) {
+  Rng rng(0x7AB1E);
+  for (int trial = 0; trial < 24; ++trial) {
+    const gates::Netlist nl =
+        random_netlist(rng, 4, 8 + trial * 4, 1 + trial % 5,
+                       /*with_reset=*/trial % 2 == 1);
+    expect_table_matches(nl, "trial " + std::to_string(trial));
+  }
+  // A gate reading one signal twice lists that fanout twice.
+  gates::Netlist nl;
+  const gates::GateId a = nl.add_input("a");
+  const gates::GateId q = nl.add_dff("q");
+  const gates::GateId g = nl.add_gate(gates::GateKind::And, {a, a});
+  nl.connect_dff(q, g);
+  nl.add_output(nl.add_gate(gates::GateKind::Xor, {q, g}), "o");
+  expect_table_matches(nl, "hand-built");
 }
 
 TEST(PodemCounters, AttemptsAndBacktracksAreCountedPerTarget) {
